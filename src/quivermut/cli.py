@@ -27,6 +27,7 @@ from .seeds import (
     brute_force_green_search,
     check_sign_coherence,
     extend,
+    format_int,
     format_seed,
     source_mgs,
 )
@@ -97,10 +98,10 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
         return EXIT_OK
     print("b:")
     for row in seed.b.entries:
-        print(" ".join(str(x) for x in row))
+        print(" ".join(map(format_int, row)))
     print("c:")
     for row in seed.c:
-        print(" ".join(str(x) for x in row))
+        print(" ".join(map(format_int, row)))
     return EXIT_OK
 
 

@@ -278,19 +278,55 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
     return results
 
 
+# CPython refuses int <-> decimal str conversions past 4,300 digits by
+# default (sys.int_info.default_max_str_digits).  Seeds convert in chunks of
+# this many digits instead, leaving that process-wide setting alone.
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def format_int(value: int) -> str:
+    """str(value) for an int of any size."""
+    if -_CHUNK < value < _CHUNK:
+        return str(value)
+    chunks = []
+    rest = abs(value)
+    while rest:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(low)
+    head = ("-" if value < 0 else "") + str(chunks.pop())
+    return head + "".join(f"{low:0{_CHUNK_DIGITS}d}" for low in reversed(chunks))
+
+
+def parse_int(text: str) -> int:
+    """int(text) for a decimal integer literal of any length."""
+    digits = text.removeprefix("-")
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(text)
+    value = 0
+    for start in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[start:start + _CHUNK_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
+def _json_rows(rows: IntMatrix) -> str:
+    return "[" + ", ".join("[" + ", ".join(map(format_int, row)) + "]" for row in rows) + "]"
+
+
 def format_seed(seed: FramedSeed) -> str:
-    """Canonical seed document: JSON with integer matrices keyed b and c."""
-    payload = {
-        "b": [list(row) for row in seed.b.entries],
-        "c": [list(row) for row in seed.c],
-    }
-    return json.dumps(payload, separators=(", ", ": ")) + "\n"
+    """Canonical seed document: JSON with integer matrices keyed b and c.
+
+    The text is what json.dumps(..., separators=(", ", ": ")) gives for
+    the two row lists, written directly so entries of any size convert.
+    """
+    return '{"b": ' + _json_rows(seed.b.entries) + ', "c": ' + _json_rows(seed.c) + "}\n"
 
 
 def parse_seed(text: str) -> FramedSeed:
     """Inverse of format_seed; round-trips bit-exactly on canonical output."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"seed document is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or set(payload) != {"b", "c"}:

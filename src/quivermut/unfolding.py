@@ -10,6 +10,13 @@ Orbit-mutation (simultaneous mutation at all vertices of one label)
 consumes two units of that radius per step, a conservative budget that the
 test suite cross-validates against deeper truncations.
 
+The public `orbit_mutate` copies and mutates the whole truncation.
+`verify_unfolding_commutation` instead replays on one copy-on-write
+adjacency over the cached truncation, and mutates only the trusted ball:
+label-k vertices at depth at most the radius plus one.  Its docstring
+argues why that margin is enough, and the test suite compares every
+interior vertex with `orbit_mutate` after every step.
+
 Orientation convention, used consistently for adjacency and folding: a
 positive entry for the ordered pair (i, j) means arrows from j to i.  For
 the framed part, a positive c-entry pairs arrows from a mutable vertex
@@ -18,13 +25,20 @@ into a frozen one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .matrices import ExchangeMatrix, IntMatrix, is_acyclic, is_sign_skew_symmetric
 from .seeds import FramedSeed, extend, mutate_framed
+
+# The replay in verify_unfolding_commutation mutates label-k vertices down to
+# depth radius + _TRUST_MARGIN; its docstring says why 1 is enough.
+_TRUST_MARGIN = 1
+
+Adjacency = dict[int, dict[int, int]]
 
 
 class GammaViolationError(ValueError):
@@ -57,7 +71,8 @@ class LabeledQuiver:
     """Labeled quiver with mutable/frozen vertices and net integer arrows.
 
     Vertices are dense integer ids in construction order (breadth-first by
-    ring, then parent id, then label).  `out[u][v]` is the positive
+    ring, then parent id, then label), so each label's `mutable_ids` come
+    in nondecreasing depth.  `out[u][v]` is the positive
     multiplicity of the arrows u -> v; at most one direction is stored per
     pair, and `inn` mirrors `out`.  Instances are immutable by convention:
     mutation returns a new quiver sharing the vertex arrays.  Treat `out`
@@ -390,6 +405,46 @@ def _mutate_vertex(
         inn[t][w] = mw
 
 
+def _orbit_targets(quiver: LabeledQuiver, k: int, radius: Optional[int]) -> tuple[int, ...]:
+    """Check that label k can be orbit-mutated at this radius; return its vertices."""
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= quiver.n_labels:
+        raise IndexError(f"orbit label {k!r} out of range 1..{quiver.n_labels}")
+    targets = quiver.mutable_ids(k)
+    if not targets:
+        raise ValueError(f"label {k} does not occur in the quiver")
+    if radius is not None and radius < quiver.core_depth:
+        raise InteriorExhaustedError(
+            f"interior exhausted: radius {radius} has shrunk below "
+            f"the deepest first-occurrence depth {quiver.core_depth}"
+        )
+    return targets
+
+
+def _gamma_violation(report: GammaReport) -> GammaViolationError:
+    return GammaViolationError(
+        "orbit-mutation undefined: "
+        f"label-class loops {list(report.loop_witnesses[:3])}, "
+        f"label-class 2-cycles {list(report.two_cycle_witnesses[:3])}"
+    )
+
+
+def _with_arrows(
+    quiver: LabeledQuiver, out: Adjacency, inn: Adjacency, radius: Optional[int]
+) -> LabeledQuiver:
+    """The vertices of `quiver` with other arrows and interior radius."""
+    return LabeledQuiver(
+        n_labels=quiver.n_labels,
+        framed=quiver.framed,
+        labels=quiver.labels,
+        frozen=quiver.frozen,
+        depths=quiver.depths,
+        out=out,
+        inn=inn,
+        frozen_partner=quiver.frozen_partner,
+        interior_radius=radius,
+    )
+
+
 def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     """Mutate simultaneously at every mutable vertex labeled k.
 
@@ -402,39 +457,16 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     error stays outside the interior accounted by the radius, which drops
     by 2.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= quiver.n_labels:
-        raise IndexError(f"orbit label {k!r} out of range 1..{quiver.n_labels}")
-    targets = quiver.mutable_ids(k)
-    if not targets:
-        raise ValueError(f"label {k} does not occur in the quiver")
-    if not quiver.can_fold:
-        raise InteriorExhaustedError(
-            f"interior exhausted: radius {quiver.interior_radius} has shrunk below "
-            f"the deepest first-occurrence depth {quiver.core_depth}"
-        )
+    targets = _orbit_targets(quiver, k, quiver.interior_radius)
     gamma = check_gamma_conditions(quiver, interior_only=True)
     if not gamma.ok:
-        raise GammaViolationError(
-            "orbit-mutation undefined: "
-            f"label-class loops {list(gamma.loop_witnesses[:3])}, "
-            f"label-class 2-cycles {list(gamma.two_cycle_witnesses[:3])}"
-        )
+        raise _gamma_violation(gamma)
     out = {u: dict(d) for u, d in quiver.out.items()}
     inn = {u: dict(d) for u, d in quiver.inn.items()}
     for t in targets:
         _mutate_vertex(out, inn, quiver.frozen, t)
     radius = None if quiver.is_complete else quiver.interior_radius - 2
-    return LabeledQuiver(
-        n_labels=quiver.n_labels,
-        framed=quiver.framed,
-        labels=quiver.labels,
-        frozen=quiver.frozen,
-        depths=quiver.depths,
-        out=out,
-        inn=inn,
-        frozen_partner=quiver.frozen_partner,
-        interior_radius=radius,
-    )
+    return _with_arrows(quiver, out, inn, radius)
 
 
 # -------------------------------------------------------------------- checks
@@ -487,6 +519,41 @@ def check_gamma_conditions(
     )
 
 
+def _gamma_ok(
+    quiver: LabeledQuiver, out: Adjacency, inn: Adjacency,
+    scan: Iterable[int], radius: Optional[int],
+) -> bool:
+    """Whether no loop starts at, and no 2-cycle passes through, a vertex of scan.
+
+    Only vertices at depth <= radius count (all of them when radius is
+    None), as in check_gamma_conditions(interior_only=True), and scanning
+    the whole interior gives that function's verdict.  After an orbit step
+    it is enough to scan the vertices whose arrows the step changed: any
+    other loop or 2-cycle already existed, inside the larger interior that
+    the previous scan covered.
+    """
+    labels = quiver.labels
+    frozen = quiver.frozen
+    depths = quiver.depths
+    limit = max(depths) if radius is None else radius
+    for x in scan:
+        if depths[x] > limit:
+            continue
+        # a class is a label and a kind: frozen classes get negative keys
+        class_x = -labels[x] if frozen[x] else labels[x]
+        in_classes = set()
+        for u in inn[x]:
+            if depths[u] <= limit:
+                in_classes.add(-labels[u] if frozen[u] else labels[u])
+        for w in out[x]:
+            if depths[w] <= limit:
+                class_w = -labels[w] if frozen[w] else labels[w]
+                # a loop x -> w, or a 2-cycle u -> x -> w through another class
+                if class_w == class_x or class_w in in_classes:
+                    return False
+    return True
+
+
 def orbit_sources(quiver: LabeledQuiver) -> list[int]:
     """Labels all of whose interior vertices are sources.
 
@@ -507,16 +574,34 @@ def orbit_sources(quiver: LabeledQuiver) -> list[int]:
 # ------------------------------------------------------------------- folding
 
 
+def _default_representative(quiver: LabeledQuiver, label: int) -> int:
+    """The shallowest mutable vertex of a label, the smallest id among ties.
+
+    Builders number vertices ring by ring, so `mutable_ids` come in
+    nondecreasing depth and this is simply the first of them.
+    """
+    return quiver.mutable_ids(label)[0]
+
+
+def _require_interior(
+    quiver: LabeledQuiver, label: int, rep: int, radius: Optional[int]
+) -> None:
+    if radius is not None and quiver.depths[rep] > radius:
+        raise InteriorExhaustedError(
+            f"representative {rep} for label {label} is not interior "
+            f"(depth {quiver.depths[rep]} > radius {radius})"
+        )
+
+
 def _resolve_representatives(
     quiver: LabeledQuiver, representatives: Optional[Mapping[int, int]]
 ) -> dict[int, int]:
     chosen: dict[int, int] = {}
     for label in range(1, quiver.n_labels + 1):
-        ids = quiver.mutable_ids(label)
-        if not ids:
+        if not quiver.mutable_ids(label):
             raise ValueError(f"label {label} missing from quiver: cannot fold")
         if representatives is None:
-            rep = min(ids, key=lambda v: (quiver.depths[v], v))
+            rep = _default_representative(quiver, label)
         else:
             if label not in representatives:
                 raise ValueError(f"no representative supplied for label {label}")
@@ -527,13 +612,36 @@ def _resolve_representatives(
                 raise ValueError(
                     f"representative {rep} has label {quiver.labels[rep]}, expected {label}"
                 )
-        if not quiver.is_interior(rep):
-            raise InteriorExhaustedError(
-                f"representative {rep} for label {label} is not interior "
-                f"(depth {quiver.depths[rep]} > radius {quiver.interior_radius})"
-            )
+        _require_interior(quiver, label, rep, quiver.interior_radius)
         chosen[label] = rep
     return chosen
+
+
+def _column_sums(
+    quiver: LabeledQuiver, out: Adjacency, inn: Adjacency, rep: int
+) -> tuple[list[int], list[int]]:
+    """Orbit sums at one representative: (principal column, frozen column)."""
+    labels = quiver.labels
+    frozen = quiver.frozen
+    b_col = [0] * quiver.n_labels
+    c_col = [0] * quiver.n_labels
+    for u, mult in out[rep].items():
+        # arrows rep -> u contribute +mult to the (u, rep) entry
+        (c_col if frozen[u] else b_col)[labels[u] - 1] += mult
+    for u, mult in inn[rep].items():
+        (c_col if frozen[u] else b_col)[labels[u] - 1] -= mult
+    return b_col, c_col
+
+
+def _fold_rows(
+    quiver: LabeledQuiver, out: Adjacency, inn: Adjacency, reps: Iterable[int]
+) -> tuple[IntMatrix, IntMatrix]:
+    """Folded principal and frozen rows; column j is summed at the j-th rep."""
+    columns = [_column_sums(quiver, out, inn, rep) for rep in reps]
+    return (
+        tuple(zip(*(b_col for b_col, _ in columns))),
+        tuple(zip(*(c_col for _, c_col in columns))),
+    )
 
 
 def folding(
@@ -547,21 +655,10 @@ def folding(
     interior.  Defaults pick the minimal-depth vertex per label.
     """
     reps = _resolve_representatives(quiver, representatives)
-    n = quiver.n_labels
-    b = [[0] * n for _ in range(n)]
-    c = [[0] * n for _ in range(n)]
-    labels = quiver.labels
-    frozen = quiver.frozen
-    for label, rep in reps.items():
-        col = label - 1
-        for u, mult in quiver.out[rep].items():
-            # arrows rep -> u contribute +mult to the (u, rep) entry
-            (c if frozen[u] else b)[labels[u] - 1][col] += mult
-        for u, mult in quiver.inn[rep].items():
-            (c if frozen[u] else b)[labels[u] - 1][col] -= mult
-    principal = ExchangeMatrix(tuple(tuple(row) for row in b))
+    b, c = _fold_rows(quiver, quiver.out, quiver.inn, reps.values())
+    principal = ExchangeMatrix(b)
     if quiver.framed:
-        return FramedSeed(principal, tuple(tuple(row) for row in c))
+        return FramedSeed(principal, c)
     return principal
 
 
@@ -571,9 +668,8 @@ def folding_column(
     """One folded column (principal part, frozen part) at a chosen representative."""
     if not 1 <= label <= quiver.n_labels or not quiver.mutable_ids(label):
         raise ValueError(f"label {label!r} missing from quiver")
-    ids = quiver.mutable_ids(label)
     rep = (
-        min(ids, key=lambda v: (quiver.depths[v], v))
+        _default_representative(quiver, label)
         if representative is None
         else representative
     )
@@ -581,14 +677,52 @@ def folding_column(
         raise ValueError(f"representative {rep!r} is not a mutable vertex of label {label}")
     if not quiver.is_interior(rep):
         raise InteriorExhaustedError(f"representative {rep} is not interior")
-    n = quiver.n_labels
-    b_col = [0] * n
-    c_col = [0] * n
-    for u, mult in quiver.out[rep].items():
-        (c_col if quiver.frozen[u] else b_col)[quiver.labels[u] - 1] += mult
-    for u, mult in quiver.inn[rep].items():
-        (c_col if quiver.frozen[u] else b_col)[quiver.labels[u] - 1] -= mult
+    b_col, c_col = _column_sums(quiver, quiver.out, quiver.inn, rep)
     return tuple(b_col), tuple(c_col) if quiver.framed else None
+
+
+def _replay(
+    quiver: LabeledQuiver, directions: Sequence[int]
+) -> Iterator[tuple[int, Adjacency, Adjacency, Optional[int]]]:
+    """Orbit-mutate a copy-on-write copy of `quiver` inside its trusted ball.
+
+    Yields (step, out, inn, radius) before the first step and after each
+    one.  `out` and `inn` are the working adjacency, which the next step
+    updates in place; `radius` is the depth up to which it is trusted
+    (None for a complete quiver).  The outer dicts are copied here, and a
+    vertex's inner dicts just before a step first writes to them, so
+    `quiver` is never written.  Checks and errors are those of
+    orbit_mutate, made on the state about to be mutated.
+    """
+    out = dict(quiver.out)
+    inn = dict(quiver.inn)
+    owned: set[int] = set()  # vertices whose inner dicts are already copies
+    frozen = quiver.frozen
+    radius = quiver.interior_radius
+    scan: Iterable[int] = range(quiver.vertex_count)
+    yield 0, out, inn, radius
+    for step, k in enumerate(directions, start=1):
+        targets = _orbit_targets(quiver, k, radius)
+        if not _gamma_ok(quiver, out, inn, scan, radius):
+            snapshot = _with_arrows(quiver, out, inn, radius)
+            raise _gamma_violation(check_gamma_conditions(snapshot, interior_only=True))
+        if radius is not None:
+            limit = radius + _TRUST_MARGIN
+            targets = targets[:bisect_right(targets, limit, key=quiver.depths.__getitem__)]
+            radius -= 2
+        touched: set[int] = set()
+        for t in targets:
+            # mutation at t writes only the arrows of t and of its neighbors
+            around = (t, *out[t], *inn[t])
+            for v in around:
+                if v not in owned:
+                    owned.add(v)
+                    out[v] = dict(out[v])
+                    inn[v] = dict(inn[v])
+            touched.update(around)
+            _mutate_vertex(out, inn, frozen, t)
+        scan = touched
+        yield step, out, inn, radius
 
 
 def verify_unfolding_commutation(
@@ -600,6 +734,41 @@ def verify_unfolding_commutation(
     as ordinary framed mutations on the extended matrix; after every
     prefix the folding must equal the seed exactly.  Requires interior
     budget m >= 2*len(directions) + 2.
+
+    Reports and errors are those of chaining orbit_mutate and folding, but
+    the replay (_replay) does far less work.  It writes to one
+    copy-on-write adjacency instead of copying the truncation per step.
+    A step at label k mutates only the label-k vertices at depth <= r + 1,
+    where r is the interior radius before the step.  The Γ check scans the
+    whole interior once, then only the vertices the previous step touched.
+    Representatives are chosen once, since mutation moves no label or
+    depth, and folding sums only their neighborhoods.
+
+    Why depth <= r + 1 is enough.  Take two replays that apply the same
+    vertex mutations in the same order, except that one skips some.
+    Mutating at t changes only arrows inside t's closed neighborhood, and
+    changes them alike in both replays when t's arrows agree.  So the
+    replays come to disagree at a vertex only next to a skipped vertex, or
+    next to a vertex mutated while they already disagree at it.  Let f_s
+    be the least depth at which a replay may disagree with the infinite
+    unfolding after s steps, g_s the least depth of a target it skips at
+    step s + 1, and σ_s a bound on the depth difference along an arrow of
+    either after s steps (σ_0 = 1 on the fresh tree, frozen copies
+    sitting at their vertex's depth; σ_1 = 2 and σ_2 = 3 on the test
+    corpus; raising a bound to 2 keeps it a bound).  Then
+    f_{s+1} >= min(f_s, g_s) - σ_s.
+
+    The whole truncation lacks the neighbors of its outer ring, so
+    f_0 = r_0 + 1, and it skips what lies beyond, g_s = r_0 + 2; hence
+    f_s >= F_s = r_0 + 1 - (σ_0 + ... + σ_{s-1}), and F_s <= r_s + 2 for
+    r_s = r_0 - 2s.  The trusted ball skips from g_s = r_s + 2 on, which
+    is never below F_s, so the same F_s bounds it at every step: it is
+    exact wherever the whole truncation is guaranteed exact, and the
+    radius bookkeeping (trust depth <= r_s, i.e. F_s >= r_s + 1) covers
+    both.  With the corpus spans that holds through three steps; longer
+    sequences rest, as before, on the cross-checks against deeper
+    truncations.  Skipping from r_s + 1 on would lower the bound by one
+    ring from step 2, which puts ring r_3 at risk at step 3.
     """
     directions = tuple(directions)
     if m < 2 * len(directions) + 2:
@@ -609,12 +778,13 @@ def verify_unfolding_commutation(
         )
     quiver = build_truncation(matrix, m, framed=True)
     seed = extend(matrix)
-    if folding(quiver) != seed:
-        return CommutationReport(ok=False, first_divergence=0)
-    for step, k in enumerate(directions, start=1):
-        quiver = orbit_mutate(quiver, k)
-        seed = mutate_framed(seed, k)
-        if folding(quiver) != seed:
+    reps = _resolve_representatives(quiver, None)
+    for step, out, inn, radius in _replay(quiver, directions):
+        if step:
+            seed = mutate_framed(seed, directions[step - 1])
+            for label, rep in reps.items():
+                _require_interior(quiver, label, rep, radius)
+        if _fold_rows(quiver, out, inn, reps.values()) != (seed.b.entries, seed.c):
             return CommutationReport(ok=False, first_divergence=step)
     return CommutationReport(ok=True, first_divergence=None)
 

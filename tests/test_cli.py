@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from quivermut import extend, format_matrix, mutate_framed, parse_seed
+from quivermut import apply_sequence_framed, extend, format_matrix, mutate_framed, parse_seed
 from quivermut.cli import main
 
 from corpus import example_matrix
@@ -89,6 +89,32 @@ class TestMutate:
         assert code == 0
         seed = parse_seed(out)
         assert seed == mutate_framed(mutate_framed(extend(example_matrix()), 1), 2)
+
+    def test_entries_past_the_int_str_digit_limit(self, capsys, example_file):
+        # the sink numbering 4,3,2,1 grows entries past 4,300 digits near step 9,840
+        seq = [(4, 3, 2, 1)[i % 4] for i in range(10_000)]
+        expected = apply_sequence_framed(extend(example_matrix()), seq)
+        assert max(abs(x) for row in expected.c for x in row).bit_length() > 4300 * 3.33
+        directions = ",".join(map(str, seq))
+        code, out, err = run(capsys, ["mutate", example_file, "-s", directions, "--json-out"])
+        assert (code, err) == (0, "")
+        assert parse_seed(out) == expected
+        code, out, err = run(capsys, ["mutate", example_file, "-s", directions])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "b:" and lines[5] == "c:"
+
+        def chunked_int(token: str) -> int:
+            sign = -1 if token.startswith("-") else 1
+            digits = token.lstrip("-")
+            value = 0
+            for start in range(0, len(digits), 500):
+                chunk = digits[start:start + 500]
+                value = value * 10 ** len(chunk) + int(chunk)
+            return sign * value
+
+        rows = [tuple(map(chunked_int, line.split())) for line in lines[1:5] + lines[6:]]
+        assert rows == list(expected.b.entries) + list(expected.c)
 
     def test_bad_direction_exit_2(self, capsys, rank2_file):
         code, _, err = run(capsys, ["mutate", rank2_file, "-s", "7"])

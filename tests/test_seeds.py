@@ -26,6 +26,8 @@ from quivermut import (
     source_mgs,
 )
 
+from quivermut.seeds import format_int, parse_int
+
 from corpus import corpus_matrices, example_matrix
 
 RANK2 = ExchangeMatrix([[0, 1], [-1, 0]])
@@ -287,6 +289,22 @@ class TestSeedDocument:
         seed = extend(RANK2)
         text = format_seed(seed)
         assert format_seed(parse_seed(text)) == text
+
+    def test_entries_past_the_int_str_digit_limit(self):
+        # decimal strings built by hand: whole chunks of zeros and nines
+        cases = {
+            10**5000: "1" + "0" * 5000,
+            -(10**3000 + 7): "-1" + "0" * 2999 + "7",
+            10**4500 - 1: "9" * 4500,
+        }
+        for value, text in cases.items():
+            assert format_int(value) == text
+            assert parse_int(text) == value
+        big, small, nines = cases
+        seed = FramedSeed(ExchangeMatrix([[0, big], [small, 0]]), [[1, nines], [0, -1]])
+        text = format_seed(seed)
+        assert text.startswith('{"b": [[0, 1000') and text.endswith("], [0, -1]]}\n")
+        assert parse_seed(text) == seed
 
     def test_rejects_bad_documents(self):
         with pytest.raises(ValueError):

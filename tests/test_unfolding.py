@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from quivermut import (
@@ -22,6 +24,14 @@ from quivermut import (
     orbit_sources,
     to_dot,
     verify_unfolding_commutation,
+)
+from quivermut import unfolding
+from quivermut.unfolding import (
+    _cached_truncation,
+    _default_representative,
+    _fold_rows,
+    _gamma_ok,
+    _replay,
 )
 
 from corpus import corpus_matrices, example_matrix
@@ -445,3 +455,131 @@ class TestStructuralInvariants:
         for k in (1, 2, 3):
             quiver = orbit_mutate(quiver, k)
             assert_structurally_valid(quiver, fresh=False)
+
+
+def full_length_sequences(n: int, length: int) -> list[tuple[int, ...]]:
+    """Direction sequences of exactly this length without immediate repeats."""
+    return [
+        seq
+        for seq in itertools.product(range(1, n + 1), repeat=length)
+        if all(a != b for a, b in zip(seq, seq[1:]))
+    ]
+
+
+def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch) -> int:
+    """Drive the trusted-ball replay along every pruned sequence of length
+    <= max_len and compare each state with whole-truncation orbit_mutate.
+
+    Every interior vertex must have exactly the reference's out- and
+    in-arrows, the fold must agree, and each Γ verdict the replay takes
+    must equal the full interior scan of the reference.  Shorter sequences
+    are the prefixes the longer replays pass through.  Returns the number
+    of states compared.
+    """
+    verdicts = []
+
+    def recording_gamma_ok(*args):
+        verdicts.append(_gamma_ok(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(unfolding, "_gamma_ok", recording_gamma_ok)
+    base = build_truncation(matrix, m, framed=True)
+    reps = [_default_representative(base, label) for label in range(1, matrix.n + 1)]
+    reference = {(): base}
+    compared = 0
+    for seq in full_length_sequences(matrix.n, max_len):
+        verdicts.clear()
+        for step, out, inn, radius in _replay(base, seq):
+            prefix = seq[:step]
+            if prefix not in reference:
+                reference[prefix] = orbit_mutate(reference[prefix[:-1]], prefix[-1])
+            ref = reference[prefix]
+            assert radius == ref.interior_radius
+            if step:
+                # the verdict taken on the previous state, before this step
+                before = reference[prefix[:-1]]
+                assert verdicts[step - 1] == check_gamma_conditions(before, interior_only=True).ok
+            for v in range(base.vertex_count):
+                if ref.is_interior(v):
+                    assert out[v] == ref.out[v], (seq, step, v)
+                    assert inn[v] == ref.inn[v], (seq, step, v)
+            folded = folding(ref)
+            assert _fold_rows(base, out, inn, reps) == (folded.b.entries, folded.c)
+            compared += 1
+    return compared
+
+
+class TestTrustedBallReplay:
+    """The replay inside verify_unfolding_commutation against orbit_mutate.
+
+    The replay mutates only label-k vertices at depth <= radius + 1; these
+    tests hold it to the whole-truncation reference on every interior
+    vertex, which is what the margin argument in its docstring claims.
+    """
+
+    def test_interior_matches_orbit_mutate_on_corpus(self, monkeypatch):
+        compared = 0
+        for matrix in corpus_matrices()[1:]:
+            compared += check_replay_against_orbit_mutate(matrix, 8, 3, monkeypatch)
+        # 15 n=2, 15 n=3 and 20 n=4 matrices with 2, 12 and 36 sequences of
+        # length 3, each passing through 4 states
+        assert compared == (15 * 2 + 15 * 12 + 20 * 36) * 4
+
+    def test_interior_matches_orbit_mutate_on_example(self, monkeypatch):
+        assert check_replay_against_orbit_mutate(example_matrix(), 6, 2, monkeypatch) == 12 * 3
+
+    def test_gamma_verdict_on_hand_built_violations(self):
+        loop = tiny_quiver(1, [1, 1], [False, False], [(0, 1)])
+        two_cycle = tiny_quiver(2, [1, 2, 1], [False] * 3, [(0, 1), (1, 2)])
+        separate = tiny_quiver(
+            2, [1, 2, 1], [False, False, True], [(0, 1), (1, 2)], framed=True
+        )
+        for quiver, ok in ((loop, False), (two_cycle, False), (separate, True)):
+            verdict = _gamma_ok(quiver, quiver.out, quiver.inn, range(quiver.vertex_count), None)
+            assert verdict is ok is check_gamma_conditions(quiver).ok
+
+    def test_gamma_violation_created_by_a_step(self):
+        # mutating label 2 at vertex 1 adds 0 -> 2, closing 0 -> 2 -> 3 on label 1;
+        # only the vertices the step touched are rescanned, and that must catch it
+        quiver = tiny_quiver(3, [1, 2, 3, 1], [False] * 4, [(0, 1), (1, 2), (2, 3)])
+        assert check_gamma_conditions(quiver).ok
+        with pytest.raises(GammaViolationError) as expected:
+            orbit_mutate(orbit_mutate(quiver, 2), 3)
+        with pytest.raises(GammaViolationError) as replayed:
+            list(_replay(quiver, (2, 3)))
+        assert str(replayed.value) == str(expected.value)
+
+    def test_replay_never_writes_the_cached_truncation(self):
+        matrices = [example_matrix()] + corpus_matrices()[1:51:10]
+        for matrix in matrices:
+            for seq in full_length_sequences(matrix.n, 3)[:6]:
+                assert verify_unfolding_commutation(matrix, seq, 8).ok
+            cached = build_truncation(matrix, 8, framed=True)
+            cold = _cached_truncation.__wrapped__(matrix.entries, 8, True)
+            assert cached == cold
+            assert cached.inn == cold.inn
+
+    def test_bad_direction_raises_like_orbit_mutate(self):
+        quiver = build_truncation(example_matrix(), 6, framed=True)
+        for seq in ((1, 5), (True,)):
+            with pytest.raises(IndexError) as expected:
+                orbit_mutate(quiver, seq[-1])
+            with pytest.raises(IndexError) as replayed:
+                verify_unfolding_commutation(example_matrix(), seq, 6)
+            assert str(replayed.value) == str(expected.value)
+
+
+class TestRepresentatives:
+    @pytest.mark.parametrize("m", [2, 3, 4, 8])
+    def test_mutable_ids_come_in_depth_order(self, m):
+        # the default representative and the replay's bisect both rely on it
+        for matrix in corpus_matrices():
+            quiver = build_truncation(matrix, m, framed=True)
+            for label in range(1, matrix.n + 1):
+                ids = quiver.mutable_ids(label)
+                depths = [quiver.depths[v] for v in ids]
+                assert list(ids) == sorted(ids)
+                assert depths == sorted(depths)
+                assert _default_representative(quiver, label) == min(
+                    ids, key=lambda v: (quiver.depths[v], v)
+                )
