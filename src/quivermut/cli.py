@@ -16,23 +16,23 @@ from typing import Optional, Sequence
 
 from .matrices import (
     ExchangeMatrix,
-    MatrixFormatError,
+    MutabilityReport,
     check_total_mutability,
     classify,
+    format_int,
     parse_matrix,
 )
 from .seeds import (
+    CoherenceReport,
     GreenVerificationError,
     apply_sequence_framed,
     brute_force_green_search,
     check_sign_coherence,
     extend,
-    format_int,
     format_seed,
     source_mgs,
 )
 from .unfolding import (
-    InteriorExhaustedError,
     build_truncation,
     to_dot,
     verify_unfolding_commutation,
@@ -96,12 +96,10 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     if args.json_out:
         sys.stdout.write(format_seed(seed))
         return EXIT_OK
-    print("b:")
-    for row in seed.b.entries:
-        print(" ".join(map(format_int, row)))
-    print("c:")
-    for row in seed.c:
-        print(" ".join(map(format_int, row)))
+    for name, rows in (("b", seed.b.entries), ("c", seed.c)):
+        print(f"{name}:")
+        for row in rows:
+            print(" ".join(map(format_int, row)))
     return EXIT_OK
 
 
@@ -140,9 +138,9 @@ def _cmd_mgs(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_coherence(args: argparse.Namespace) -> int:
-    seed = extend(_load_matrix(args.matrix))
-    report = check_sign_coherence(seed, args.depth)
+def _print_verdict(
+    args: argparse.Namespace, claim: str, report: MutabilityReport | CoherenceReport
+) -> int:
     if args.json_out:
         print(json.dumps({
             "ok": report.ok,
@@ -151,26 +149,20 @@ def _cmd_coherence(args: argparse.Namespace) -> int:
             if report.counterexample is not None else None,
         }, separators=(", ", ": ")))
     else:
-        print(f"sign-coherent: {_bool_str(report.ok)} (depth {args.depth})")
+        print(f"{claim}: {_bool_str(report.ok)} (depth {args.depth})")
         if not report.ok:
             print(f"counterexample: {_seq_str(report.counterexample)}")
     return EXIT_OK if report.ok else EXIT_VIOLATION
+
+
+def _cmd_coherence(args: argparse.Namespace) -> int:
+    seed = extend(_load_matrix(args.matrix))
+    return _print_verdict(args, "sign-coherent", check_sign_coherence(seed, args.depth))
 
 
 def _cmd_total_mutability(args: argparse.Namespace) -> int:
     report = check_total_mutability(_load_matrix(args.matrix), args.depth)
-    if args.json_out:
-        print(json.dumps({
-            "ok": report.ok,
-            "depth": args.depth,
-            "counterexample": list(report.counterexample)
-            if report.counterexample is not None else None,
-        }, separators=(", ", ": ")))
-    else:
-        print(f"totally-mutable: {_bool_str(report.ok)} (depth {args.depth})")
-        if not report.ok:
-            print(f"counterexample: {_seq_str(report.counterexample)}")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return _print_verdict(args, "totally-mutable", report)
 
 
 def _cmd_unfold(args: argparse.Namespace) -> int:
@@ -274,9 +266,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (MatrixFormatError, InteriorExhaustedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

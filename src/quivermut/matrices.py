@@ -12,9 +12,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 IntMatrix = tuple[tuple[int, ...], ...]
+T = TypeVar("T")
 
 
 class MatrixFormatError(ValueError):
@@ -102,16 +103,10 @@ def find_symmetrizer(matrix: ExchangeMatrix) -> Optional[tuple[int, ...]]:
     component, cleared to the least positive integers, then verified
     globally.  Returns None when no such diagonal exists.
     """
+    if not is_sign_skew_symmetric(matrix):
+        return None
     e = matrix.entries
     n = matrix.n
-    for i in range(n):
-        if e[i][i] != 0:
-            return None
-        for j in range(i + 1, n):
-            x, y = e[i][j], e[j][i]
-            if (x == 0) != (y == 0) or x * y > 0:
-                return None
-
     ratios: list[Optional[Fraction]] = [None] * n
     for root in range(n):
         if ratios[root] is not None:
@@ -141,31 +136,16 @@ def find_symmetrizer(matrix: ExchangeMatrix) -> Optional[tuple[int, ...]]:
     return diag
 
 
-def delta_edges(matrix: ExchangeMatrix) -> list[tuple[int, int]]:
-    """Edges (i, j), 0-based, of the simple digraph with i -> j iff b_ij < 0."""
-    e = matrix.entries
-    n = matrix.n
-    return [(i, j) for i in range(n) for j in range(n) if e[i][j] < 0]
-
-
 def is_acyclic(matrix: ExchangeMatrix) -> bool:
-    """Kahn's topological sort on the digraph with an edge i -> j iff b_ij < 0."""
-    n = matrix.n
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for i, j in delta_edges(matrix):
-        succ[i].append(j)
-        indeg[j] += 1
-    queue = deque(i for i in range(n) if indeg[i] == 0)
-    removed = 0
-    while queue:
-        i = queue.popleft()
-        removed += 1
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    return removed == n
+    """True iff the digraph with an edge i -> j iff b_ij < 0 has no cycle."""
+    e = matrix.entries
+    remaining = set(range(matrix.n))
+    while remaining:
+        sources = {j for j in remaining if all(e[i][j] >= 0 for i in remaining)}
+        if not sources:
+            return False
+        remaining -= sources
+    return True
 
 
 def classify(matrix: ExchangeMatrix) -> ClassificationReport:
@@ -188,31 +168,35 @@ def _check_direction(k: int, n: int) -> int:
     return k - 1
 
 
-def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Mutation of the matrix in direction k (1-based).
+def _mutate_rows(rows: IntMatrix, kk: int) -> IntMatrix:
+    """Mutation in direction kk (0-based) of an extended matrix [B; C].
 
-    Row and column k flip sign; every other entry b_ij picks up the
-    composite term (|b_ik|*b_kj + b_ik*|b_kj|)/2, which is a nonzero
-    integer exactly when b_ik and b_kj share a sign.
+    The first n rows, n being the row length, are the square principal
+    part B; rows below it follow the same rule against B's row kk.  Row
+    and column kk flip sign; every other entry x_ij picks up the composite
+    term (|x_ik|*b_kj + x_ik*|b_kj|)/2, which is a nonzero integer exactly
+    when x_ik and b_kj share a sign.  A row with x_ik = 0 is left as it is.
     """
-    kk = _check_direction(k, matrix.n)
-    e = matrix.entries
-    n = matrix.n
+    row_k = rows[kk]
     out = []
-    for i in range(n):
-        bik = e[i][kk]
-        row = []
-        for j in range(n):
-            if i == kk or j == kk:
-                row.append(-e[i][j])
-            elif bik == 0:
-                row.append(e[i][j])
-            else:
-                bkj = e[kk][j]
-                # The two addends share a sign, so the sum is always even.
-                row.append(e[i][j] + (abs(bik) * bkj + bik * abs(bkj)) // 2)
-        out.append(tuple(row))
-    return ExchangeMatrix(tuple(out))
+    for i, row in enumerate(rows):
+        x_ik = row[kk]
+        if i == kk:
+            out.append(tuple(-x for x in row))
+        elif x_ik == 0:
+            out.append(row)
+        else:
+            a = abs(x_ik)
+            # The two addends share a sign, so the sum is always even.
+            new = [x + (a * b + x_ik * abs(b)) // 2 for x, b in zip(row, row_k)]
+            new[kk] = -x_ik
+            out.append(tuple(new))
+    return tuple(out)
+
+
+def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """Mutation of the matrix in direction k (1-based), see _mutate_rows."""
+    return ExchangeMatrix(_mutate_rows(matrix.entries, _check_direction(k, matrix.n)))
 
 
 def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> ExchangeMatrix:
@@ -223,40 +207,86 @@ def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> Exchang
     return current
 
 
-def check_total_mutability(
-    matrix: ExchangeMatrix, depth: int, dedupe: bool = False
-) -> MutabilityReport:
+def _first_violation(
+    start: T, n: int, depth: int, step: Callable[[T, int], T], bad: Callable[[T], bool]
+) -> Optional[tuple[int, ...]]:
+    """Shortest direction sequence whose end state is bad, or None.
+
+    Breadth-first over sequences of length 0..depth, directions ascending,
+    immediate back-mutations (k, k) pruned; step(state, k) mutates in
+    direction k (1-based).
+    """
+    if bad(start):
+        return ()
+    frontier: deque[tuple[T, tuple[int, ...]]] = deque([(start, ())])
+    while frontier:
+        current, seq = frontier.popleft()
+        last = seq[-1] if seq else 0
+        for k in range(1, n + 1):
+            if k == last:
+                continue
+            nxt = step(current, k)
+            path = seq + (k,)
+            if bad(nxt):
+                return path
+            if len(path) < depth:
+                frontier.append((nxt, path))
+    return None
+
+
+def check_total_mutability(matrix: ExchangeMatrix, depth: int) -> MutabilityReport:
     """Exhaustively mutate to the given depth, checking sign-skew-symmetry.
 
     Immediate back-mutations (k, k) are pruned.  On failure the witness is
     a shortest violating sequence (breadth-first, smallest directions
-    first).  `dedupe` additionally skips matrices already visited; this is
-    an optimization only and never changes the verdict.
+    first).
     """
     if not isinstance(depth, int) or depth < 1:
         raise ValueError(f"search depth must be a positive integer, got {depth!r}")
     if not is_sign_skew_symmetric(matrix):
         raise ValueError("input matrix is not sign-skew-symmetric")
-    n = matrix.n
-    frontier: deque[tuple[ExchangeMatrix, tuple[int, ...]]] = deque([(matrix, ())])
-    seen = {matrix.entries} if dedupe else None
-    while frontier:
-        current, seq = frontier.popleft()
-        if len(seq) == depth:
-            continue
-        last = seq[-1] if seq else 0
-        for k in range(1, n + 1):
-            if k == last:
-                continue
-            nxt = mutate(current, k)
-            if not is_sign_skew_symmetric(nxt):
-                return MutabilityReport(ok=False, counterexample=seq + (k,))
-            if seen is not None:
-                if nxt.entries in seen:
-                    continue
-                seen.add(nxt.entries)
-            frontier.append((nxt, seq + (k,)))
-    return MutabilityReport(ok=True, counterexample=None)
+    witness = _first_violation(
+        matrix, matrix.n, depth, mutate, lambda m: not is_sign_skew_symmetric(m)
+    )
+    return MutabilityReport(ok=witness is None, counterexample=witness)
+
+
+# CPython refuses int <-> decimal str conversions past 4,300 digits by
+# default (sys.int_info.default_max_str_digits).  The matrix text format and
+# the seed document convert in chunks of this many digits instead, leaving
+# that process-wide setting alone.
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def format_int(value: int) -> str:
+    """str(value) for an int of any size."""
+    if -_CHUNK < value < _CHUNK:
+        return str(value)
+    chunks = []
+    rest = abs(value)
+    while rest:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(low)
+    head = ("-" if value < 0 else "") + str(chunks.pop())
+    return head + "".join(f"{low:0{_CHUNK_DIGITS}d}" for low in reversed(chunks))
+
+
+def parse_int(text: str) -> int:
+    """int(text) for a decimal integer literal of any length.
+
+    Past 1,000 digits only a minus sign and ASCII digits are accepted.
+    """
+    digits = text.removeprefix("-")
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(text)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid decimal integer literal {text[:20]!r}...")
+    value = 0
+    for start in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[start:start + _CHUNK_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
 
 
 def parse_matrix(text: str) -> ExchangeMatrix:
@@ -294,7 +324,7 @@ def parse_matrix(text: str) -> ExchangeMatrix:
         row = []
         for col, tok in enumerate(tokens, start=1):
             try:
-                row.append(int(tok))
+                row.append(parse_int(tok))
             except ValueError:
                 raise MatrixFormatError(
                     f"line {lineno}, column {col}: {tok!r} is not an integer"
@@ -308,5 +338,5 @@ def parse_matrix(text: str) -> ExchangeMatrix:
 def format_matrix(matrix: ExchangeMatrix) -> str:
     """Inverse of parse_matrix (canonical single-space separators)."""
     lines = [str(matrix.n)]
-    lines.extend(" ".join(str(x) for x in row) for row in matrix.entries)
+    lines.extend(" ".join(map(format_int, row)) for row in matrix.entries)
     return "\n".join(lines) + "\n"

@@ -10,18 +10,21 @@ enumerator that serves as its oracle.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .matrices import (
+from .matrices import (  # noqa: F401  perfbench/selftest.py reads seeds.mutate
     ExchangeMatrix,
     IntMatrix,
     _check_direction,
+    _first_violation,
     _freeze_rows,
+    _mutate_rows,
+    format_int,
     is_sign_skew_symmetric,
     mutate,
+    parse_int,
 )
 
 
@@ -88,28 +91,10 @@ def extend(matrix: ExchangeMatrix) -> FramedSeed:
 
 
 def mutate_framed(seed: FramedSeed, k: int) -> FramedSeed:
-    """Mutate the principal part and the C-matrix in direction k (1-based).
-
-    Column k of C flips sign; entry c_ij otherwise picks up
-    (|c_ik|*b_kj + c_ik*|b_kj|)/2 computed against the old principal part.
-    """
-    kk = _check_direction(k, seed.n)
+    """mutate of the extended matrix [B; C] in direction k (1-based)."""
     n = seed.n
-    b_row_k = seed.b.entries[kk]
-    new_c = []
-    for row in seed.c:
-        cik = row[kk]
-        out = []
-        for j in range(n):
-            if j == kk:
-                out.append(-row[j])
-            elif cik == 0:
-                out.append(row[j])
-            else:
-                bkj = b_row_k[j]
-                out.append(row[j] + (abs(cik) * bkj + cik * abs(bkj)) // 2)
-        new_c.append(tuple(out))
-    return FramedSeed(mutate(seed.b, k), tuple(new_c))
+    rows = _mutate_rows(seed.b.entries + seed.c, _check_direction(k, n))
+    return FramedSeed(ExchangeMatrix(rows[:n]), rows[n:])
 
 
 def apply_sequence_framed(seed: FramedSeed, directions: Sequence[int]) -> FramedSeed:
@@ -126,8 +111,13 @@ def column_sign(seed: FramedSeed, j: int) -> ColumnSign:
 def green_directions(seed: FramedSeed) -> list[int]:
     """Directions (1-based, ascending) whose c-vector is green."""
     return [
-        j for j in range(1, seed.n + 1) if column_sign(seed, j) is ColumnSign.GREEN
+        j for j, column in enumerate(zip(*seed.c), start=1)
+        if sign_of_column(column) is ColumnSign.GREEN
     ]
+
+
+def _has_mixed_column(seed: FramedSeed) -> bool:
+    return any(sign_of_column(column) is ColumnSign.MIXED for column in zip(*seed.c))
 
 
 @dataclass(frozen=True)
@@ -136,9 +126,7 @@ class CoherenceReport:
     counterexample: Optional[tuple[int, ...]]
 
 
-def check_sign_coherence(
-    seed: FramedSeed, depth: int, dedupe: bool = False
-) -> CoherenceReport:
+def check_sign_coherence(seed: FramedSeed, depth: int) -> CoherenceReport:
     """Exhaustively mutate to the given depth, watching for mixed c-vectors.
 
     Breadth-first with immediate back-mutations pruned; a counterexample is
@@ -146,33 +134,8 @@ def check_sign_coherence(
     """
     if not isinstance(depth, int) or depth < 1:
         raise ValueError(f"search depth must be a positive integer, got {depth!r}")
-    n = seed.n
-
-    def violates(s: FramedSeed) -> bool:
-        return any(column_sign(s, j) is ColumnSign.MIXED for j in range(1, n + 1))
-
-    if violates(seed):
-        return CoherenceReport(ok=False, counterexample=())
-    frontier: deque[tuple[FramedSeed, tuple[int, ...]]] = deque([(seed, ())])
-    seen = {(seed.b.entries, seed.c)} if dedupe else None
-    while frontier:
-        current, seq = frontier.popleft()
-        if len(seq) == depth:
-            continue
-        last = seq[-1] if seq else 0
-        for k in range(1, n + 1):
-            if k == last:
-                continue
-            nxt = mutate_framed(current, k)
-            if violates(nxt):
-                return CoherenceReport(ok=False, counterexample=seq + (k,))
-            if seen is not None:
-                key = (nxt.b.entries, nxt.c)
-                if key in seen:
-                    continue
-                seen.add(key)
-            frontier.append((nxt, seq + (k,)))
-    return CoherenceReport(ok=True, counterexample=None)
+    witness = _first_violation(seed, seed.n, depth, mutate_framed, _has_mixed_column)
+    return CoherenceReport(ok=witness is None, counterexample=witness)
 
 
 def admissible_source_numbering(matrix: ExchangeMatrix) -> tuple[int, ...]:
@@ -276,38 +239,6 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
     walk(seed, (), (seed.c,))
     results.sort(key=lambda r: r.sequence)
     return results
-
-
-# CPython refuses int <-> decimal str conversions past 4,300 digits by
-# default (sys.int_info.default_max_str_digits).  Seeds convert in chunks of
-# this many digits instead, leaving that process-wide setting alone.
-_CHUNK_DIGITS = 1000
-_CHUNK = 10**_CHUNK_DIGITS
-
-
-def format_int(value: int) -> str:
-    """str(value) for an int of any size."""
-    if -_CHUNK < value < _CHUNK:
-        return str(value)
-    chunks = []
-    rest = abs(value)
-    while rest:
-        rest, low = divmod(rest, _CHUNK)
-        chunks.append(low)
-    head = ("-" if value < 0 else "") + str(chunks.pop())
-    return head + "".join(f"{low:0{_CHUNK_DIGITS}d}" for low in reversed(chunks))
-
-
-def parse_int(text: str) -> int:
-    """int(text) for a decimal integer literal of any length."""
-    digits = text.removeprefix("-")
-    if len(digits) <= _CHUNK_DIGITS:
-        return int(text)
-    value = 0
-    for start in range(0, len(digits), _CHUNK_DIGITS):
-        chunk = digits[start:start + _CHUNK_DIGITS]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return -value if text.startswith("-") else value
 
 
 def _json_rows(rows: IntMatrix) -> str:

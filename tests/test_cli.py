@@ -6,7 +6,14 @@ import json
 
 import pytest
 
-from quivermut import apply_sequence_framed, extend, format_matrix, mutate_framed, parse_seed
+from quivermut import (
+    apply_sequence_framed,
+    extend,
+    format_matrix,
+    mutate_framed,
+    parse_matrix,
+    parse_seed,
+)
 from quivermut.cli import main
 
 from corpus import example_matrix
@@ -115,6 +122,9 @@ class TestMutate:
 
         rows = [tuple(map(chunked_int, line.split())) for line in lines[1:5] + lines[6:]]
         assert rows == list(expected.b.entries) + list(expected.c)
+        # b stays small along this sequence; c is square too and holds the big entries
+        assert parse_matrix("\n".join(["4"] + lines[1:5])) == expected.b
+        assert parse_matrix("\n".join(["4"] + lines[6:])).entries == expected.c
 
     def test_bad_direction_exit_2(self, capsys, rank2_file):
         code, _, err = run(capsys, ["mutate", rank2_file, "-s", "7"])
@@ -161,6 +171,18 @@ class TestCoherence:
         assert code == 0
         assert "sign-coherent: true (depth 3)" in out
 
+    def test_json_ok(self, capsys, example_file):
+        code, out, _ = run(capsys, ["coherence", example_file, "--depth", "3", "--json-out"])
+        assert (code, out) == (0, '{"ok": true, "depth": 3, "counterexample": null}\n')
+
+    def test_violation_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "cyclic.mat"
+        path.write_text("3\n0 1 -3\n-1 0 2\n3 -3 0\n", encoding="utf-8")
+        code, out, _ = run(capsys, ["coherence", str(path), "--depth", "3"])
+        assert (code, out) == (1, "sign-coherent: false (depth 3)\ncounterexample: 1,3,2\n")
+        code, out, _ = run(capsys, ["coherence", str(path), "--depth", "3", "--json-out"])
+        assert (code, out) == (1, '{"ok": false, "depth": 3, "counterexample": [1, 3, 2]}\n')
+
     def test_depth_zero_exit_2(self, capsys, example_file):
         code, _, err = run(capsys, ["coherence", example_file, "--depth", "0"])
         assert code == 2
@@ -180,6 +202,13 @@ class TestTotalMutability:
         assert code == 1
         assert "totally-mutable: false" in out
         assert "counterexample: 1" in out
+        code, out, _ = run(capsys, ["total-mutability", str(path), "--depth", "2", "--json-out"])
+        assert (code, out) == (1, '{"ok": false, "depth": 2, "counterexample": [1]}\n')
+
+    def test_json_ok(self, capsys, example_file):
+        argv = ["total-mutability", example_file, "--depth", "3", "--json-out"]
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == (0, '{"ok": true, "depth": 3, "counterexample": null}\n')
 
 
 class TestUnfold:

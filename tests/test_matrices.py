@@ -13,7 +13,6 @@ from quivermut import (
     apply_sequence,
     check_total_mutability,
     classify,
-    delta_edges,
     find_symmetrizer,
     format_matrix,
     is_acyclic,
@@ -132,9 +131,8 @@ class TestClassify:
     def test_acyclicity_matches_cycle_enumeration(self):
         def has_cycle(matrix: ExchangeMatrix) -> bool:
             n = matrix.n
-            succ = [[] for _ in range(n)]
-            for i, j in delta_edges(matrix):
-                succ[i].append(j)
+            # i -> j iff b_ij < 0
+            succ = [[j for j in range(n) if matrix.entries[i][j] < 0] for i in range(n)]
             state = [0] * n  # 0 unseen, 1 on stack, 2 done
 
             def dfs(i: int) -> bool:
@@ -228,9 +226,13 @@ class TestTotalMutability:
         witness = apply_sequence(CYCLIC_FRAGILE, report.counterexample)
         assert not is_sign_skew_symmetric(witness)
 
-    def test_dedupe_same_verdict(self):
-        assert check_total_mutability(example_matrix(), 3, dedupe=True).ok
-        assert not check_total_mutability(CYCLIC_FRAGILE, 2, dedupe=True).ok
+    def test_pinned_length_2_witness(self):
+        # (2, 3) and (3, 2) both break sign-skew-symmetry and no single step
+        # does, so the witness pins the breadth-first, ascending order.
+        matrix = ExchangeMatrix([[0, -2, 3], [3, 0, -2], [-2, 2, 0]])
+        assert check_total_mutability(matrix, 1).ok
+        assert check_total_mutability(matrix, 4).counterexample == (2, 3)
+        assert not is_sign_skew_symmetric(apply_sequence(matrix, (3, 2)))
 
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -265,6 +267,17 @@ class TestTextFormat:
     def test_trailing_content(self):
         with pytest.raises(MatrixFormatError, match="line 4: unexpected trailing content"):
             parse_matrix("2\n0 1\n-1 0\n7 7\n")
+
+    def test_round_trip_past_the_int_str_digit_limit(self):
+        matrix = ExchangeMatrix([[0, 10**5000], [-(10**5000 - 1), 0]])
+        text = format_matrix(matrix)
+        assert text == "2\n0 1" + "0" * 5000 + "\n-" + "9" * 5000 + " 0\n"
+        assert parse_matrix(text) == matrix
+
+    def test_long_bad_token(self):
+        token = "1" * 1000 + "-" + "2" * 1000
+        with pytest.raises(MatrixFormatError, match="line 2, column 2: '1111"):
+            parse_matrix(f"2\n0 {token}\n-1 0\n")
 
     def test_bad_header(self):
         with pytest.raises(MatrixFormatError, match="line 1"):

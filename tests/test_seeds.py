@@ -135,6 +135,33 @@ class TestMutateFramed:
         with pytest.raises(IndexError):
             mutate_framed(extend(RANK2), 3)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_max_form_rule_on_arbitrary_c(self, data):
+        n = data.draw(st.integers(1, 5))
+        entries = st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+        b, c = data.draw(entries), data.draw(entries)
+        k = data.draw(st.integers(1, n))
+        seed = FramedSeed(ExchangeMatrix(b), c)
+        mutated = mutate_framed(seed, k)
+        assert mutated.b == mutate(seed.b, k)
+        kk = k - 1
+
+        def sgn(x):
+            return (x > 0) - (x < 0)
+
+        # Extended matrix [B; C]: row k (of B) and column k negate, every other
+        # entry x_ij gains sgn(x_ik) * max(x_ik * b_kj, 0).
+        for i, row in enumerate(b + c):
+            for j, x in enumerate(row):
+                if i == kk or j == kk:
+                    expected = -x
+                else:
+                    expected = x + sgn(row[kk]) * max(row[kk] * b[kk][j], 0)
+                got = mutated.b.entries[i][j] if i < n else mutated.c[i - n][j]
+                assert got == expected
+
 
 class TestColumnSign:
     def test_fresh_seed_all_green(self):
@@ -176,8 +203,15 @@ class TestSignCoherence:
         assert not report.ok
         assert report.counterexample == ()
 
-    def test_dedupe_same_verdict(self):
-        assert check_sign_coherence(extend(RANK2), 5, dedupe=True).ok
+    def test_handbuilt_length_2_witness(self):
+        # Columns green, red and zero; one step mixes none of them.  The
+        # sequences (1, 2), (1, 3), (3, 1) and (3, 2) each produce a mixed
+        # column, so the witness pins the breadth-first, ascending order.
+        b = ExchangeMatrix([[0, -1, 1], [1, 0, -2], [-1, 2, 0]])
+        seed = FramedSeed(b, ((1, -1, 0), (0, -1, 0), (1, 0, 0)))
+        assert check_sign_coherence(seed, 1).ok
+        assert check_sign_coherence(seed, 3).counterexample == (1, 2)
+        assert column_sign(apply_sequence_framed(seed, (3, 2)), 1) is ColumnSign.MIXED
 
 
 class TestSourceNumbering:
