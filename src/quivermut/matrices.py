@@ -273,15 +273,12 @@ def format_int(value: int) -> str:
 
 
 def parse_int(text: str) -> int:
-    """int(text) for a decimal integer literal of any length.
-
-    Past 1,000 digits only a minus sign and ASCII digits are accepted.
-    """
+    """The int of a decimal literal of any length: an optional minus sign, then ASCII digits."""
     digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid decimal integer literal {text[:20]!r}")
     if len(digits) <= _CHUNK_DIGITS:
         return int(text)
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid decimal integer literal {text[:20]!r}...")
     value = 0
     for start in range(0, len(digits), _CHUNK_DIGITS):
         chunk = digits[start:start + _CHUNK_DIGITS]
@@ -304,7 +301,7 @@ def parse_matrix(text: str) -> ExchangeMatrix:
     lineno, header = numbered[0]
     token = header.strip()
     try:
-        n = int(token)
+        n = parse_int(token)
     except ValueError:
         raise MatrixFormatError(
             f"line {lineno}: expected matrix size, got {token!r}"

@@ -10,12 +10,15 @@ Orbit-mutation (simultaneous mutation at all vertices of one label)
 consumes two units of that radius per step, a conservative budget that the
 test suite cross-validates against deeper truncations.
 
-The public `orbit_mutate` copies and mutates the whole truncation.
-`verify_unfolding_commutation` instead replays on one copy-on-write
-adjacency over the cached truncation, and mutates only the trusted ball:
-label-k vertices at depth at most the radius plus one.  Its docstring
-argues why that margin is enough, and the test suite compares every
-interior vertex with `orbit_mutate` after every step.
+`build_truncation` builds a new quiver on every call, owned by the
+caller.  The public `orbit_mutate` copies and mutates the whole
+truncation.  `verify_unfolding_commutation` instead replays on one
+copy-on-write adjacency over a privately cached truncation, and mutates
+only the trusted ball: label-k vertices at depth at most the radius plus
+one.  Its docstring argues why that margin is enough, and the test suite
+compares every interior vertex with `orbit_mutate` after every step.  One
+scan, `_gamma_witnesses`, finds the label-class loops and 2-cycles for
+both `check_gamma_conditions` and the replay.
 
 Orientation convention, used consistently for adjacency and folding: a
 positive entry for the ordered pair (i, j) means arrows from j to i.  For
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
+from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -74,9 +78,9 @@ class LabeledQuiver:
     ring, then parent id, then label), so each label's `mutable_ids` come
     in nondecreasing depth.  `out[u][v]` is the positive
     multiplicity of the arrows u -> v; at most one direction is stored per
-    pair, and `inn` mirrors `out`.  Instances are immutable by convention:
-    mutation returns a new quiver sharing the vertex arrays.  Treat `out`
-    and `inn` as read-only.
+    pair, and `inn` mirrors `out`.  `orbit_mutate` leaves its input as it
+    is and returns a new quiver with its own `out` and `inn`, sharing the
+    vertex arrays and the label index.
 
     `interior_radius` is the depth up to which vertex neighborhoods are
     complete and entries are trusted; None means the quiver is the whole
@@ -85,7 +89,7 @@ class LabeledQuiver:
 
     __slots__ = (
         "n_labels", "framed", "labels", "frozen", "depths", "out", "inn",
-        "frozen_partner", "interior_radius", "core_depth", "_label_ids",
+        "interior_radius", "core_depth", "_label_ids",
     )
 
     def __init__(
@@ -98,7 +102,6 @@ class LabeledQuiver:
         depths: tuple[int, ...],
         out: dict[int, dict[int, int]],
         inn: dict[int, dict[int, int]],
-        frozen_partner: dict[int, int],
         interior_radius: Optional[int],
     ) -> None:
         self.n_labels = n_labels
@@ -108,7 +111,6 @@ class LabeledQuiver:
         self.depths = depths
         self.out = out
         self.inn = inn
-        self.frozen_partner = frozen_partner
         self.interior_radius = interior_radius
         label_ids: dict[int, list[int]] = {}
         for v, label in enumerate(labels):
@@ -230,7 +232,6 @@ class _Builder:
         self.depths: list[int] = []
         self.out: dict[int, dict[int, int]] = {}
         self.inn: dict[int, dict[int, int]] = {}
-        self.partner: dict[int, int] = {}
 
     def new_vertex(self, label: int, depth: int, is_frozen: bool) -> int:
         v = len(self.labels)
@@ -257,7 +258,6 @@ class _Builder:
         if self.framed:
             f = self.new_vertex(label_v, self.depths[v], True)
             self.add_arrow(v, f)
-            self.partner[v] = f
         have: dict[int, int] = {}
         for u in self.out[v]:
             if not self.frozen[u]:
@@ -282,16 +282,15 @@ class _Builder:
                 created.append(s)
         return created
 
-    def finish(self, interior_radius: Optional[int], n_labels: int) -> LabeledQuiver:
+    def finish(self, interior_radius: Optional[int]) -> LabeledQuiver:
         return LabeledQuiver(
-            n_labels=n_labels,
+            n_labels=self.n,
             framed=self.framed,
             labels=tuple(self.labels),
             frozen=tuple(self.frozen),
             depths=tuple(self.depths),
             out=self.out,
             inn=self.inn,
-            frozen_partner=dict(self.partner),
             interior_radius=interior_radius,
         )
 
@@ -310,28 +309,7 @@ def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQ
     builder = _Builder(matrix, framed)
     center = builder.new_vertex(i, 0, False)
     created = builder.expand(center)
-    interior = None if not created else 0
-    return builder.finish(interior, matrix.n)
-
-
-@lru_cache(maxsize=64)
-def _cached_truncation(entries: IntMatrix, m: int, framed: bool) -> LabeledQuiver:
-    matrix = ExchangeMatrix(entries)
-    dist = _label_distances(matrix)
-    d_star = max(d for d in dist if d is not None)
-    radius = max(1, d_star + m - 1)
-    builder = _Builder(matrix, framed)
-    ring = [builder.new_vertex(1, 0, False)]
-    complete = False
-    for _ in range(radius):
-        nxt: list[int] = []
-        for v in ring:
-            nxt.extend(builder.expand(v))
-        if not nxt:
-            complete = True
-            break
-        ring = nxt
-    return builder.finish(None if complete else radius - 1, matrix.n)
+    return builder.finish(0 if created else None)
 
 
 def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> LabeledQuiver:
@@ -343,6 +321,7 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
     the budget permits (folding needs m >= 2 on a fresh truncation, and
     each orbit-mutation costs 2).  If a gluing round adds nothing the
     quiver is the whole finite unfolding and the interior never shrinks.
+    Every call builds a new quiver, which the caller owns.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError(f"truncation budget m must be a positive integer, got {m!r}")
@@ -355,7 +334,20 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
             + ",".join(missing)
             + "} are unreachable from label 1"
         )
-    return _cached_truncation(matrix.entries, m, framed)
+    radius = max(1, max(dist) + m - 1)
+    builder = _Builder(matrix, framed)
+    ring = [builder.new_vertex(1, 0, False)]
+    for _ in range(radius):
+        ring = [child for v in ring for child in builder.expand(v)]
+        if not ring:
+            return builder.finish(None)
+    return builder.finish(radius - 1)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _shared_truncation(matrix: ExchangeMatrix, m: int) -> LabeledQuiver:
+    """The framed truncation that verify_unfolding_commutation replays; never handed out."""
+    return build_truncation(matrix, m, framed=True)
 
 
 # ------------------------------------------------------------------ mutation
@@ -431,18 +423,12 @@ def _gamma_violation(report: GammaReport) -> GammaViolationError:
 def _with_arrows(
     quiver: LabeledQuiver, out: Adjacency, inn: Adjacency, radius: Optional[int]
 ) -> LabeledQuiver:
-    """The vertices of `quiver` with other arrows and interior radius."""
-    return LabeledQuiver(
-        n_labels=quiver.n_labels,
-        framed=quiver.framed,
-        labels=quiver.labels,
-        frozen=quiver.frozen,
-        depths=quiver.depths,
-        out=out,
-        inn=inn,
-        frozen_partner=quiver.frozen_partner,
-        interior_radius=radius,
-    )
+    """The vertices and label index of `quiver` with other arrows and interior radius."""
+    result = copy(quiver)
+    result.out = out
+    result.inn = inn
+    result.interior_radius = radius
+    return result
 
 
 def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
@@ -472,6 +458,42 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
 # -------------------------------------------------------------------- checks
 
 
+def _gamma_witnesses(
+    quiver: LabeledQuiver, out: Adjacency, inn: Adjacency,
+    scan: Iterable[int], radius: Optional[int],
+) -> Iterator[tuple[int, int] | tuple[int, int, int]]:
+    """Loops (x, w) and 2-cycles (u, x, w) through the vertices x of scan.
+
+    A loop is an arrow x -> w inside one class; a 2-cycle is a path
+    u -> x -> w with u != w in one class and x in another.  A class is a
+    label and a kind, so frozen copies form their own classes.  Only
+    vertices at depth <= radius count (all of them when radius is None).
+    """
+    labels = quiver.labels
+    frozen = quiver.frozen
+    depths = quiver.depths
+    limit = max(depths) if radius is None else radius
+    for x in scan:
+        if depths[x] > limit:
+            continue
+        # frozen classes get negative keys
+        class_x = -labels[x] if frozen[x] else labels[x]
+        ins_by_class: dict[int, list[int]] = {}
+        for u in inn[x]:
+            if depths[u] <= limit:
+                class_u = -labels[u] if frozen[u] else labels[u]
+                if class_u != class_x:
+                    ins_by_class.setdefault(class_u, []).append(u)
+        for w in out[x]:
+            if depths[w] <= limit:
+                class_w = -labels[w] if frozen[w] else labels[w]
+                if class_w == class_x:
+                    yield x, w
+                for u in ins_by_class.get(class_w, ()):
+                    if u != w:
+                        yield u, x, w
+
+
 def check_gamma_conditions(
     quiver: LabeledQuiver, interior_only: bool = False
 ) -> GammaReport:
@@ -481,77 +503,19 @@ def check_gamma_conditions(
     path from a mutable vertex through another label to its own frozen
     class does not count.  With interior_only the scan is restricted to
     the trusted interior, which is the honest region after mutations.
+    Loops are listed by (source, target), 2-cycles u -> x -> w by (x, u, w).
     """
-    labels = quiver.labels
-    frozen = quiver.frozen
-    if interior_only and not quiver.is_complete:
-        radius = quiver.interior_radius
-        ok = [d <= radius for d in quiver.depths]
-    else:
-        ok = [True] * quiver.vertex_count
-    loops: list[tuple[int, int]] = []
-    twos: list[tuple[int, int, int]] = []
-    for u in range(quiver.vertex_count):
-        if not ok[u]:
-            continue
-        for v in sorted(quiver.out[u]):
-            if ok[v] and labels[u] == labels[v] and frozen[u] == frozen[v]:
-                loops.append((u, v))
-    for x in range(quiver.vertex_count):
-        if not ok[x]:
-            continue
-        ins = [u for u in sorted(quiver.inn[x]) if ok[u]]
-        outs = [w for w in sorted(quiver.out[x]) if ok[w]]
-        if not ins or not outs:
-            continue
-        class_x = (labels[x], frozen[x])
-        for u in ins:
-            if (labels[u], frozen[u]) == class_x:
-                continue
-            for w in outs:
-                if w != u and labels[w] == labels[u] and frozen[w] == frozen[u]:
-                    twos.append((u, x, w))
+    radius = quiver.interior_radius if interior_only else None
+    scan = range(quiver.vertex_count)
+    witnesses = list(_gamma_witnesses(quiver, quiver.out, quiver.inn, scan, radius))
+    loops = sorted(w for w in witnesses if len(w) == 2)
+    twos = sorted((w for w in witnesses if len(w) == 3), key=lambda t: (t[1], t[0], t[2]))
     return GammaReport(
         loop_free=not loops,
         two_cycle_free=not twos,
         loop_witnesses=tuple(loops),
         two_cycle_witnesses=tuple(twos),
     )
-
-
-def _gamma_ok(
-    quiver: LabeledQuiver, out: Adjacency, inn: Adjacency,
-    scan: Iterable[int], radius: Optional[int],
-) -> bool:
-    """Whether no loop starts at, and no 2-cycle passes through, a vertex of scan.
-
-    Only vertices at depth <= radius count (all of them when radius is
-    None), as in check_gamma_conditions(interior_only=True), and scanning
-    the whole interior gives that function's verdict.  After an orbit step
-    it is enough to scan the vertices whose arrows the step changed: any
-    other loop or 2-cycle already existed, inside the larger interior that
-    the previous scan covered.
-    """
-    labels = quiver.labels
-    frozen = quiver.frozen
-    depths = quiver.depths
-    limit = max(depths) if radius is None else radius
-    for x in scan:
-        if depths[x] > limit:
-            continue
-        # a class is a label and a kind: frozen classes get negative keys
-        class_x = -labels[x] if frozen[x] else labels[x]
-        in_classes = set()
-        for u in inn[x]:
-            if depths[u] <= limit:
-                in_classes.add(-labels[u] if frozen[u] else labels[u])
-        for w in out[x]:
-            if depths[w] <= limit:
-                class_w = -labels[w] if frozen[w] else labels[w]
-                # a loop x -> w, or a 2-cycle u -> x -> w through another class
-                if class_w == class_x or class_w in in_classes:
-                    return False
-    return True
 
 
 def orbit_sources(quiver: LabeledQuiver) -> list[int]:
@@ -593,6 +557,18 @@ def _require_interior(
         )
 
 
+def _representative(quiver: LabeledQuiver, label: int, rep: int) -> int:
+    """Check that rep is an interior mutable vertex of label; return it."""
+    if not 0 <= rep < quiver.vertex_count or quiver.frozen[rep]:
+        raise ValueError(f"representative {rep!r} is not a mutable vertex")
+    if quiver.labels[rep] != label:
+        raise ValueError(
+            f"representative {rep} has label {quiver.labels[rep]}, expected {label}"
+        )
+    _require_interior(quiver, label, rep, quiver.interior_radius)
+    return rep
+
+
 def _resolve_representatives(
     quiver: LabeledQuiver, representatives: Optional[Mapping[int, int]]
 ) -> dict[int, int]:
@@ -602,18 +578,11 @@ def _resolve_representatives(
             raise ValueError(f"label {label} missing from quiver: cannot fold")
         if representatives is None:
             rep = _default_representative(quiver, label)
-        else:
-            if label not in representatives:
-                raise ValueError(f"no representative supplied for label {label}")
+        elif label in representatives:
             rep = representatives[label]
-            if not 0 <= rep < quiver.vertex_count or quiver.frozen[rep]:
-                raise ValueError(f"representative {rep!r} is not a mutable vertex")
-            if quiver.labels[rep] != label:
-                raise ValueError(
-                    f"representative {rep} has label {quiver.labels[rep]}, expected {label}"
-                )
-        _require_interior(quiver, label, rep, quiver.interior_radius)
-        chosen[label] = rep
+        else:
+            raise ValueError(f"no representative supplied for label {label}")
+        chosen[label] = _representative(quiver, label, rep)
     return chosen
 
 
@@ -668,15 +637,9 @@ def folding_column(
     """One folded column (principal part, frozen part) at a chosen representative."""
     if not 1 <= label <= quiver.n_labels or not quiver.mutable_ids(label):
         raise ValueError(f"label {label!r} missing from quiver")
-    rep = (
-        _default_representative(quiver, label)
-        if representative is None
-        else representative
-    )
-    if quiver.frozen[rep] or quiver.labels[rep] != label:
-        raise ValueError(f"representative {rep!r} is not a mutable vertex of label {label}")
-    if not quiver.is_interior(rep):
-        raise InteriorExhaustedError(f"representative {rep} is not interior")
+    if representative is None:
+        representative = _default_representative(quiver, label)
+    rep = _representative(quiver, label, representative)
     b_col, c_col = _column_sums(quiver, quiver.out, quiver.inn, rep)
     return tuple(b_col), tuple(c_col) if quiver.framed else None
 
@@ -684,7 +647,7 @@ def folding_column(
 def _replay(
     quiver: LabeledQuiver, directions: Sequence[int]
 ) -> Iterator[tuple[int, Adjacency, Adjacency, Optional[int]]]:
-    """Orbit-mutate a copy-on-write copy of `quiver` inside its trusted ball.
+    """Orbit-mutate a copy-on-write copy of a fresh truncation in its trusted ball.
 
     Yields (step, out, inn, radius) before the first step and after each
     one.  `out` and `inn` are the working adjacency, which the next step
@@ -693,17 +656,31 @@ def _replay(
     vertex's inner dicts just before a step first writes to them, so
     `quiver` is never written.  Checks and errors are those of
     orbit_mutate, made on the state about to be mutated.
+
+    The Γ check before a step scans only the vertices whose arrows the
+    previous step changed: any other loop or 2-cycle already existed,
+    inside the larger interior that the previous check covered.  Before
+    step 1 nothing is scanned, because a fresh truncation has neither.
+    It is a tree, plus one frozen copy hanging off each expanded vertex.
+    No arrow joins two vertices of one label, since a piece has no
+    satellite of its center's label (the diagonal is zero), and a frozen
+    copy is in a class of its own.  At each vertex all mutable neighbors
+    of one label point the same way: the piece orients them by the sign
+    of one entry, and the arrow to the parent, glued to the piece's arrow
+    of the parent's label, has that orientation by sign-skew-symmetry.
+    The frozen copy is the only frozen neighbor of its vertex and has no
+    other neighbor.  So no path u -> x -> w has u and w in one class.
     """
     out = dict(quiver.out)
     inn = dict(quiver.inn)
     owned: set[int] = set()  # vertices whose inner dicts are already copies
     frozen = quiver.frozen
     radius = quiver.interior_radius
-    scan: Iterable[int] = range(quiver.vertex_count)
+    scan: Iterable[int] = ()
     yield 0, out, inn, radius
     for step, k in enumerate(directions, start=1):
         targets = _orbit_targets(quiver, k, radius)
-        if not _gamma_ok(quiver, out, inn, scan, radius):
+        if next(_gamma_witnesses(quiver, out, inn, scan, radius), None) is not None:
             snapshot = _with_arrows(quiver, out, inn, radius)
             raise _gamma_violation(check_gamma_conditions(snapshot, interior_only=True))
         if radius is not None:
@@ -739,8 +716,8 @@ def verify_unfolding_commutation(
     the replay (_replay) does far less work.  It writes to one
     copy-on-write adjacency instead of copying the truncation per step.
     A step at label k mutates only the label-k vertices at depth <= r + 1,
-    where r is the interior radius before the step.  The Γ check scans the
-    whole interior once, then only the vertices the previous step touched.
+    where r is the interior radius before the step.  The Γ check scans only
+    the vertices the previous step touched (_replay says why that is enough).
     Representatives are chosen once, since mutation moves no label or
     depth, and folding sums only their neighborhoods.
 
@@ -776,7 +753,7 @@ def verify_unfolding_commutation(
             f"interior budget violated: m={m} but {len(directions)} steps "
             f"need m >= {2 * len(directions) + 2}"
         )
-    quiver = build_truncation(matrix, m, framed=True)
+    quiver = _shared_truncation(matrix, m)
     seed = extend(matrix)
     reps = _resolve_representatives(quiver, None)
     for step, out, inn, radius in _replay(quiver, directions):

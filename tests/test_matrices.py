@@ -279,6 +279,18 @@ class TestTextFormat:
         with pytest.raises(MatrixFormatError, match="line 2, column 2: '1111"):
             parse_matrix(f"2\n0 {token}\n-1 0\n")
 
+    @pytest.mark.parametrize("text, where", [
+        ("2\n0 +1\n-1 0\n", "line 2, column 2: '\\+1'"),
+        ("2\n0 1\n-1_0 0\n", "line 3, column 1: '-1_0'"),
+        ("1\n٣\n", "line 2, column 1: '٣'"),
+        ("2\n0 1\n- 0\n", "line 3, column 1: '-'"),
+        ("+2\n0 1\n-1 0\n", "line 1: expected matrix size, got '\\+2'"),
+        ("٢\n0 1\n-1 0\n", "line 1: expected matrix size, got '٢'"),
+    ])
+    def test_only_minus_and_ascii_digits(self, text, where):
+        with pytest.raises(MatrixFormatError, match=where):
+            parse_matrix(text)
+
     def test_bad_header(self):
         with pytest.raises(MatrixFormatError, match="line 1"):
             parse_matrix("two\n0 1\n-1 0\n")

@@ -301,6 +301,21 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_green_search(extend(RANK2), 0)
 
+    def test_final_c_matrix_is_minus_a_permutation(self):
+        # Brüstle–Dupont–Pérotin: a maximal green sequence ends at C = -P for
+        # a permutation matrix P; stricter than criterion 4's sign check
+        found = 0
+        for matrix in corpus_matrices():
+            seed = extend(matrix)
+            minus_unit = [-1] + [0] * (matrix.n - 1)
+            for report in brute_force_green_search(seed, matrix.n + 3):
+                final = apply_sequence_framed(seed, report.sequence).c
+                assert report.step_c_matrices[-1] == final
+                # one -1 and n-1 zeros in every row and every column
+                assert all(sorted(line) == minus_unit for line in (*final, *zip(*final)))
+                found += 1
+        assert found == 378
+
 
 class TestDeterminantGuard:
     def test_c_matrix_determinant_unimodular(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -27,14 +28,14 @@ from quivermut import (
 )
 from quivermut import unfolding
 from quivermut.unfolding import (
-    _cached_truncation,
     _default_representative,
     _fold_rows,
-    _gamma_ok,
+    _gamma_witnesses,
     _replay,
+    _shared_truncation,
 )
 
-from corpus import corpus_matrices, example_matrix
+from corpus import corpus_matrices, example_matrix, random_acyclic_connected
 
 ONE = ExchangeMatrix([[0]])
 TWO_LEAF = ExchangeMatrix([[0, 1], [-2, 0]])  # finite unfolding, label 2 twice
@@ -55,7 +56,6 @@ def tiny_quiver(n_labels, labels, frozen, arrows, framed=False) -> LabeledQuiver
         depths=tuple(0 for _ in labels),
         out=out,
         inn=inn,
-        frozen_partner={},
         interior_radius=None,
     )
 
@@ -200,6 +200,19 @@ class TestBuildTruncation:
         with pytest.raises(ValueError, match="disconnected"):
             build_truncation(blocks, 2, framed=True)
 
+    def test_each_call_returns_a_new_quiver(self):
+        first = build_truncation(example_matrix(), 4, framed=True)
+        second = build_truncation(example_matrix(), 4, framed=True)
+        assert first == second
+        assert first is not second
+        assert first.out is not second.out and first.out[0] is not second.out[0]
+        assert first.inn is not second.inn and first.inn[0] is not second.inn[0]
+
+    def test_writes_to_a_returned_quiver_change_no_later_result(self):
+        build_truncation(example_matrix(), 4).out[0].clear()
+        report = verify_unfolding_commutation(example_matrix(), (1,), 4)
+        assert report.ok and report.first_divergence is None
+
 
 class TestFolding:
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -239,6 +252,17 @@ class TestFolding:
         reps[4] = boundary
         with pytest.raises(InteriorExhaustedError):
             folding(quiver, reps)
+
+    @pytest.mark.parametrize("rep", [-4, 99, 1, 0])
+    def test_folding_column_checks_representatives_like_folding(self, rep):
+        # -4 and 99 are no vertex ids, 1 is a frozen copy, 0 has label 1
+        quiver = build_truncation(TWO_LEAF, 2, framed=True)
+        with pytest.raises(ValueError) as expected:
+            folding(quiver, {1: 0, 2: rep})
+        with pytest.raises(ValueError) as column:
+            folding_column(quiver, 2, rep)
+        assert str(column.value) == str(expected.value)
+        assert type(column.value) is type(expected.value)
 
 
 class TestOrbitMutate:
@@ -321,6 +345,37 @@ class TestGammaConditions:
             2, [1, 2, 1], [False, False, True], [(0, 1), (1, 2)], framed=True
         )
         assert check_gamma_conditions(quiver).ok
+
+    def test_witness_order(self):
+        # arrows are inserted out of order, so the witnesses must be sorted:
+        # loops by (source, target), 2-cycles u -> x -> w by (x, u, w)
+        quiver = tiny_quiver(
+            2,
+            [1, 2, 1, 2, 1, 1, 1],
+            [False] * 6 + [True],
+            [(4, 5), (5, 3), (2, 1), (0, 1), (1, 5), (1, 4), (3, 2), (0, 4), (0, 2), (6, 1)],
+            framed=True,
+        )
+        report = check_gamma_conditions(quiver)
+        assert report.loop_witnesses == ((0, 2), (0, 4), (4, 5))
+        assert report.two_cycle_witnesses == (
+            (0, 1, 4), (0, 1, 5), (2, 1, 4), (2, 1, 5), (3, 2, 1), (5, 3, 2), (1, 5, 3),
+        )
+        with pytest.raises(GammaViolationError, match=(
+            r"loops \[\(0, 2\), \(0, 4\), \(4, 5\)\], "
+            r"label-class 2-cycles \[\(0, 1, 4\), \(0, 1, 5\), \(2, 1, 4\)\]$"
+        )):
+            orbit_mutate(quiver, 1)
+
+    @pytest.mark.parametrize("framed", [True, False])
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_fresh_random_truncations_are_clean(self, m, framed):
+        # the replay skips the Γ scan before its first step on this ground
+        rng = random.Random(0x6A44A)
+        for n in [1, 2, 3, 4, 5] * 6:
+            matrix = random_acyclic_connected(rng, n)
+            quiver = build_truncation(matrix, m, framed=framed)
+            assert check_gamma_conditions(quiver).ok, matrix
 
 
 class TestOrbitSources:
@@ -478,27 +533,33 @@ def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch) -> int:
     """
     verdicts = []
 
-    def recording_gamma_ok(*args):
-        verdicts.append(_gamma_ok(*args))
-        return verdicts[-1]
+    def recording_gamma_witnesses(*args):
+        witnesses = list(_gamma_witnesses(*args))
+        verdicts.append(not witnesses)
+        return iter(witnesses)
 
-    monkeypatch.setattr(unfolding, "_gamma_ok", recording_gamma_ok)
+    monkeypatch.setattr(unfolding, "_gamma_witnesses", recording_gamma_witnesses)
     base = build_truncation(matrix, m, framed=True)
     reps = [_default_representative(base, label) for label in range(1, matrix.n + 1)]
     reference = {(): base}
     compared = 0
     for seq in full_length_sequences(matrix.n, max_len):
-        verdicts.clear()
-        for step, out, inn, radius in _replay(base, seq):
+        # the references first, so that only the replay's verdicts are recorded
+        for step in range(1, len(seq) + 1):
             prefix = seq[:step]
             if prefix not in reference:
                 reference[prefix] = orbit_mutate(reference[prefix[:-1]], prefix[-1])
-            ref = reference[prefix]
+        expected = [
+            check_gamma_conditions(reference[seq[:step]], interior_only=True).ok
+            for step in range(len(seq))
+        ]
+        verdicts.clear()
+        for step, out, inn, radius in _replay(base, seq):
+            ref = reference[seq[:step]]
             assert radius == ref.interior_radius
             if step:
                 # the verdict taken on the previous state, before this step
-                before = reference[prefix[:-1]]
-                assert verdicts[step - 1] == check_gamma_conditions(before, interior_only=True).ok
+                assert verdicts[step - 1] == expected[step - 1]
             for v in range(base.vertex_count):
                 if ref.is_interior(v):
                     assert out[v] == ref.out[v], (seq, step, v)
@@ -535,7 +596,10 @@ class TestTrustedBallReplay:
             2, [1, 2, 1], [False, False, True], [(0, 1), (1, 2)], framed=True
         )
         for quiver, ok in ((loop, False), (two_cycle, False), (separate, True)):
-            verdict = _gamma_ok(quiver, quiver.out, quiver.inn, range(quiver.vertex_count), None)
+            witnesses = _gamma_witnesses(
+                quiver, quiver.out, quiver.inn, range(quiver.vertex_count), None
+            )
+            verdict = next(witnesses, None) is None
             assert verdict is ok is check_gamma_conditions(quiver).ok
 
     def test_gamma_violation_created_by_a_step(self):
@@ -554,8 +618,8 @@ class TestTrustedBallReplay:
         for matrix in matrices:
             for seq in full_length_sequences(matrix.n, 3)[:6]:
                 assert verify_unfolding_commutation(matrix, seq, 8).ok
-            cached = build_truncation(matrix, 8, framed=True)
-            cold = _cached_truncation.__wrapped__(matrix.entries, 8, True)
+            cached = _shared_truncation(matrix, 8)
+            cold = build_truncation(matrix, 8, framed=True)
             assert cached == cold
             assert cached.inn == cold.inn
 
