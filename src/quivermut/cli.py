@@ -20,6 +20,7 @@ from .matrices import (
     check_total_mutability,
     classify,
     format_int,
+    parse_int,
     parse_matrix,
 )
 from .seeds import (
@@ -58,7 +59,7 @@ def _parse_directions(text: str) -> tuple[int, ...]:
     for token in text.split(","):
         token = token.strip()
         try:
-            out.append(int(token))
+            out.append(parse_int(token))
         except ValueError:
             raise ValueError(
                 f"invalid mutation sequence entry {token!r}: expected an integer"

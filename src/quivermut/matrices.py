@@ -172,31 +172,61 @@ def _mutate_rows(rows: IntMatrix, kk: int) -> IntMatrix:
     """Mutation in direction kk (0-based) of an extended matrix [B; C].
 
     The first n rows, n being the row length, are the square principal
-    part B; rows below it follow the same rule against B's row kk.  Row
-    and column kk flip sign; every other entry x_ij picks up the composite
-    term (|x_ik|*b_kj + x_ik*|b_kj|)/2, which is a nonzero integer exactly
-    when x_ik and b_kj share a sign.  A row with x_ik = 0 is left as it is.
+    part B; rows below it follow the same rule against B's row kk.  Row kk
+    is negated.  Every other row i gets -x_ik at j = kk and the max-form
+    x_ij + sgn(x_ik)*max(x_ik*b_kj, 0) at j != kk, which has four sign
+    cases:
+
+    - x_ik > 0 and b_kj > 0: x_ij + x_ik*b_kj;
+    - x_ik < 0 and b_kj < 0: x_ij + |x_ik|*b_kj;
+    - x_ik and b_kj of opposite signs: x_ij;
+    - x_ik = 0 or b_kj = 0: x_ij, and a row with x_ik = 0 is returned as
+      it is.
+
+    Row kk of B is split once into its positive and its negative entries,
+    so a row adds only at the j of the first or second case: no abs, no
+    halving, no multiplication by zero.  A nonzero b_kk lands in one of the
+    two lists, and entry kk is overwritten afterwards.
     """
     row_k = rows[kk]
+    positive = [(j, b) for j, b in enumerate(row_k) if b > 0]
+    negative = [(j, b) for j, b in enumerate(row_k) if b < 0]
     out = []
     for i, row in enumerate(rows):
         x_ik = row[kk]
         if i == kk:
-            out.append(tuple(-x for x in row))
+            out.append(tuple([-x for x in row]))
         elif x_ik == 0:
             out.append(row)
         else:
-            a = abs(x_ik)
-            # The two addends share a sign, so the sum is always even.
-            new = [x + (a * b + x_ik * abs(b)) // 2 for x, b in zip(row, row_k)]
+            new = list(row)
+            if x_ik > 0:
+                for j, b in positive:
+                    new[j] += x_ik * b
+            else:
+                for j, b in negative:
+                    new[j] -= x_ik * b
             new[kk] = -x_ik
             out.append(tuple(new))
     return tuple(out)
 
 
+def _trusted_matrix(entries: IntMatrix) -> ExchangeMatrix:
+    """An ExchangeMatrix of kernel output, built without _freeze_rows.
+
+    Re-validation cannot fail here: the input was validated when it was
+    built, _mutate_rows keeps the row count and every row's length, each
+    new entry is -x or x + a*b on ints (an int, never a bool), and every
+    unchanged row is a tuple that was validated before.
+    """
+    matrix = object.__new__(ExchangeMatrix)
+    object.__setattr__(matrix, "entries", entries)
+    return matrix
+
+
 def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Mutation of the matrix in direction k (1-based), see _mutate_rows."""
-    return ExchangeMatrix(_mutate_rows(matrix.entries, _check_direction(k, matrix.n)))
+    return _trusted_matrix(_mutate_rows(matrix.entries, _check_direction(k, matrix.n)))
 
 
 def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> ExchangeMatrix:

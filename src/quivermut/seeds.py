@@ -21,6 +21,7 @@ from .matrices import (  # noqa: F401  perfbench/selftest.py reads seeds.mutate
     _first_violation,
     _freeze_rows,
     _mutate_rows,
+    _trusted_matrix,
     format_int,
     is_sign_skew_symmetric,
     mutate,
@@ -90,11 +91,23 @@ def extend(matrix: ExchangeMatrix) -> FramedSeed:
     return FramedSeed(matrix, identity_rows(matrix.n))
 
 
+def _trusted_seed(b: ExchangeMatrix, c: IntMatrix) -> FramedSeed:
+    """A FramedSeed of kernel output, built without validation.
+
+    The argument of matrices._trusted_matrix holds for the rows of C too,
+    and the kernel keeps C's row count, so C still matches B's size.
+    """
+    seed = object.__new__(FramedSeed)
+    object.__setattr__(seed, "b", b)
+    object.__setattr__(seed, "c", c)
+    return seed
+
+
 def mutate_framed(seed: FramedSeed, k: int) -> FramedSeed:
     """mutate of the extended matrix [B; C] in direction k (1-based)."""
     n = seed.n
     rows = _mutate_rows(seed.b.entries + seed.c, _check_direction(k, n))
-    return FramedSeed(ExchangeMatrix(rows[:n]), rows[n:])
+    return _trusted_seed(_trusted_matrix(rows[:n]), rows[n:])
 
 
 def apply_sequence_framed(seed: FramedSeed, directions: Sequence[int]) -> FramedSeed:

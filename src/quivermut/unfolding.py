@@ -180,6 +180,7 @@ class LabeledQuiver:
             and self.frozen == other.frozen
             and self.depths == other.depths
             and self.out == other.out
+            and self.inn == other.inn
             and self.interior_radius == other.interior_radius
         )
 

@@ -136,6 +136,22 @@ class TestMutate:
         assert code == 2
         assert "invalid mutation sequence" in err
 
+    @pytest.mark.parametrize(
+        "subcommand", [["mutate"], ["verify-unfolding", "--m", "4"]], ids=["mutate", "verify-unfolding"]
+    )
+    @pytest.mark.parametrize("token", ["+1", "0_2", "\u0663"])
+    def test_sequence_token_syntax_matches_the_matrix_text(
+        self, capsys, example_file, subcommand, token
+    ):
+        code, out, err = run(capsys, subcommand + [example_file, "-s", token])
+        assert (code, out) == (2, "")
+        assert f"invalid mutation sequence entry {token!r}: expected an integer" in err
+
+    def test_sequence_tokens_are_stripped(self, capsys, rank2_file):
+        code, out, _ = run(capsys, ["mutate", rank2_file, "-s", " 1, 2 "])
+        assert code == 0
+        assert out == "b:\n0 1\n-1 0\nc:\n0 -1\n1 -1\n"
+
 
 class TestMgs:
     def test_example(self, capsys, example_file):

@@ -32,6 +32,9 @@ from corpus import corpus_matrices, example_matrix
 
 RANK2 = ExchangeMatrix([[0, 1], [-1, 0]])
 RANK2_SOURCE_FIRST = ExchangeMatrix([[0, -1], [1, 0]])
+# Small entries hit every sign case and zero; wide ones catch a sign-case slip
+# in the mutation kernel that small values would hide.
+ANY_ENTRY = st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40))
 
 
 def identity(n):
@@ -102,6 +105,15 @@ class TestExtend:
         with pytest.raises(ValueError):
             FramedSeed(RANK2, ((1,),))
 
+    @pytest.mark.parametrize("c", [((1, True), (0, 1)), ((1, 1.5), (0, 1)), ((1,), (0, 1))])
+    def test_bad_c_rejected(self, c):
+        with pytest.raises(ValueError):
+            FramedSeed(RANK2, c)
+
+    def test_bool_in_seed_document_rejected(self):
+        with pytest.raises(ValueError):
+            parse_seed('{"b": [[0]], "c": [[true]]}')
+
 
 class TestMutateFramed:
     def test_rank2_direction_1(self):
@@ -139,7 +151,7 @@ class TestMutateFramed:
     @settings(max_examples=200, deadline=None)
     def test_max_form_rule_on_arbitrary_c(self, data):
         n = data.draw(st.integers(1, 5))
-        entries = st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        entries = st.lists(st.lists(ANY_ENTRY, min_size=n, max_size=n),
                            min_size=n, max_size=n)
         b, c = data.draw(entries), data.draw(entries)
         k = data.draw(st.integers(1, n))
@@ -161,6 +173,26 @@ class TestMutateFramed:
                     expected = x + sgn(row[kk]) * max(row[kk] * b[kk][j], 0)
                 got = mutated.b.entries[i][j] if i < n else mutated.c[i - n][j]
                 assert got == expected
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_outputs_pass_boundary_validation(self, data):
+        # mutate and mutate_framed skip re-validation of what the kernel returns;
+        # the public constructors must accept every such result as it is.
+        n = data.draw(st.integers(1, 5))
+        entries = st.lists(st.lists(ANY_ENTRY, min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+        b = ExchangeMatrix(data.draw(entries))
+        seed = FramedSeed(b, data.draw(entries))
+        for k in range(1, n + 1):
+            out, mutated = mutate_framed(seed, k), mutate(b, k)
+            assert FramedSeed(ExchangeMatrix(out.b.entries), out.c) == out
+            assert ExchangeMatrix(mutated.entries) == mutated
+            for rows in (out.b.entries, out.c, mutated.entries):
+                assert isinstance(rows, tuple) and len(rows) == n
+                for row in rows:
+                    assert isinstance(row, tuple) and len(row) == n
+                    assert all(type(x) is int for x in row)
 
 
 class TestColumnSign:

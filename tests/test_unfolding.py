@@ -208,6 +208,13 @@ class TestBuildTruncation:
         assert first.out is not second.out and first.out[0] is not second.out[0]
         assert first.inn is not second.inn and first.inn[0] is not second.inn[0]
 
+    def test_equality_compares_in_arrows(self):
+        first = build_truncation(example_matrix(), 2)
+        second = build_truncation(example_matrix(), 2)
+        second.inn[1].clear()
+        assert first.out == second.out and first.inn != second.inn
+        assert first != second
+
     def test_writes_to_a_returned_quiver_change_no_later_result(self):
         build_truncation(example_matrix(), 4).out[0].clear()
         report = verify_unfolding_commutation(example_matrix(), (1,), 4)
