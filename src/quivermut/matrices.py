@@ -74,6 +74,7 @@ class ClassificationReport:
 class MutabilityReport:
     ok: bool
     counterexample: Optional[tuple[int, ...]]
+    complete: bool = False
 
 
 def is_skew_symmetric(matrix: ExchangeMatrix) -> bool:
@@ -239,16 +240,51 @@ def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> Exchang
 
 def _first_violation(
     start: T, n: int, depth: int, step: Callable[[T, int], T], bad: Callable[[T], bool]
-) -> Optional[tuple[int, ...]]:
-    """Shortest direction sequence whose end state is bad, or None.
+) -> tuple[Optional[tuple[int, ...]], bool]:
+    """(witness, complete): a shortest sequence reaching a bad state, or None.
 
-    Breadth-first over sequences of length 0..depth, directions ascending,
-    immediate back-mutations (k, k) pruned; step(state, k) mutates in
-    direction k (1-based).
+    Breadth-first over the states reachable in 0..depth steps: the start
+    first, then each state's successors with directions ascending and the
+    immediate back-mutation (k, k) pruned; step(state, k) mutates in
+    direction k (1-based).  States are frozen and hashable, equal exactly
+    when they are the same state.  bad tests each state once, when it is
+    first reached; a successor already seen was tested then and is skipped.
+
+    Witness.  The witness is the one a search over every sequence, in
+    the same order and without the seen set, returns: the least bad
+    sequence by (length, lexicographic).  Mutation is an involution, so a
+    shortest path to a state never repeats a direction twice in a row and
+    that search visits it.  Write d(s) for the length of a shortest path
+    to s and w(s) for the lexicographically least such path.  By
+    induction on L: the states with d(s) = L are first reached by the
+    path w(s), and queued in the order of their w.  Each shortest path to
+    a state s with d(s) = L + 1 is w(p) + (k,) or comes after it, where
+    p = step(s, k) has d(p) = L, so w(s) is the least w(p) + (k,) over
+    such pairs (p, k).  The queue meets parents in the order of w(p) and
+    each parent's directions ascending, so the first pair to reach s is
+    that least one.  The pruned back-mutation from p leads to the state
+    before it, with d = L - 1, so it loses no first path.  The least bad
+    sequence ends at a bad state s and is w(s), or w(s) would be a shorter
+    or smaller bad sequence; states are tested in the order of their
+    (d, w), so the first bad state reached is that s and the witness is
+    w(s), byte for byte.
+
+    Completeness.  complete is True when there is no witness and no new
+    state was first reached at length depth.  Every state reached then
+    lies fewer than depth steps from the start, so it was expanded: each
+    of its successors was generated and found already seen, or is the
+    pruned back-mutation, the state it was reached from.  The reached set
+    is thus closed under mutation.  It holds every state reachable from
+    the start by any sequence of any length, and bad holds for none.
+    Without a witness this happens exactly when the exchange graph of the
+    start is finite and each of its states lies fewer than depth steps
+    from the start.
     """
     if bad(start):
-        return ()
+        return (), False
+    seen = {start}
     frontier: deque[tuple[T, tuple[int, ...]]] = deque([(start, ())])
+    complete = True
     while frontier:
         current, seq = frontier.popleft()
         last = seq[-1] if seq else 0
@@ -256,29 +292,35 @@ def _first_violation(
             if k == last:
                 continue
             nxt = step(current, k)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
             path = seq + (k,)
             if bad(nxt):
-                return path
+                return path, False
             if len(path) < depth:
                 frontier.append((nxt, path))
-    return None
+            else:
+                complete = False
+    return None, complete
 
 
 def check_total_mutability(matrix: ExchangeMatrix, depth: int) -> MutabilityReport:
     """Exhaustively mutate to the given depth, checking sign-skew-symmetry.
 
-    Immediate back-mutations (k, k) are pruned.  On failure the witness is
-    a shortest violating sequence (breadth-first, smallest directions
-    first).
+    Each reachable matrix is checked once (see _first_violation).  On
+    failure the witness is a shortest violating sequence (breadth-first,
+    smallest directions first).  complete means every matrix reachable by
+    any sequence was checked.
     """
-    if not isinstance(depth, int) or depth < 1:
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
         raise ValueError(f"search depth must be a positive integer, got {depth!r}")
     if not is_sign_skew_symmetric(matrix):
         raise ValueError("input matrix is not sign-skew-symmetric")
-    witness = _first_violation(
+    witness, complete = _first_violation(
         matrix, matrix.n, depth, mutate, lambda m: not is_sign_skew_symmetric(m)
     )
-    return MutabilityReport(ok=witness is None, counterexample=witness)
+    return MutabilityReport(ok=witness is None, counterexample=witness, complete=complete)
 
 
 # CPython refuses int <-> decimal str conversions past 4,300 digits by

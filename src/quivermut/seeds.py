@@ -45,6 +45,10 @@ class FramedSeed:
     c: IntMatrix
 
     def __post_init__(self) -> None:
+        if not isinstance(self.b, ExchangeMatrix):
+            raise ValueError(
+                f"principal part must be an ExchangeMatrix, got {type(self.b).__name__}"
+            )
         object.__setattr__(self, "c", _freeze_rows(self.c))
         if len(self.c) != self.b.n:
             raise ValueError(
@@ -137,18 +141,23 @@ def _has_mixed_column(seed: FramedSeed) -> bool:
 class CoherenceReport:
     ok: bool
     counterexample: Optional[tuple[int, ...]]
+    complete: bool = False
 
 
 def check_sign_coherence(seed: FramedSeed, depth: int) -> CoherenceReport:
     """Exhaustively mutate to the given depth, watching for mixed c-vectors.
 
-    Breadth-first with immediate back-mutations pruned; a counterexample is
-    a shortest sequence producing a column with entries of both signs.
+    Each reachable seed (B, C) is checked once (see _first_violation); a
+    counterexample is a shortest sequence producing a column with entries
+    of both signs.  complete means every seed reachable by any sequence
+    was checked.
     """
-    if not isinstance(depth, int) or depth < 1:
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
         raise ValueError(f"search depth must be a positive integer, got {depth!r}")
-    witness = _first_violation(seed, seed.n, depth, mutate_framed, _has_mixed_column)
-    return CoherenceReport(ok=witness is None, counterexample=witness)
+    witness, complete = _first_violation(
+        seed, seed.n, depth, mutate_framed, _has_mixed_column
+    )
+    return CoherenceReport(ok=witness is None, counterexample=witness, complete=complete)
 
 
 def admissible_source_numbering(matrix: ExchangeMatrix) -> tuple[int, ...]:
@@ -227,7 +236,7 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
     Depth-first over green directions only, ascending, so the result order
     is deterministic.  Practical limits: n <= 5, max_len <= 8.
     """
-    if not isinstance(max_len, int) or max_len < 1:
+    if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
         raise ValueError(f"max_len must be a positive integer, got {max_len!r}")
     results: list[GreenSequenceReport] = []
 

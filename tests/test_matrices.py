@@ -238,6 +238,10 @@ class TestTotalMutability:
         with pytest.raises(ValueError):
             check_total_mutability(RANK2, 0)
 
+    def test_bool_depth_rejected(self):
+        with pytest.raises(ValueError, match="search depth must be a positive integer"):
+            check_total_mutability(RANK2, True)
+
     def test_non_sign_skew_rejected(self):
         with pytest.raises(ValueError):
             check_total_mutability(ExchangeMatrix([[0, 1], [0, 0]]), 1)

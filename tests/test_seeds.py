@@ -114,6 +114,11 @@ class TestExtend:
         with pytest.raises(ValueError):
             parse_seed('{"b": [[0]], "c": [[true]]}')
 
+    @pytest.mark.parametrize("b", [[[0]], ((0,),), None])
+    def test_non_matrix_principal_part_rejected(self, b):
+        with pytest.raises(ValueError, match="must be an ExchangeMatrix"):
+            FramedSeed(b, [[1]])
+
 
 class TestMutateFramed:
     def test_rank2_direction_1(self):
@@ -228,6 +233,10 @@ class TestSignCoherence:
         with pytest.raises(ValueError):
             check_sign_coherence(extend(RANK2), 0)
 
+    def test_bool_depth_rejected(self):
+        with pytest.raises(ValueError, match="search depth must be a positive integer"):
+            check_sign_coherence(extend(RANK2), True)
+
     def test_handbuilt_violation_found(self):
         # Mixed column already present: counterexample is the empty sequence.
         seed = FramedSeed(RANK2, ((1, 0), (-1, 1)))
@@ -332,6 +341,10 @@ class TestBruteForce:
     def test_bad_bound_rejected(self):
         with pytest.raises(ValueError):
             brute_force_green_search(extend(RANK2), 0)
+
+    def test_bool_bound_rejected(self):
+        with pytest.raises(ValueError, match="max_len must be a positive integer"):
+            brute_force_green_search(extend(RANK2), True)
 
     def test_final_c_matrix_is_minus_a_permutation(self):
         # Brüstle–Dupont–Pérotin: a maximal green sequence ends at C = -P for
