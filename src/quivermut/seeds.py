@@ -150,10 +150,13 @@ def check_sign_coherence(seed: FramedSeed, depth: int) -> CoherenceReport:
     Each reachable seed (B, C) is checked once (see _first_violation); a
     counterexample is a shortest sequence producing a column with entries
     of both signs.  complete means every seed reachable by any sequence
-    was checked.
+    was checked.  B must be sign-skew-symmetric, as in
+    check_total_mutability.
     """
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
         raise ValueError(f"search depth must be a positive integer, got {depth!r}")
+    if not is_sign_skew_symmetric(seed.b):
+        raise ValueError("input matrix is not sign-skew-symmetric")
     witness, complete = _first_violation(
         seed, seed.n, depth, mutate_framed, _has_mixed_column
     )

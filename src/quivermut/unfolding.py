@@ -13,12 +13,17 @@ test suite cross-validates against deeper truncations.
 `build_truncation` builds a new quiver on every call, owned by the
 caller.  The public `orbit_mutate` copies and mutates the whole
 truncation.  `verify_unfolding_commutation` instead replays on one
-copy-on-write adjacency over a privately cached truncation, and mutates
-only the trusted ball: label-k vertices at depth at most the radius plus
-one.  Its docstring argues why that margin is enough, and the test suite
-compares every interior vertex with `orbit_mutate` after every step.  One
-scan, `_gamma_witnesses`, finds the label-class loops and 2-cycles for
-both `check_gamma_conditions` and the replay.
+working adjacency over a privately cached truncation, and mutates only
+the trusted ball: label-k vertices at depth at most the radius plus one.
+Its docstring argues why that margin is enough, and the test suite
+compares every interior vertex with `orbit_mutate` after every step.
+Before each step the replay takes ownership once: it copies the arrow
+dicts of the step's targets and their neighbors that no earlier step
+copied, a set that `_replay` shows holds every arrow the step changes.
+Both paths mutate with one kernel, `_mutate_vertex`, which updates the
+net arrows in place and swaps the target's two dicts.  One scan,
+`_gamma_witnesses`, finds the label-class loops and 2-cycles for both
+`check_gamma_conditions` and the replay.
 
 Orientation convention, used consistently for adjacency and folding: a
 positive entry for the ordered pair (i, j) means arrows from j to i.  For
@@ -354,48 +359,44 @@ def _shared_truncation(matrix: ExchangeMatrix, m: int) -> LabeledQuiver:
 # ------------------------------------------------------------------ mutation
 
 
-def _add_net(
-    out: dict[int, dict[int, int]], inn: dict[int, dict[int, int]],
-    u: int, w: int, q: int,
-) -> None:
-    # Net arrows: cancelling opposite pairs implements 2-cycle removal.
-    net = out[u].get(w, 0) - out[w].get(u, 0) + q
-    out[u].pop(w, None)
-    inn[w].pop(u, None)
-    out[w].pop(u, None)
-    inn[u].pop(w, None)
-    if net > 0:
-        out[u][w] = net
-        inn[w][u] = net
-    elif net < 0:
-        out[w][u] = -net
-        inn[u][w] = -net
-
-
 def _mutate_vertex(
     out: dict[int, dict[int, int]], inn: dict[int, dict[int, int]],
     frozen: tuple[bool, ...], t: int,
 ) -> None:
-    in_nb = list(inn[t].items())
-    out_nb = list(out[t].items())
-    for u, mu in in_nb:
+    """Mutate at t in place: net arrows between t's neighbors updated, t's dicts swapped.
+
+    Each path u -> t -> w (multiplicities a, b) adds q = a*b arrows u -> w,
+    cancelled against any w -> u arrows, which implements 2-cycle removal;
+    a path between two frozen vertices adds nothing.  Only the dicts of t
+    and of its neighbors are written.
+    """
+    out_t = out[t]
+    inn_t = inn[t]
+    for u, a in inn_t.items():
+        out_u = out[u]
+        inn_u = inn[u]
         u_frozen = frozen[u]
-        for w, mw in out_nb:
+        for w, b in out_t.items():
             if u_frozen and frozen[w]:
                 continue  # arrows between two frozen vertices are discarded
-            _add_net(out, inn, u, w, mu * mw)
-    for u, _ in in_nb:
+            q = a * b
+            out_w = out[w]
+            back = out_w.get(u)
+            if back is None:
+                out_u[w] = inn[w][u] = out_u.get(w, 0) + q
+            elif back > q:
+                out_w[u] = inn_u[w] = back - q
+            else:
+                del out_w[u], inn_u[w]
+                if back < q:
+                    out_u[w] = inn[w][u] = q - back
+    for u, a in inn_t.items():
         del out[u][t]
-        del inn[t][u]
-    for w, _ in out_nb:
-        del out[t][w]
+        inn[u][t] = a
+    for w, b in out_t.items():
         del inn[w][t]
-    for u, mu in in_nb:
-        out[t][u] = mu
-        inn[u][t] = mu
-    for w, mw in out_nb:
-        out[w][t] = mw
-        inn[t][w] = mw
+        out[w][t] = b
+    out[t], inn[t] = inn_t, out_t
 
 
 def _orbit_targets(quiver: LabeledQuiver, k: int, radius: Optional[int]) -> tuple[int, ...]:
@@ -448,8 +449,8 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     gamma = check_gamma_conditions(quiver, interior_only=True)
     if not gamma.ok:
         raise _gamma_violation(gamma)
-    out = {u: dict(d) for u, d in quiver.out.items()}
-    inn = {u: dict(d) for u, d in quiver.inn.items()}
+    out = {u: d.copy() for u, d in quiver.out.items()}
+    inn = {u: d.copy() for u, d in quiver.inn.items()}
     for t in targets:
         _mutate_vertex(out, inn, quiver.frozen, t)
     radius = None if quiver.is_complete else quiver.interior_radius - 2
@@ -648,15 +649,29 @@ def folding_column(
 def _replay(
     quiver: LabeledQuiver, directions: Sequence[int]
 ) -> Iterator[tuple[int, Adjacency, Adjacency, Optional[int]]]:
-    """Orbit-mutate a copy-on-write copy of a fresh truncation in its trusted ball.
+    """Orbit-mutate a working copy of a fresh truncation in its trusted ball.
 
     Yields (step, out, inn, radius) before the first step and after each
     one.  `out` and `inn` are the working adjacency, which the next step
     updates in place; `radius` is the depth up to which it is trusted
-    (None for a complete quiver).  The outer dicts are copied here, and a
-    vertex's inner dicts just before a step first writes to them, so
-    `quiver` is never written.  Checks and errors are those of
+    (None for a complete quiver).  Checks and errors are those of
     orbit_mutate, made on the state about to be mutated.
+
+    Ownership.  The outer dicts are copied here.  Before a step's first
+    mutation, let A be its targets together with their current in- and
+    out-neighbors; the inner dicts of every vertex of A not yet owned are
+    copied, and A joins the owned set.  Every arrow the step changes has
+    both endpoints in A, so `quiver` is never written.  By induction over
+    the targets in order: mutation at t writes only the dicts of t and of
+    its neighbors at that moment, and each such neighbor either was one
+    before the step, so lies in A, or was joined to t by an arrow that an
+    earlier target changed, whose endpoints lie in A.  This holds even
+    when two targets are adjacent, as same-label vertices at depth r + 1,
+    outside the interior the Γ check covers, can be.  Conversely every
+    vertex of A is written by the step, either at a target that still
+    has it as a neighbor or at the earlier target that took that arrow
+    away; so A is exactly the set of vertices whose arrows the step
+    touched, and it is the next Γ scan set.
 
     The Γ check before a step scans only the vertices whose arrows the
     previous step changed: any other loop or 2-cycle already existed,
@@ -688,18 +703,16 @@ def _replay(
             limit = radius + _TRUST_MARGIN
             targets = targets[:bisect_right(targets, limit, key=quiver.depths.__getitem__)]
             radius -= 2
-        touched: set[int] = set()
+        around = set(targets).union(
+            *map(out.__getitem__, targets), *map(inn.__getitem__, targets)
+        )
+        for v in around - owned:
+            out[v] = out[v].copy()
+            inn[v] = inn[v].copy()
+        owned |= around
         for t in targets:
-            # mutation at t writes only the arrows of t and of its neighbors
-            around = (t, *out[t], *inn[t])
-            for v in around:
-                if v not in owned:
-                    owned.add(v)
-                    out[v] = dict(out[v])
-                    inn[v] = dict(inn[v])
-            touched.update(around)
             _mutate_vertex(out, inn, frozen, t)
-        scan = touched
+        scan = around
         yield step, out, inn, radius
 
 
@@ -715,7 +728,7 @@ def verify_unfolding_commutation(
 
     Reports and errors are those of chaining orbit_mutate and folding, but
     the replay (_replay) does far less work.  It writes to one
-    copy-on-write adjacency instead of copying the truncation per step.
+    working adjacency instead of copying the truncation per step.
     A step at label k mutates only the label-k vertices at depth <= r + 1,
     where r is the interior radius before the step.  The Γ check scans only
     the vertices the previous step touched (_replay says why that is enough).

@@ -14,7 +14,7 @@ from quivermut import (
     parse_matrix,
     parse_seed,
 )
-from quivermut.cli import main
+from quivermut.cli import build_parser, main
 
 from corpus import example_matrix
 
@@ -66,6 +66,20 @@ class TestClassify:
             "sign_skew_symmetric": True,
             "acyclic": True,
         }
+
+    def test_usage_error_leaves_the_parser_reusable(self, capsys, example_file):
+        # main builds its parser once per process; build_parser() stays fresh
+        assert build_parser() is not build_parser()
+        with pytest.raises(SystemExit) as exited:
+            main(["coherence", example_file])
+        assert exited.value.code == 2
+        assert "--depth" in capsys.readouterr().err
+        code, out, _ = run(capsys, ["classify", example_file, "--json-out"])
+        assert code == 0
+        assert out == (
+            '{"skew_symmetric": false, "symmetrizer": null, '
+            '"sign_skew_symmetric": true, "acyclic": true}\n'
+        )
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.mat"

@@ -237,6 +237,11 @@ class TestSignCoherence:
         with pytest.raises(ValueError, match="search depth must be a positive integer"):
             check_sign_coherence(extend(RANK2), True)
 
+    def test_non_sign_skew_b_rejected(self):
+        seed = FramedSeed(ExchangeMatrix([[0, 1], [0, 0]]), ((1, 0), (0, 1)))
+        with pytest.raises(ValueError, match="input matrix is not sign-skew-symmetric"):
+            check_sign_coherence(seed, 3)
+
     def test_handbuilt_violation_found(self):
         # Mixed column already present: counterexample is the empty sequence.
         seed = FramedSeed(RANK2, ((1, 0), (-1, 1)))

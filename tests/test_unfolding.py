@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -31,8 +32,10 @@ from quivermut.unfolding import (
     _default_representative,
     _fold_rows,
     _gamma_witnesses,
+    _mutate_vertex,
     _replay,
     _shared_truncation,
+    _with_arrows,
 )
 
 from corpus import corpus_matrices, example_matrix, random_acyclic_connected
@@ -42,7 +45,9 @@ TWO_LEAF = ExchangeMatrix([[0, 1], [-2, 0]])  # finite unfolding, label 2 twice
 TREE_PATH = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
 
 
-def tiny_quiver(n_labels, labels, frozen, arrows, framed=False) -> LabeledQuiver:
+def tiny_quiver(
+    n_labels, labels, frozen, arrows, framed=False, depths=None, interior_radius=None
+) -> LabeledQuiver:
     out = {i: {} for i in range(len(labels))}
     inn = {i: {} for i in range(len(labels))}
     for u, v in arrows:
@@ -53,16 +58,28 @@ def tiny_quiver(n_labels, labels, frozen, arrows, framed=False) -> LabeledQuiver
         framed=framed,
         labels=tuple(labels),
         frozen=tuple(frozen),
-        depths=tuple(0 for _ in labels),
+        depths=tuple(depths) if depths is not None else tuple(0 for _ in labels),
         out=out,
         inn=inn,
-        interior_radius=None,
+        interior_radius=interior_radius,
     )
 
 
 def adjacency_rows(quiver: LabeledQuiver) -> list[list[int]]:
     n = quiver.vertex_count
     return [[quiver.entry(i, j) for j in range(n)] for i in range(n)]
+
+
+def signed_vertex_mutation(rows, frozen, t: int) -> list[list[int]]:
+    """Plain matrix mutation of a signed adjacency at vertex t, then entries
+    between two frozen vertices zeroed."""
+    rows = mutate(ExchangeMatrix(tuple(map(tuple, rows))), t + 1).rows()
+    for i, row in enumerate(rows):
+        if frozen[i]:
+            for j in range(len(row)):
+                if frozen[j]:
+                    row[j] = 0
+    return rows
 
 
 def matrix_level_orbit_mutation(quiver: LabeledQuiver, label: int) -> list[list[int]]:
@@ -72,18 +89,10 @@ def matrix_level_orbit_mutation(quiver: LabeledQuiver, label: int) -> list[list[
     entries between two frozen vertices zeroed after every step, exercising
     a completely different code path than the arrow-dict surgery.
     """
-    current = ExchangeMatrix(tuple(map(tuple, adjacency_rows(quiver))))
+    rows = adjacency_rows(quiver)
     for t in quiver.mutable_ids(label):
-        current = mutate(current, t + 1)
-        rows = current.rows()
-        for i in range(quiver.vertex_count):
-            if not quiver.frozen[i]:
-                continue
-            for j in range(quiver.vertex_count):
-                if quiver.frozen[j]:
-                    rows[i][j] = 0
-        current = ExchangeMatrix(tuple(map(tuple, rows)))
-    return current.rows()
+        rows = signed_vertex_mutation(rows, quiver.frozen, t)
+    return rows
 
 
 class TestBuildPiece:
@@ -577,6 +586,51 @@ def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch) -> int:
     return compared
 
 
+def random_net_quiver(rng: random.Random) -> LabeledQuiver:
+    """At most 8 vertices with random labels and kinds, multiplicities 1..3,
+    one direction per pair and, as in an unfolding, no frozen-frozen arrow."""
+    n = rng.randint(2, 8)
+    labels = [rng.randint(1, 3) for _ in range(n)]
+    frozen = [rng.random() < 0.3 for _ in range(n)]
+    frozen[rng.randrange(n)] = False
+    arrows = []
+    for u, w in itertools.combinations(range(n), 2):
+        if rng.random() < 0.5 and not (frozen[u] and frozen[w]):
+            pair = (u, w) if rng.random() < 0.5 else (w, u)
+            arrows += [pair] * rng.randint(1, 3)
+    return tiny_quiver(3, labels, frozen, arrows)
+
+
+def assert_net_arrows(out, inn) -> None:
+    """inn mirrors out, and each pair carries positive arrows one way at most."""
+    mirrored = {v: {} for v in out}
+    for u, d in out.items():
+        for w, mult in d.items():
+            assert mult > 0 and u not in out[w]
+            mirrored[w][u] = mult
+    assert inn == mirrored
+
+
+class TestMutationKernel:
+    """_mutate_vertex, the one sparse-quiver mutation rule, on random net quivers."""
+
+    def test_involution_signed_rule_and_mirror(self):
+        rng = random.Random(0x4E7)
+        for _ in range(600):
+            quiver = random_net_quiver(rng)
+            t = rng.choice([v for v in range(quiver.vertex_count) if not quiver.frozen[v]])
+            out, inn = copy.deepcopy((quiver.out, quiver.inn))
+            _mutate_vertex(out, inn, quiver.frozen, t)
+            mutated = _with_arrows(quiver, out, inn, None)
+            assert adjacency_rows(mutated) == signed_vertex_mutation(
+                adjacency_rows(quiver), quiver.frozen, t
+            )
+            assert_net_arrows(out, inn)
+            _mutate_vertex(out, inn, quiver.frozen, t)
+            assert out == quiver.out
+            assert inn == quiver.inn
+
+
 class TestTrustedBallReplay:
     """The replay inside verify_unfolding_commutation against orbit_mutate.
 
@@ -629,6 +683,29 @@ class TestTrustedBallReplay:
             cold = build_truncation(matrix, 8, framed=True)
             assert cached == cold
             assert cached.inn == cold.inn
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_step_owns_every_vertex_it_writes(self, reverse):
+        # label-2 targets 1, 2 and 3 at depths 0, 2, 2 with radius 1: targets 2
+        # and 3 are adjacent at depth r + 1, outside the interior the Γ check
+        # covers, so mutating 2 gives 3 a neighbor it did not have; reversing
+        # every arrow swaps the roles of in- and out-neighbors
+        arrows = [(0, 2), (2, 3), (3, 4), (1, 0)]
+        if reverse:
+            arrows = [(w, u) for u, w in arrows]
+        quiver = tiny_quiver(
+            2, [1, 2, 2, 2, 1], [False] * 5, arrows,
+            depths=[0, 0, 2, 2, 1], interior_radius=1,
+        )
+        before = copy.deepcopy((quiver.out, quiver.inn))
+        out, inn = copy.deepcopy(before)
+        for t in (1, 2, 3):
+            _mutate_vertex(out, inn, quiver.frozen, t)
+        *_, (step, replayed_out, replayed_inn, radius) = _replay(quiver, (2,))
+        assert (quiver.out, quiver.inn) == before
+        assert (step, radius) == (1, -1)
+        assert replayed_out == out
+        assert replayed_inn == inn
 
     def test_bad_direction_raises_like_orbit_mutate(self):
         quiver = build_truncation(example_matrix(), 6, framed=True)
