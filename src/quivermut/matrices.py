@@ -12,10 +12,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
-T = TypeVar("T")
 
 
 class MatrixFormatError(ValueError):
@@ -83,10 +82,9 @@ def is_skew_symmetric(matrix: ExchangeMatrix) -> bool:
     return all(e[i][j] == -e[j][i] for i in range(n) for j in range(i, n))
 
 
-def is_sign_skew_symmetric(matrix: ExchangeMatrix) -> bool:
-    """True iff every pair (b_ij, b_ji) is (0, 0) or of strictly opposite signs."""
-    e = matrix.entries
-    n = matrix.n
+def _sign_skew_rows(e: IntMatrix) -> bool:
+    """is_sign_skew_symmetric on the rows of a square matrix."""
+    n = len(e)
     for i in range(n):
         for j in range(i, n):
             x, y = e[i][j], e[j][i]
@@ -95,6 +93,11 @@ def is_sign_skew_symmetric(matrix: ExchangeMatrix) -> bool:
             if x * y >= 0:
                 return False
     return True
+
+
+def is_sign_skew_symmetric(matrix: ExchangeMatrix) -> bool:
+    """True iff every pair (b_ij, b_ji) is (0, 0) or of strictly opposite signs."""
+    return _sign_skew_rows(matrix.entries)
 
 
 def find_symmetrizer(matrix: ExchangeMatrix) -> Optional[tuple[int, ...]]:
@@ -232,22 +235,25 @@ def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
 def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> ExchangeMatrix:
     """Left fold of mutate over the directions; the empty sequence is identity."""
-    current = matrix
+    n = matrix.n
+    rows = matrix.entries
     for k in directions:
-        current = mutate(current, k)
-    return current
+        rows = _mutate_rows(rows, _check_direction(k, n))
+    return _trusted_matrix(rows)
 
 
 def _first_violation(
-    start: T, n: int, depth: int, step: Callable[[T, int], T], bad: Callable[[T], bool]
+    start: IntMatrix, n: int, depth: int, bad: Callable[[IntMatrix], bool]
 ) -> tuple[Optional[tuple[int, ...]], bool]:
     """(witness, complete): a shortest sequence reaching a bad state, or None.
 
     Breadth-first over the states reachable in 0..depth steps: the start
     first, then each state's successors with directions ascending and the
-    immediate back-mutation (k, k) pruned; step(state, k) mutates in
-    direction k (1-based).  States are frozen and hashable, equal exactly
-    when they are the same state.  bad tests each state once, when it is
+    immediate back-mutation (k, k) pruned.  A state is the row tuple of an
+    extended matrix whose first n rows are the square part B, so [B; C]
+    for a framed seed and B alone for a matrix; a step is _mutate_rows.
+    States are hashed and compared as plain tuples, which are equal
+    exactly when their seeds are.  bad tests each state once, when it is
     first reached; a successor already seen was tested then and is skipped.
 
     Witness.  The witness is the one a search over every sequence, in
@@ -258,12 +264,13 @@ def _first_violation(
     to s and w(s) for the lexicographically least such path.  By
     induction on L: the states with d(s) = L are first reached by the
     path w(s), and queued in the order of their w.  Each shortest path to
-    a state s with d(s) = L + 1 is w(p) + (k,) or comes after it, where
-    p = step(s, k) has d(p) = L, so w(s) is the least w(p) + (k,) over
-    such pairs (p, k).  The queue meets parents in the order of w(p) and
-    each parent's directions ascending, so the first pair to reach s is
-    that least one.  The pruned back-mutation from p leads to the state
-    before it, with d = L - 1, so it loses no first path.  The least bad
+    a state s with d(s) = L + 1 is w(p) + (k,) or comes after it, where p
+    is s mutated in direction k and has d(p) = L, so w(s) is the least
+    w(p) + (k,) over such pairs (p, k).  The queue meets parents in the
+    order of w(p) and each parent's directions ascending, so the first
+    pair to reach s is that least one.  The pruned back-mutation from p
+    leads to the state before it, with d = L - 1, so it loses no first
+    path.  The least bad
     sequence ends at a bad state s and is w(s), or w(s) would be a shorter
     or smaller bad sequence; states are tested in the order of their
     (d, w), so the first bad state reached is that s and the witness is
@@ -283,7 +290,7 @@ def _first_violation(
     if bad(start):
         return (), False
     seen = {start}
-    frontier: deque[tuple[T, tuple[int, ...]]] = deque([(start, ())])
+    frontier: deque[tuple[IntMatrix, tuple[int, ...]]] = deque([(start, ())])
     complete = True
     while frontier:
         current, seq = frontier.popleft()
@@ -291,7 +298,7 @@ def _first_violation(
         for k in range(1, n + 1):
             if k == last:
                 continue
-            nxt = step(current, k)
+            nxt = _mutate_rows(current, k - 1)
             if nxt in seen:
                 continue
             seen.add(nxt)
@@ -318,7 +325,7 @@ def check_total_mutability(matrix: ExchangeMatrix, depth: int) -> MutabilityRepo
     if not is_sign_skew_symmetric(matrix):
         raise ValueError("input matrix is not sign-skew-symmetric")
     witness, complete = _first_violation(
-        matrix, matrix.n, depth, mutate, lambda m: not is_sign_skew_symmetric(m)
+        matrix.entries, matrix.n, depth, lambda rows: not _sign_skew_rows(rows)
     )
     return MutabilityReport(ok=witness is None, counterexample=witness, complete=complete)
 

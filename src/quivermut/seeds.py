@@ -115,26 +115,26 @@ def mutate_framed(seed: FramedSeed, k: int) -> FramedSeed:
 
 
 def apply_sequence_framed(seed: FramedSeed, directions: Sequence[int]) -> FramedSeed:
-    current = seed
+    """Left fold of mutate_framed over the directions, stepping [B; C] as rows."""
+    n = seed.n
+    rows = seed.b.entries + seed.c
     for k in directions:
-        current = mutate_framed(current, k)
-    return current
+        rows = _mutate_rows(rows, _check_direction(k, n))
+    return _trusted_seed(_trusted_matrix(rows[:n]), rows[n:])
 
 
 def column_sign(seed: FramedSeed, j: int) -> ColumnSign:
     return sign_of_column(seed.c_column(j))
 
 
+def _green_columns(c: IntMatrix) -> list[int]:
+    """0-based indices of the columns of C with a positive entry and no negative one."""
+    return [jj for jj, column in enumerate(zip(*c)) if min(column) >= 0 and max(column) > 0]
+
+
 def green_directions(seed: FramedSeed) -> list[int]:
     """Directions (1-based, ascending) whose c-vector is green."""
-    return [
-        j for j, column in enumerate(zip(*seed.c), start=1)
-        if sign_of_column(column) is ColumnSign.GREEN
-    ]
-
-
-def _has_mixed_column(seed: FramedSeed) -> bool:
-    return any(sign_of_column(column) is ColumnSign.MIXED for column in zip(*seed.c))
+    return [jj + 1 for jj in _green_columns(seed.c)]
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,10 @@ def check_sign_coherence(seed: FramedSeed, depth: int) -> CoherenceReport:
         raise ValueError(f"search depth must be a positive integer, got {depth!r}")
     if not is_sign_skew_symmetric(seed.b):
         raise ValueError("input matrix is not sign-skew-symmetric")
+    n = seed.n
     witness, complete = _first_violation(
-        seed, seed.n, depth, mutate_framed, _has_mixed_column
+        seed.b.entries + seed.c, n, depth,
+        lambda rows: any(min(column) < 0 < max(column) for column in zip(*rows[n:])),
     )
     return CoherenceReport(ok=witness is None, counterexample=witness, complete=complete)
 
@@ -237,14 +239,19 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
     """All maximal green sequences of length <= max_len, lexicographic.
 
     Depth-first over green directions only, ascending, so the result order
-    is deterministic.  Practical limits: n <= 5, max_len <= 8.
+    is deterministic; the walk steps the rows of [B; C].  Practical limits:
+    n <= 5, max_len <= 8.  B must be sign-skew-symmetric, as in
+    check_sign_coherence.
     """
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
         raise ValueError(f"max_len must be a positive integer, got {max_len!r}")
+    if not is_sign_skew_symmetric(seed.b):
+        raise ValueError("input matrix is not sign-skew-symmetric")
+    n = seed.n
     results: list[GreenSequenceReport] = []
 
-    def walk(current: FramedSeed, seq: tuple[int, ...], cs: tuple[IntMatrix, ...]) -> None:
-        greens = green_directions(current)
+    def walk(rows: IntMatrix, seq: tuple[int, ...], cs: tuple[IntMatrix, ...]) -> None:
+        greens = _green_columns(rows[n:])
         if not greens:
             results.append(
                 GreenSequenceReport(
@@ -257,11 +264,11 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
             return
         if len(seq) == max_len:
             return
-        for k in greens:
-            nxt = mutate_framed(current, k)
-            walk(nxt, seq + (k,), cs + (nxt.c,))
+        for kk in greens:
+            nxt = _mutate_rows(rows, kk)
+            walk(nxt, seq + (kk + 1,), cs + (nxt[n:],))
 
-    walk(seed, (), (seed.c,))
+    walk(seed.b.entries + seed.c, (), (seed.c,))
     results.sort(key=lambda r: r.sequence)
     return results
 

@@ -135,15 +135,15 @@ class LabeledQuiver:
 
     @property
     def mutable_count(self) -> int:
-        return sum(1 for f in self.frozen if not f)
+        return self.frozen.count(False)
 
     @property
     def frozen_count(self) -> int:
-        return sum(1 for f in self.frozen if f)
+        return self.frozen.count(True)
 
     @property
     def arrow_count(self) -> int:
-        return sum(len(d) for d in self.out.values())
+        return sum(map(len, self.out.values()))
 
     @property
     def is_complete(self) -> bool:
@@ -228,77 +228,70 @@ def _label_distances(matrix: ExchangeMatrix) -> list[Optional[int]]:
 # -------------------------------------------------------------- construction
 
 
-class _Builder:
-    def __init__(self, matrix: ExchangeMatrix, framed: bool) -> None:
-        self.e = matrix.entries
-        self.n = matrix.n
-        self.framed = framed
-        self.labels: list[int] = []
-        self.frozen: list[bool] = []
-        self.depths: list[int] = []
-        self.out: dict[int, dict[int, int]] = {}
-        self.inn: dict[int, dict[int, int]] = {}
+def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> LabeledQuiver:
+    """Glue the pieces of build_piece ring by ring around a vertex labeled root.
 
-    def new_vertex(self, label: int, depth: int, is_frozen: bool) -> int:
-        v = len(self.labels)
-        self.labels.append(label)
-        self.frozen.append(is_frozen)
-        self.depths.append(depth)
-        self.out[v] = {}
-        self.inn[v] = {}
-        return v
+    pieces[i][p] lists (satellite label, arrow into the center), in label
+    order, for a center labeled i whose parent is labeled p, or p = 0 for
+    the root; the table is built once from the columns of B.  Rings
+    0..rings-1 are expanded in turn: each vertex gets its frozen copy
+    (when framed), then the satellites of its table entry.
 
-    def add_arrow(self, u: int, v: int) -> None:
-        self.out[u][v] = 1
-        self.inn[v][u] = 1
+    The root lacks its whole piece.  Any other vertex v, labeled i, has
+    one arrow so far, the one to its parent, labeled p: v was glued as a
+    satellite of the parent's piece, with the arrow from v to the parent
+    when b_ip < 0.  Sign-skew-symmetry makes b_pi nonzero and of the other
+    sign, so v's piece has at least one satellite labeled p, with its arrow
+    in the same direction.  That satellite is the parent, and v lacks the
+    rest of its piece, which is pieces[i][p].
 
-    def expand(self, v: int) -> list[int]:
-        """Glue the neighborhood piece of v's label onto v; return new vertices.
-
-        The single existing arrow to v's parent is identified with the
-        matching arrow of the piece (same labels, same orientation, which
-        sign-skew-symmetry guarantees), so only the missing satellites are
-        created.
-        """
-        label_v = self.labels[v]
-        if self.framed:
-            f = self.new_vertex(label_v, self.depths[v], True)
-            self.add_arrow(v, f)
-        have: dict[int, int] = {}
-        for u in self.out[v]:
-            if not self.frozen[u]:
-                have[self.labels[u]] = have.get(self.labels[u], 0) + 1
-        for u in self.inn[v]:
-            have[self.labels[u]] = have.get(self.labels[u], 0) + 1
-        created: list[int] = []
-        for j_label in range(1, self.n + 1):
-            if j_label == label_v:
-                continue
-            e_ji = self.e[j_label - 1][label_v - 1]
-            if e_ji == 0:
-                continue
-            missing = abs(e_ji) - have.get(j_label, 0)
-            assert missing >= 0, "sign-skew-symmetry guarantees at most one shared arrow"
-            for _ in range(missing):
-                s = self.new_vertex(j_label, self.depths[v] + 1, False)
-                if e_ji < 0:
-                    self.add_arrow(s, v)
+    The radius is rings - 1, or None (the whole unfolding) when a ring
+    adds no vertex.
+    """
+    e = matrix.entries
+    n = matrix.n
+    pieces: list[list[tuple[tuple[int, bool], ...]]] = [[]]
+    for i in range(n):
+        column = [(j + 1, e[j][i] < 0, abs(e[j][i])) for j in range(n) if j != i and e[j][i]]
+        pieces.append([
+            tuple((j, into) for j, into, count in column for _ in range(count - (j == p)))
+            for p in range(n + 1)
+        ])
+    labels, frozen, depths = [root], [False], [0]
+    out: Adjacency = {0: {}}
+    inn: Adjacency = {0: {}}
+    ring, parent_labels = [0], [0]  # the ring's vertices and their parents' labels
+    radius: Optional[int] = rings - 1
+    for depth in range(rings):
+        grown, grown_parent_labels = [], []
+        for v, parent_label in zip(ring, parent_labels):
+            label = labels[v]
+            if framed:
+                f = len(labels)
+                labels.append(label)
+                frozen.append(True)
+                depths.append(depth)
+                out[f], inn[f] = {}, {v: 1}
+                out[v][f] = 1
+            for j, into in pieces[label][parent_label]:
+                s = len(labels)
+                labels.append(j)
+                frozen.append(False)
+                depths.append(depth + 1)
+                if into:
+                    out[s], inn[s] = {v: 1}, {}
+                    inn[v][s] = 1
                 else:
-                    self.add_arrow(v, s)
-                created.append(s)
-        return created
-
-    def finish(self, interior_radius: Optional[int]) -> LabeledQuiver:
-        return LabeledQuiver(
-            n_labels=self.n,
-            framed=self.framed,
-            labels=tuple(self.labels),
-            frozen=tuple(self.frozen),
-            depths=tuple(self.depths),
-            out=self.out,
-            inn=self.inn,
-            interior_radius=interior_radius,
-        )
+                    out[s], inn[s] = {}, {v: 1}
+                    out[v][s] = 1
+                grown.append(s)
+                grown_parent_labels.append(label)
+        if not grown:
+            radius = None
+            break
+        ring, parent_labels = grown, grown_parent_labels
+    return LabeledQuiver(n_labels=n, framed=framed, labels=tuple(labels), frozen=tuple(frozen),
+                         depths=tuple(depths), out=out, inn=inn, interior_radius=radius)
 
 
 def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQuiver:
@@ -312,10 +305,7 @@ def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQ
     _require_unfoldable(matrix)
     if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= matrix.n:
         raise IndexError(f"piece center {i!r} out of range 1..{matrix.n}")
-    builder = _Builder(matrix, framed)
-    center = builder.new_vertex(i, 0, False)
-    created = builder.expand(center)
-    return builder.finish(0 if created else None)
+    return _grow(matrix, i, 1, framed)
 
 
 def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> LabeledQuiver:
@@ -340,14 +330,7 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
             + ",".join(missing)
             + "} are unreachable from label 1"
         )
-    radius = max(1, max(dist) + m - 1)
-    builder = _Builder(matrix, framed)
-    ring = [builder.new_vertex(1, 0, False)]
-    for _ in range(radius):
-        ring = [child for v in ring for child in builder.expand(v)]
-        if not ring:
-            return builder.finish(None)
-    return builder.finish(radius - 1)
+    return _grow(matrix, 1, max(1, max(dist) + m - 1), framed)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -637,7 +620,8 @@ def folding_column(
     quiver: LabeledQuiver, label: int, representative: Optional[int] = None
 ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
     """One folded column (principal part, frozen part) at a chosen representative."""
-    if not 1 <= label <= quiver.n_labels or not quiver.mutable_ids(label):
+    if (isinstance(label, bool) or not isinstance(label, int)
+            or not 1 <= label <= quiver.n_labels or not quiver.mutable_ids(label)):
         raise ValueError(f"label {label!r} missing from quiver")
     if representative is None:
         representative = _default_representative(quiver, label)

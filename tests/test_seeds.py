@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+from functools import reduce
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +152,24 @@ class TestMutateFramed:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             mutate_framed(extend(RANK2), 3)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_apply_sequence_is_a_fold_of_mutate_framed(self, data):
+        n = data.draw(st.integers(1, 5))
+        entries = st.lists(st.lists(ANY_ENTRY, min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+        seed = FramedSeed(ExchangeMatrix(data.draw(entries)), data.draw(entries))
+        seq = data.draw(st.lists(st.integers(1, n), max_size=12))
+        assert apply_sequence_framed(seed, seq) == reduce(mutate_framed, seq, seed)
+        bad = data.draw(st.sampled_from([0, -1, n + 1, True, 1.0]))
+        at = data.draw(st.integers(0, len(seq)))
+        seq[at:at] = [bad]
+        with pytest.raises(IndexError) as expected:
+            reduce(mutate_framed, seq, seed)
+        with pytest.raises(IndexError) as got:
+            apply_sequence_framed(seed, seq)
+        assert str(got.value) == str(expected.value)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -350,6 +369,39 @@ class TestBruteForce:
     def test_bool_bound_rejected(self):
         with pytest.raises(ValueError, match="max_len must be a positive integer"):
             brute_force_green_search(extend(RANK2), True)
+
+    def test_non_sign_skew_b_rejected(self):
+        seed = FramedSeed(ExchangeMatrix([[0, 1], [0, 0]]), identity(2))
+        with pytest.raises(ValueError, match="input matrix is not sign-skew-symmetric"):
+            brute_force_green_search(seed, 3)
+
+    def test_matches_sequence_enumeration(self):
+        # every direction sequence of length <= n, stepped with the public
+        # mutate_framed and judged by column_sign at each step
+        checked = 0
+        for matrix in corpus_matrices():
+            seed = extend(matrix)
+            n = matrix.n
+            expected = []
+            for length in range(n + 1):
+                for seq in product(range(1, n + 1), repeat=length):
+                    current, cs = seed, [seed.c]
+                    for k in seq:
+                        if column_sign(current, k) is not ColumnSign.GREEN:
+                            break
+                        current = mutate_framed(current, k)
+                        cs.append(current.c)
+                    else:
+                        if all(column_sign(current, j) is not ColumnSign.GREEN
+                               for j in range(1, n + 1)):
+                            expected.append((seq, tuple(cs), True, True))
+            got = [
+                (r.sequence, r.step_c_matrices, r.is_green_sequence, r.is_maximal)
+                for r in brute_force_green_search(seed, n)
+            ]
+            assert got == expected, matrix
+            checked += len(got)
+        assert checked == 101
 
     def test_final_c_matrix_is_minus_a_permutation(self):
         # Brüstle–Dupont–Pérotin: a maximal green sequence ends at C = -P for

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import itertools
 import random
 
@@ -229,6 +230,44 @@ class TestBuildTruncation:
         report = verify_unfolding_commutation(example_matrix(), (1,), 4)
         assert report.ok and report.first_divergence is None
 
+    # sha256 of to_dot(q) and of repr(q.depths), recorded from the vertex-by-vertex
+    # builder that the piece table replaced
+    PINNED = {
+        "example m=4": (
+            "058db3c3e3f28dd968280c8b209f0f0499e64a6f91bdbe118d19f1de3412daa6",
+            "403e7d45e9ea2d9b3f1417e51abef6d5b879e7cf950f616ca093872d4e9d2566",
+        ),
+        "example m=6 unframed": (
+            "c9326610217b819bc7736cd2373d411cab5d1c89e595242cc0aa542b52da79b5",
+            "307e08fc86ed2ad319994b9185f6629dbc16bdafe812447369b5b5a49225e499",
+        ),
+        "example piece 3": (
+            "065a4097eed37470b571b76dd5d07bf67864d74b3791f52b92d02cce2ed968f1",
+            "abaf96c795b397f90c1d79654f87c50d777a7bc8c2f35f1f0e01df1c92d8fd1f",
+        ),
+        "random n=5 m=5": (
+            "da6df1c3a81533f4f444fe25104af59622d518e2ce4de8f306eaf9c391a87dc8",
+            "195ae14f689a82d5f56dfcfae2f295fa154eca8d95ae95cf7513e903b3fe7a8d",
+        ),
+    }
+
+    def test_pinned_truncations(self):
+        example = example_matrix()
+        quivers = {
+            "example m=4": build_truncation(example, 4),
+            "example m=6 unframed": build_truncation(example, 6, framed=False),
+            "example piece 3": build_piece(example, 3),
+            "random n=5 m=5": build_truncation(
+                random_acyclic_connected(random.Random(20260), 5), 5
+            ),
+        }
+        for name, quiver in quivers.items():
+            digests = tuple(
+                hashlib.sha256(text.encode()).hexdigest()
+                for text in (to_dot(quiver), repr(quiver.depths))
+            )
+            assert digests == self.PINNED[name], name
+
 
 class TestFolding:
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -279,6 +318,12 @@ class TestFolding:
             folding_column(quiver, 2, rep)
         assert str(column.value) == str(expected.value)
         assert type(column.value) is type(expected.value)
+
+    @pytest.mark.parametrize("label", [True, 1.0, "1"])
+    def test_folding_column_rejects_a_label_that_is_no_int(self, label):
+        quiver = build_truncation(example_matrix(), 2)
+        with pytest.raises(ValueError, match=f"label {label!r} missing from quiver"):
+            folding_column(quiver, label)
 
 
 class TestOrbitMutate:
