@@ -9,7 +9,6 @@ form, and seeds are emitted in the canonical seed document format.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from pathlib import Path
@@ -21,6 +20,7 @@ from .matrices import (
     check_total_mutability,
     classify,
     format_int,
+    format_json,
     parse_int,
     parse_matrix,
 )
@@ -75,18 +75,18 @@ def _load_matrix(path: str) -> ExchangeMatrix:
 def _cmd_classify(args: argparse.Namespace) -> int:
     report = classify(_load_matrix(args.matrix))
     if args.json_out:
-        print(json.dumps({
+        print(format_json({
             "skew_symmetric": report.skew_symmetric,
-            "symmetrizer": list(report.symmetrizer) if report.symmetrizer else None,
+            "symmetrizer": report.symmetrizer,
             "sign_skew_symmetric": report.sign_skew_symmetric,
             "acyclic": report.acyclic,
-        }, separators=(", ", ": ")))
+        }))
         return EXIT_OK
     print(f"skew-symmetric: {_bool_str(report.skew_symmetric)}")
     if report.symmetrizer is None:
         print("symmetrizer: none")
     else:
-        print("symmetrizer: " + " ".join(str(d) for d in report.symmetrizer))
+        print("symmetrizer: " + " ".join(map(format_int, report.symmetrizer)))
     print(f"sign-skew-symmetric: {_bool_str(report.sign_skew_symmetric)}")
     print(f"acyclic: {_bool_str(report.acyclic)}")
     return EXIT_OK
@@ -118,14 +118,14 @@ def _cmd_mgs(args: argparse.Namespace) -> int:
         brute = brute_force_green_search(extend(matrix), max_len)
     if args.json_out:
         payload = {
-            "sequence": list(report.sequence),
+            "sequence": report.sequence,
             "is_green_sequence": report.is_green_sequence,
             "is_maximal": report.is_maximal,
-            "step_c_matrices": [[list(r) for r in c] for c in report.step_c_matrices],
+            "step_c_matrices": report.step_c_matrices,
         }
         if brute is not None:
-            payload["brute_force_sequences"] = [list(r.sequence) for r in brute]
-        print(json.dumps(payload, separators=(", ", ": ")))
+            payload["brute_force_sequences"] = [r.sequence for r in brute]
+        print(format_json(payload))
     else:
         print(f"sequence: {_seq_str(report.sequence)}")
         print(f"green: {_bool_str(report.is_green_sequence)}")
@@ -144,12 +144,11 @@ def _print_verdict(
     args: argparse.Namespace, claim: str, report: MutabilityReport | CoherenceReport
 ) -> int:
     if args.json_out:
-        print(json.dumps({
+        print(format_json({
             "ok": report.ok,
             "depth": args.depth,
-            "counterexample": list(report.counterexample)
-            if report.counterexample is not None else None,
-        }, separators=(", ", ": ")))
+            "counterexample": report.counterexample,
+        }))
     else:
         print(f"{claim}: {_bool_str(report.ok)} (depth {args.depth})")
         if not report.ok:
@@ -176,7 +175,7 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
     if args.dot:
         Path(args.dot).write_text(to_dot(quiver), encoding="utf-8")
     if args.json_out:
-        print(json.dumps({
+        print(format_json({
             "vertices": quiver.vertex_count,
             "mutable": quiver.mutable_count,
             "frozen": quiver.frozen_count,
@@ -184,7 +183,7 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
             "complete": quiver.is_complete,
             "interior_radius": quiver.interior_radius,
             "labels": label_counts,
-        }, separators=(", ", ": ")))
+        }))
         return EXIT_OK
     print(
         f"vertices: {quiver.vertex_count} "
@@ -204,12 +203,12 @@ def _cmd_verify_unfolding(args: argparse.Namespace) -> int:
     directions = _parse_directions(args.seq)
     report = verify_unfolding_commutation(_load_matrix(args.matrix), directions, args.m)
     if args.json_out:
-        print(json.dumps({
+        print(format_json({
             "ok": report.ok,
             "steps": len(directions),
             "m": args.m,
             "first_divergence": report.first_divergence,
-        }, separators=(", ", ": ")))
+        }))
     else:
         print(f"commutes: {_bool_str(report.ok)} (steps {len(directions)}, m {args.m})")
         if not report.ok:

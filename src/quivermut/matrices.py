@@ -8,6 +8,7 @@ internally.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,9 +22,13 @@ class MatrixFormatError(ValueError):
     """Malformed matrix text input; the message carries a line diagnostic."""
 
 
+def _is_int(value: object) -> bool:
+    """An int that is not a bool: bool is an int subclass, and True must never pass as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_int(value: object) -> int:
-    # bool is an int subclass; reject it so True never sneaks in as 1.
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"matrix entries must be integers, got {value!r}")
     return value
 
@@ -140,16 +145,26 @@ def find_symmetrizer(matrix: ExchangeMatrix) -> Optional[tuple[int, ...]]:
     return diag
 
 
+def _source_order(e: IntMatrix) -> list[int]:
+    """Indices (0-based) deleted while some remaining column is non-negative, smallest first.
+
+    Such an index has no remaining in-edge in the digraph with an edge
+    i -> j iff e_ij < 0, so every index is deleted iff that has no cycle.
+    """
+    remaining = list(range(len(e)))
+    order: list[int] = []
+    while remaining:
+        source = next((j for j in remaining if all(e[i][j] >= 0 for i in remaining)), None)
+        if source is None:
+            break
+        order.append(source)
+        remaining.remove(source)
+    return order
+
+
 def is_acyclic(matrix: ExchangeMatrix) -> bool:
     """True iff the digraph with an edge i -> j iff b_ij < 0 has no cycle."""
-    e = matrix.entries
-    remaining = set(range(matrix.n))
-    while remaining:
-        sources = {j for j in remaining if all(e[i][j] >= 0 for i in remaining)}
-        if not sources:
-            return False
-        remaining -= sources
-    return True
+    return len(_source_order(matrix.entries)) == matrix.n
 
 
 def classify(matrix: ExchangeMatrix) -> ClassificationReport:
@@ -167,7 +182,7 @@ def classify(matrix: ExchangeMatrix) -> ClassificationReport:
 
 
 def _check_direction(k: int, n: int) -> int:
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
+    if not _is_int(k) or not 1 <= k <= n:
         raise IndexError(f"mutation direction {k!r} out of range 1..{n}")
     return k - 1
 
@@ -320,7 +335,7 @@ def check_total_mutability(matrix: ExchangeMatrix, depth: int) -> MutabilityRepo
     smallest directions first).  complete means every matrix reachable by
     any sequence was checked.
     """
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
+    if not _is_int(depth) or depth < 1:
         raise ValueError(f"search depth must be a positive integer, got {depth!r}")
     if not is_sign_skew_symmetric(matrix):
         raise ValueError("input matrix is not sign-skew-symmetric")
@@ -349,6 +364,22 @@ def format_int(value: int) -> str:
         chunks.append(low)
     head = ("-" if value < 0 else "") + str(chunks.pop())
     return head + "".join(f"{low:0{_CHUNK_DIGITS}d}" for low in reversed(chunks))
+
+
+def format_json(value: object) -> str:
+    """json.dumps(value, separators=(", ", ": ")), ints of any size through format_int.
+
+    Lists, tuples and dicts with str keys are written here; anything else
+    inside them (None, a bool, a str) goes to json.dumps.
+    """
+    if _is_int(value):
+        return format_int(value)
+    if isinstance(value, dict):
+        items = (f"{json.dumps(k)}: {format_json(v)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(format_json, value)) + "]"
+    return json.dumps(value)
 
 
 def parse_int(text: str) -> int:

@@ -14,15 +14,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .matrices import (  # noqa: F401  perfbench/selftest.py reads seeds.mutate
+from .matrices import (  # noqa: F401  seeds.mutate and seeds.format_int are read from outside
     ExchangeMatrix,
     IntMatrix,
     _check_direction,
     _first_violation,
     _freeze_rows,
+    _is_int,
     _mutate_rows,
+    _source_order,
     _trusted_matrix,
     format_int,
+    format_json,
     is_sign_skew_symmetric,
     mutate,
     parse_int,
@@ -153,7 +156,7 @@ def check_sign_coherence(seed: FramedSeed, depth: int) -> CoherenceReport:
     was checked.  B must be sign-skew-symmetric, as in
     check_total_mutability.
     """
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
+    if not _is_int(depth) or depth < 1:
         raise ValueError(f"search depth must be a positive integer, got {depth!r}")
     if not is_sign_skew_symmetric(seed.b):
         raise ValueError("input matrix is not sign-skew-symmetric")
@@ -169,28 +172,19 @@ def admissible_source_numbering(matrix: ExchangeMatrix) -> tuple[int, ...]:
     """Order the indices by repeatedly deleting a source, smallest first.
 
     A source of the submatrix on the not-yet-chosen indices is an index
-    whose row is non-positive there.  Mutation at a source leaves the
-    remaining submatrix untouched, so working on the original entries is
-    exact.  Fails when some step has no source, i.e. the matrix is not
-    acyclic.
+    whose row is non-positive there; on a sign-skew-symmetric B that is
+    the same as a non-negative column, so the order is
+    matrices._source_order.  Mutation at a source leaves the remaining
+    submatrix untouched, so working on the original entries is exact.
+    Fails when some step has no source, i.e. the matrix is not acyclic.
     """
     if not is_sign_skew_symmetric(matrix):
         raise ValueError("input matrix is not sign-skew-symmetric")
-    e = matrix.entries
-    remaining = list(range(matrix.n))
-    order: list[int] = []
-    while remaining:
-        source = next(
-            (i for i in remaining if all(e[i][j] <= 0 for j in remaining)), None
-        )
-        if source is None:
-            pending = ",".join(str(i + 1) for i in remaining)
-            raise ValueError(
-                f"no source among indices {{{pending}}}: matrix is not acyclic"
-            )
-        order.append(source + 1)
-        remaining.remove(source)
-    return tuple(order)
+    order = _source_order(matrix.entries)
+    if len(order) < matrix.n:
+        pending = ",".join(str(i + 1) for i in sorted(set(range(matrix.n)) - set(order)))
+        raise ValueError(f"no source among indices {{{pending}}}: matrix is not acyclic")
+    return tuple(i + 1 for i in order)
 
 
 @dataclass(frozen=True)
@@ -243,7 +237,7 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
     n <= 5, max_len <= 8.  B must be sign-skew-symmetric, as in
     check_sign_coherence.
     """
-    if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
+    if not _is_int(max_len) or max_len < 1:
         raise ValueError(f"max_len must be a positive integer, got {max_len!r}")
     if not is_sign_skew_symmetric(seed.b):
         raise ValueError("input matrix is not sign-skew-symmetric")
@@ -273,17 +267,9 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
     return results
 
 
-def _json_rows(rows: IntMatrix) -> str:
-    return "[" + ", ".join("[" + ", ".join(map(format_int, row)) + "]" for row in rows) + "]"
-
-
 def format_seed(seed: FramedSeed) -> str:
-    """Canonical seed document: JSON with integer matrices keyed b and c.
-
-    The text is what json.dumps(..., separators=(", ", ": ")) gives for
-    the two row lists, written directly so entries of any size convert.
-    """
-    return '{"b": ' + _json_rows(seed.b.entries) + ', "c": ' + _json_rows(seed.c) + "}\n"
+    """Canonical seed document: JSON with integer matrices keyed b and c (format_json)."""
+    return format_json({"b": seed.b.entries, "c": seed.c}) + "\n"
 
 
 def parse_seed(text: str) -> FramedSeed:

@@ -3,12 +3,14 @@
 An acyclic sign-skew-symmetric matrix is covered by a labeled, locally
 finite quiver built by gluing one-vertex neighborhood pieces; summing
 adjacency entries over a label class (with a fixed column representative)
-folds the quiver back onto the matrix.  Truly infinite quivers are
-represented by finite truncations carrying an interior radius: the depth
-up to which every vertex still has its complete, faithful neighborhood.
-Orbit-mutation (simultaneous mutation at all vertices of one label)
-consumes two units of that radius per step, a conservative budget that the
-test suite cross-validates against deeper truncations.
+folds the quiver back onto the matrix: one column of the extended matrix
+[B; C] per representative, the frozen copies giving C.  Truly infinite
+quivers are represented by finite truncations carrying an interior
+radius: the depth up to which every vertex still has its complete,
+faithful neighborhood.  Orbit-mutation (simultaneous mutation at all
+vertices of one label) consumes two units of that radius per step, a
+conservative budget that the test suite cross-validates against deeper
+truncations.
 
 `build_truncation` builds a new quiver on every call, owned by the
 caller.  The public `orbit_mutate` copies and mutates the whole
@@ -23,7 +25,8 @@ copied, a set that `_replay` shows holds every arrow the step changes.
 Both paths mutate with one kernel, `_mutate_vertex`, which updates the
 net arrows in place and swaps the target's two dicts.  One scan,
 `_gamma_witnesses`, finds the label-class loops and 2-cycles for both
-`check_gamma_conditions` and the replay.
+`check_gamma_conditions` and the replay.  The replay steps the rows of
+[B; I] with the matrix kernel and compares them with the folded rows.
 
 Orientation convention, used consistently for adjacency and folding: a
 positive entry for the ordered pair (i, j) means arrows from j to i.  For
@@ -36,12 +39,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .matrices import ExchangeMatrix, IntMatrix, is_acyclic, is_sign_skew_symmetric
-from .seeds import FramedSeed, extend, mutate_framed
+from .matrices import (
+    ExchangeMatrix, IntMatrix, _is_int, _mutate_rows, is_acyclic, is_sign_skew_symmetric,
+)
+from .seeds import FramedSeed, identity_rows
 
 # The replay in verify_unfolding_commutation mutates label-k vertices down to
 # depth radius + _TRUST_MARGIN; its docstring says why 1 is enough.
@@ -76,6 +81,7 @@ class CommutationReport:
     first_divergence: Optional[int]
 
 
+@dataclass(repr=False, slots=True, kw_only=True)
 class LabeledQuiver:
     """Labeled quiver with mutable/frozen vertices and net integer arrows.
 
@@ -89,41 +95,29 @@ class LabeledQuiver:
 
     `interior_radius` is the depth up to which vertex neighborhoods are
     complete and entries are trusted; None means the quiver is the whole
-    (finite) unfolding and never loses interior.
+    (finite) unfolding and never loses interior.  Equality ignores the
+    derived `core_depth` and label index; a mutable quiver has no hash.
     """
 
-    __slots__ = (
-        "n_labels", "framed", "labels", "frozen", "depths", "out", "inn",
-        "interior_radius", "core_depth", "_label_ids",
-    )
+    n_labels: int
+    framed: bool
+    labels: tuple[int, ...]
+    frozen: tuple[bool, ...]
+    depths: tuple[int, ...]
+    out: dict[int, dict[int, int]]
+    inn: dict[int, dict[int, int]]
+    interior_radius: Optional[int]
+    core_depth: int = field(init=False, compare=False)
+    _label_ids: dict[int, tuple[int, ...]] = field(init=False, compare=False)
 
-    def __init__(
-        self,
-        *,
-        n_labels: int,
-        framed: bool,
-        labels: tuple[int, ...],
-        frozen: tuple[bool, ...],
-        depths: tuple[int, ...],
-        out: dict[int, dict[int, int]],
-        inn: dict[int, dict[int, int]],
-        interior_radius: Optional[int],
-    ) -> None:
-        self.n_labels = n_labels
-        self.framed = framed
-        self.labels = labels
-        self.frozen = frozen
-        self.depths = depths
-        self.out = out
-        self.inn = inn
-        self.interior_radius = interior_radius
+    def __post_init__(self) -> None:
         label_ids: dict[int, list[int]] = {}
-        for v, label in enumerate(labels):
-            if not frozen[v]:
+        for v, label in enumerate(self.labels):
+            if not self.frozen[v]:
                 label_ids.setdefault(label, []).append(v)
         self._label_ids = {lab: tuple(ids) for lab, ids in label_ids.items()}
         self.core_depth = max(
-            (min(depths[v] for v in ids) for ids in self._label_ids.values()),
+            (min(self.depths[v] for v in ids) for ids in self._label_ids.values()),
             default=0,
         )
 
@@ -174,22 +168,6 @@ class LabeledQuiver:
             for u in range(self.vertex_count)
             for v in sorted(self.out[u])
         ]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabeledQuiver):
-            return NotImplemented
-        return (
-            self.n_labels == other.n_labels
-            and self.framed == other.framed
-            and self.labels == other.labels
-            and self.frozen == other.frozen
-            and self.depths == other.depths
-            and self.out == other.out
-            and self.inn == other.inn
-            and self.interior_radius == other.interior_radius
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         radius = "complete" if self.is_complete else f"interior<={self.interior_radius}"
@@ -303,7 +281,7 @@ def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQ
     variant adds the center's frozen copy.
     """
     _require_unfoldable(matrix)
-    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= matrix.n:
+    if not _is_int(i) or not 1 <= i <= matrix.n:
         raise IndexError(f"piece center {i!r} out of range 1..{matrix.n}")
     return _grow(matrix, i, 1, framed)
 
@@ -319,7 +297,7 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
     quiver is the whole finite unfolding and the interior never shrinks.
     Every call builds a new quiver, which the caller owns.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError(f"truncation budget m must be a positive integer, got {m!r}")
     _require_unfoldable(matrix)
     dist = _label_distances(matrix)
@@ -384,7 +362,7 @@ def _mutate_vertex(
 
 def _orbit_targets(quiver: LabeledQuiver, k: int, radius: Optional[int]) -> tuple[int, ...]:
     """Check that label k can be orbit-mutated at this radius; return its vertices."""
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= quiver.n_labels:
+    if not _is_int(k) or not 1 <= k <= quiver.n_labels:
         raise IndexError(f"orbit label {k!r} out of range 1..{quiver.n_labels}")
     targets = quiver.mutable_ids(k)
     if not targets:
@@ -523,15 +501,6 @@ def orbit_sources(quiver: LabeledQuiver) -> list[int]:
 # ------------------------------------------------------------------- folding
 
 
-def _default_representative(quiver: LabeledQuiver, label: int) -> int:
-    """The shallowest mutable vertex of a label, the smallest id among ties.
-
-    Builders number vertices ring by ring, so `mutable_ids` come in
-    nondecreasing depth and this is simply the first of them.
-    """
-    return quiver.mutable_ids(label)[0]
-
-
 def _require_interior(
     quiver: LabeledQuiver, label: int, rep: int, radius: Optional[int]
 ) -> None:
@@ -542,11 +511,22 @@ def _require_interior(
         )
 
 
-def _representative(quiver: LabeledQuiver, label: int, rep: int) -> int:
-    """Check that rep is an interior mutable vertex of label; return it."""
-    if not 0 <= rep < quiver.vertex_count or quiver.frozen[rep]:
+_SHALLOWEST = object()  # _representative's default; folding rejects an explicit None
+
+
+def _representative(quiver: LabeledQuiver, label: int, rep: object = _SHALLOWEST) -> int:
+    """Check that rep is an interior mutable vertex of label; return it.
+
+    The default is the shallowest mutable vertex of the label, the
+    smallest id among ties.  Builders number vertices ring by ring, so
+    `mutable_ids` come in nondecreasing depth and that is simply the first
+    of them.
+    """
+    if rep is _SHALLOWEST:
+        rep = quiver.mutable_ids(label)[0]
+    elif not _is_int(rep) or not 0 <= rep < quiver.vertex_count or quiver.frozen[rep]:
         raise ValueError(f"representative {rep!r} is not a mutable vertex")
-    if quiver.labels[rep] != label:
+    elif quiver.labels[rep] != label:
         raise ValueError(
             f"representative {rep} has label {quiver.labels[rep]}, expected {label}"
         )
@@ -562,40 +542,38 @@ def _resolve_representatives(
         if not quiver.mutable_ids(label):
             raise ValueError(f"label {label} missing from quiver: cannot fold")
         if representatives is None:
-            rep = _default_representative(quiver, label)
+            chosen[label] = _representative(quiver, label)
         elif label in representatives:
-            rep = representatives[label]
+            chosen[label] = _representative(quiver, label, representatives[label])
         else:
             raise ValueError(f"no representative supplied for label {label}")
-        chosen[label] = _representative(quiver, label, rep)
     return chosen
 
 
 def _column_sums(
     quiver: LabeledQuiver, out: Adjacency, inn: Adjacency, rep: int
-) -> tuple[list[int], list[int]]:
-    """Orbit sums at one representative: (principal column, frozen column)."""
+) -> list[int]:
+    """Orbit sums at one representative: its column of the folded [B; C].
+
+    Label i adds to entry i - 1, or n + i - 1 for a frozen vertex.
+    """
     labels = quiver.labels
     frozen = quiver.frozen
-    b_col = [0] * quiver.n_labels
-    c_col = [0] * quiver.n_labels
+    n = quiver.n_labels
+    column = [0] * (2 * n)
     for u, mult in out[rep].items():
         # arrows rep -> u contribute +mult to the (u, rep) entry
-        (c_col if frozen[u] else b_col)[labels[u] - 1] += mult
+        column[labels[u] - 1 + n * frozen[u]] += mult
     for u, mult in inn[rep].items():
-        (c_col if frozen[u] else b_col)[labels[u] - 1] -= mult
-    return b_col, c_col
+        column[labels[u] - 1 + n * frozen[u]] -= mult
+    return column
 
 
 def _fold_rows(
     quiver: LabeledQuiver, out: Adjacency, inn: Adjacency, reps: Iterable[int]
-) -> tuple[IntMatrix, IntMatrix]:
-    """Folded principal and frozen rows; column j is summed at the j-th rep."""
-    columns = [_column_sums(quiver, out, inn, rep) for rep in reps]
-    return (
-        tuple(zip(*(b_col for b_col, _ in columns))),
-        tuple(zip(*(c_col for _, c_col in columns))),
-    )
+) -> IntMatrix:
+    """The 2n folded rows of [B; C]; column j is summed at the j-th rep."""
+    return tuple(zip(*(_column_sums(quiver, out, inn, rep) for rep in reps)))
 
 
 def folding(
@@ -609,10 +587,10 @@ def folding(
     interior.  Defaults pick the minimal-depth vertex per label.
     """
     reps = _resolve_representatives(quiver, representatives)
-    b, c = _fold_rows(quiver, quiver.out, quiver.inn, reps.values())
-    principal = ExchangeMatrix(b)
+    rows = _fold_rows(quiver, quiver.out, quiver.inn, reps.values())
+    principal = ExchangeMatrix(rows[:quiver.n_labels])
     if quiver.framed:
-        return FramedSeed(principal, c)
+        return FramedSeed(principal, rows[quiver.n_labels:])
     return principal
 
 
@@ -620,14 +598,14 @@ def folding_column(
     quiver: LabeledQuiver, label: int, representative: Optional[int] = None
 ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
     """One folded column (principal part, frozen part) at a chosen representative."""
-    if (isinstance(label, bool) or not isinstance(label, int)
-            or not 1 <= label <= quiver.n_labels or not quiver.mutable_ids(label)):
+    if not _is_int(label) or not 1 <= label <= quiver.n_labels or not quiver.mutable_ids(label):
         raise ValueError(f"label {label!r} missing from quiver")
-    if representative is None:
-        representative = _default_representative(quiver, label)
-    rep = _representative(quiver, label, representative)
-    b_col, c_col = _column_sums(quiver, quiver.out, quiver.inn, rep)
-    return tuple(b_col), tuple(c_col) if quiver.framed else None
+    rep = _representative(
+        quiver, label, _SHALLOWEST if representative is None else representative
+    )
+    column = _column_sums(quiver, quiver.out, quiver.inn, rep)
+    n = quiver.n_labels
+    return tuple(column[:n]), tuple(column[n:]) if quiver.framed else None
 
 
 def _replay(
@@ -706,9 +684,9 @@ def verify_unfolding_commutation(
     """Check that orbit-mutating the truncation tracks the framed seed.
 
     Replays the directions as orbit-mutations on the framed truncation and
-    as ordinary framed mutations on the extended matrix; after every
-    prefix the folding must equal the seed exactly.  Requires interior
-    budget m >= 2*len(directions) + 2.
+    as ordinary mutations of the rows of the extended matrix [B; I]; after
+    every prefix the 2n folded rows must equal those rows exactly.
+    Requires interior budget m >= 2*len(directions) + 2.
 
     Reports and errors are those of chaining orbit_mutate and folding, but
     the replay (_replay) does far less work.  It writes to one
@@ -752,14 +730,15 @@ def verify_unfolding_commutation(
             f"need m >= {2 * len(directions) + 2}"
         )
     quiver = _shared_truncation(matrix, m)
-    seed = extend(matrix)
+    rows = matrix.entries + identity_rows(matrix.n)
     reps = _resolve_representatives(quiver, None)
     for step, out, inn, radius in _replay(quiver, directions):
         if step:
-            seed = mutate_framed(seed, directions[step - 1])
+            # _replay has checked the label with _orbit_targets
+            rows = _mutate_rows(rows, directions[step - 1] - 1)
             for label, rep in reps.items():
                 _require_interior(quiver, label, rep, radius)
-        if _fold_rows(quiver, out, inn, reps.values()) != (seed.b.entries, seed.c):
+        if _fold_rows(quiver, out, inn, reps.values()) != rows:
             return CommutationReport(ok=False, first_divergence=step)
     return CommutationReport(ok=True, first_divergence=None)
 

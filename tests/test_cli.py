@@ -7,6 +7,7 @@ import json
 import pytest
 
 from quivermut import (
+    ExchangeMatrix,
     apply_sequence_framed,
     extend,
     format_matrix,
@@ -15,6 +16,7 @@ from quivermut import (
     parse_seed,
 )
 from quivermut.cli import build_parser, main
+from quivermut.matrices import parse_int
 
 from corpus import example_matrix
 
@@ -66,6 +68,28 @@ class TestClassify:
             "sign_skew_symmetric": True,
             "acyclic": True,
         }
+
+    @pytest.mark.parametrize("json_out", [False, True])
+    def test_symmetrizer_past_the_int_str_digit_limit(self, capsys, tmp_path, json_out):
+        big = 10**5000
+        path = tmp_path / "big.mat"
+        path.write_text(format_matrix(ExchangeMatrix([[0, big], [-1, 0]])), encoding="utf-8")
+        code, out, err = run(capsys, ["classify", str(path)] + ["--json-out"] * json_out)
+        assert (code, err) == (0, "")
+        if json_out:
+            assert json.loads(out, parse_int=parse_int) == {
+                "skew_symmetric": False,
+                "symmetrizer": [1, big],
+                "sign_skew_symmetric": True,
+                "acyclic": True,
+            }
+        else:
+            assert out == (
+                "skew-symmetric: false\n"
+                f"symmetrizer: 1 1{'0' * 5000}\n"
+                "sign-skew-symmetric: true\n"
+                "acyclic: true\n"
+            )
 
     def test_usage_error_leaves_the_parser_reusable(self, capsys, example_file):
         # main builds its parser once per process; build_parser() stays fresh

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from quivermut import (
     ExchangeMatrix,
     MatrixFormatError,
+    admissible_source_numbering,
     apply_sequence,
     check_total_mutability,
     classify,
@@ -21,6 +23,7 @@ from quivermut import (
     mutate,
     parse_matrix,
 )
+from quivermut.matrices import format_json, parse_int
 
 from corpus import example_matrix, random_sign_skew
 
@@ -149,6 +152,79 @@ class TestClassify:
         for _ in range(200):
             matrix = random_sign_skew(rng, rng.randint(1, 6), max_entry=3)
             assert is_acyclic(matrix) == (not has_cycle(matrix))
+
+
+class TestSourceOrder:
+    """is_acyclic and admissible_source_numbering share _source_order; the
+    two loops it replaced are kept here as references."""
+
+    @staticmethod
+    def reference_is_acyclic(matrix: ExchangeMatrix) -> bool:
+        e = matrix.entries
+        remaining = set(range(matrix.n))
+        while remaining:
+            sources = {j for j in remaining if all(e[i][j] >= 0 for i in remaining)}
+            if not sources:
+                return False
+            remaining -= sources
+        return True
+
+    @staticmethod
+    def reference_numbering(matrix: ExchangeMatrix) -> tuple[int, ...] | str:
+        """The numbering, or the error text for a cyclic matrix."""
+        e = matrix.entries
+        remaining = list(range(matrix.n))
+        order: list[int] = []
+        while remaining:
+            source = next(
+                (i for i in remaining if all(e[i][j] <= 0 for j in remaining)), None
+            )
+            if source is None:
+                pending = ",".join(str(i + 1) for i in remaining)
+                return f"no source among indices {{{pending}}}: matrix is not acyclic"
+            order.append(source + 1)
+            remaining.remove(source)
+        return tuple(order)
+
+    def test_sign_skew_symmetric_matrices(self):
+        rng = random.Random(2024)
+        cyclic = 0
+        for _ in range(3000):
+            matrix = random_sign_skew(rng, rng.randint(1, 6), max_entry=3)
+            expected = self.reference_numbering(matrix)
+            try:
+                numbering: tuple[int, ...] | str = admissible_source_numbering(matrix)
+            except ValueError as exc:
+                numbering = str(exc)
+            assert numbering == expected, matrix
+            assert is_acyclic(matrix) == self.reference_is_acyclic(matrix), matrix
+            cyclic += isinstance(expected, str)
+        assert cyclic > 300
+
+    def test_arbitrary_integer_matrices(self):
+        rng = random.Random(2025)
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            matrix = ExchangeMatrix(
+                [[rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+            )
+            assert is_acyclic(matrix) == self.reference_is_acyclic(matrix), matrix
+
+
+class TestFormatJson:
+    @pytest.mark.parametrize("value", [
+        None, True, False, 0, -7, "a\"b\u00e9", [], {}, (1, 2),
+        {"b": ((0, 1), (-1, 0)), "c": [[1, 0], [0, 1]], "none": None, "ok": True},
+        [[], [{}], {"x": [False, -3]}],
+    ])
+    def test_equals_json_dumps(self, value):
+        assert format_json(value) == json.dumps(value, separators=(", ", ": "))
+
+    def test_ints_past_the_int_str_digit_limit(self):
+        big = -(10**5000) + 1
+        text = format_json({"d": [1, big]})
+        assert text == '{"d": [1, -' + "9" * 5000 + "]}"
+        assert json.loads(text, parse_int=parse_int) == {"d": [1, big]}
 
 
 class TestMutate:

@@ -30,7 +30,7 @@ from quivermut import (
 )
 from quivermut import unfolding
 from quivermut.unfolding import (
-    _default_representative,
+    _representative as _default_representative,
     _fold_rows,
     _gamma_witnesses,
     _mutate_vertex,
@@ -318,6 +318,21 @@ class TestFolding:
             folding_column(quiver, 2, rep)
         assert str(column.value) == str(expected.value)
         assert type(column.value) is type(expected.value)
+
+    @pytest.mark.parametrize("rep", [True, 1.0, "1", None])
+    def test_representative_that_is_no_int_is_rejected(self, rep):
+        # vertex 1 is the first mutable vertex of label 2, so True once passed as 1
+        quiver = build_truncation(example_matrix(), 2, framed=False)
+        reps = {label: quiver.mutable_ids(label)[0] for label in range(1, 5)}
+        assert reps[2] == 1
+        message = f"representative {rep!r} is not a mutable vertex"
+        with pytest.raises(ValueError) as expected:
+            folding(quiver, {**reps, 2: rep})
+        assert str(expected.value) == message
+        if rep is not None:  # folding_column reads None as the default
+            with pytest.raises(ValueError) as column:
+                folding_column(quiver, 2, rep)
+            assert str(column.value) == message
 
     @pytest.mark.parametrize("label", [True, 1.0, "1"])
     def test_folding_column_rejects_a_label_that_is_no_int(self, label):
@@ -626,7 +641,7 @@ def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch) -> int:
                     assert out[v] == ref.out[v], (seq, step, v)
                     assert inn[v] == ref.inn[v], (seq, step, v)
             folded = folding(ref)
-            assert _fold_rows(base, out, inn, reps) == (folded.b.entries, folded.c)
+            assert _fold_rows(base, out, inn, reps) == folded.b.entries + folded.c
             compared += 1
     return compared
 
