@@ -33,6 +33,11 @@ def _check_int(value: object) -> int:
     return value
 
 
+def _require_positive(value: object, name: str) -> None:
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _freeze_rows(rows: Iterable[Iterable[object]]) -> IntMatrix:
     frozen = tuple(tuple(_check_int(x) for x in row) for row in rows)
     n = len(frozen)
@@ -103,6 +108,11 @@ def _sign_skew_rows(e: IntMatrix) -> bool:
 def is_sign_skew_symmetric(matrix: ExchangeMatrix) -> bool:
     """True iff every pair (b_ij, b_ji) is (0, 0) or of strictly opposite signs."""
     return _sign_skew_rows(matrix.entries)
+
+
+def _require_sign_skew(matrix: ExchangeMatrix) -> None:
+    if not is_sign_skew_symmetric(matrix):
+        raise ValueError("input matrix is not sign-skew-symmetric")
 
 
 def find_symmetrizer(matrix: ExchangeMatrix) -> Optional[tuple[int, ...]]:
@@ -230,22 +240,9 @@ def _mutate_rows(rows: IntMatrix, kk: int) -> IntMatrix:
     return tuple(out)
 
 
-def _trusted_matrix(entries: IntMatrix) -> ExchangeMatrix:
-    """An ExchangeMatrix of kernel output, built without _freeze_rows.
-
-    Re-validation cannot fail here: the input was validated when it was
-    built, _mutate_rows keeps the row count and every row's length, each
-    new entry is -x or x + a*b on ints (an int, never a bool), and every
-    unchanged row is a tuple that was validated before.
-    """
-    matrix = object.__new__(ExchangeMatrix)
-    object.__setattr__(matrix, "entries", entries)
-    return matrix
-
-
 def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Mutation of the matrix in direction k (1-based), see _mutate_rows."""
-    return _trusted_matrix(_mutate_rows(matrix.entries, _check_direction(k, matrix.n)))
+    return ExchangeMatrix(_mutate_rows(matrix.entries, _check_direction(k, matrix.n)))
 
 
 def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> ExchangeMatrix:
@@ -254,7 +251,7 @@ def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> Exchang
     rows = matrix.entries
     for k in directions:
         rows = _mutate_rows(rows, _check_direction(k, n))
-    return _trusted_matrix(rows)
+    return ExchangeMatrix(rows)
 
 
 def _first_violation(
@@ -335,10 +332,8 @@ def check_total_mutability(matrix: ExchangeMatrix, depth: int) -> MutabilityRepo
     smallest directions first).  complete means every matrix reachable by
     any sequence was checked.
     """
-    if not _is_int(depth) or depth < 1:
-        raise ValueError(f"search depth must be a positive integer, got {depth!r}")
-    if not is_sign_skew_symmetric(matrix):
-        raise ValueError("input matrix is not sign-skew-symmetric")
+    _require_positive(depth, "search depth")
+    _require_sign_skew(matrix)
     witness, complete = _first_violation(
         matrix.entries, matrix.n, depth, lambda rows: not _sign_skew_rows(rows)
     )

@@ -20,10 +20,10 @@ from .matrices import (  # noqa: F401  seeds.mutate and seeds.format_int are rea
     _check_direction,
     _first_violation,
     _freeze_rows,
-    _is_int,
     _mutate_rows,
+    _require_positive,
+    _require_sign_skew,
     _source_order,
-    _trusted_matrix,
     format_int,
     format_json,
     is_sign_skew_symmetric,
@@ -98,23 +98,11 @@ def extend(matrix: ExchangeMatrix) -> FramedSeed:
     return FramedSeed(matrix, identity_rows(matrix.n))
 
 
-def _trusted_seed(b: ExchangeMatrix, c: IntMatrix) -> FramedSeed:
-    """A FramedSeed of kernel output, built without validation.
-
-    The argument of matrices._trusted_matrix holds for the rows of C too,
-    and the kernel keeps C's row count, so C still matches B's size.
-    """
-    seed = object.__new__(FramedSeed)
-    object.__setattr__(seed, "b", b)
-    object.__setattr__(seed, "c", c)
-    return seed
-
-
 def mutate_framed(seed: FramedSeed, k: int) -> FramedSeed:
     """mutate of the extended matrix [B; C] in direction k (1-based)."""
     n = seed.n
     rows = _mutate_rows(seed.b.entries + seed.c, _check_direction(k, n))
-    return _trusted_seed(_trusted_matrix(rows[:n]), rows[n:])
+    return FramedSeed(ExchangeMatrix(rows[:n]), rows[n:])
 
 
 def apply_sequence_framed(seed: FramedSeed, directions: Sequence[int]) -> FramedSeed:
@@ -123,7 +111,7 @@ def apply_sequence_framed(seed: FramedSeed, directions: Sequence[int]) -> Framed
     rows = seed.b.entries + seed.c
     for k in directions:
         rows = _mutate_rows(rows, _check_direction(k, n))
-    return _trusted_seed(_trusted_matrix(rows[:n]), rows[n:])
+    return FramedSeed(ExchangeMatrix(rows[:n]), rows[n:])
 
 
 def column_sign(seed: FramedSeed, j: int) -> ColumnSign:
@@ -156,10 +144,8 @@ def check_sign_coherence(seed: FramedSeed, depth: int) -> CoherenceReport:
     was checked.  B must be sign-skew-symmetric, as in
     check_total_mutability.
     """
-    if not _is_int(depth) or depth < 1:
-        raise ValueError(f"search depth must be a positive integer, got {depth!r}")
-    if not is_sign_skew_symmetric(seed.b):
-        raise ValueError("input matrix is not sign-skew-symmetric")
+    _require_positive(depth, "search depth")
+    _require_sign_skew(seed.b)
     n = seed.n
     witness, complete = _first_violation(
         seed.b.entries + seed.c, n, depth,
@@ -178,8 +164,7 @@ def admissible_source_numbering(matrix: ExchangeMatrix) -> tuple[int, ...]:
     submatrix untouched, so working on the original entries is exact.
     Fails when some step has no source, i.e. the matrix is not acyclic.
     """
-    if not is_sign_skew_symmetric(matrix):
-        raise ValueError("input matrix is not sign-skew-symmetric")
+    _require_sign_skew(matrix)
     order = _source_order(matrix.entries)
     if len(order) < matrix.n:
         pending = ",".join(str(i + 1) for i in sorted(set(range(matrix.n)) - set(order)))
@@ -196,20 +181,21 @@ class GreenSequenceReport:
 
 
 def _replay_and_verify(seed: FramedSeed, directions: Sequence[int]) -> GreenSequenceReport:
-    """Replay directions, verifying greenness of every step from scratch."""
-    current = seed
-    steps = [current.c]
+    """Replay directions on the rows of [B; C], re-verifying every step's greenness."""
+    n = seed.n
+    rows = seed.b.entries + seed.c
+    steps = [seed.c]
     for position, k in enumerate(directions, start=1):
-        if column_sign(current, k) is not ColumnSign.GREEN:
+        kk = _check_direction(k, n)
+        if kk not in _green_columns(rows[n:]):
             raise GreenVerificationError(
                 f"step {position}: direction {k} is not green before mutation"
             )
-        current = mutate_framed(current, k)
-        steps.append(current.c)
-    if green_directions(current):
-        raise GreenVerificationError(
-            f"final seed still has green directions {green_directions(current)}"
-        )
+        rows = _mutate_rows(rows, kk)
+        steps.append(rows[n:])
+    greens = [jj + 1 for jj in _green_columns(rows[n:])]
+    if greens:
+        raise GreenVerificationError(f"final seed still has green directions {greens}")
     return GreenSequenceReport(
         sequence=tuple(directions),
         step_c_matrices=tuple(steps),
@@ -237,10 +223,8 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
     n <= 5, max_len <= 8.  B must be sign-skew-symmetric, as in
     check_sign_coherence.
     """
-    if not _is_int(max_len) or max_len < 1:
-        raise ValueError(f"max_len must be a positive integer, got {max_len!r}")
-    if not is_sign_skew_symmetric(seed.b):
-        raise ValueError("input matrix is not sign-skew-symmetric")
+    _require_positive(max_len, "max_len")
+    _require_sign_skew(seed.b)
     n = seed.n
     results: list[GreenSequenceReport] = []
 

@@ -15,7 +15,8 @@ truncations.
 `build_truncation` builds a new quiver on every call, owned by the
 caller.  The public `orbit_mutate` copies and mutates the whole
 truncation.  `verify_unfolding_commutation` instead replays on one
-working adjacency over a privately cached truncation, and mutates only
+private working `LabeledQuiver` over a privately cached truncation,
+updating its arrows and interior radius in place, and mutates only
 the trusted ball: label-k vertices at depth at most the radius plus one.
 Its docstring argues why that margin is enough, and the test suite
 compares every interior vertex with `orbit_mutate` after every step.
@@ -44,7 +45,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .matrices import (
-    ExchangeMatrix, IntMatrix, _is_int, _mutate_rows, is_acyclic, is_sign_skew_symmetric,
+    ExchangeMatrix, IntMatrix, _is_int, _mutate_rows, _require_positive, is_acyclic,
+    is_sign_skew_symmetric,
 )
 from .seeds import FramedSeed, identity_rows
 
@@ -297,8 +299,7 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
     quiver is the whole finite unfolding and the interior never shrinks.
     Every call builds a new quiver, which the caller owns.
     """
-    if not _is_int(m) or m < 1:
-        raise ValueError(f"truncation budget m must be a positive integer, got {m!r}")
+    _require_positive(m, "truncation budget m")
     _require_unfoldable(matrix)
     dist = _label_distances(matrix)
     missing = [str(i + 1) for i, d in enumerate(dist) if d is None]
@@ -311,7 +312,7 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
     return _grow(matrix, 1, max(1, max(dist) + m - 1), framed)
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64)
 def _shared_truncation(matrix: ExchangeMatrix, m: int) -> LabeledQuiver:
     """The framed truncation that verify_unfolding_commutation replays; never handed out."""
     return build_truncation(matrix, m, framed=True)
@@ -360,13 +361,14 @@ def _mutate_vertex(
     out[t], inn[t] = inn_t, out_t
 
 
-def _orbit_targets(quiver: LabeledQuiver, k: int, radius: Optional[int]) -> tuple[int, ...]:
-    """Check that label k can be orbit-mutated at this radius; return its vertices."""
+def _orbit_targets(quiver: LabeledQuiver, k: int) -> tuple[int, ...]:
+    """Check that label k can be orbit-mutated at the quiver's radius; return its vertices."""
     if not _is_int(k) or not 1 <= k <= quiver.n_labels:
         raise IndexError(f"orbit label {k!r} out of range 1..{quiver.n_labels}")
     targets = quiver.mutable_ids(k)
     if not targets:
         raise ValueError(f"label {k} does not occur in the quiver")
+    radius = quiver.interior_radius
     if radius is not None and radius < quiver.core_depth:
         raise InteriorExhaustedError(
             f"interior exhausted: radius {radius} has shrunk below "
@@ -406,7 +408,7 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     error stays outside the interior accounted by the radius, which drops
     by 2.
     """
-    targets = _orbit_targets(quiver, k, quiver.interior_radius)
+    targets = _orbit_targets(quiver, k)
     gamma = check_gamma_conditions(quiver, interior_only=True)
     if not gamma.ok:
         raise _gamma_violation(gamma)
@@ -422,8 +424,7 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
 
 
 def _gamma_witnesses(
-    quiver: LabeledQuiver, out: Adjacency, inn: Adjacency,
-    scan: Iterable[int], radius: Optional[int],
+    quiver: LabeledQuiver, scan: Iterable[int], radius: Optional[int]
 ) -> Iterator[tuple[int, int] | tuple[int, int, int]]:
     """Loops (x, w) and 2-cycles (u, x, w) through the vertices x of scan.
 
@@ -435,6 +436,8 @@ def _gamma_witnesses(
     labels = quiver.labels
     frozen = quiver.frozen
     depths = quiver.depths
+    out = quiver.out
+    inn = quiver.inn
     limit = max(depths) if radius is None else radius
     for x in scan:
         if depths[x] > limit:
@@ -470,7 +473,7 @@ def check_gamma_conditions(
     """
     radius = quiver.interior_radius if interior_only else None
     scan = range(quiver.vertex_count)
-    witnesses = list(_gamma_witnesses(quiver, quiver.out, quiver.inn, scan, radius))
+    witnesses = list(_gamma_witnesses(quiver, scan, radius))
     loops = sorted(w for w in witnesses if len(w) == 2)
     twos = sorted((w for w in witnesses if len(w) == 3), key=lambda t: (t[1], t[0], t[2]))
     return GammaReport(
@@ -501,9 +504,8 @@ def orbit_sources(quiver: LabeledQuiver) -> list[int]:
 # ------------------------------------------------------------------- folding
 
 
-def _require_interior(
-    quiver: LabeledQuiver, label: int, rep: int, radius: Optional[int]
-) -> None:
+def _require_interior(quiver: LabeledQuiver, label: int, rep: int) -> None:
+    radius = quiver.interior_radius
     if radius is not None and quiver.depths[rep] > radius:
         raise InteriorExhaustedError(
             f"representative {rep} for label {label} is not interior "
@@ -530,7 +532,7 @@ def _representative(quiver: LabeledQuiver, label: int, rep: object = _SHALLOWEST
         raise ValueError(
             f"representative {rep} has label {quiver.labels[rep]}, expected {label}"
         )
-    _require_interior(quiver, label, rep, quiver.interior_radius)
+    _require_interior(quiver, label, rep)
     return rep
 
 
@@ -550,9 +552,7 @@ def _resolve_representatives(
     return chosen
 
 
-def _column_sums(
-    quiver: LabeledQuiver, out: Adjacency, inn: Adjacency, rep: int
-) -> list[int]:
+def _column_sums(quiver: LabeledQuiver, rep: int) -> list[int]:
     """Orbit sums at one representative: its column of the folded [B; C].
 
     Label i adds to entry i - 1, or n + i - 1 for a frozen vertex.
@@ -561,19 +561,17 @@ def _column_sums(
     frozen = quiver.frozen
     n = quiver.n_labels
     column = [0] * (2 * n)
-    for u, mult in out[rep].items():
+    for u, mult in quiver.out[rep].items():
         # arrows rep -> u contribute +mult to the (u, rep) entry
         column[labels[u] - 1 + n * frozen[u]] += mult
-    for u, mult in inn[rep].items():
+    for u, mult in quiver.inn[rep].items():
         column[labels[u] - 1 + n * frozen[u]] -= mult
     return column
 
 
-def _fold_rows(
-    quiver: LabeledQuiver, out: Adjacency, inn: Adjacency, reps: Iterable[int]
-) -> IntMatrix:
+def _fold_rows(quiver: LabeledQuiver, reps: Iterable[int]) -> IntMatrix:
     """The 2n folded rows of [B; C]; column j is summed at the j-th rep."""
-    return tuple(zip(*(_column_sums(quiver, out, inn, rep) for rep in reps)))
+    return tuple(zip(*(_column_sums(quiver, rep) for rep in reps)))
 
 
 def folding(
@@ -587,7 +585,7 @@ def folding(
     interior.  Defaults pick the minimal-depth vertex per label.
     """
     reps = _resolve_representatives(quiver, representatives)
-    rows = _fold_rows(quiver, quiver.out, quiver.inn, reps.values())
+    rows = _fold_rows(quiver, reps.values())
     principal = ExchangeMatrix(rows[:quiver.n_labels])
     if quiver.framed:
         return FramedSeed(principal, rows[quiver.n_labels:])
@@ -603,21 +601,23 @@ def folding_column(
     rep = _representative(
         quiver, label, _SHALLOWEST if representative is None else representative
     )
-    column = _column_sums(quiver, quiver.out, quiver.inn, rep)
+    column = _column_sums(quiver, rep)
     n = quiver.n_labels
     return tuple(column[:n]), tuple(column[n:]) if quiver.framed else None
 
 
 def _replay(
     quiver: LabeledQuiver, directions: Sequence[int]
-) -> Iterator[tuple[int, Adjacency, Adjacency, Optional[int]]]:
+) -> Iterator[tuple[int, LabeledQuiver]]:
     """Orbit-mutate a working copy of a fresh truncation in its trusted ball.
 
-    Yields (step, out, inn, radius) before the first step and after each
-    one.  `out` and `inn` are the working adjacency, which the next step
-    updates in place; `radius` is the depth up to which it is trusted
-    (None for a complete quiver).  Checks and errors are those of
-    orbit_mutate, made on the state about to be mutated.
+    Yields (step, work) before the first step and after each one.  `work`
+    is one private LabeledQuiver, made here with the vertices of `quiver`;
+    each step updates its `out`, `inn` and `interior_radius` in place.
+    Checks and errors are those of orbit_mutate, made on the state about
+    to be mutated.  `work` shares inner dicts with `quiver` until it owns
+    them, so it must never leave verify_unfolding_commutation: a caller
+    that wrote to it would write to the cached truncation.
 
     Ownership.  The outer dicts are copied here.  Before a step's first
     mutation, let A be its targets together with their current in- and
@@ -649,22 +649,21 @@ def _replay(
     The frozen copy is the only frozen neighbor of its vertex and has no
     other neighbor.  So no path u -> x -> w has u and w in one class.
     """
-    out = dict(quiver.out)
-    inn = dict(quiver.inn)
+    work = _with_arrows(quiver, dict(quiver.out), dict(quiver.inn), quiver.interior_radius)
+    out = work.out
+    inn = work.inn
     owned: set[int] = set()  # vertices whose inner dicts are already copies
-    frozen = quiver.frozen
-    radius = quiver.interior_radius
     scan: Iterable[int] = ()
-    yield 0, out, inn, radius
+    yield 0, work
     for step, k in enumerate(directions, start=1):
-        targets = _orbit_targets(quiver, k, radius)
-        if next(_gamma_witnesses(quiver, out, inn, scan, radius), None) is not None:
-            snapshot = _with_arrows(quiver, out, inn, radius)
-            raise _gamma_violation(check_gamma_conditions(snapshot, interior_only=True))
+        targets = _orbit_targets(work, k)
+        radius = work.interior_radius
+        if next(_gamma_witnesses(work, scan, radius), None) is not None:
+            raise _gamma_violation(check_gamma_conditions(work, interior_only=True))
         if radius is not None:
             limit = radius + _TRUST_MARGIN
-            targets = targets[:bisect_right(targets, limit, key=quiver.depths.__getitem__)]
-            radius -= 2
+            targets = targets[:bisect_right(targets, limit, key=work.depths.__getitem__)]
+            work.interior_radius = radius - 2
         around = set(targets).union(
             *map(out.__getitem__, targets), *map(inn.__getitem__, targets)
         )
@@ -673,9 +672,9 @@ def _replay(
             inn[v] = inn[v].copy()
         owned |= around
         for t in targets:
-            _mutate_vertex(out, inn, frozen, t)
+            _mutate_vertex(out, inn, work.frozen, t)
         scan = around
-        yield step, out, inn, radius
+        yield step, work
 
 
 def verify_unfolding_commutation(
@@ -690,7 +689,7 @@ def verify_unfolding_commutation(
 
     Reports and errors are those of chaining orbit_mutate and folding, but
     the replay (_replay) does far less work.  It writes to one
-    working adjacency instead of copying the truncation per step.
+    working quiver instead of copying the truncation per step.
     A step at label k mutates only the label-k vertices at depth <= r + 1,
     where r is the interior radius before the step.  The Γ check scans only
     the vertices the previous step touched (_replay says why that is enough).
@@ -724,6 +723,7 @@ def verify_unfolding_commutation(
     ring from step 2, which puts ring r_3 at risk at step 3.
     """
     directions = tuple(directions)
+    _require_positive(m, "truncation budget m")
     if m < 2 * len(directions) + 2:
         raise InteriorExhaustedError(
             f"interior budget violated: m={m} but {len(directions)} steps "
@@ -732,13 +732,13 @@ def verify_unfolding_commutation(
     quiver = _shared_truncation(matrix, m)
     rows = matrix.entries + identity_rows(matrix.n)
     reps = _resolve_representatives(quiver, None)
-    for step, out, inn, radius in _replay(quiver, directions):
+    for step, work in _replay(quiver, directions):
         if step:
             # _replay has checked the label with _orbit_targets
             rows = _mutate_rows(rows, directions[step - 1] - 1)
             for label, rep in reps.items():
-                _require_interior(quiver, label, rep, radius)
-        if _fold_rows(quiver, out, inn, reps.values()) != rows:
+                _require_interior(work, label, rep)
+        if _fold_rows(work, reps.values()) != rows:
             return CommutationReport(ok=False, first_divergence=step)
     return CommutationReport(ok=True, first_divergence=None)
 

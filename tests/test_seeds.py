@@ -17,6 +17,7 @@ from quivermut import (
     apply_sequence_framed,
     brute_force_green_search,
     check_sign_coherence,
+    check_total_mutability,
     column_sign,
     extend,
     format_seed,
@@ -33,6 +34,7 @@ from corpus import corpus_matrices, example_matrix
 
 RANK2 = ExchangeMatrix([[0, 1], [-1, 0]])
 RANK2_SOURCE_FIRST = ExchangeMatrix([[0, -1], [1, 0]])
+NOT_SIGN_SKEW = ExchangeMatrix([[0, 1], [0, 0]])
 # Small entries hit every sign case and zero; wide ones catch a sign-case slip
 # in the mutation kernel that small values would hide.
 ANY_ENTRY = st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40))
@@ -201,8 +203,8 @@ class TestMutateFramed:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_kernel_outputs_pass_boundary_validation(self, data):
-        # mutate and mutate_framed skip re-validation of what the kernel returns;
-        # the public constructors must accept every such result as it is.
+        # mutate and mutate_framed build what the kernel returns with the
+        # validating constructors, which must accept every such result as it is.
         n = data.draw(st.integers(1, 5))
         entries = st.lists(st.lists(ANY_ENTRY, min_size=n, max_size=n),
                            min_size=n, max_size=n)
@@ -421,14 +423,44 @@ class TestBruteForce:
 
 class TestDeterminantGuard:
     def test_c_matrix_determinant_unimodular(self):
+        """det C_t = (-1)^t after every step t, on every corpus matrix.
+
+        When column k of C is sign-coherent of sign e, mutation in
+        direction k is C' = C (J_k + [e B]_+^{k.}), the matrix form of
+        Nakanishi-Zelevinsky 2012 ("On tropical dualities in cluster
+        algebras"): J_k is the identity with -1 at (k, k), and [A]_+^{k.}
+        keeps row k of A with its negative entries set to 0.  That factor
+        is the identity but for row k, whose diagonal entry is -1 because
+        b_kk = 0, so each step negates det C.  The running example, which
+        is not skew-symmetrizable, is included.
+        """
         import random
 
         rng = random.Random(4242)
-        for matrix in corpus_matrices()[:12]:
-            seed = extend(matrix)
-            for _ in range(6):
-                seed = mutate_framed(seed, rng.randint(1, matrix.n))
-            assert exact_det([list(r) for r in seed.c]) in (1, -1)
+        checked = 0
+        for matrix in corpus_matrices():
+            for _ in range(20):
+                seed = extend(matrix)
+                for t in range(1, 13):
+                    seed = mutate_framed(seed, rng.randint(1, matrix.n))
+                    assert exact_det(seed.c) == (-1) ** t
+                    checked += 1
+        assert checked == 51 * 20 * 12
+
+
+@pytest.mark.parametrize(
+    "entry_point, args",
+    [
+        (check_total_mutability, (NOT_SIGN_SKEW, 1)),
+        (check_sign_coherence, (FramedSeed(NOT_SIGN_SKEW, identity(2)), 1)),
+        (admissible_source_numbering, (NOT_SIGN_SKEW,)),
+        (brute_force_green_search, (FramedSeed(NOT_SIGN_SKEW, identity(2)), 1)),
+    ],
+    ids=lambda value: getattr(value, "__name__", ""),
+)
+def test_sign_skew_precondition_text(entry_point, args):
+    with pytest.raises(ValueError, match="^input matrix is not sign-skew-symmetric$"):
+        entry_point(*args)
 
 
 class TestSeedDocument:

@@ -496,6 +496,14 @@ class TestCommutations:
         with pytest.raises(InteriorExhaustedError, match="interior budget"):
             verify_unfolding_commutation(example_matrix(), (1, 2, 3), 7)
 
+    @pytest.mark.parametrize("m", [True, "8", 4.0])
+    def test_budget_must_be_a_positive_int(self, m):
+        # checked before the budget comparison, where True would count as 1
+        # and "8" cannot be compared
+        with pytest.raises(ValueError, match="positive integer") as raised:
+            verify_unfolding_commutation(example_matrix(), (1,), m)
+        assert type(raised.value) is ValueError
+
     def test_truncation_consistency_depth_zero_after_two_steps(self):
         # entries at shared vertices agree between truncation budgets m and m+2
         for seq in [(1,), (2,), (1, 2), (2, 3)]:
@@ -630,18 +638,18 @@ def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch) -> int:
             for step in range(len(seq))
         ]
         verdicts.clear()
-        for step, out, inn, radius in _replay(base, seq):
+        for step, work in _replay(base, seq):
             ref = reference[seq[:step]]
-            assert radius == ref.interior_radius
+            assert work.interior_radius == ref.interior_radius
             if step:
                 # the verdict taken on the previous state, before this step
                 assert verdicts[step - 1] == expected[step - 1]
             for v in range(base.vertex_count):
                 if ref.is_interior(v):
-                    assert out[v] == ref.out[v], (seq, step, v)
-                    assert inn[v] == ref.inn[v], (seq, step, v)
+                    assert work.out[v] == ref.out[v], (seq, step, v)
+                    assert work.inn[v] == ref.inn[v], (seq, step, v)
             folded = folding(ref)
-            assert _fold_rows(base, out, inn, reps) == folded.b.entries + folded.c
+            assert _fold_rows(work, reps) == folded.b.entries + folded.c
             compared += 1
     return compared
 
@@ -717,9 +725,7 @@ class TestTrustedBallReplay:
             2, [1, 2, 1], [False, False, True], [(0, 1), (1, 2)], framed=True
         )
         for quiver, ok in ((loop, False), (two_cycle, False), (separate, True)):
-            witnesses = _gamma_witnesses(
-                quiver, quiver.out, quiver.inn, range(quiver.vertex_count), None
-            )
+            witnesses = _gamma_witnesses(quiver, range(quiver.vertex_count), None)
             verdict = next(witnesses, None) is None
             assert verdict is ok is check_gamma_conditions(quiver).ok
 
@@ -761,11 +767,11 @@ class TestTrustedBallReplay:
         out, inn = copy.deepcopy(before)
         for t in (1, 2, 3):
             _mutate_vertex(out, inn, quiver.frozen, t)
-        *_, (step, replayed_out, replayed_inn, radius) = _replay(quiver, (2,))
+        *_, (step, work) = _replay(quiver, (2,))
         assert (quiver.out, quiver.inn) == before
-        assert (step, radius) == (1, -1)
-        assert replayed_out == out
-        assert replayed_inn == inn
+        assert (step, work.interior_radius) == (1, -1)
+        assert work.out == out
+        assert work.inn == inn
 
     def test_bad_direction_raises_like_orbit_mutate(self):
         quiver = build_truncation(example_matrix(), 6, framed=True)
