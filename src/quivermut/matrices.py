@@ -288,11 +288,28 @@ def _first_violation(
     (d, w), so the first bad state reached is that s and the witness is
     w(s), byte for byte.
 
+    Commuting successors.  Expanding a state s reached by direction l
+    from p, skip each k < l with b_kl = b_lk = 0 in s.  Such a μ_l leaves
+    row k of B and column k of [B; C] as they are, since every change it
+    makes to them is a multiple of b_lk or b_kl, and μ_k leaves row l and
+    column l alike; so μ_k μ_l = μ_l μ_k on [B; C], with no appeal to
+    sign-skew-symmetry, and μ_k(s) = μ_l(q) for q = μ_k(p).  By
+    induction over the expansions, a successor this rule skips is already
+    seen.  So q is seen: p's expansion came to k before l and generated
+    q or skipped it, unless k is the direction p was reached by, and then
+    q is p's parent.  Either way q was queued ahead of s, on a path no
+    longer than s's, so it was expanded before s.  That expansion
+    generated μ_l(q) or skipped it, or μ_l(q) is q's own parent.  So
+    μ_k(s) is already seen and the loop would pass over it anyway:
+    neither the witness nor complete changes, and only its mutation is
+    saved.
+
     Completeness.  complete is True when there is no witness and no new
     state was first reached at length depth.  Every state reached then
     lies fewer than depth steps from the start, so it was expanded: each
-    of its successors was generated and found already seen, or is the
-    pruned back-mutation, the state it was reached from.  The reached set
+    of its successors was generated and found already seen, was skipped
+    as a commuting successor, already seen, or is the pruned
+    back-mutation, the state it was reached from.  The reached set
     is thus closed under mutation.  It holds every state reachable from
     the start by any sequence of any length, and bad holds for none.
     Without a witness this happens exactly when the exchange graph of the
@@ -307,8 +324,9 @@ def _first_violation(
     while frontier:
         current, seq = frontier.popleft()
         last = seq[-1] if seq else 0
+        row_last = current[last - 1]  # read only when k < last, so never at the start
         for k in range(1, n + 1):
-            if k == last:
+            if k == last or (k < last and not row_last[k - 1] and not current[k - 1][last - 1]):
                 continue
             nxt = _mutate_rows(current, k - 1)
             if nxt in seen:

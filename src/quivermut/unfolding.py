@@ -16,10 +16,16 @@ truncations.
 caller.  The public `orbit_mutate` copies and mutates the whole
 truncation.  `verify_unfolding_commutation` instead replays on one
 private working `LabeledQuiver` over a privately cached truncation,
-updating its arrows and interior radius in place, and mutates only
-the trusted ball: label-k vertices at depth at most the radius plus one.
-Its docstring argues why that margin is enough, and the test suite
-compares every interior vertex with `orbit_mutate` after every step.
+updating its arrows and interior radius in place.  In a sequence of at
+most three steps it mutates only the trusted ball: label-k vertices at
+depth at most the radius plus one.  Its docstring argues why that
+margin is enough, and why only through three steps; a longer sequence
+mutates every label-k vertex at every step.  The final step mutates
+only its fold cone, the targets that can change a fold
+representative's arrows; `_replay` argues why the fold is then
+exactly that of the full step.  The test suite compares every interior
+vertex with `orbit_mutate` after every full step, and the fold after
+the cone with the fold after the full final step.
 Before each step the replay takes ownership once: it copies the arrow
 dicts of the step's targets and their neighbors that no earlier step
 copied, a set that `_replay` shows holds every arrow the step changes.
@@ -51,8 +57,11 @@ from .matrices import (
 from .seeds import FramedSeed, identity_rows
 
 # The replay in verify_unfolding_commutation mutates label-k vertices down to
-# depth radius + _TRUST_MARGIN; its docstring says why 1 is enough.
+# depth radius + _TRUST_MARGIN when the sequence has at most _TRUSTED_STEPS
+# steps, and every label-k vertex otherwise; its docstring says why 1 is
+# enough and why only through three steps.
 _TRUST_MARGIN = 1
+_TRUSTED_STEPS = 3
 
 Adjacency = dict[int, dict[int, int]]
 
@@ -606,10 +615,35 @@ def folding_column(
     return tuple(column[:n]), tuple(column[n:]) if quiver.framed else None
 
 
+def _fold_cone(quiver: LabeledQuiver, targets: Sequence[int], reps: Iterable[int]) -> list[int]:
+    """The targets that are a representative or adjacent to one, closed under adjacency.
+
+    targets must be a prefix of one label's mutable_ids, which come in
+    ascending id order, so a vertex is a target exactly when it is a
+    mutable vertex of that label with id at most targets[-1].  The cone
+    comes back in ascending id order; _replay says why it suffices.
+    """
+    labels = quiver.labels
+    frozen = quiver.frozen
+    out = quiver.out
+    inn = quiver.inn
+    k = labels[targets[0]]
+    last = targets[-1]
+    cone: set[int] = set()
+    stack = [v for rep in reps for v in (rep, *out[rep], *inn[rep])]
+    while stack:
+        v = stack.pop()
+        if v <= last and labels[v] == k and not frozen[v] and v not in cone:
+            cone.add(v)
+            stack += out[v]
+            stack += inn[v]
+    return sorted(cone)
+
+
 def _replay(
-    quiver: LabeledQuiver, directions: Sequence[int]
+    quiver: LabeledQuiver, directions: Sequence[int], reps: Optional[Iterable[int]] = None
 ) -> Iterator[tuple[int, LabeledQuiver]]:
-    """Orbit-mutate a working copy of a fresh truncation in its trusted ball.
+    """Orbit-mutate a working copy of a fresh truncation, step by step.
 
     Yields (step, work) before the first step and after each one.  `work`
     is one private LabeledQuiver, made here with the vertices of `quiver`;
@@ -618,6 +652,32 @@ def _replay(
     to be mutated.  `work` shares inner dicts with `quiver` until it owns
     them, so it must never leave verify_unfolding_commutation: a caller
     that wrote to it would write to the cached truncation.
+
+    Targets.  With at most _TRUSTED_STEPS directions and a finite radius
+    r, a step at label k mutates the label-k vertices at depth at most
+    r + _TRUST_MARGIN, the trusted ball; otherwise it mutates every
+    label-k vertex, as orbit_mutate does (verify_unfolding_commutation
+    argues the margin and its scope).  Given fold representatives `reps`,
+    the final step mutates only its fold cone (_fold_cone): the targets
+    that are a representative or adjacent to one, closed under adjacency
+    between targets.  After that step only the representatives' arrows
+    are those of the full step; the fold, which sums nothing else, equals
+    the fold after the full step.  Without `reps` every step is full, so the tests can
+    compare every interior vertex with orbit_mutate.
+
+    Why the cone is exact.  A vertex mutation at t writes only arrows
+    between vertices of t's closed neighborhood, and reads only the
+    arrows at t and the arrows it writes.  So two targets that are never
+    adjacent commute.  A new arrow between two targets can only come from
+    a third target adjacent to both, so the components of the graph on
+    the step's targets, with an edge where two targets are adjacent, never
+    merge during the step.  Likewise a target joins a representative's
+    closed neighborhood only through a target adjacent to both.  A
+    component with no member in a representative's closed neighborhood
+    therefore never gains one and never writes an arrow at a
+    representative.  Its mutations can be moved after the cone's, and
+    then change nothing the fold reads.  The cone is mutated in ascending
+    id order, as the full step is.
 
     Ownership.  The outer dicts are copied here.  Before a step's first
     mutation, let A be its targets together with their current in- and
@@ -652,6 +712,7 @@ def _replay(
     work = _with_arrows(quiver, dict(quiver.out), dict(quiver.inn), quiver.interior_radius)
     out = work.out
     inn = work.inn
+    ball = len(directions) <= _TRUSTED_STEPS
     owned: set[int] = set()  # vertices whose inner dicts are already copies
     scan: Iterable[int] = ()
     yield 0, work
@@ -661,9 +722,12 @@ def _replay(
         if next(_gamma_witnesses(work, scan, radius), None) is not None:
             raise _gamma_violation(check_gamma_conditions(work, interior_only=True))
         if radius is not None:
-            limit = radius + _TRUST_MARGIN
-            targets = targets[:bisect_right(targets, limit, key=work.depths.__getitem__)]
+            if ball:
+                limit = radius + _TRUST_MARGIN
+                targets = targets[:bisect_right(targets, limit, key=work.depths.__getitem__)]
             work.interior_radius = radius - 2
+        if reps is not None and step == len(directions):
+            targets = _fold_cone(work, targets, reps)
         around = set(targets).union(
             *map(out.__getitem__, targets), *map(inn.__getitem__, targets)
         )
@@ -690,11 +754,14 @@ def verify_unfolding_commutation(
     Reports and errors are those of chaining orbit_mutate and folding, but
     the replay (_replay) does far less work.  It writes to one
     working quiver instead of copying the truncation per step.
-    A step at label k mutates only the label-k vertices at depth <= r + 1,
-    where r is the interior radius before the step.  The Γ check scans only
-    the vertices the previous step touched (_replay says why that is enough).
-    Representatives are chosen once, since mutation moves no label or
-    depth, and folding sums only their neighborhoods.
+    In a sequence of at most _TRUSTED_STEPS steps, a step at label k
+    mutates only the label-k vertices at depth <= r + 1, where r is the
+    interior radius before the step; a longer sequence mutates every
+    label-k vertex at every step.  The final step mutates only its fold
+    cone, the targets that can reach a representative's arrows.  The Γ
+    check scans only the vertices the previous step touched.  _replay
+    argues both.  Representatives are chosen once, since mutation moves
+    no label or depth, and folding sums only their neighborhoods.
 
     Why depth <= r + 1 is enough.  Take two replays that apply the same
     vertex mutations in the same order, except that one skips some.
@@ -717,10 +784,14 @@ def verify_unfolding_commutation(
     is never below F_s, so the same F_s bounds it at every step: it is
     exact wherever the whole truncation is guaranteed exact, and the
     radius bookkeeping (trust depth <= r_s, i.e. F_s >= r_s + 1) covers
-    both.  With the corpus spans that holds through three steps; longer
-    sequences rest, as before, on the cross-checks against deeper
-    truncations.  Skipping from r_s + 1 on would lower the bound by one
-    ring from step 2, which puts ring r_3 at risk at step 3.
+    both.  With the corpus spans that holds through three steps, so the
+    ball is cut only in sequences of at most _TRUSTED_STEPS steps; a
+    longer one mutates the whole truncation at every step, exactly as the
+    orbit_mutate chain does.  Cutting the ball at four steps does go
+    wrong: the error it lets in during steps 1 to 3 reaches a
+    representative at step 4 (corpus matrix 3 / 0 -1 0 / 2 0 -3 / 0 1 0
+    along 2,3,1,2 at m = 10).  Skipping from r_s + 1 on would lower the
+    bound by one ring from step 2, which puts ring r_3 at risk at step 3.
     """
     directions = tuple(directions)
     _require_positive(m, "truncation budget m")
@@ -732,7 +803,7 @@ def verify_unfolding_commutation(
     quiver = _shared_truncation(matrix, m)
     rows = matrix.entries + identity_rows(matrix.n)
     reps = _resolve_representatives(quiver, None)
-    for step, work in _replay(quiver, directions):
+    for step, work in _replay(quiver, directions, reps.values()):
         if step:
             # _replay has checked the label with _orbit_targets
             rows = _mutate_rows(rows, directions[step - 1] - 1)

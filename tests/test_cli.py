@@ -303,6 +303,16 @@ class TestVerifyUnfolding:
         assert code == 0
         assert "commutes: true (steps 2, m 6)" in out
 
+    def test_four_steps_commute(self, capsys, tmp_path):
+        # corpus matrix 17: a trusted ball cut through four steps reported a
+        # false divergence at step 4 here
+        path = tmp_path / "corpus17.mat"
+        path.write_text("3\n0 -1 0\n2 0 -3\n0 1 0\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, ["verify-unfolding", str(path), "-s", "2,3,1,2", "--m", "10"]
+        )
+        assert (code, out) == (0, "commutes: true (steps 4, m 10)\n")
+
     def test_budget_exit_2(self, capsys, example_file):
         code, _, err = run(
             capsys, ["verify-unfolding", example_file, "-s", "1,2,3", "--m", "4"]

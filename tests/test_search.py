@@ -27,6 +27,7 @@ from quivermut import (
 )
 
 from corpus import random_acyclic_connected, random_sign_skew
+from test_seeds import exact_det
 
 DIFFERENTIAL_SEED = 0x5EA4C4
 CASES = 500
@@ -114,6 +115,30 @@ def test_sign_coherence_matches_sequence_reference():
             deep_witnesses += expected[0] is not None and len(expected[0]) >= 2
             complete += report.complete
     assert deep_witnesses >= 20 and complete >= 20
+
+
+def test_c_determinant_is_unit_at_every_reference_state():
+    # A state the reference steps from has no mixed column (it stops at the
+    # first level with one), and mutating a seed whose column k of C is
+    # sign-coherent negates det C (see TestDeterminantGuard in test_seeds.py).
+    # From C = I, every state the search reaches then has det C = +-1.
+    rng = random.Random(DIFFERENTIAL_SEED + 2)
+    states = 0
+
+    def checked_step(seed, k):
+        nonlocal states
+        mutated = mutate_framed(seed, k)
+        det = exact_det(mutated.c)
+        assert det == -exact_det(seed.c)
+        assert det in (1, -1)
+        states += 1
+        return mutated
+
+    for _ in range(CASES // 5):
+        seed = extend(random_matrix(rng))
+        expected = reference_search(seed, seed.n, 4, checked_step, has_mixed_column)
+        assert check_sign_coherence(seed, 4).counterexample == expected[0]
+    assert states >= 4000
 
 
 @pytest.mark.parametrize(

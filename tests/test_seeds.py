@@ -20,6 +20,7 @@ from quivermut import (
     check_total_mutability,
     column_sign,
     extend,
+    find_symmetrizer,
     format_seed,
     green_directions,
     mutate,
@@ -279,6 +280,25 @@ class TestSignCoherence:
         assert check_sign_coherence(seed, 1).ok
         assert check_sign_coherence(seed, 3).counterexample == (1, 2)
         assert column_sign(apply_sequence_framed(seed, (3, 2)), 1) is ColumnSign.MIXED
+
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_skew_symmetrizable_is_sign_coherent(self, data):
+        # c-vectors of a skew-symmetrizable B are sign-coherent (Gross-Hacking-
+        # Keel-Kontsevich 2018).  b_ij = s_ij*d_j with S skew-symmetric and D
+        # positive, as in test_skew_symmetry_preserved, is symmetrized by D.
+        n = data.draw(st.integers(1, 4))
+        d = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = data.draw(st.integers(-3, 3))
+                rows[i][j], rows[j][i] = s * d[j], -s * d[i]
+        matrix = ExchangeMatrix(rows)
+        assert find_symmetrizer(matrix) is not None
+        report = check_sign_coherence(extend(matrix), 4)
+        assert report.ok and report.counterexample is None
 
 
 class TestSourceNumbering:

@@ -783,6 +783,108 @@ class TestTrustedBallReplay:
             assert str(replayed.value) == str(expected.value)
 
 
+# Corpus matrices at which a trusted ball cut through four steps gave false
+# divergences at step 4 on m = 10: 636 pruned length-4 sequences in all.
+STEP4_CORPUS = (17, 19, 25, 28, 36, 39, 43, 46, 48)
+
+
+def check_cone_against_whole_step(matrix, m, length) -> int:
+    """On every pruned sequence of exactly `length` steps, the fold after a
+    final step limited to the fold cone equals the fold after the whole
+    final step; returns the number of sequences.
+
+    Both final steps start from one copy of the replay of the first
+    length - 1 directions, which depends on the length but not on the last
+    direction, and run as one-step replays on it.  A one-step replay cuts
+    the trusted ball; a radius of None makes it take every label-k vertex,
+    as the final step of a longer sequence does.
+    """
+    base = build_truncation(matrix, m, framed=True)
+    reps = [_default_representative(base, label) for label in range(1, matrix.n + 1)]
+    ball = length <= unfolding._TRUSTED_STEPS
+    compared = 0
+    prefixes = full_length_sequences(matrix.n, length - 1) if length > 1 else [()]
+    for prefix in prefixes:
+        last = [k for k in range(1, matrix.n + 1) if not prefix or k != prefix[-1]]
+        for step, work in _replay(base, prefix + (last[0],)):
+            if step == length - 1:
+                break
+        radius = work.interior_radius if ball else None
+        for k in last:
+            folds = []
+            for final_reps in (None, reps):
+                start = _with_arrows(work, dict(work.out), dict(work.inn), radius)
+                *_, (_, done) = _replay(start, (k,), final_reps)
+                folds.append(_fold_rows(done, reps))
+            assert folds[0] == folds[1], prefix + (k,)
+            compared += 1
+    return compared
+
+
+class TestFoldCone:
+    """The final replay step mutates only the targets the fold can see."""
+
+    @pytest.mark.parametrize(
+        "seq, mutations", [((1,), 1), ((2,), 3), ((3,), 7), ((4,), 4)]
+    )
+    def test_vertex_mutations_on_example(self, monkeypatch, seq, mutations):
+        # a count, not a time: the whole trusted-ball step mutates 3,454,
+        # 13,565, 7,178 and 18,332 vertices here
+        calls = []
+
+        def counting_mutate_vertex(out, inn, frozen, t):
+            calls.append(t)
+            _mutate_vertex(out, inn, frozen, t)
+
+        monkeypatch.setattr(unfolding, "_mutate_vertex", counting_mutate_vertex)
+        assert verify_unfolding_commutation(example_matrix(), seq, 8).ok
+        assert len(calls) == mutations
+        assert calls == sorted(calls)
+
+    def test_cone_closes_under_adjacent_targets(self):
+        # label-2 targets 1 and 2 are adjacent, as same-label vertices outside
+        # the interior can be; only 2 touches the representative 3, but
+        # mutating 1 first gives 2 the arrow from 0 that its mutation carries
+        # on to 3
+        quiver = tiny_quiver(3, [3, 2, 2, 1], [False] * 4, [(0, 1), (1, 2), (2, 3)])
+        assert unfolding._fold_cone(quiver, quiver.mutable_ids(2), [3]) == [1, 2]
+        *_, (_, whole) = _replay(quiver, (2,))
+        *_, (_, cone) = _replay(quiver, (2,), [3])
+        assert _fold_rows(cone, [3]) == _fold_rows(whole, [3])
+        assert whole.out[0] == {3: 1}
+        out, inn = copy.deepcopy((quiver.out, quiver.inn))
+        _mutate_vertex(out, inn, quiver.frozen, 2)
+        unclosed = _with_arrows(quiver, out, inn, None)
+        assert _fold_rows(unclosed, [3]) != _fold_rows(whole, [3])
+
+    def test_fold_matches_whole_step_on_corpus(self):
+        sequences = sum(
+            check_cone_against_whole_step(matrix, 8, length)
+            for matrix in corpus_matrices()
+            for length in (1, 2, 3)
+        )
+        # the example (4 + 12 + 36) and 15 n=2, 15 n=3 and 20 n=4 matrices
+        assert sequences == 52 + 15 * 6 + 15 * 21 + 20 * 52
+
+    def test_fold_matches_whole_step_at_four_steps(self):
+        corpus = corpus_matrices()
+        sequences = sum(check_cone_against_whole_step(corpus[i], 10, 4) for i in STEP4_CORPUS)
+        assert sequences == 636
+
+
+class TestFourStepReplay:
+    def test_every_length_4_sequence_commutes_at_m_10(self):
+        # cutting the trusted ball through four steps reported 46 of these as
+        # diverging at step 4; the whole truncation is exact on all of them
+        corpus = corpus_matrices()
+        checked = 0
+        for i in STEP4_CORPUS:
+            for seq in full_length_sequences(corpus[i].n, 4):
+                assert verify_unfolding_commutation(corpus[i], seq, 10).ok, (i, seq)
+                checked += 1
+        assert checked == 636
+
+
 class TestRepresentatives:
     @pytest.mark.parametrize("m", [2, 3, 4, 8])
     def test_mutable_ids_come_in_depth_order(self, m):
