@@ -12,28 +12,12 @@ vertices of one label) consumes two units of that radius per step, a
 conservative budget that the test suite cross-validates against deeper
 truncations.
 
-`build_truncation` builds a new quiver on every call, owned by the
-caller.  The public `orbit_mutate` copies and mutates the whole
-truncation.  `verify_unfolding_commutation` instead replays on one
-private working `LabeledQuiver` over a privately cached truncation,
-updating its arrows and interior radius in place.  In a sequence of at
-most three steps it mutates only the trusted ball: label-k vertices at
-depth at most the radius plus one.  Its docstring argues why that
-margin is enough, and why only through three steps; a longer sequence
-mutates every label-k vertex at every step.  The final step mutates
-only its fold cone, the targets that can change a fold
-representative's arrows; `_replay` argues why the fold is then
-exactly that of the full step.  The test suite compares every interior
-vertex with `orbit_mutate` after every full step, and the fold after
-the cone with the fold after the full final step.
-Before each step the replay takes ownership once: it copies the arrow
-dicts of the step's targets and their neighbors that no earlier step
-copied, a set that `_replay` shows holds every arrow the step changes.
-Both paths mutate with one kernel, `_mutate_vertex`, which updates the
-net arrows in place and swaps the target's two dicts.  One scan,
-`_gamma_witnesses`, finds the label-class loops and 2-cycles for both
-`check_gamma_conditions` and the replay.  The replay steps the rows of
-[B; I] with the matrix kernel and compares them with the folded rows.
+Orbit-mutation has two paths, which share the kernel `_mutate_vertex`
+and the Γ scan `_gamma_witnesses`.  The public `orbit_mutate` copies and
+mutates the whole truncation.  `verify_unfolding_commutation` replays on
+one private working quiver through `_replay`, mutating fewer vertices
+with the same fold; the docstrings of `_replay` and
+`verify_unfolding_commutation` argue which vertices, and why.
 
 Orientation convention, used consistently for adjacency and folding: a
 positive entry for the ordered pair (i, j) means arrows from j to i.  For
@@ -56,10 +40,10 @@ from .matrices import (
 )
 from .seeds import FramedSeed, identity_rows
 
-# The replay in verify_unfolding_commutation mutates label-k vertices down to
-# depth radius + _TRUST_MARGIN when the sequence has at most _TRUSTED_STEPS
-# steps, and every label-k vertex otherwise; its docstring says why 1 is
-# enough and why only through three steps.
+# Before its final step, the replay in verify_unfolding_commutation mutates
+# label-k vertices down to depth radius + _TRUST_MARGIN when the sequence has
+# at most _TRUSTED_STEPS steps, and every label-k vertex otherwise; its
+# docstring says why 1 is enough and why only through three steps.
 _TRUST_MARGIN = 1
 _TRUSTED_STEPS = 3
 
@@ -615,25 +599,20 @@ def folding_column(
     return tuple(column[:n]), tuple(column[n:]) if quiver.framed else None
 
 
-def _fold_cone(quiver: LabeledQuiver, targets: Sequence[int], reps: Iterable[int]) -> list[int]:
-    """The targets that are a representative or adjacent to one, closed under adjacency.
-
-    targets must be a prefix of one label's mutable_ids, which come in
-    ascending id order, so a vertex is a target exactly when it is a
-    mutable vertex of that label with id at most targets[-1].  The cone
-    comes back in ascending id order; _replay says why it suffices.
+def _fold_cone(quiver: LabeledQuiver, k: int, reps: Iterable[int]) -> list[int]:
+    """The mutable label-k vertices that are a representative or adjacent to
+    one, closed under adjacency among them, in ascending id order; _replay
+    says why mutating them gives the fold of the whole step at k.
     """
     labels = quiver.labels
     frozen = quiver.frozen
     out = quiver.out
     inn = quiver.inn
-    k = labels[targets[0]]
-    last = targets[-1]
     cone: set[int] = set()
     stack = [v for rep in reps for v in (rep, *out[rep], *inn[rep])]
     while stack:
         v = stack.pop()
-        if v <= last and labels[v] == k and not frozen[v] and v not in cone:
+        if labels[v] == k and not frozen[v] and v not in cone:
             cone.add(v)
             stack += out[v]
             stack += inn[v]
@@ -641,7 +620,7 @@ def _fold_cone(quiver: LabeledQuiver, targets: Sequence[int], reps: Iterable[int
 
 
 def _replay(
-    quiver: LabeledQuiver, directions: Sequence[int], reps: Optional[Iterable[int]] = None
+    quiver: LabeledQuiver, directions: Sequence[int], reps: Iterable[int]
 ) -> Iterator[tuple[int, LabeledQuiver]]:
     """Orbit-mutate a working copy of a fresh truncation, step by step.
 
@@ -653,31 +632,33 @@ def _replay(
     them, so it must never leave verify_unfolding_commutation: a caller
     that wrote to it would write to the cached truncation.
 
-    Targets.  With at most _TRUSTED_STEPS directions and a finite radius
-    r, a step at label k mutates the label-k vertices at depth at most
-    r + _TRUST_MARGIN, the trusted ball; otherwise it mutates every
-    label-k vertex, as orbit_mutate does (verify_unfolding_commutation
-    argues the margin and its scope).  Given fold representatives `reps`,
-    the final step mutates only its fold cone (_fold_cone): the targets
-    that are a representative or adjacent to one, closed under adjacency
-    between targets.  After that step only the representatives' arrows
-    are those of the full step; the fold, which sums nothing else, equals
-    the fold after the full step.  Without `reps` every step is full, so the tests can
-    compare every interior vertex with orbit_mutate.
+    Targets.  The final step at label k mutates its fold cone
+    (_fold_cone): out of every label-k vertex, those that are one of the
+    fold representatives `reps` or adjacent to one, closed under adjacency
+    among them.  After that step the representatives' arrows, and so the
+    fold, which sums nothing else, are those of the step orbit_mutate
+    takes, which mutates every label-k vertex.  An earlier step at a
+    finite radius r mutates the trusted ball, the label-k vertices at
+    depth at most r + _TRUST_MARGIN, when there are at most
+    _TRUSTED_STEPS directions, and every label-k vertex otherwise
+    (verify_unfolding_commutation argues the margin and its scope).  A
+    fresh truncation has no vertex deeper than r + 1, so step 1's ball is
+    every vertex, and the ball only ever cuts step 2 of a three-step
+    sequence.
 
     Why the cone is exact.  A vertex mutation at t writes only arrows
     between vertices of t's closed neighborhood, and reads only the
     arrows at t and the arrows it writes.  So two targets that are never
     adjacent commute.  A new arrow between two targets can only come from
     a third target adjacent to both, so the components of the graph on
-    the step's targets, with an edge where two targets are adjacent, never
-    merge during the step.  Likewise a target joins a representative's
-    closed neighborhood only through a target adjacent to both.  A
-    component with no member in a representative's closed neighborhood
-    therefore never gains one and never writes an arrow at a
-    representative.  Its mutations can be moved after the cone's, and
-    then change nothing the fold reads.  The cone is mutated in ascending
-    id order, as the full step is.
+    the whole step's targets, every label-k vertex, with an edge where
+    two targets are adjacent, never merge during the step.  Likewise a
+    target joins a representative's closed neighborhood only through a
+    target adjacent to both.  A component with no member in a
+    representative's closed neighborhood therefore never gains one and
+    never writes an arrow at a representative.  Its mutations can be
+    moved after the cone's, and then change nothing the fold reads.  The
+    cone is mutated in ascending id order, as orbit_mutate's step is.
 
     Ownership.  The outer dicts are copied here.  Before a step's first
     mutation, let A be its targets together with their current in- and
@@ -712,7 +693,8 @@ def _replay(
     work = _with_arrows(quiver, dict(quiver.out), dict(quiver.inn), quiver.interior_radius)
     out = work.out
     inn = work.inn
-    ball = len(directions) <= _TRUSTED_STEPS
+    last = len(directions)
+    ball = last <= _TRUSTED_STEPS
     owned: set[int] = set()  # vertices whose inner dicts are already copies
     scan: Iterable[int] = ()
     yield 0, work
@@ -721,13 +703,13 @@ def _replay(
         radius = work.interior_radius
         if next(_gamma_witnesses(work, scan, radius), None) is not None:
             raise _gamma_violation(check_gamma_conditions(work, interior_only=True))
+        if step == last:
+            targets = _fold_cone(work, k, reps)
+        elif ball and radius is not None:
+            limit = radius + _TRUST_MARGIN
+            targets = targets[:bisect_right(targets, limit, key=work.depths.__getitem__)]
         if radius is not None:
-            if ball:
-                limit = radius + _TRUST_MARGIN
-                targets = targets[:bisect_right(targets, limit, key=work.depths.__getitem__)]
             work.interior_radius = radius - 2
-        if reps is not None and step == len(directions):
-            targets = _fold_cone(work, targets, reps)
         around = set(targets).union(
             *map(out.__getitem__, targets), *map(inn.__getitem__, targets)
         )
@@ -753,12 +735,12 @@ def verify_unfolding_commutation(
 
     Reports and errors are those of chaining orbit_mutate and folding, but
     the replay (_replay) does far less work.  It writes to one
-    working quiver instead of copying the truncation per step.
-    In a sequence of at most _TRUSTED_STEPS steps, a step at label k
-    mutates only the label-k vertices at depth <= r + 1, where r is the
-    interior radius before the step; a longer sequence mutates every
-    label-k vertex at every step.  The final step mutates only its fold
-    cone, the targets that can reach a representative's arrows.  The Γ
+    working quiver instead of copying the truncation per step.  The final
+    step mutates only its fold cone, the label-k vertices that can reach a
+    representative's arrows.  Before it, in a sequence of at most
+    _TRUSTED_STEPS steps, a step at label k mutates only the label-k
+    vertices at depth <= r + 1, where r is the interior radius before the
+    step; in a longer sequence it mutates every label-k vertex.  The Γ
     check scans only the vertices the previous step touched.  _replay
     argues both.  Representatives are chosen once, since mutation moves
     no label or depth, and folding sums only their neighborhoods.
@@ -774,7 +756,8 @@ def verify_unfolding_commutation(
     step s + 1, and σ_s a bound on the depth difference along an arrow of
     either after s steps (σ_0 = 1 on the fresh tree, frozen copies
     sitting at their vertex's depth; σ_1 = 2 and σ_2 = 3 on the test
-    corpus; raising a bound to 2 keeps it a bound).  Then
+    corpus, as TestTrustedBallReplay measures on the orbit_mutate chain;
+    raising a bound to 2 keeps it a bound).  Then
     f_{s+1} >= min(f_s, g_s) - σ_s.
 
     The whole truncation lacks the neighbors of its outer ring, so
@@ -787,7 +770,11 @@ def verify_unfolding_commutation(
     both.  With the corpus spans that holds through three steps, so the
     ball is cut only in sequences of at most _TRUSTED_STEPS steps; a
     longer one mutates the whole truncation at every step, exactly as the
-    orbit_mutate chain does.  Cutting the ball at four steps does go
+    orbit_mutate chain does.  The final step needs no margin: its cone
+    has the fold of the step orbit_mutate takes, which skips nothing.
+    Nor does step 1 skip anything, as a fresh truncation has no vertex
+    deeper than r_0 + 1, so the ball only ever cuts step 2 of a
+    three-step sequence.  Cutting the ball at four steps does go
     wrong: the error it lets in during steps 1 to 3 reaches a
     representative at step 4 (corpus matrix 3 / 0 -1 0 / 2 0 -3 / 0 1 0
     along 2,3,1,2 at m = 10).  Skipping from r_s + 1 on would lower the

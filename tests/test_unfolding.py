@@ -360,6 +360,17 @@ class TestOrbitMutate:
         with pytest.raises(InteriorExhaustedError):
             orbit_mutate(once, 2)
 
+    def test_never_aliases_its_input(self):
+        quiver = build_truncation(example_matrix(), 4, framed=True)
+        before = copy.deepcopy(quiver)
+        mutated = orbit_mutate(quiver, 2)
+        assert quiver == before and quiver.inn == before.inn
+        inner = {id(d) for d in (*quiver.out.values(), *quiver.inn.values())}
+        assert not any(id(d) in inner for d in (*mutated.out.values(), *mutated.inn.values()))
+        mutated.out[0].clear()
+        mutated.inn[1].clear()
+        assert quiver == before and quiver.inn == before.inn
+
     def test_involution_is_exact_everywhere(self):
         quiver = build_truncation(example_matrix(), 4, framed=True)
         twice = orbit_mutate(orbit_mutate(quiver, 2), 2)
@@ -505,25 +516,34 @@ class TestCommutations:
         assert type(raised.value) is ValueError
 
     def test_truncation_consistency_depth_zero_after_two_steps(self):
-        # entries at shared vertices agree between truncation budgets m and m+2
-        for seq in [(1,), (2,), (1, 2), (2, 3)]:
-            small = build_truncation(example_matrix(), 4, framed=True)
-            big = build_truncation(example_matrix(), 6, framed=True)
-            for k in seq:
-                small = orbit_mutate(small, k)
-                big = orbit_mutate(big, k)
-            radius = small.interior_radius
-            shared = [
-                v for v in range(small.vertex_count) if small.depths[v] <= radius
-            ]
-            for v in shared:
-                small_arrows = {
-                    u: m for u, m in small.out[v].items() if small.depths[u] <= radius
-                }
-                big_arrows = {
-                    u: m for u, m in big.out[v].items() if big.depths[u] <= radius
-                }
-                assert small_arrows == big_arrows
+        # after every step, every interior vertex has its full arrows of a
+        # deeper truncation: the example at m = 4 against m = 6, down to radius
+        # 0, and every pruned length-3 sequence of the n <= 3 corpus matrices at
+        # m = 8 against m = 10
+        cases = [(example_matrix(), 4, [(1,), (2,), (1, 2), (2, 3)])] + [
+            (matrix, 8, full_length_sequences(matrix.n, 3))
+            for matrix in corpus_matrices()[1:]
+            if matrix.n <= 3
+        ]
+        states = 0
+        for matrix, m, sequences in cases:
+            chains = {(): (build_truncation(matrix, m), build_truncation(matrix, m + 2))}
+            for seq in sequences:
+                for step in range(1, len(seq) + 1):
+                    prefix = seq[:step]
+                    if prefix in chains:
+                        continue
+                    small, big = chains[prefix] = tuple(
+                        orbit_mutate(q, prefix[-1]) for q in chains[prefix[:-1]]
+                    )
+                    for v in range(small.vertex_count):
+                        if small.is_interior(v):
+                            assert small.out[v] == big.out[v], (matrix, prefix, v)
+                            assert small.inn[v] == big.inn[v], (matrix, prefix, v)
+                    states += 1
+        # 4 example prefixes; 15 n=2 and 15 n=3 matrices with 2 + 2 + 2 and
+        # 3 + 6 + 12 prefixes
+        assert states == 4 + 15 * 6 + 15 * 21
 
     def test_one_step_agrees_on_whole_shared_ball(self):
         # through the first orbit-mutation the truncation matches the induced
@@ -605,15 +625,17 @@ def full_length_sequences(n: int, length: int) -> list[tuple[int, ...]]:
     ]
 
 
-def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch) -> int:
-    """Drive the trusted-ball replay along every pruned sequence of length
-    <= max_len and compare each state with whole-truncation orbit_mutate.
+def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch, spans) -> int:
+    """Drive the replay along every pruned sequence of length max_len and
+    compare each state with the whole-truncation orbit_mutate chain.
 
-    Every interior vertex must have exactly the reference's out- and
-    in-arrows, the fold must agree, and each Γ verdict the replay takes
-    must equal the full interior scan of the reference.  Shorter sequences
-    are the prefixes the longer replays pass through.  Returns the number
-    of states compared.
+    After every step but the last, every interior vertex must have exactly
+    the reference's out- and in-arrows; after every step, the fold-cone
+    last step included, the fold must agree; and each Γ verdict the replay
+    takes must equal the full interior scan of the reference.  Shorter
+    sequences are the prefixes the replays pass through.  spans[s] is
+    raised to the largest depth difference along an arrow of a reference
+    state after s steps.  Returns the number of states compared.
     """
     verdicts = []
 
@@ -638,19 +660,24 @@ def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch) -> int:
             for step in range(len(seq))
         ]
         verdicts.clear()
-        for step, work in _replay(base, seq):
+        for step, work in _replay(base, seq, reps):
             ref = reference[seq[:step]]
             assert work.interior_radius == ref.interior_radius
             if step:
                 # the verdict taken on the previous state, before this step
                 assert verdicts[step - 1] == expected[step - 1]
-            for v in range(base.vertex_count):
-                if ref.is_interior(v):
-                    assert work.out[v] == ref.out[v], (seq, step, v)
-                    assert work.inn[v] == ref.inn[v], (seq, step, v)
+            if step < len(seq):
+                for v in range(base.vertex_count):
+                    if ref.is_interior(v):
+                        assert work.out[v] == ref.out[v], (seq, step, v)
+                        assert work.inn[v] == ref.inn[v], (seq, step, v)
             folded = folding(ref)
-            assert _fold_rows(work, reps) == folded.b.entries + folded.c
+            assert _fold_rows(work, reps) == folded.b.entries + folded.c, (seq, step)
             compared += 1
+    for prefix, ref in reference.items():
+        depths = ref.depths
+        span = max(abs(depths[u] - depths[w]) for u, d in ref.out.items() for w in d)
+        spans[len(prefix)] = max(spans.get(len(prefix), 0), span)
     return compared
 
 
@@ -702,21 +729,29 @@ class TestMutationKernel:
 class TestTrustedBallReplay:
     """The replay inside verify_unfolding_commutation against orbit_mutate.
 
-    The replay mutates only label-k vertices at depth <= radius + 1; these
-    tests hold it to the whole-truncation reference on every interior
-    vertex, which is what the margin argument in its docstring claims.
+    Before its final step the replay mutates only label-k vertices at depth
+    <= radius + 1; these tests hold it to the whole-truncation reference on
+    every interior vertex, which is what the margin argument in its
+    docstring claims, and they measure the spans σ_0, σ_1 and σ_2 that the
+    argument cites.  The final step mutates only the fold cone, so there
+    they compare the fold.
     """
 
     def test_interior_matches_orbit_mutate_on_corpus(self, monkeypatch):
         compared = 0
+        spans = {}
         for matrix in corpus_matrices()[1:]:
-            compared += check_replay_against_orbit_mutate(matrix, 8, 3, monkeypatch)
+            compared += check_replay_against_orbit_mutate(matrix, 8, 3, monkeypatch, spans)
         # 15 n=2, 15 n=3 and 20 n=4 matrices with 2, 12 and 36 sequences of
         # length 3, each passing through 4 states
         assert compared == (15 * 2 + 15 * 12 + 20 * 36) * 4
+        assert [spans[s] for s in range(3)] == [1, 2, 3]
 
     def test_interior_matches_orbit_mutate_on_example(self, monkeypatch):
-        assert check_replay_against_orbit_mutate(example_matrix(), 6, 2, monkeypatch) == 12 * 3
+        spans = {}
+        compared = check_replay_against_orbit_mutate(example_matrix(), 6, 2, monkeypatch, spans)
+        assert compared == 12 * 3
+        assert [spans[s] for s in range(3)] == [1, 2, 3]
 
     def test_gamma_verdict_on_hand_built_violations(self):
         loop = tiny_quiver(1, [1, 1], [False, False], [(0, 1)])
@@ -737,7 +772,7 @@ class TestTrustedBallReplay:
         with pytest.raises(GammaViolationError) as expected:
             orbit_mutate(orbit_mutate(quiver, 2), 3)
         with pytest.raises(GammaViolationError) as replayed:
-            list(_replay(quiver, (2, 3)))
+            list(_replay(quiver, (2, 3), [0, 1, 2]))
         assert str(replayed.value) == str(expected.value)
 
     def test_replay_never_writes_the_cached_truncation(self):
@@ -752,10 +787,11 @@ class TestTrustedBallReplay:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_step_owns_every_vertex_it_writes(self, reverse):
-        # label-2 targets 1, 2 and 3 at depths 0, 2, 2 with radius 1: targets 2
-        # and 3 are adjacent at depth r + 1, outside the interior the Γ check
-        # covers, so mutating 2 gives 3 a neighbor it did not have; reversing
-        # every arrow swaps the roles of in- and out-neighbors
+        # label-2 targets 1, 2 and 3 at depths 0, 2, 2 with radius 1, all in
+        # the fold cone of representatives 0 and 1: targets 2 and 3 are
+        # adjacent at depth r + 1, outside the interior the Γ check covers, so
+        # mutating 2 gives 3 a neighbor it did not have; reversing every arrow
+        # swaps the roles of in- and out-neighbors
         arrows = [(0, 2), (2, 3), (3, 4), (1, 0)]
         if reverse:
             arrows = [(w, u) for u, w in arrows]
@@ -767,7 +803,7 @@ class TestTrustedBallReplay:
         out, inn = copy.deepcopy(before)
         for t in (1, 2, 3):
             _mutate_vertex(out, inn, quiver.frozen, t)
-        *_, (step, work) = _replay(quiver, (2,))
+        *_, (step, work) = _replay(quiver, (2,), [0, 1])
         assert (quiver.out, quiver.inn) == before
         assert (step, work.interior_radius) == (1, -1)
         assert work.out == out
@@ -786,39 +822,6 @@ class TestTrustedBallReplay:
 # Corpus matrices at which a trusted ball cut through four steps gave false
 # divergences at step 4 on m = 10: 636 pruned length-4 sequences in all.
 STEP4_CORPUS = (17, 19, 25, 28, 36, 39, 43, 46, 48)
-
-
-def check_cone_against_whole_step(matrix, m, length) -> int:
-    """On every pruned sequence of exactly `length` steps, the fold after a
-    final step limited to the fold cone equals the fold after the whole
-    final step; returns the number of sequences.
-
-    Both final steps start from one copy of the replay of the first
-    length - 1 directions, which depends on the length but not on the last
-    direction, and run as one-step replays on it.  A one-step replay cuts
-    the trusted ball; a radius of None makes it take every label-k vertex,
-    as the final step of a longer sequence does.
-    """
-    base = build_truncation(matrix, m, framed=True)
-    reps = [_default_representative(base, label) for label in range(1, matrix.n + 1)]
-    ball = length <= unfolding._TRUSTED_STEPS
-    compared = 0
-    prefixes = full_length_sequences(matrix.n, length - 1) if length > 1 else [()]
-    for prefix in prefixes:
-        last = [k for k in range(1, matrix.n + 1) if not prefix or k != prefix[-1]]
-        for step, work in _replay(base, prefix + (last[0],)):
-            if step == length - 1:
-                break
-        radius = work.interior_radius if ball else None
-        for k in last:
-            folds = []
-            for final_reps in (None, reps):
-                start = _with_arrows(work, dict(work.out), dict(work.inn), radius)
-                *_, (_, done) = _replay(start, (k,), final_reps)
-                folds.append(_fold_rows(done, reps))
-            assert folds[0] == folds[1], prefix + (k,)
-            compared += 1
-    return compared
 
 
 class TestFoldCone:
@@ -847,29 +850,19 @@ class TestFoldCone:
         # mutating 1 first gives 2 the arrow from 0 that its mutation carries
         # on to 3
         quiver = tiny_quiver(3, [3, 2, 2, 1], [False] * 4, [(0, 1), (1, 2), (2, 3)])
-        assert unfolding._fold_cone(quiver, quiver.mutable_ids(2), [3]) == [1, 2]
-        *_, (_, whole) = _replay(quiver, (2,))
+        assert unfolding._fold_cone(quiver, 2, [3]) == [1, 2]
+
+        def mutated_at(targets):
+            out, inn = copy.deepcopy((quiver.out, quiver.inn))
+            for t in targets:
+                _mutate_vertex(out, inn, quiver.frozen, t)
+            return _with_arrows(quiver, out, inn, None)
+
+        whole = mutated_at(quiver.mutable_ids(2))
         *_, (_, cone) = _replay(quiver, (2,), [3])
         assert _fold_rows(cone, [3]) == _fold_rows(whole, [3])
         assert whole.out[0] == {3: 1}
-        out, inn = copy.deepcopy((quiver.out, quiver.inn))
-        _mutate_vertex(out, inn, quiver.frozen, 2)
-        unclosed = _with_arrows(quiver, out, inn, None)
-        assert _fold_rows(unclosed, [3]) != _fold_rows(whole, [3])
-
-    def test_fold_matches_whole_step_on_corpus(self):
-        sequences = sum(
-            check_cone_against_whole_step(matrix, 8, length)
-            for matrix in corpus_matrices()
-            for length in (1, 2, 3)
-        )
-        # the example (4 + 12 + 36) and 15 n=2, 15 n=3 and 20 n=4 matrices
-        assert sequences == 52 + 15 * 6 + 15 * 21 + 20 * 52
-
-    def test_fold_matches_whole_step_at_four_steps(self):
-        corpus = corpus_matrices()
-        sequences = sum(check_cone_against_whole_step(corpus[i], 10, 4) for i in STEP4_CORPUS)
-        assert sequences == 636
+        assert _fold_rows(mutated_at([2]), [3]) != _fold_rows(whole, [3])
 
 
 class TestFourStepReplay:
