@@ -191,9 +191,10 @@ def classify(matrix: ExchangeMatrix) -> ClassificationReport:
     )
 
 
-def _check_direction(k: int, n: int) -> int:
+def _check_index(k: object, n: int, noun: str = "mutation direction") -> int:
+    """The 0-based index of k, an int in 1..n; IndexError naming the noun otherwise."""
     if not _is_int(k) or not 1 <= k <= n:
-        raise IndexError(f"mutation direction {k!r} out of range 1..{n}")
+        raise IndexError(f"{noun} {k!r} out of range 1..{n}")
     return k - 1
 
 
@@ -242,7 +243,7 @@ def _mutate_rows(rows: IntMatrix, kk: int) -> IntMatrix:
 
 def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Mutation of the matrix in direction k (1-based), see _mutate_rows."""
-    return ExchangeMatrix(_mutate_rows(matrix.entries, _check_direction(k, matrix.n)))
+    return ExchangeMatrix(_mutate_rows(matrix.entries, _check_index(k, matrix.n)))
 
 
 def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> ExchangeMatrix:
@@ -250,7 +251,7 @@ def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> Exchang
     n = matrix.n
     rows = matrix.entries
     for k in directions:
-        rows = _mutate_rows(rows, _check_direction(k, n))
+        rows = _mutate_rows(rows, _check_index(k, n))
     return ExchangeMatrix(rows)
 
 

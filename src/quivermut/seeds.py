@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .matrices import (  # noqa: F401  seeds.mutate and seeds.format_int are read from outside
     ExchangeMatrix,
     IntMatrix,
-    _check_direction,
+    _check_index,
     _first_violation,
     _freeze_rows,
     _mutate_rows,
@@ -64,7 +64,7 @@ class FramedSeed:
 
     def c_column(self, j: int) -> tuple[int, ...]:
         """Column j (1-based) of the C-matrix."""
-        jj = _check_direction(j, self.n)
+        jj = _check_index(j, self.n)
         return tuple(row[jj] for row in self.c)
 
 
@@ -73,22 +73,6 @@ class ColumnSign(Enum):
     RED = "red"
     MIXED = "mixed"
     ZERO = "zero"
-
-
-def sign_of_column(column: Iterable[int]) -> ColumnSign:
-    has_pos = has_neg = False
-    for x in column:
-        if x > 0:
-            has_pos = True
-        elif x < 0:
-            has_neg = True
-    if has_pos and has_neg:
-        return ColumnSign.MIXED
-    if has_pos:
-        return ColumnSign.GREEN
-    if has_neg:
-        return ColumnSign.RED
-    return ColumnSign.ZERO
 
 
 def extend(matrix: ExchangeMatrix) -> FramedSeed:
@@ -101,7 +85,7 @@ def extend(matrix: ExchangeMatrix) -> FramedSeed:
 def mutate_framed(seed: FramedSeed, k: int) -> FramedSeed:
     """mutate of the extended matrix [B; C] in direction k (1-based)."""
     n = seed.n
-    rows = _mutate_rows(seed.b.entries + seed.c, _check_direction(k, n))
+    rows = _mutate_rows(seed.b.entries + seed.c, _check_index(k, n))
     return FramedSeed(ExchangeMatrix(rows[:n]), rows[n:])
 
 
@@ -110,12 +94,21 @@ def apply_sequence_framed(seed: FramedSeed, directions: Sequence[int]) -> Framed
     n = seed.n
     rows = seed.b.entries + seed.c
     for k in directions:
-        rows = _mutate_rows(rows, _check_direction(k, n))
+        rows = _mutate_rows(rows, _check_index(k, n))
     return FramedSeed(ExchangeMatrix(rows[:n]), rows[n:])
 
 
 def column_sign(seed: FramedSeed, j: int) -> ColumnSign:
-    return sign_of_column(seed.c_column(j))
+    """Sign of c-vector j (1-based), from the min and max that _green_columns compares."""
+    column = seed.c_column(j)
+    low, high = min(column), max(column)
+    if low < 0 < high:
+        return ColumnSign.MIXED
+    if high > 0:
+        return ColumnSign.GREEN
+    if low < 0:
+        return ColumnSign.RED
+    return ColumnSign.ZERO
 
 
 def _green_columns(c: IntMatrix) -> list[int]:
@@ -186,7 +179,7 @@ def _replay_and_verify(seed: FramedSeed, directions: Sequence[int]) -> GreenSequ
     rows = seed.b.entries + seed.c
     steps = [seed.c]
     for position, k in enumerate(directions, start=1):
-        kk = _check_direction(k, n)
+        kk = _check_index(k, n)
         if kk not in _green_columns(rows[n:]):
             raise GreenVerificationError(
                 f"step {position}: direction {k} is not green before mutation"

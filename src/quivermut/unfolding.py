@@ -12,12 +12,13 @@ vertices of one label) consumes two units of that radius per step, a
 conservative budget that the test suite cross-validates against deeper
 truncations.
 
-Orbit-mutation has two paths, which share the kernel `_mutate_vertex`
-and the Γ scan `_gamma_witnesses`.  The public `orbit_mutate` copies and
-mutates the whole truncation.  `verify_unfolding_commutation` replays on
-one private working quiver through `_replay`, mutating fewer vertices
-with the same fold; the docstrings of `_replay` and
-`verify_unfolding_commutation` argue which vertices, and why.
+Orbit-mutation has two paths, which share the gate `_orbit_targets`
+(label, interior and Γ checks) and the kernel `_mutate_vertex`.  The
+public `orbit_mutate` copies and mutates the whole truncation.
+`verify_unfolding_commutation` replays on one private working quiver
+through `_replay`, mutating fewer vertices with the same fold; the
+docstrings of `_replay` and `verify_unfolding_commutation` argue which
+vertices, and why.
 
 Orientation convention, used consistently for adjacency and folding: a
 positive entry for the ordered pair (i, j) means arrows from j to i.  For
@@ -35,8 +36,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .matrices import (
-    ExchangeMatrix, IntMatrix, _is_int, _mutate_rows, _require_positive, is_acyclic,
-    is_sign_skew_symmetric,
+    ExchangeMatrix, IntMatrix, _check_index, _is_int, _mutate_rows, _require_positive,
+    is_acyclic, is_sign_skew_symmetric,
 )
 from .seeds import FramedSeed, identity_rows
 
@@ -80,9 +81,10 @@ class CommutationReport:
 class LabeledQuiver:
     """Labeled quiver with mutable/frozen vertices and net integer arrows.
 
-    Vertices are dense integer ids in construction order (breadth-first by
-    ring, then parent id, then label), so each label's `mutable_ids` come
-    in nondecreasing depth.  `out[u][v]` is the positive
+    Vertices are dense integer ids.  Each label's `mutable_ids` come in
+    (depth, id) order, whatever the numbering, so the first is the
+    label's shallowest vertex: `core_depth`, the default fold
+    representative and `can_fold` read it.  `out[u][v]` is the positive
     multiplicity of the arrows u -> v; at most one direction is stored per
     pair, and `inn` mirrors `out`.  `orbit_mutate` leaves its input as it
     is and returns a new quiver with its own `out` and `inn`, sharing the
@@ -110,11 +112,10 @@ class LabeledQuiver:
         for v, label in enumerate(self.labels):
             if not self.frozen[v]:
                 label_ids.setdefault(label, []).append(v)
-        self._label_ids = {lab: tuple(ids) for lab, ids in label_ids.items()}
-        self.core_depth = max(
-            (min(self.depths[v] for v in ids) for ids in self._label_ids.values()),
-            default=0,
-        )
+        depth = self.depths.__getitem__
+        # a stable sort of id-ordered lists: (depth, id) order
+        self._label_ids = {lab: tuple(sorted(ids, key=depth)) for lab, ids in label_ids.items()}
+        self.core_depth = max((depth(ids[0]) for ids in self._label_ids.values()), default=0)
 
     # ------------------------------------------------------------------ views
 
@@ -276,8 +277,7 @@ def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQ
     variant adds the center's frozen copy.
     """
     _require_unfoldable(matrix)
-    if not _is_int(i) or not 1 <= i <= matrix.n:
-        raise IndexError(f"piece center {i!r} out of range 1..{matrix.n}")
+    _check_index(i, matrix.n, "piece center")
     return _grow(matrix, i, 1, framed)
 
 
@@ -354,28 +354,31 @@ def _mutate_vertex(
     out[t], inn[t] = inn_t, out_t
 
 
-def _orbit_targets(quiver: LabeledQuiver, k: int) -> tuple[int, ...]:
-    """Check that label k can be orbit-mutated at the quiver's radius; return its vertices."""
-    if not _is_int(k) or not 1 <= k <= quiver.n_labels:
-        raise IndexError(f"orbit label {k!r} out of range 1..{quiver.n_labels}")
+def _orbit_targets(quiver: LabeledQuiver, k: int, scan: Iterable[int]) -> tuple[int, ...]:
+    """Check that label k can be orbit-mutated; return its vertices, in (depth, id) order.
+
+    The checks, in order: k is a label, it occurs, every label still has
+    an interior representative, and no vertex of scan within the interior
+    has a label-class loop or 2-cycle (_gamma_witnesses).  A Γ violation
+    reports the whole interior's witnesses.
+    """
+    _check_index(k, quiver.n_labels, "orbit label")
     targets = quiver.mutable_ids(k)
     if not targets:
         raise ValueError(f"label {k} does not occur in the quiver")
-    radius = quiver.interior_radius
-    if radius is not None and radius < quiver.core_depth:
+    if not quiver.can_fold:
         raise InteriorExhaustedError(
-            f"interior exhausted: radius {radius} has shrunk below "
+            f"interior exhausted: radius {quiver.interior_radius} has shrunk below "
             f"the deepest first-occurrence depth {quiver.core_depth}"
         )
+    if next(_gamma_witnesses(quiver, scan, quiver.interior_radius), None) is not None:
+        report = check_gamma_conditions(quiver, interior_only=True)
+        raise GammaViolationError(
+            "orbit-mutation undefined: "
+            f"label-class loops {list(report.loop_witnesses[:3])}, "
+            f"label-class 2-cycles {list(report.two_cycle_witnesses[:3])}"
+        )
     return targets
-
-
-def _gamma_violation(report: GammaReport) -> GammaViolationError:
-    return GammaViolationError(
-        "orbit-mutation undefined: "
-        f"label-class loops {list(report.loop_witnesses[:3])}, "
-        f"label-class 2-cycles {list(report.two_cycle_witnesses[:3])}"
-    )
 
 
 def _with_arrows(
@@ -394,17 +397,14 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
 
     Vertices of one label are pairwise non-adjacent (no label-class loop),
     so the simultaneous update equals the composition of ordinary vertex
-    mutations in any order; we apply them in ascending id order.  All
+    mutations in any order; we apply them in (depth, id) order.  All
     same-label vertices present are mutated, boundary included: through
     the first step this keeps the whole truncation exactly equal to the
     induced subquiver of the mutated infinite quiver, and later boundary
     error stays outside the interior accounted by the radius, which drops
     by 2.
     """
-    targets = _orbit_targets(quiver, k)
-    gamma = check_gamma_conditions(quiver, interior_only=True)
-    if not gamma.ok:
-        raise _gamma_violation(gamma)
+    targets = _orbit_targets(quiver, k, range(quiver.vertex_count))
     out = {u: d.copy() for u, d in quiver.out.items()}
     inn = {u: d.copy() for u, d in quiver.inn.items()}
     for t in targets:
@@ -498,11 +498,10 @@ def orbit_sources(quiver: LabeledQuiver) -> list[int]:
 
 
 def _require_interior(quiver: LabeledQuiver, label: int, rep: int) -> None:
-    radius = quiver.interior_radius
-    if radius is not None and quiver.depths[rep] > radius:
+    if not quiver.is_interior(rep):
         raise InteriorExhaustedError(
             f"representative {rep} for label {label} is not interior "
-            f"(depth {quiver.depths[rep]} > radius {radius})"
+            f"(depth {quiver.depths[rep]} > radius {quiver.interior_radius})"
         )
 
 
@@ -512,10 +511,8 @@ _SHALLOWEST = object()  # _representative's default; folding rejects an explicit
 def _representative(quiver: LabeledQuiver, label: int, rep: object = _SHALLOWEST) -> int:
     """Check that rep is an interior mutable vertex of label; return it.
 
-    The default is the shallowest mutable vertex of the label, the
-    smallest id among ties.  Builders number vertices ring by ring, so
-    `mutable_ids` come in nondecreasing depth and that is simply the first
-    of them.
+    The default is the label's first mutable vertex in (depth, id)
+    order: the shallowest, the smallest id among ties.
     """
     if rep is _SHALLOWEST:
         rep = quiver.mutable_ids(label)[0]
@@ -532,6 +529,11 @@ def _representative(quiver: LabeledQuiver, label: int, rep: object = _SHALLOWEST
 def _resolve_representatives(
     quiver: LabeledQuiver, representatives: Optional[Mapping[int, int]]
 ) -> dict[int, int]:
+    for key in representatives or ():
+        if not _is_int(key) or not 1 <= key <= quiver.n_labels:
+            raise ValueError(
+                f"representative key {key!r} is not a label in 1..{quiver.n_labels}"
+            )
     chosen: dict[int, int] = {}
     for label in range(1, quiver.n_labels + 1):
         if not quiver.mutable_ids(label):
@@ -601,9 +603,10 @@ def folding_column(
 
 def _fold_cone(quiver: LabeledQuiver, k: int, reps: Iterable[int]) -> list[int]:
     """The mutable label-k vertices that are a representative or adjacent to
-    one, closed under adjacency among them, in ascending id order; _replay
+    one, closed under adjacency among them, in (depth, id) order; _replay
     says why mutating them gives the fold of the whole step at k.
     """
+    depths = quiver.depths
     labels = quiver.labels
     frozen = quiver.frozen
     out = quiver.out
@@ -616,7 +619,7 @@ def _fold_cone(quiver: LabeledQuiver, k: int, reps: Iterable[int]) -> list[int]:
             cone.add(v)
             stack += out[v]
             stack += inn[v]
-    return sorted(cone)
+    return sorted(cone, key=lambda v: (depths[v], v))
 
 
 def _replay(
@@ -627,10 +630,10 @@ def _replay(
     Yields (step, work) before the first step and after each one.  `work`
     is one private LabeledQuiver, made here with the vertices of `quiver`;
     each step updates its `out`, `inn` and `interior_radius` in place.
-    Checks and errors are those of orbit_mutate, made on the state about
-    to be mutated.  `work` shares inner dicts with `quiver` until it owns
-    them, so it must never leave verify_unfolding_commutation: a caller
-    that wrote to it would write to the cached truncation.
+    Checks and errors are those of orbit_mutate (_orbit_targets), made on
+    the state about to be mutated.  `work` shares inner dicts with `quiver`
+    until it owns them, so it must never leave verify_unfolding_commutation:
+    a caller that wrote to it would write to the cached truncation.
 
     Targets.  The final step at label k mutates its fold cone
     (_fold_cone): out of every label-k vertex, those that are one of the
@@ -658,7 +661,7 @@ def _replay(
     representative's closed neighborhood therefore never gains one and
     never writes an arrow at a representative.  Its mutations can be
     moved after the cone's, and then change nothing the fold reads.  The
-    cone is mutated in ascending id order, as orbit_mutate's step is.
+    cone is mutated in (depth, id) order, as orbit_mutate's step is.
 
     Ownership.  The outer dicts are copied here.  Before a step's first
     mutation, let A be its targets together with their current in- and
@@ -699,10 +702,8 @@ def _replay(
     scan: Iterable[int] = ()
     yield 0, work
     for step, k in enumerate(directions, start=1):
-        targets = _orbit_targets(work, k)
+        targets = _orbit_targets(work, k, scan)
         radius = work.interior_radius
-        if next(_gamma_witnesses(work, scan, radius), None) is not None:
-            raise _gamma_violation(check_gamma_conditions(work, interior_only=True))
         if step == last:
             targets = _fold_cone(work, k, reps)
         elif ball and radius is not None:

@@ -61,7 +61,6 @@ SURFACE = {
     "orbit_sources": "(quiver: 'LabeledQuiver') -> 'list[int]'",
     "parse_matrix": "(text: 'str') -> 'ExchangeMatrix'",
     "parse_seed": "(text: 'str') -> 'FramedSeed'",
-    "sign_of_column": "(column: 'Iterable[int]') -> 'ColumnSign'",
     "source_mgs": "(matrix: 'ExchangeMatrix') -> 'GreenSequenceReport'",
     "to_dot": "(quiver: 'LabeledQuiver') -> 'str'",
     "verify_unfolding_commutation": "(matrix: 'ExchangeMatrix', directions: 'Sequence[int]', m: 'int') -> 'CommutationReport'",

@@ -66,6 +66,27 @@ def tiny_quiver(
     )
 
 
+def renumbered(quiver: LabeledQuiver, rng: random.Random) -> LabeledQuiver:
+    """The quiver with its vertex ids permuted by a shuffle drawn from rng."""
+    new_id = list(range(quiver.vertex_count))
+    rng.shuffle(new_id)
+    old_id = sorted(range(quiver.vertex_count), key=new_id.__getitem__)
+
+    def moved(adjacency):
+        return {new_id[u]: {new_id[w]: m for w, m in d.items()} for u, d in adjacency.items()}
+
+    return LabeledQuiver(
+        n_labels=quiver.n_labels,
+        framed=quiver.framed,
+        labels=tuple(quiver.labels[v] for v in old_id),
+        frozen=tuple(quiver.frozen[v] for v in old_id),
+        depths=tuple(quiver.depths[v] for v in old_id),
+        out=moved(quiver.out),
+        inn=moved(quiver.inn),
+        interior_radius=quiver.interior_radius,
+    )
+
+
 def adjacency_rows(quiver: LabeledQuiver) -> list[list[int]]:
     n = quiver.vertex_count
     return [[quiver.entry(i, j) for j in range(n)] for i in range(n)]
@@ -333,6 +354,15 @@ class TestFolding:
             with pytest.raises(ValueError) as column:
                 folding_column(quiver, 2, rep)
             assert str(column.value) == message
+
+    @pytest.mark.parametrize("key", [5, 0, -1, "x", 2.5])
+    def test_representative_key_that_is_no_label_is_rejected(self, key):
+        # such keys were once ignored, so the fold read as the default one
+        quiver = build_truncation(example_matrix(), 3, framed=True)
+        reps = {label: quiver.mutable_ids(label)[0] for label in range(1, 5)}
+        with pytest.raises(ValueError) as rejected:
+            folding(quiver, {**reps, key: 1})
+        assert str(rejected.value) == f"representative key {key!r} is not a label in 1..4"
 
     @pytest.mark.parametrize("label", [True, 1.0, "1"])
     def test_folding_column_rejects_a_label_that_is_no_int(self, label):
@@ -892,3 +922,30 @@ class TestRepresentatives:
                 assert _default_representative(quiver, label) == min(
                     ids, key=lambda v: (quiver.depths[v], v)
                 )
+
+    def test_shallowest_vertex_is_first_whatever_the_numbering(self):
+        # label 1 has vertex 0 at depth 2, outside radius 1, and vertex 2 at
+        # depth 0: the default representative, core_depth and can_fold must
+        # all read vertex 2
+        quiver = tiny_quiver(
+            2, [1, 2, 1], [False] * 3, [(1, 2)], depths=[2, 0, 0], interior_radius=1
+        )
+        assert quiver.mutable_ids(1) == (2, 0)
+        assert (quiver.core_depth, quiver.can_fold) == (0, True)
+        folded = ExchangeMatrix([[0, 1], [-1, 0]])
+        assert folding(quiver) == folding(quiver, {1: 2, 2: 1}) == folded
+        assert folding_column(quiver, 1) == ((0, -1), None)
+
+    @pytest.mark.parametrize("framed", [False, True])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_folding_does_not_depend_on_vertex_numbering(self, m, framed):
+        rng = random.Random(0xF01D + 2 * m + framed)
+        for matrix in corpus_matrices():
+            quiver = build_truncation(matrix, m, framed=framed)
+            twin = renumbered(quiver, rng)
+            assert (twin.core_depth, twin.can_fold) == (quiver.core_depth, quiver.can_fold)
+            assert orbit_sources(twin) == orbit_sources(quiver)
+            assert folding(twin) == folding(quiver)
+            if m == 4:
+                for k in range(1, matrix.n + 1):
+                    assert folding(orbit_mutate(twin, k)) == folding(orbit_mutate(quiver, k))
