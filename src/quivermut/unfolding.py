@@ -21,9 +21,10 @@ docstrings of `_replay` and `verify_unfolding_commutation` argue which
 vertices, and why.
 
 Orientation convention, used consistently for adjacency and folding: a
-positive entry for the ordered pair (i, j) means arrows from j to i.  For
-the framed part, a positive c-entry pairs arrows from a mutable vertex
-into a frozen one.
+positive entry for the ordered pair (i, j) means arrows from j to i, so it
+is the quiver's `adj[j][i]`, the net number of arrows j -> i.  For the
+framed part, a positive c-entry pairs arrows from a mutable vertex into a
+frozen one.
 """
 
 from __future__ import annotations
@@ -81,14 +82,15 @@ class CommutationReport:
 class LabeledQuiver:
     """Labeled quiver with mutable/frozen vertices and net integer arrows.
 
-    Vertices are dense integer ids.  Each label's `mutable_ids` come in
-    (depth, id) order, whatever the numbering, so the first is the
-    label's shallowest vertex: `core_depth`, the default fold
-    representative and `can_fold` read it.  `out[u][v]` is the positive
-    multiplicity of the arrows u -> v; at most one direction is stored per
-    pair, and `inn` mirrors `out`.  `orbit_mutate` leaves its input as it
-    is and returns a new quiver with its own `out` and `inn`, sharing the
-    vertex arrays and the label index.
+    Vertices are dense integer ids, labels lie in 1..n_labels, and
+    `labels`, `frozen` and `depths` have one entry per vertex.  Each
+    label's `mutable_ids` come in (depth, id) order, whatever the
+    numbering, so the first is the label's shallowest vertex:
+    `core_depth`, the default fold representative and `can_fold` read it.
+    `adj[u][v]` is the net number of arrows u -> v, negative when they run
+    v -> u; only nonzero entries are stored, and adj[v][u] == -adj[u][v].
+    `orbit_mutate` leaves its input as it is and returns a new quiver with
+    its own `adj`, sharing the vertex arrays and the label index.
 
     `interior_radius` is the depth up to which vertex neighborhoods are
     complete and entries are trusted; None means the quiver is the whole
@@ -101,13 +103,18 @@ class LabeledQuiver:
     labels: tuple[int, ...]
     frozen: tuple[bool, ...]
     depths: tuple[int, ...]
-    out: dict[int, dict[int, int]]
-    inn: dict[int, dict[int, int]]
+    adj: dict[int, dict[int, int]]
     interior_radius: Optional[int]
     core_depth: int = field(init=False, compare=False)
     _label_ids: dict[int, tuple[int, ...]] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        lengths = (len(self.labels), len(self.frozen), len(self.depths))
+        if min(lengths) != max(lengths):
+            raise ValueError(f"labels, frozen and depths differ in length: {lengths}")
+        for label in (min(self.labels, default=1), max(self.labels, default=1)):
+            if not 1 <= label <= self.n_labels:
+                raise ValueError(f"label {label!r} is not in 1..{self.n_labels}")
         label_ids: dict[int, list[int]] = {}
         for v, label in enumerate(self.labels):
             if not self.frozen[v]:
@@ -133,7 +140,7 @@ class LabeledQuiver:
 
     @property
     def arrow_count(self) -> int:
-        return sum(map(len, self.out.values()))
+        return sum(map(len, self.adj.values())) // 2
 
     @property
     def is_complete(self) -> bool:
@@ -155,14 +162,15 @@ class LabeledQuiver:
 
     def entry(self, i: int, j: int) -> int:
         """Signed adjacency entry for the ordered pair (i, j): mult(j->i) - mult(i->j)."""
-        return self.out[j].get(i, 0) - self.out[i].get(j, 0)
+        return self.adj[j].get(i, 0)
 
     def arrows(self) -> list[tuple[int, int, int]]:
         """All arrows as (source, target, multiplicity), sorted."""
         return [
-            (u, v, self.out[u][v])
+            (u, v, mult)
             for u in range(self.vertex_count)
-            for v in sorted(self.out[u])
+            for v, mult in sorted(self.adj[u].items())
+            if mult > 0
         ]
 
     def __repr__(self) -> str:
@@ -205,11 +213,12 @@ def _label_distances(matrix: ExchangeMatrix) -> list[Optional[int]]:
 def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> LabeledQuiver:
     """Glue the pieces of build_piece ring by ring around a vertex labeled root.
 
-    pieces[i][p] lists (satellite label, arrow into the center), in label
-    order, for a center labeled i whose parent is labeled p, or p = 0 for
-    the root; the table is built once from the columns of B.  Rings
+    pieces[i][p] lists (satellite label j, sign of b_ji), in label order,
+    for a center labeled i whose parent is labeled p, or p = 0 for the
+    root; the table is built once from the columns of B.  Rings
     0..rings-1 are expanded in turn: each vertex gets its frozen copy
-    (when framed), then the satellites of its table entry.
+    (when framed), then the satellites of its table entry, each with the
+    entry adj[center][satellite] = that sign.
 
     The root lacks its whole piece.  Any other vertex v, labeled i, has
     one arrow so far, the one to its parent, labeled p: v was glued as a
@@ -224,16 +233,16 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
     """
     e = matrix.entries
     n = matrix.n
-    pieces: list[list[tuple[tuple[int, bool], ...]]] = [[]]
+    pieces: list[list[tuple[tuple[int, int], ...]]] = [[]]
     for i in range(n):
-        column = [(j + 1, e[j][i] < 0, abs(e[j][i])) for j in range(n) if j != i and e[j][i]]
+        column = [(j + 1, 1 if e[j][i] > 0 else -1, abs(e[j][i]))
+                  for j in range(n) if j != i and e[j][i]]
         pieces.append([
-            tuple((j, into) for j, into, count in column for _ in range(count - (j == p)))
+            tuple((j, sign) for j, sign, count in column for _ in range(count - (j == p)))
             for p in range(n + 1)
         ])
     labels, frozen, depths = [root], [False], [0]
-    out: Adjacency = {0: {}}
-    inn: Adjacency = {0: {}}
+    adj: Adjacency = {0: {}}
     ring, parent_labels = [0], [0]  # the ring's vertices and their parents' labels
     radius: Optional[int] = rings - 1
     for depth in range(rings):
@@ -245,19 +254,15 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
                 labels.append(label)
                 frozen.append(True)
                 depths.append(depth)
-                out[f], inn[f] = {}, {v: 1}
-                out[v][f] = 1
-            for j, into in pieces[label][parent_label]:
+                adj[f] = {v: -1}
+                adj[v][f] = 1
+            for j, sign in pieces[label][parent_label]:
                 s = len(labels)
                 labels.append(j)
                 frozen.append(False)
                 depths.append(depth + 1)
-                if into:
-                    out[s], inn[s] = {v: 1}, {}
-                    inn[v][s] = 1
-                else:
-                    out[s], inn[s] = {}, {v: 1}
-                    out[v][s] = 1
+                adj[s] = {v: -sign}
+                adj[v][s] = sign
                 grown.append(s)
                 grown_parent_labels.append(label)
         if not grown:
@@ -265,7 +270,7 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
             break
         ring, parent_labels = grown, grown_parent_labels
     return LabeledQuiver(n_labels=n, framed=framed, labels=tuple(labels), frozen=tuple(frozen),
-                         depths=tuple(depths), out=out, inn=inn, interior_radius=radius)
+                         depths=tuple(depths), adj=adj, interior_radius=radius)
 
 
 def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQuiver:
@@ -314,44 +319,35 @@ def _shared_truncation(matrix: ExchangeMatrix, m: int) -> LabeledQuiver:
 # ------------------------------------------------------------------ mutation
 
 
-def _mutate_vertex(
-    out: dict[int, dict[int, int]], inn: dict[int, dict[int, int]],
-    frozen: tuple[bool, ...], t: int,
-) -> None:
-    """Mutate at t in place: net arrows between t's neighbors updated, t's dicts swapped.
+def _mutate_vertex(adj: Adjacency, frozen: tuple[bool, ...], t: int) -> None:
+    """Mutate at t in place: net arrows between t's neighbors updated, t's reversed.
 
-    Each path u -> t -> w (multiplicities a, b) adds q = a*b arrows u -> w,
-    cancelled against any w -> u arrows, which implements 2-cycle removal;
-    a path between two frozen vertices adds nothing.  Only the dicts of t
-    and of its neighbors are written.
+    For an in-neighbor u (adj[t][u] = -a < 0) and an out-neighbor w
+    (adj[t][w] = b > 0), the paths u -> t -> w add a*b to adj[u][w] and
+    its mirror, and both are deleted when the sum is 0, which is 2-cycle
+    removal; a path between two frozen vertices adds nothing.  Then t's
+    entries and their mirrors change sign.  Only the dicts of t and of its
+    neighbors are written.
     """
-    out_t = out[t]
-    inn_t = inn[t]
-    for u, a in inn_t.items():
-        out_u = out[u]
-        inn_u = inn[u]
+    adj_t = adj[t]
+    outs = [(w, b) for w, b in adj_t.items() if b > 0]
+    for u, a in adj_t.items():
+        if a > 0:
+            continue
+        adj_u = adj[u]
         u_frozen = frozen[u]
-        for w, b in out_t.items():
+        for w, b in outs:
             if u_frozen and frozen[w]:
                 continue  # arrows between two frozen vertices are discarded
-            q = a * b
-            out_w = out[w]
-            back = out_w.get(u)
-            if back is None:
-                out_u[w] = inn[w][u] = out_u.get(w, 0) + q
-            elif back > q:
-                out_w[u] = inn_u[w] = back - q
+            q = adj_u.get(w, 0) - a * b
+            if q:
+                adj_u[w] = q
+                adj[w][u] = -q
             else:
-                del out_w[u], inn_u[w]
-                if back < q:
-                    out_u[w] = inn[w][u] = q - back
-    for u, a in inn_t.items():
-        del out[u][t]
-        inn[u][t] = a
-    for w, b in out_t.items():
-        del inn[w][t]
-        out[w][t] = b
-    out[t], inn[t] = inn_t, out_t
+                del adj_u[w], adj[w][u]
+    for u, a in adj_t.items():
+        adj_t[u] = -a
+        adj[u][t] = a
 
 
 def _orbit_targets(quiver: LabeledQuiver, k: int, scan: Iterable[int]) -> tuple[int, ...]:
@@ -381,13 +377,10 @@ def _orbit_targets(quiver: LabeledQuiver, k: int, scan: Iterable[int]) -> tuple[
     return targets
 
 
-def _with_arrows(
-    quiver: LabeledQuiver, out: Adjacency, inn: Adjacency, radius: Optional[int]
-) -> LabeledQuiver:
+def _with_arrows(quiver: LabeledQuiver, adj: Adjacency, radius: Optional[int]) -> LabeledQuiver:
     """The vertices and label index of `quiver` with other arrows and interior radius."""
     result = copy(quiver)
-    result.out = out
-    result.inn = inn
+    result.adj = adj
     result.interior_radius = radius
     return result
 
@@ -405,12 +398,11 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     by 2.
     """
     targets = _orbit_targets(quiver, k, range(quiver.vertex_count))
-    out = {u: d.copy() for u, d in quiver.out.items()}
-    inn = {u: d.copy() for u, d in quiver.inn.items()}
+    adj = {u: d.copy() for u, d in quiver.adj.items()}
     for t in targets:
-        _mutate_vertex(out, inn, quiver.frozen, t)
+        _mutate_vertex(adj, quiver.frozen, t)
     radius = None if quiver.is_complete else quiver.interior_radius - 2
-    return _with_arrows(quiver, out, inn, radius)
+    return _with_arrows(quiver, adj, radius)
 
 
 # -------------------------------------------------------------------- checks
@@ -429,22 +421,22 @@ def _gamma_witnesses(
     labels = quiver.labels
     frozen = quiver.frozen
     depths = quiver.depths
-    out = quiver.out
-    inn = quiver.inn
+    adj = quiver.adj
     limit = max(depths) if radius is None else radius
     for x in scan:
         if depths[x] > limit:
             continue
         # frozen classes get negative keys
         class_x = -labels[x] if frozen[x] else labels[x]
+        adj_x = adj[x]
         ins_by_class: dict[int, list[int]] = {}
-        for u in inn[x]:
-            if depths[u] <= limit:
+        for u, mult in adj_x.items():
+            if mult < 0 and depths[u] <= limit:
                 class_u = -labels[u] if frozen[u] else labels[u]
                 if class_u != class_x:
                     ins_by_class.setdefault(class_u, []).append(u)
-        for w in out[x]:
-            if depths[w] <= limit:
+        for w, mult in adj_x.items():
+            if mult > 0 and depths[w] <= limit:
                 class_w = -labels[w] if frozen[w] else labels[w]
                 if class_w == class_x:
                     yield x, w
@@ -489,7 +481,7 @@ def orbit_sources(quiver: LabeledQuiver) -> list[int]:
     result = []
     for label in range(1, quiver.n_labels + 1):
         ids = [v for v in quiver.mutable_ids(label) if quiver.is_interior(v)]
-        if ids and all(not quiver.inn[v] for v in ids):
+        if ids and all(mult > 0 for v in ids for mult in quiver.adj[v].values()):
             result.append(label)
     return result
 
@@ -556,11 +548,9 @@ def _column_sums(quiver: LabeledQuiver, rep: int) -> list[int]:
     frozen = quiver.frozen
     n = quiver.n_labels
     column = [0] * (2 * n)
-    for u, mult in quiver.out[rep].items():
-        # arrows rep -> u contribute +mult to the (u, rep) entry
+    for u, mult in quiver.adj[rep].items():
+        # adj[rep][u] is the (u, rep) entry
         column[labels[u] - 1 + n * frozen[u]] += mult
-    for u, mult in quiver.inn[rep].items():
-        column[labels[u] - 1 + n * frozen[u]] -= mult
     return column
 
 
@@ -609,16 +599,14 @@ def _fold_cone(quiver: LabeledQuiver, k: int, reps: Iterable[int]) -> list[int]:
     depths = quiver.depths
     labels = quiver.labels
     frozen = quiver.frozen
-    out = quiver.out
-    inn = quiver.inn
+    adj = quiver.adj
     cone: set[int] = set()
-    stack = [v for rep in reps for v in (rep, *out[rep], *inn[rep])]
+    stack = [v for rep in reps for v in (rep, *adj[rep])]
     while stack:
         v = stack.pop()
         if labels[v] == k and not frozen[v] and v not in cone:
             cone.add(v)
-            stack += out[v]
-            stack += inn[v]
+            stack += adj[v]
     return sorted(cone, key=lambda v: (depths[v], v))
 
 
@@ -629,7 +617,7 @@ def _replay(
 
     Yields (step, work) before the first step and after each one.  `work`
     is one private LabeledQuiver, made here with the vertices of `quiver`;
-    each step updates its `out`, `inn` and `interior_radius` in place.
+    each step updates its `adj` and `interior_radius` in place.
     Checks and errors are those of orbit_mutate (_orbit_targets), made on
     the state about to be mutated.  `work` shares inner dicts with `quiver`
     until it owns them, so it must never leave verify_unfolding_commutation:
@@ -663,21 +651,21 @@ def _replay(
     moved after the cone's, and then change nothing the fold reads.  The
     cone is mutated in (depth, id) order, as orbit_mutate's step is.
 
-    Ownership.  The outer dicts are copied here.  Before a step's first
-    mutation, let A be its targets together with their current in- and
-    out-neighbors; the inner dicts of every vertex of A not yet owned are
-    copied, and A joins the owned set.  Every arrow the step changes has
-    both endpoints in A, so `quiver` is never written.  By induction over
-    the targets in order: mutation at t writes only the dicts of t and of
-    its neighbors at that moment, and each such neighbor either was one
-    before the step, so lies in A, or was joined to t by an arrow that an
-    earlier target changed, whose endpoints lie in A.  This holds even
-    when two targets are adjacent, as same-label vertices at depth r + 1,
-    outside the interior the Γ check covers, can be.  Conversely every
-    vertex of A is written by the step, either at a target that still
-    has it as a neighbor or at the earlier target that took that arrow
-    away; so A is exactly the set of vertices whose arrows the step
-    touched, and it is the next Γ scan set.
+    Ownership.  The outer dict is copied here, and each vertex has one
+    inner dict.  Before a step's first mutation, let A be its targets
+    together with their current neighbors; the inner dict of every vertex
+    of A not yet owned is copied, and A joins the owned set.  Every arrow
+    the step changes has both endpoints in A, so `quiver` is never
+    written.  By induction over the targets in order: mutation at t writes
+    only the dicts of t and of its neighbors at that moment, and each such
+    neighbor either was one before the step, so lies in A, or was joined
+    to t by an arrow that an earlier target changed, whose endpoints lie
+    in A.  This holds even when two targets are adjacent, as same-label
+    vertices at depth r + 1, outside the interior the Γ check covers, can
+    be.  Conversely every vertex of A is written by the step, either at a
+    target that still has it as a neighbor or at the earlier target that
+    took that arrow away; so A is exactly the set of vertices whose arrows
+    the step touched, and it is the next Γ scan set.
 
     The Γ check before a step scans only the vertices whose arrows the
     previous step changed: any other loop or 2-cycle already existed,
@@ -693,9 +681,8 @@ def _replay(
     The frozen copy is the only frozen neighbor of its vertex and has no
     other neighbor.  So no path u -> x -> w has u and w in one class.
     """
-    work = _with_arrows(quiver, dict(quiver.out), dict(quiver.inn), quiver.interior_radius)
-    out = work.out
-    inn = work.inn
+    work = _with_arrows(quiver, dict(quiver.adj), quiver.interior_radius)
+    adj = work.adj
     last = len(directions)
     ball = last <= _TRUSTED_STEPS
     owned: set[int] = set()  # vertices whose inner dicts are already copies
@@ -711,15 +698,12 @@ def _replay(
             targets = targets[:bisect_right(targets, limit, key=work.depths.__getitem__)]
         if radius is not None:
             work.interior_radius = radius - 2
-        around = set(targets).union(
-            *map(out.__getitem__, targets), *map(inn.__getitem__, targets)
-        )
+        around = set(targets).union(*map(adj.__getitem__, targets))
         for v in around - owned:
-            out[v] = out[v].copy()
-            inn[v] = inn[v].copy()
+            adj[v] = adj[v].copy()
         owned |= around
         for t in targets:
-            _mutate_vertex(out, inn, work.frozen, t)
+            _mutate_vertex(adj, work.frozen, t)
         scan = around
         yield step, work
 
@@ -813,10 +797,8 @@ def to_dot(quiver: LabeledQuiver) -> str:
             lines.append(f'  v{v} [shape=box, label="{quiver.labels[v]}′"];')
         else:
             lines.append(f'  v{v} [shape=ellipse, label="v{v} ({quiver.labels[v]})"];')
-    for u in range(quiver.vertex_count):
-        for v in sorted(quiver.out[u]):
-            mult = quiver.out[u][v]
-            attr = f" [label={mult}]" if mult > 1 else ""
-            lines.append(f"  v{u} -> v{v}{attr};")
+    for u, v, mult in quiver.arrows():
+        attr = f" [label={mult}]" if mult > 1 else ""
+        lines.append(f"  v{u} -> v{v}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -64,8 +64,8 @@ def _pruned_sequences(n: int, max_len: int) -> list[tuple[int, ...]]:
 
 
 def _vertex_column_sign(quiver: LabeledQuiver, v: int) -> str:
-    pos = any(quiver.frozen[u] for u in quiver.out[v])
-    neg = any(quiver.frozen[u] for u in quiver.inn[v])
+    pos = any(quiver.frozen[u] for u, mult in quiver.adj[v].items() if mult > 0)
+    neg = any(quiver.frozen[u] for u, mult in quiver.adj[v].items() if mult < 0)
     if pos and neg:
         return "mixed"
     if pos:

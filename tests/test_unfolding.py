@@ -6,6 +6,7 @@ import copy
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -49,19 +50,17 @@ TREE_PATH = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
 def tiny_quiver(
     n_labels, labels, frozen, arrows, framed=False, depths=None, interior_radius=None
 ) -> LabeledQuiver:
-    out = {i: {} for i in range(len(labels))}
-    inn = {i: {} for i in range(len(labels))}
+    adj = {i: {} for i in range(len(labels))}
     for u, v in arrows:
-        out[u][v] = out[u].get(v, 0) + 1
-        inn[v][u] = inn[v].get(u, 0) + 1
+        adj[u][v] = adj[u].get(v, 0) + 1
+        adj[v][u] = -adj[u][v]
     return LabeledQuiver(
         n_labels=n_labels,
         framed=framed,
         labels=tuple(labels),
         frozen=tuple(frozen),
         depths=tuple(depths) if depths is not None else tuple(0 for _ in labels),
-        out=out,
-        inn=inn,
+        adj=adj,
         interior_radius=interior_radius,
     )
 
@@ -81,8 +80,7 @@ def renumbered(quiver: LabeledQuiver, rng: random.Random) -> LabeledQuiver:
         labels=tuple(quiver.labels[v] for v in old_id),
         frozen=tuple(quiver.frozen[v] for v in old_id),
         depths=tuple(quiver.depths[v] for v in old_id),
-        out=moved(quiver.out),
-        inn=moved(quiver.inn),
+        adj=moved(quiver.adj),
         interior_radius=quiver.interior_radius,
     )
 
@@ -197,7 +195,7 @@ class TestBuildTruncation:
         stack = [0]
         while stack:
             v = stack.pop()
-            for u in list(quiver.out[v]) + list(quiver.inn[v]):
+            for u in quiver.adj[v]:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -236,18 +234,18 @@ class TestBuildTruncation:
         second = build_truncation(example_matrix(), 4, framed=True)
         assert first == second
         assert first is not second
-        assert first.out is not second.out and first.out[0] is not second.out[0]
-        assert first.inn is not second.inn and first.inn[0] is not second.inn[0]
+        assert first.adj is not second.adj and first.adj[0] is not second.adj[0]
 
     def test_equality_compares_in_arrows(self):
         first = build_truncation(example_matrix(), 2)
         second = build_truncation(example_matrix(), 2)
-        second.inn[1].clear()
-        assert first.out == second.out and first.inn != second.inn
+        # drop vertex 1's in-arrows, its negative entries, and keep its out-arrows
+        second.adj[1] = {u: mult for u, mult in second.adj[1].items() if mult > 0}
+        assert first.adj[1] != second.adj[1]
         assert first != second
 
     def test_writes_to_a_returned_quiver_change_no_later_result(self):
-        build_truncation(example_matrix(), 4).out[0].clear()
+        build_truncation(example_matrix(), 4).adj[0].clear()
         report = verify_unfolding_commutation(example_matrix(), (1,), 4)
         assert report.ok and report.first_divergence is None
 
@@ -394,17 +392,17 @@ class TestOrbitMutate:
         quiver = build_truncation(example_matrix(), 4, framed=True)
         before = copy.deepcopy(quiver)
         mutated = orbit_mutate(quiver, 2)
-        assert quiver == before and quiver.inn == before.inn
-        inner = {id(d) for d in (*quiver.out.values(), *quiver.inn.values())}
-        assert not any(id(d) in inner for d in (*mutated.out.values(), *mutated.inn.values()))
-        mutated.out[0].clear()
-        mutated.inn[1].clear()
-        assert quiver == before and quiver.inn == before.inn
+        assert quiver == before and quiver.adj == before.adj
+        inner = {id(d) for d in quiver.adj.values()}
+        assert not any(id(d) in inner for d in mutated.adj.values())
+        mutated.adj[0].clear()
+        mutated.adj[1].clear()
+        assert quiver == before and quiver.adj == before.adj
 
     def test_involution_is_exact_everywhere(self):
         quiver = build_truncation(example_matrix(), 4, framed=True)
         twice = orbit_mutate(orbit_mutate(quiver, 2), 2)
-        assert twice.out == quiver.out
+        assert twice.adj == quiver.adj
         assert twice.interior_radius == quiver.interior_radius - 4
 
     @pytest.mark.parametrize("label", [1, 2, 3, 4])
@@ -568,8 +566,7 @@ class TestCommutations:
                     )
                     for v in range(small.vertex_count):
                         if small.is_interior(v):
-                            assert small.out[v] == big.out[v], (matrix, prefix, v)
-                            assert small.inn[v] == big.inn[v], (matrix, prefix, v)
+                            assert small.adj[v] == big.adj[v], (matrix, prefix, v)
                     states += 1
         # 4 example prefixes; 15 n=2 and 15 n=3 matrices with 2 + 2 + 2 and
         # 3 + 6 + 12 prefixes
@@ -582,7 +579,7 @@ class TestCommutations:
         big = orbit_mutate(build_truncation(example_matrix(), 4, framed=True), 2)
         n = small.vertex_count
         for v in range(n):
-            assert {u: m for u, m in big.out[v].items() if u < n} == small.out[v]
+            assert {u: m for u, m in big.adj[v].items() if u < n} == small.adj[v]
 
 
 class TestDotExport:
@@ -617,17 +614,15 @@ class TestCorpusFoldings:
 
 def assert_structurally_valid(quiver: LabeledQuiver, fresh: bool) -> None:
     for u in range(quiver.vertex_count):
-        for v, mult in quiver.out[u].items():
+        for v, mult in quiver.adj[u].items():
             assert u != v, "no loops"
-            assert mult > 0
-            assert u not in quiver.out[v], "no 2-cycles"
-            assert quiver.inn[v][u] == mult, "in-index mirrors out-index"
+            assert mult != 0, "no zero entries"
+            assert quiver.adj[v].get(u) == -mult, "adj is antisymmetric"
             assert not (quiver.frozen[u] and quiver.frozen[v]), "no frozen-frozen arrows"
     if fresh and quiver.framed:
         for v in range(quiver.vertex_count):
             if quiver.frozen[v]:
-                neighbors = set(quiver.out[v]) | set(quiver.inn[v])
-                assert len(neighbors) == 1, "fresh frozen copies have one neighbor"
+                assert len(quiver.adj[v]) == 1, "fresh frozen copies have one neighbor"
 
 
 class TestStructuralInvariants:
@@ -660,9 +655,9 @@ def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch, spans) ->
     compare each state with the whole-truncation orbit_mutate chain.
 
     After every step but the last, every interior vertex must have exactly
-    the reference's out- and in-arrows; after every step, the fold-cone
-    last step included, the fold must agree; and each Γ verdict the replay
-    takes must equal the full interior scan of the reference.  Shorter
+    the reference's arrows; after every step, the fold-cone last step
+    included, the fold must agree; and each Γ verdict the replay takes
+    must equal the full interior scan of the reference.  Shorter
     sequences are the prefixes the replays pass through.  spans[s] is
     raised to the largest depth difference along an arrow of a reference
     state after s steps.  Returns the number of states compared.
@@ -699,14 +694,13 @@ def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch, spans) ->
             if step < len(seq):
                 for v in range(base.vertex_count):
                     if ref.is_interior(v):
-                        assert work.out[v] == ref.out[v], (seq, step, v)
-                        assert work.inn[v] == ref.inn[v], (seq, step, v)
+                        assert work.adj[v] == ref.adj[v], (seq, step, v)
             folded = folding(ref)
             assert _fold_rows(work, reps) == folded.b.entries + folded.c, (seq, step)
             compared += 1
     for prefix, ref in reference.items():
         depths = ref.depths
-        span = max(abs(depths[u] - depths[w]) for u, d in ref.out.items() for w in d)
+        span = max(abs(depths[u] - depths[w]) for u, d in ref.adj.items() for w in d)
         spans[len(prefix)] = max(spans.get(len(prefix), 0), span)
     return compared
 
@@ -726,14 +720,55 @@ def random_net_quiver(rng: random.Random) -> LabeledQuiver:
     return tiny_quiver(3, labels, frozen, arrows)
 
 
-def assert_net_arrows(out, inn) -> None:
-    """inn mirrors out, and each pair carries positive arrows one way at most."""
-    mirrored = {v: {} for v in out}
-    for u, d in out.items():
+def assert_net_arrows(adj) -> None:
+    """adj is antisymmetric, with no zero or diagonal entry."""
+    for u, d in adj.items():
         for w, mult in d.items():
-            assert mult > 0 and u not in out[w]
-            mirrored[w][u] = mult
-    assert inn == mirrored
+            assert mult != 0 and u != w and adj[w].get(u) == -mult
+
+
+class TestQuiverFields:
+    def test_label_outside_1_to_n_labels_is_rejected(self):
+        # label 0 once folded into the frozen row, giving c = ((2,),), and
+        # label 3 of 2 made folding raise a bare IndexError
+        with pytest.raises(ValueError, match=r"^label 0 is not in 1\.\.1$"):
+            tiny_quiver(1, [1, 0, 1], [False, False, True], [(0, 1), (0, 2)], framed=True)
+        with pytest.raises(ValueError, match=r"^label 3 is not in 1\.\.2$"):
+            tiny_quiver(2, [1, 3], [False, False], [(0, 1)])
+
+    @pytest.mark.parametrize("frozen, depths", [
+        ([False], [0, 0]), ([False] * 3, [0, 0]), ([False, False], [0]),
+    ])
+    def test_fields_of_unequal_length_are_rejected(self, frozen, depths):
+        with pytest.raises(ValueError, match="labels, frozen and depths differ in length"):
+            tiny_quiver(1, [1, 1], frozen, [(0, 1)], depths=depths)
+
+
+DOT_ARROW = re.compile(r"^  v(\d+) -> v(\d+)(?: \[label=(\d+)\])?;$", re.MULTILINE)
+
+
+class TestArrowViews:
+    """arrow_count, arrows(), to_dot and entry all read the one stored adjacency."""
+
+    def test_views_agree_on_random_and_mutated_quivers(self):
+        rng = random.Random(0xADD)
+        quivers = [random_net_quiver(rng) for _ in range(300)]
+        example = build_truncation(example_matrix(), 3)
+        states = quivers + [example] + [orbit_mutate(example, k) for k in range(1, 5)]
+        for quiver in quivers:
+            if check_gamma_conditions(quiver).ok:
+                states += [orbit_mutate(quiver, k) for k in quiver.present_labels()]
+        # 226 orbit-mutations of the 300 random quivers pass the Γ check
+        assert len(states) == 300 + 5 + 226
+        for quiver in states:
+            arrows = quiver.arrows()
+            assert quiver.arrow_count == len(arrows)
+            listed = DOT_ARROW.findall(to_dot(quiver))
+            assert [(int(u), int(v), int(m or 1)) for u, v, m in listed] == arrows
+            n = quiver.vertex_count
+            assert all(
+                quiver.entry(i, j) == -quiver.entry(j, i) for i in range(n) for j in range(i + 1)
+            )
 
 
 class TestMutationKernel:
@@ -744,16 +779,15 @@ class TestMutationKernel:
         for _ in range(600):
             quiver = random_net_quiver(rng)
             t = rng.choice([v for v in range(quiver.vertex_count) if not quiver.frozen[v]])
-            out, inn = copy.deepcopy((quiver.out, quiver.inn))
-            _mutate_vertex(out, inn, quiver.frozen, t)
-            mutated = _with_arrows(quiver, out, inn, None)
+            adj = copy.deepcopy(quiver.adj)
+            _mutate_vertex(adj, quiver.frozen, t)
+            mutated = _with_arrows(quiver, adj, None)
             assert adjacency_rows(mutated) == signed_vertex_mutation(
                 adjacency_rows(quiver), quiver.frozen, t
             )
-            assert_net_arrows(out, inn)
-            _mutate_vertex(out, inn, quiver.frozen, t)
-            assert out == quiver.out
-            assert inn == quiver.inn
+            assert_net_arrows(adj)
+            _mutate_vertex(adj, quiver.frozen, t)
+            assert adj == quiver.adj
 
 
 class TestTrustedBallReplay:
@@ -813,7 +847,7 @@ class TestTrustedBallReplay:
             cached = _shared_truncation(matrix, 8)
             cold = build_truncation(matrix, 8, framed=True)
             assert cached == cold
-            assert cached.inn == cold.inn
+            assert cached.adj == cold.adj
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_step_owns_every_vertex_it_writes(self, reverse):
@@ -829,15 +863,14 @@ class TestTrustedBallReplay:
             2, [1, 2, 2, 2, 1], [False] * 5, arrows,
             depths=[0, 0, 2, 2, 1], interior_radius=1,
         )
-        before = copy.deepcopy((quiver.out, quiver.inn))
-        out, inn = copy.deepcopy(before)
+        before = copy.deepcopy(quiver.adj)
+        adj = copy.deepcopy(before)
         for t in (1, 2, 3):
-            _mutate_vertex(out, inn, quiver.frozen, t)
+            _mutate_vertex(adj, quiver.frozen, t)
         *_, (step, work) = _replay(quiver, (2,), [0, 1])
-        assert (quiver.out, quiver.inn) == before
+        assert quiver.adj == before
         assert (step, work.interior_radius) == (1, -1)
-        assert work.out == out
-        assert work.inn == inn
+        assert work.adj == adj
 
     def test_bad_direction_raises_like_orbit_mutate(self):
         quiver = build_truncation(example_matrix(), 6, framed=True)
@@ -865,9 +898,9 @@ class TestFoldCone:
         # 13,565, 7,178 and 18,332 vertices here
         calls = []
 
-        def counting_mutate_vertex(out, inn, frozen, t):
+        def counting_mutate_vertex(adj, frozen, t):
             calls.append(t)
-            _mutate_vertex(out, inn, frozen, t)
+            _mutate_vertex(adj, frozen, t)
 
         monkeypatch.setattr(unfolding, "_mutate_vertex", counting_mutate_vertex)
         assert verify_unfolding_commutation(example_matrix(), seq, 8).ok
@@ -883,15 +916,15 @@ class TestFoldCone:
         assert unfolding._fold_cone(quiver, 2, [3]) == [1, 2]
 
         def mutated_at(targets):
-            out, inn = copy.deepcopy((quiver.out, quiver.inn))
+            adj = copy.deepcopy(quiver.adj)
             for t in targets:
-                _mutate_vertex(out, inn, quiver.frozen, t)
-            return _with_arrows(quiver, out, inn, None)
+                _mutate_vertex(adj, quiver.frozen, t)
+            return _with_arrows(quiver, adj, None)
 
         whole = mutated_at(quiver.mutable_ids(2))
         *_, (_, cone) = _replay(quiver, (2,), [3])
         assert _fold_rows(cone, [3]) == _fold_rows(whole, [3])
-        assert whole.out[0] == {3: 1}
+        assert {u: mult for u, mult in whole.adj[0].items() if mult > 0} == {3: 1}
         assert _fold_rows(mutated_at([2]), [3]) != _fold_rows(whole, [3])
 
 
