@@ -34,7 +34,7 @@ from collections import deque
 from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .matrices import (
     ExchangeMatrix, IntMatrix, _check_index, _is_int, _mutate_rows, _require_positive,
@@ -42,12 +42,11 @@ from .matrices import (
 )
 from .seeds import FramedSeed, identity_rows
 
-# Before its final step, the replay in verify_unfolding_commutation mutates
-# label-k vertices down to depth radius + _TRUST_MARGIN when the sequence has
-# at most _TRUSTED_STEPS steps, and every label-k vertex otherwise; its
-# docstring says why 1 is enough and why only through three steps.
-_TRUST_MARGIN = 1
-_TRUSTED_STEPS = 3
+# σ_s, the largest depth difference along an arrow after s orbit-mutations
+# of a fresh truncation: the replay in verify_unfolding_commutation cuts its
+# steps at depths derived from them (_ball_limits); its docstring proves σ_0
+# and σ_1 and says where σ_2 is measured.
+_SPANS = (1, 2, 3)
 
 Adjacency = dict[int, dict[int, int]]
 
@@ -289,11 +288,11 @@ def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQ
 def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> LabeledQuiver:
     """Truncation of the unfolding quiver with interior budget m.
 
-    Construction starts at label 1 and glues ring by ring out to radius
-    d* + m - 1, where d* is the depth at which the deepest label first
-    appears; every label then has an interior representative as long as
-    the budget permits (folding needs m >= 2 on a fresh truncation, and
-    each orbit-mutation costs 2).  If a gluing round adds nothing the
+    Construction starts at label 1 and glues ring by ring out to depth
+    d* + m - 1, interior radius d* + m - 2, where d* is the depth at which
+    the deepest label first appears; every label then has an interior
+    representative as long as the budget permits (folding needs m >= 2 on
+    a fresh truncation, and each orbit-mutation costs 2).  If a gluing round adds nothing the
     quiver is the whole finite unfolding and the interior never shrinks.
     Every call builds a new quiver, which the caller owns.
     """
@@ -610,8 +609,24 @@ def _fold_cone(quiver: LabeledQuiver, k: int, reps: Iterable[int]) -> list[int]:
     return sorted(cone, key=lambda v: (depths[v], v))
 
 
+def _ball_limits(
+    quiver: LabeledQuiver, steps: int, reps: Collection[int]
+) -> Optional[list[int]]:
+    """The depth down to which each of steps 1..steps-1 mutates its label, or
+    None for every label-k vertex; verify_unfolding_commutation derives it."""
+    radius = quiver.interior_radius
+    if radius is None or steps > len(_SPANS):
+        return None
+    fold = 1 + max(quiver.depths[rep] for rep in reps)
+    need, limits = fold, []
+    for s in reversed(range(steps)):
+        limits.insert(0, need + _SPANS[s] - 1)
+        need = max(need + _SPANS[s], fold, radius - 2 * s + 1 if s else 0)
+    return limits[:-1] if need <= radius + 1 else None
+
+
 def _replay(
-    quiver: LabeledQuiver, directions: Sequence[int], reps: Iterable[int]
+    quiver: LabeledQuiver, directions: Sequence[int], reps: Collection[int]
 ) -> Iterator[tuple[int, LabeledQuiver]]:
     """Orbit-mutate a working copy of a fresh truncation, step by step.
 
@@ -628,14 +643,11 @@ def _replay(
     fold representatives `reps` or adjacent to one, closed under adjacency
     among them.  After that step the representatives' arrows, and so the
     fold, which sums nothing else, are those of the step orbit_mutate
-    takes, which mutates every label-k vertex.  An earlier step at a
-    finite radius r mutates the trusted ball, the label-k vertices at
-    depth at most r + _TRUST_MARGIN, when there are at most
-    _TRUSTED_STEPS directions, and every label-k vertex otherwise
-    (verify_unfolding_commutation argues the margin and its scope).  A
-    fresh truncation has no vertex deeper than r + 1, so step 1's ball is
-    every vertex, and the ball only ever cuts step 2 of a three-step
-    sequence.
+    takes, which mutates every label-k vertex.  An earlier step s + 1
+    mutates the label-k vertices down to the depth that _ball_limits gives
+    it, which verify_unfolding_commutation derives backward from the
+    depths that later Γ scans and folds read, through the spans _SPANS;
+    without a schedule it mutates every label-k vertex.
 
     Why the cone is exact.  A vertex mutation at t writes only arrows
     between vertices of t's closed neighborhood, and reads only the
@@ -684,7 +696,7 @@ def _replay(
     work = _with_arrows(quiver, dict(quiver.adj), quiver.interior_radius)
     adj = work.adj
     last = len(directions)
-    ball = last <= _TRUSTED_STEPS
+    limits = _ball_limits(quiver, last, reps)
     owned: set[int] = set()  # vertices whose inner dicts are already copies
     scan: Iterable[int] = ()
     yield 0, work
@@ -693,8 +705,8 @@ def _replay(
         radius = work.interior_radius
         if step == last:
             targets = _fold_cone(work, k, reps)
-        elif ball and radius is not None:
-            limit = radius + _TRUST_MARGIN
+        elif limits is not None:
+            limit = limits[step - 1]
             targets = targets[:bisect_right(targets, limit, key=work.depths.__getitem__)]
         if radius is not None:
             work.interior_radius = radius - 2
@@ -719,51 +731,51 @@ def verify_unfolding_commutation(
     Requires interior budget m >= 2*len(directions) + 2.
 
     Reports and errors are those of chaining orbit_mutate and folding, but
-    the replay (_replay) does far less work.  It writes to one
-    working quiver instead of copying the truncation per step.  The final
-    step mutates only its fold cone, the label-k vertices that can reach a
-    representative's arrows.  Before it, in a sequence of at most
-    _TRUSTED_STEPS steps, a step at label k mutates only the label-k
-    vertices at depth <= r + 1, where r is the interior radius before the
-    step; in a longer sequence it mutates every label-k vertex.  The Γ
-    check scans only the vertices the previous step touched.  _replay
-    argues both.  Representatives are chosen once, since mutation moves
-    no label or depth, and folding sums only their neighborhoods.
+    the replay (_replay) does far less work.  It writes to one working
+    quiver instead of copying the truncation per step.  The final step
+    mutates only its fold cone, the label-k vertices that can reach a
+    representative's arrows; each earlier step, only the label-k vertices
+    down to its depth in the ball schedule below.  The Γ check scans only
+    the vertices the previous step touched.  _replay argues the cone and
+    the scan.  Representatives are chosen once, since mutation moves no
+    label or depth, and folding sums only their neighborhoods.
 
-    Why depth <= r + 1 is enough.  Take two replays that apply the same
-    vertex mutations in the same order, except that one skips some.
-    Mutating at t changes only arrows inside t's closed neighborhood, and
-    changes them alike in both replays when t's arrows agree.  So the
-    replays come to disagree at a vertex only next to a skipped vertex, or
-    next to a vertex mutated while they already disagree at it.  Let f_s
-    be the least depth at which a replay may disagree with the infinite
+    The ball schedule.  Take two replays that apply the same vertex
+    mutations in the same order, except that one skips some.  Mutating at
+    t changes only arrows inside t's closed neighborhood, and changes them
+    alike in both replays when t's arrows agree.  So the replays come to
+    disagree at a vertex only next to a skipped vertex, or next to a
+    vertex mutated while they already disagree at it.  Let f_s be the
+    least depth at which the replay may disagree with the infinite
     unfolding after s steps, g_s the least depth of a target it skips at
     step s + 1, and σ_s a bound on the depth difference along an arrow of
-    either after s steps (σ_0 = 1 on the fresh tree, frozen copies
-    sitting at their vertex's depth; σ_1 = 2 and σ_2 = 3 on the test
-    corpus, as TestTrustedBallReplay measures on the orbit_mutate chain;
-    raising a bound to 2 keeps it a bound).  Then
-    f_{s+1} >= min(f_s, g_s) - σ_s.
+    either after s steps.  Then f_{s+1} >= min(f_s, g_s) - σ_s, and
+    f_0 = r_0 + 1, as the truncation lacks the neighbors of its outer
+    ring.  Work backward from what later checks read.  Every prefix is
+    folded at representatives down to depth d, and the Γ scan before step
+    s + 1 reads arrows down to r_s = r_0 - 2s, so after s steps we need
+    f_s >= need_s, where need_L = d + 1 and, for s < L,
+    need_s = max(need_{s+1} + σ_s, r_s + 1 if s >= 1, d + 1).  Step s + 1
+    keeps f_{s+1} >= need_{s+1} when it mutates down to depth
+    need_{s+1} + σ_s - 1, given f_s >= need_s; by induction all of it
+    holds when need_0 <= r_0 + 1 (_ball_limits).  The final step takes its
+    cone, which has the fold of the whole step.  When need_0 > r_0 + 1, on
+    a complete quiver, and for more steps than _SPANS has spans, each step
+    but the last mutates every label-k vertex.
 
-    The whole truncation lacks the neighbors of its outer ring, so
-    f_0 = r_0 + 1, and it skips what lies beyond, g_s = r_0 + 2; hence
-    f_s >= F_s = r_0 + 1 - (σ_0 + ... + σ_{s-1}), and F_s <= r_s + 2 for
-    r_s = r_0 - 2s.  The trusted ball skips from g_s = r_s + 2 on, which
-    is never below F_s, so the same F_s bounds it at every step: it is
-    exact wherever the whole truncation is guaranteed exact, and the
-    radius bookkeeping (trust depth <= r_s, i.e. F_s >= r_s + 1) covers
-    both.  With the corpus spans that holds through three steps, so the
-    ball is cut only in sequences of at most _TRUSTED_STEPS steps; a
-    longer one mutates the whole truncation at every step, exactly as the
-    orbit_mutate chain does.  The final step needs no margin: its cone
-    has the fold of the step orbit_mutate takes, which skips nothing.
-    Nor does step 1 skip anything, as a fresh truncation has no vertex
-    deeper than r_0 + 1, so the ball only ever cuts step 2 of a
-    three-step sequence.  Cutting the ball at four steps does go
-    wrong: the error it lets in during steps 1 to 3 reaches a
-    representative at step 4 (corpus matrix 3 / 0 -1 0 / 2 0 -3 / 0 1 0
-    along 2,3,1,2 at m = 10).  Skipping from r_s + 1 on would lower the
-    bound by one ring from step 2, which puts ring r_3 at risk at step 3.
+    The spans (_SPANS) are σ_0 = 1: a fresh truncation is a tree whose
+    arrows join a vertex to its child or its frozen copy at its own depth.
+    σ_1 = 2: same-label vertices of the tree are never adjacent, so each
+    step-1 target is mutated with its tree neighbors, and each arrow it
+    adds joins two of them.  σ_2 = 3 is measured, not proven: it is the
+    largest span after two steps of the orbit_mutate chain over the test
+    corpus (TestTrustedBallReplay); the proven bound 2σ_1 = 4 leaves no
+    schedule for three steps at m = 8.  No σ_3 is known, and the old
+    radius + 1 cut through four steps diverged at step 4 (corpus matrix
+    3 / 0 -1 0 / 2 0 -3 / 0 1 0 along 2,3,1,2 at m = 10).  At m = 2L + 2
+    the schedule skips the two outer rings at step 1 of two steps and the
+    outer one at step 1 of three; one ring less at step 2 of three
+    diverges (the example along 3,4,2 at m = 8).
     """
     directions = tuple(directions)
     _require_positive(m, "truncation budget m")

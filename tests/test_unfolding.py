@@ -32,6 +32,7 @@ from quivermut import (
 from quivermut import unfolding
 from quivermut.unfolding import (
     _representative as _default_representative,
+    _ball_limits,
     _fold_rows,
     _gamma_witnesses,
     _mutate_vertex,
@@ -40,7 +41,7 @@ from quivermut.unfolding import (
     _with_arrows,
 )
 
-from corpus import corpus_matrices, example_matrix, random_acyclic_connected
+from corpus import EXAMPLE_ROWS, corpus_matrices, example_matrix, random_acyclic_connected
 
 ONE = ExchangeMatrix([[0]])
 TWO_LEAF = ExchangeMatrix([[0, 1], [-2, 0]])  # finite unfolding, label 2 twice
@@ -650,17 +651,19 @@ def full_length_sequences(n: int, length: int) -> list[tuple[int, ...]]:
     ]
 
 
-def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch, spans) -> int:
-    """Drive the replay along every pruned sequence of length max_len and
-    compare each state with the whole-truncation orbit_mutate chain.
+def check_replay_against_orbit_mutate(matrix, m, lengths, monkeypatch, spans) -> int:
+    """Drive the replay along every pruned sequence of each length in
+    lengths, each as a sequence of its own, and compare each state with the
+    whole-truncation orbit_mutate chain.
 
-    After every step but the last, every interior vertex must have exactly
-    the reference's arrows; after every step, the fold-cone last step
-    included, the fold must agree; and each Γ verdict the replay takes
-    must equal the full interior scan of the reference.  Shorter
-    sequences are the prefixes the replays pass through.  spans[s] is
-    raised to the largest depth difference along an arrow of a reference
-    state after s steps.  Returns the number of states compared.
+    Each length has its own ball schedule, so a short sequence is replayed
+    for itself, not read off a longer one's prefix.  After every step but
+    the last, every interior vertex must have exactly the reference's
+    arrows; after every step, the fold-cone last step included, the fold
+    must agree; and each Γ verdict the replay takes must equal the full
+    interior scan of the reference.  spans[s] is raised to the largest
+    depth difference along an arrow of a reference state after s steps.
+    Returns the number of states compared.
     """
     verdicts = []
 
@@ -674,7 +677,7 @@ def check_replay_against_orbit_mutate(matrix, m, max_len, monkeypatch, spans) ->
     reps = [_default_representative(base, label) for label in range(1, matrix.n + 1)]
     reference = {(): base}
     compared = 0
-    for seq in full_length_sequences(matrix.n, max_len):
+    for seq in (seq for length in lengths for seq in full_length_sequences(matrix.n, length)):
         # the references first, so that only the replay's verdicts are recorded
         for step in range(1, len(seq) + 1):
             prefix = seq[:step]
@@ -793,29 +796,106 @@ class TestMutationKernel:
 class TestTrustedBallReplay:
     """The replay inside verify_unfolding_commutation against orbit_mutate.
 
-    Before its final step the replay mutates only label-k vertices at depth
-    <= radius + 1; these tests hold it to the whole-truncation reference on
-    every interior vertex, which is what the margin argument in its
-    docstring claims, and they measure the spans σ_0, σ_1 and σ_2 that the
-    argument cites.  The final step mutates only the fold cone, so there
-    they compare the fold.
+    Before its final step the replay mutates only the label-k vertices down
+    to the depth its ball schedule (_ball_limits) gives that step; these
+    tests hold it to the whole-truncation reference on every interior
+    vertex, which is what the derivation in verify_unfolding_commutation's
+    docstring claims, pin the schedule, and measure the spans σ_0, σ_1 and
+    σ_2 that it rests on.  The final step mutates only the fold cone, so
+    there they compare the fold.
     """
 
     def test_interior_matches_orbit_mutate_on_corpus(self, monkeypatch):
         compared = 0
         spans = {}
         for matrix in corpus_matrices()[1:]:
-            compared += check_replay_against_orbit_mutate(matrix, 8, 3, monkeypatch, spans)
-        # 15 n=2, 15 n=3 and 20 n=4 matrices with 2, 12 and 36 sequences of
-        # length 3, each passing through 4 states
-        assert compared == (15 * 2 + 15 * 12 + 20 * 36) * 4
+            compared += check_replay_against_orbit_mutate(
+                matrix, 8, (1, 2, 3), monkeypatch, spans
+            )
+        # 15 n=2, 15 n=3 and 20 n=4 matrices with n, n(n-1) and n(n-1)^2
+        # sequences of lengths 1, 2 and 3, passing through 2, 3 and 4 states
+        assert compared == 15 * (2 * 2 + 2 * 3 + 2 * 4) + 15 * (3 * 2 + 6 * 3 + 12 * 4) + 20 * (
+            4 * 2 + 12 * 3 + 36 * 4
+        )
+        assert [spans[s] for s in range(3)] == [1, 2, 3]
+
+    def test_interior_matches_orbit_mutate_at_m_2l_plus_3(self, monkeypatch):
+        # one ring more budget than the least: the schedule cuts deeper
+        # below the outer ring, r - 1 at step 1 of two and of three steps
+        compared = 0
+        spans = {}
+        for matrix in corpus_matrices()[1::5]:
+            for length in (1, 2, 3):
+                compared += check_replay_against_orbit_mutate(
+                    matrix, 2 * length + 3, (length,), monkeypatch, spans
+                )
+        # corpus 1, 6, 11 (n=2), 16, 21, 26 (n=3), 31, 36, 41, 46 (n=4)
+        assert compared == 3 * (2 * 2 + 2 * 3 + 2 * 4) + 3 * (3 * 2 + 6 * 3 + 12 * 4) + 4 * (
+            4 * 2 + 12 * 3 + 36 * 4
+        )
         assert [spans[s] for s in range(3)] == [1, 2, 3]
 
     def test_interior_matches_orbit_mutate_on_example(self, monkeypatch):
         spans = {}
-        compared = check_replay_against_orbit_mutate(example_matrix(), 6, 2, monkeypatch, spans)
-        assert compared == 12 * 3
+        compared = check_replay_against_orbit_mutate(
+            example_matrix(), 6, (1, 2), monkeypatch, spans
+        )
+        assert compared == 4 * 2 + 12 * 3
         assert [spans[s] for s in range(3)] == [1, 2, 3]
+
+    # need_L = d + 1 for representatives down to depth d; going back,
+    # need_s = max(need_{s+1} + σ_s, r_s + 1 for s >= 1, d + 1) with
+    # r_s = r - 2s, and step s + 1 < L mutates down to need_{s+1} + σ_s - 1.
+    # L = 2: [max(d + 3, r - 1)], need_0 = max(d + 4, r).
+    # L = 3: [max(d + 6, r - 1), max(d + 5, r - 2)], need_0 = max(d + 7, r).
+    # None when need_0 > r + 1, when L > 3 and on a complete quiver.
+    @pytest.mark.parametrize("rows, d, expected", [
+        # d* = d = 1, r = m - 1
+        ([[0, 2], [-2, 0]], 1, {
+            (1, 4): [], (1, 5): [], (1, 6): [],
+            (2, 6): [4], (2, 7): [5], (2, 8): [6],
+            (3, 7): None, (3, 8): [7, 6], (3, 9): [7, 6], (3, 10): [8, 7],
+            (4, 10): None, (4, 11): None, (4, 12): None,
+        }),
+        # d* = d = 2, r = m
+        ([[0, 2, 0], [-2, 0, 1], [0, -1, 0]], 2, {
+            (1, 4): [], (1, 5): [], (1, 6): [],
+            (2, 6): [5], (2, 7): [6], (2, 8): [7],
+            (3, 7): None, (3, 8): [8, 7], (3, 9): [8, 7], (3, 10): [9, 8],
+            (4, 10): None, (4, 11): None, (4, 12): None,
+        }),
+    ])
+    def test_ball_limits_by_hand(self, rows, d, expected):
+        matrix = ExchangeMatrix(rows)
+        for (length, m), limits in expected.items():
+            quiver = build_truncation(matrix, m, framed=True)
+            reps = [_default_representative(quiver, label) for label in range(1, matrix.n + 1)]
+            assert max(quiver.depths[rep] for rep in reps) == d
+            assert _ball_limits(quiver, length, reps) == limits, (length, m)
+        assert _ball_limits(build_truncation(TWO_LEAF, 8), 2, [0, 1]) is None
+
+    @pytest.mark.parametrize("seq, mutations", [
+        ((1, 2), 226), ((2, 1), 796), ((2, 1, 2), 1021), ((1, 2, 3), 4256),
+    ])
+    def test_vertex_mutations_on_example(self, monkeypatch, seq, mutations):
+        # a count, not a time: with r + 1 at every step but the last these
+        # were 3,457, 13,566, 13,791 and 4,256
+        calls = []
+
+        def counting_mutate_vertex(adj, frozen, t):
+            calls.append(t)
+            _mutate_vertex(adj, frozen, t)
+
+        monkeypatch.setattr(unfolding, "_mutate_vertex", counting_mutate_vertex)
+        assert verify_unfolding_commutation(example_matrix(), seq, 8).ok
+        assert len(calls) == mutations
+
+    @pytest.mark.parametrize("rows, seq", [
+        (EXAMPLE_ROWS, (3, 4, 2)),
+        (((0, -1, -1), (2, 0, -2), (1, 2, 0)), (2, 3, 1)),
+    ])
+    def test_one_ring_less_at_three_steps_would_diverge_here(self, rows, seq):
+        assert verify_unfolding_commutation(ExchangeMatrix(rows), seq, 8).ok
 
     def test_gamma_verdict_on_hand_built_violations(self):
         loop = tiny_quiver(1, [1, 1], [False, False], [(0, 1)])
@@ -894,7 +974,7 @@ class TestFoldCone:
         "seq, mutations", [((1,), 1), ((2,), 3), ((3,), 7), ((4,), 4)]
     )
     def test_vertex_mutations_on_example(self, monkeypatch, seq, mutations):
-        # a count, not a time: the whole trusted-ball step mutates 3,454,
+        # a count, not a time: orbit_mutate's whole step mutates 3,454,
         # 13,565, 7,178 and 18,332 vertices here
         calls = []
 
