@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Optional, Sequence
 
 from .matrices import (  # noqa: F401  seeds.mutate and seeds.format_int are read from outside
@@ -36,6 +37,7 @@ class GreenVerificationError(RuntimeError):
     """A replayed green sequence failed independent verification."""
 
 
+@cache
 def identity_rows(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
@@ -378,7 +377,9 @@ def _orbit_targets(quiver: LabeledQuiver, k: int, scan: Iterable[int]) -> tuple[
 
 def _with_arrows(quiver: LabeledQuiver, adj: Adjacency, radius: Optional[int]) -> LabeledQuiver:
     """The vertices and label index of `quiver` with other arrows and interior radius."""
-    result = copy(quiver)
+    result = object.__new__(LabeledQuiver)
+    for name in LabeledQuiver.__slots__:
+        setattr(result, name, getattr(quiver, name))
     result.adj = adj
     result.interior_radius = radius
     return result
@@ -416,18 +417,27 @@ def _gamma_witnesses(
     u -> x -> w with u != w in one class and x in another.  A class is a
     label and a kind, so frozen copies form their own classes.  Only
     vertices at depth <= radius count (all of them when radius is None).
+    A first pass collects the classes of x's in- and out-neighbors; x has
+    a witness, and is enumerated, exactly when its class is an out-class
+    (a loop) or some class is both (a 2-cycle; u != w, as arrows run one way).
     """
     labels = quiver.labels
     frozen = quiver.frozen
     depths = quiver.depths
     adj = quiver.adj
-    limit = max(depths) if radius is None else radius
+    limit = max(depths, default=0) if radius is None else radius
     for x in scan:
         if depths[x] > limit:
             continue
         # frozen classes get negative keys
         class_x = -labels[x] if frozen[x] else labels[x]
         adj_x = adj[x]
+        ins, outs = set(), set()
+        for u, mult in adj_x.items():
+            if depths[u] <= limit:
+                (outs if mult > 0 else ins).add(-labels[u] if frozen[u] else labels[u])
+        if class_x not in outs and ins.isdisjoint(outs):
+            continue
         ins_by_class: dict[int, list[int]] = {}
         for u, mult in adj_x.items():
             if mult < 0 and depths[u] <= limit:
@@ -665,8 +675,8 @@ def _replay(
 
     Ownership.  The outer dict is copied here, and each vertex has one
     inner dict.  Before a step's first mutation, let A be its targets
-    together with their current neighbors; the inner dict of every vertex
-    of A not yet owned is copied, and A joins the owned set.  Every arrow
+    together with their current neighbors; each vertex of A whose flag in
+    `owned` is 0 gets a copy of its inner dict and flag 1.  Every arrow
     the step changes has both endpoints in A, so `quiver` is never
     written.  By induction over the targets in order: mutation at t writes
     only the dicts of t and of its neighbors at that moment, and each such
@@ -697,7 +707,7 @@ def _replay(
     adj = work.adj
     last = len(directions)
     limits = _ball_limits(quiver, last, reps)
-    owned: set[int] = set()  # vertices whose inner dicts are already copies
+    owned = bytearray(quiver.vertex_count)  # 1 where adj[v] is already a copy
     scan: Iterable[int] = ()
     yield 0, work
     for step, k in enumerate(directions, start=1):
@@ -711,9 +721,9 @@ def _replay(
         if radius is not None:
             work.interior_radius = radius - 2
         around = set(targets).union(*map(adj.__getitem__, targets))
-        for v in around - owned:
-            adj[v] = adj[v].copy()
-        owned |= around
+        for v in around:
+            if not owned[v]:
+                owned[v], adj[v] = 1, adj[v].copy()
         for t in targets:
             _mutate_vertex(adj, work.frozen, t)
         scan = around
@@ -728,7 +738,8 @@ def verify_unfolding_commutation(
     Replays the directions as orbit-mutations on the framed truncation and
     as ordinary mutations of the rows of the extended matrix [B; I]; after
     every prefix the 2n folded rows must equal those rows exactly.
-    Requires interior budget m >= 2*len(directions) + 2.
+    Requires interior budget m >= 2*len(directions) + 2, unless the
+    truncation is the whole (finite) unfolding, which loses no interior.
 
     Reports and errors are those of chaining orbit_mutate and folding, but
     the replay (_replay) does far less work.  It writes to one working
@@ -779,20 +790,22 @@ def verify_unfolding_commutation(
     """
     directions = tuple(directions)
     _require_positive(m, "truncation budget m")
-    if m < 2 * len(directions) + 2:
+    quiver = _shared_truncation(matrix, m)
+    if m < 2 * len(directions) + 2 and not quiver.is_complete:
         raise InteriorExhaustedError(
             f"interior budget violated: m={m} but {len(directions)} steps "
             f"need m >= {2 * len(directions) + 2}"
         )
-    quiver = _shared_truncation(matrix, m)
     rows = matrix.entries + identity_rows(matrix.n)
     reps = _resolve_representatives(quiver, None)
+    deepest = max(quiver.depths[rep] for rep in reps.values())
     for step, work in _replay(quiver, directions, reps.values()):
         if step:
             # _replay has checked the label with _orbit_targets
             rows = _mutate_rows(rows, directions[step - 1] - 1)
-            for label, rep in reps.items():
-                _require_interior(work, label, rep)
+            if work.interior_radius is not None and work.interior_radius < deepest:
+                for label, rep in reps.items():
+                    _require_interior(work, label, rep)
         if _fold_rows(work, reps.values()) != rows:
             return CommutationReport(ok=False, first_divergence=step)
     return CommutationReport(ok=True, first_divergence=None)

@@ -13,9 +13,11 @@ import pytest
 from quivermut import (
     ExchangeMatrix,
     FramedSeed,
+    GammaReport,
     GammaViolationError,
     InteriorExhaustedError,
     LabeledQuiver,
+    apply_sequence_framed,
     build_piece,
     build_truncation,
     check_gamma_conditions,
@@ -483,6 +485,40 @@ class TestGammaConditions:
         )):
             orbit_mutate(quiver, 1)
 
+    @pytest.mark.parametrize("interior_only", [False, True])
+    def test_vertexless_quiver_is_clean(self, interior_only):
+        # no vertex, so no depth to take the scan limit from
+        empty = LabeledQuiver(n_labels=1, framed=False, labels=(), frozen=(), depths=(),
+                              adj={}, interior_radius=None)
+        assert check_gamma_conditions(empty, interior_only) == GammaReport(True, True, (), ())
+
+    def test_witnesses_match_brute_force_in_order(self):
+        # the class-set prefilter skips a vertex only when the enumeration
+        # behind it would yield nothing: both must give every witness, in order
+        rng = random.Random(0x6A44A5)
+        paths = {"skipped": 0, "enumerated": 0, "loops_only": 0}
+        for _ in range(1500):
+            quiver = random_class_quiver(rng)
+            n = quiver.vertex_count
+            for _ in range(3):
+                scan = rng.sample(range(n), rng.randint(0, n))
+                radius = rng.choice([None, 0, 1, 2, 3])
+                expected = brute_force_gamma_witnesses(quiver, scan, radius)
+                assert list(_gamma_witnesses(quiver, scan, radius)) == expected
+                for x in scan:
+                    if radius is not None and quiver.depths[x] > radius:
+                        continue
+                    found = [w for w in expected if w[len(w) - 2] == x]
+                    near = [mult for v, mult in quiver.adj[x].items()
+                            if radius is None or quiver.depths[v] <= radius]
+                    if not found:
+                        # arrows both in and out, and still nothing to yield
+                        paths["skipped"] += min(near, default=0) < 0 < max(near, default=0)
+                    else:
+                        paths["enumerated"] += 1
+                        paths["loops_only"] += all(len(w) == 2 for w in found)
+        assert min(paths.values()) >= 500, paths
+
     @pytest.mark.parametrize("framed", [True, False])
     @pytest.mark.parametrize("m", [2, 4])
     def test_fresh_random_truncations_are_clean(self, m, framed):
@@ -492,6 +528,68 @@ class TestGammaConditions:
             matrix = random_acyclic_connected(rng, n)
             quiver = build_truncation(matrix, m, framed=framed)
             assert check_gamma_conditions(quiver).ok, matrix
+
+
+def random_class_quiver(rng: random.Random) -> LabeledQuiver:
+    """Up to 9 vertices with 2 to 4 labels, mixed kinds and depths 0..3,
+    random arrows plus planted label-class loops and 2-cycles."""
+    n = rng.randint(1, 9)
+    n_labels = rng.randint(2, 4)
+    labels = [rng.randint(1, n_labels) for _ in range(n)]
+    frozen = [rng.random() < 0.3 for _ in range(n)]
+    kind = list(zip(labels, frozen))
+    arrows: dict[tuple[int, int], int] = {}
+
+    def join(u, w):
+        if u != w and (w, u) not in arrows:
+            arrows[u, w] = arrows.get((u, w), 0) + 1
+
+    for u, w in itertools.combinations(range(n), 2):
+        if rng.random() < 0.3:
+            join(*rng.sample((u, w), 2))
+    for _ in range(rng.randint(0, 2)):
+        u, x, w = (rng.randrange(n) for _ in range(3))
+        if kind[u] == kind[w] != kind[x]:
+            join(u, x)
+            join(x, w)
+        elif kind[u] == kind[x]:
+            join(u, x)
+    adj = {v: {} for v in range(n)}
+    for (u, w), mult in arrows.items():
+        adj[u][w], adj[w][u] = mult, -mult
+    return LabeledQuiver(
+        n_labels=n_labels, framed=any(frozen), labels=tuple(labels), frozen=tuple(frozen),
+        depths=tuple(rng.randint(0, 3) for _ in range(n)), adj=adj, interior_radius=None,
+    )
+
+
+def brute_force_gamma_witnesses(quiver: LabeledQuiver, scan, radius) -> list[tuple[int, ...]]:
+    """Every loop (x, w) and 2-cycle (u, x, w) with x in scan, tried over all
+    vertex pairs and triples, then put in scan order, w and u in adj[x] order."""
+    n = quiver.vertex_count
+    adj = quiver.adj
+
+    def counted(v):
+        return radius is None or quiver.depths[v] <= radius
+
+    def arrow(a, b):
+        return adj[a].get(b, 0) > 0
+
+    def kind(v):
+        return quiver.labels[v], quiver.frozen[v]
+
+    found = []
+    for i, x in enumerate(scan):
+        place = {v: p for p, v in enumerate(adj[x])}
+        for w in range(n):
+            if not (counted(x) and counted(w) and arrow(x, w)):
+                continue
+            if kind(w) == kind(x):
+                found.append(((i, place[w], -1), (x, w)))
+            for u in range(n):
+                if u != w and counted(u) and arrow(u, x) and kind(u) == kind(w) != kind(x):
+                    found.append(((i, place[w], place[u]), (u, x, w)))
+    return [witness for _, witness in sorted(found)]
 
 
 class TestOrbitSources:
@@ -535,6 +633,31 @@ class TestCommutations:
     def test_budget_precondition(self):
         with pytest.raises(InteriorExhaustedError, match="interior budget"):
             verify_unfolding_commutation(example_matrix(), (1, 2, 3), 7)
+
+    def test_finite_unfolding_needs_no_budget(self):
+        # these corpus unfoldings are finite, so their truncation at m = 2 is
+        # complete and never loses interior: sequences of length 8, far past
+        # m >= 2L + 2, fold exactly, step by step
+        rng = random.Random(0xF1417E)
+        corpus = corpus_matrices()
+        complete = [i for i, matrix in enumerate(corpus) if build_truncation(matrix, 2).is_complete]
+        assert complete == [3, 4, 16, 20, 27, 37, 41]
+        states = 0
+        for i in complete:
+            matrix = corpus[i]
+            quiver = build_truncation(matrix, 2, framed=True)
+            reps = [_default_representative(quiver, label) for label in range(1, matrix.n + 1)]
+            for _ in range(40):
+                seq = tuple(rng.randint(1, matrix.n) for _ in range(8))
+                assert verify_unfolding_commutation(matrix, seq, 2).ok, (i, seq)
+                for step, work in _replay(quiver, seq, reps):
+                    seed = apply_sequence_framed(extend(matrix), seq[:step])
+                    assert _fold_rows(work, reps) == seed.b.entries + seed.c, (i, seq, step)
+                    states += step > 0
+        assert states == 7 * 40 * 8
+        # an infinite unfolding keeps the budget
+        with pytest.raises(InteriorExhaustedError, match=r"m=2 but 1 steps need m >= 4$"):
+            verify_unfolding_commutation(corpus[1], (1,), 2)
 
     @pytest.mark.parametrize("m", [True, "8", 4.0])
     def test_budget_must_be_a_positive_int(self, m):
