@@ -107,14 +107,18 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
 
 def _cmd_mgs(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.matrix)
+    max_len = args.max_len if args.max_len is not None else matrix.n
+    if args.brute_force and max_len < matrix.n:
+        # the source sequence has length n, so no shorter bound can confirm it
+        raise ValueError(f"--max-len {max_len} is below the matrix size {matrix.n}, "
+                         "the length of the source sequence")
     try:
         report = source_mgs(matrix)
     except GreenVerificationError as exc:
-        print(f"green-sequence verification failed: {exc}")
+        print(f"green-sequence verification failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     brute: Optional[list] = None
     if args.brute_force:
-        max_len = args.max_len if args.max_len is not None else matrix.n
         brute = brute_force_green_search(extend(matrix), max_len)
     if args.json_out:
         payload = {
@@ -135,7 +139,7 @@ def _cmd_mgs(args: argparse.Namespace) -> int:
             for r in brute:
                 print(f"  {_seq_str(r.sequence)}")
     if brute is not None and report.sequence not in {r.sequence for r in brute}:
-        print("brute-force cross-check failed: source sequence not found")
+        print("brute-force cross-check failed: source sequence not found", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -240,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute-force", action="store_true",
                    help="cross-check against exhaustive enumeration")
     p.add_argument("--max-len", type=int, default=None,
-                   help="brute-force length bound (default: matrix size)")
+                   help="brute-force length bound, at least the matrix size (default: matrix size)")
 
     p = add("coherence", _cmd_coherence, "exhaustive c-vector sign-coherence check")
     p.add_argument("--depth", type=int, required=True, help="search depth (positive)")

@@ -256,7 +256,7 @@ def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> Exchang
 
 
 def _first_violation(
-    start: IntMatrix, n: int, depth: int, bad: Callable[[IntMatrix], bool]
+    start: IntMatrix, n: int, depth: int, bad: Callable[[IntMatrix, Optional[int]], bool]
 ) -> tuple[Optional[tuple[int, ...]], bool]:
     """(witness, complete): a shortest sequence reaching a bad state, or None.
 
@@ -268,6 +268,11 @@ def _first_violation(
     States are hashed and compared as plain tuples, which are equal
     exactly when their seeds are.  bad tests each state once, when it is
     first reached; a successor already seen was tested then and is skipped.
+    bad gets the state and the 0-based direction of the step that reached
+    it, or None for the start.  Only a state that passed is expanded, so a
+    successor's parent always passed: bad may test only what that step
+    can change, as long as it answers as the full test would on such a
+    state.  The start gets the full test.
 
     Witness.  The witness is the one a search over every sequence, in
     the same order and without the seen set, returns: the least bad
@@ -317,9 +322,10 @@ def _first_violation(
     start is finite and each of its states lies fewer than depth steps
     from the start.
     """
-    if bad(start):
+    if bad(start, None):
         return (), False
     seen = {start}
+    size = 1  # len(seen): add, then compare sizes, hashes each successor once
     frontier: deque[tuple[IntMatrix, tuple[int, ...]]] = deque([(start, ())])
     complete = True
     while frontier:
@@ -330,11 +336,12 @@ def _first_violation(
             if k == last or (k < last and not row_last[k - 1] and not current[k - 1][last - 1]):
                 continue
             nxt = _mutate_rows(current, k - 1)
-            if nxt in seen:
-                continue
             seen.add(nxt)
+            if len(seen) == size:
+                continue
+            size += 1
             path = seq + (k,)
-            if bad(nxt):
+            if bad(nxt, k - 1):
                 return path, False
             if len(path) < depth:
                 frontier.append((nxt, path))
@@ -343,19 +350,46 @@ def _first_violation(
     return None, complete
 
 
+def _sign_skew_violation(rows: IntMatrix, kk: Optional[int]) -> bool:
+    """not _sign_skew_rows(rows), tested only where the step kk can break it.
+
+    Step-local test for _first_violation: rows is μ_kk of a
+    sign-skew-symmetric P, or the start when kk is None, which gets the
+    full test.  Off row and column kk, μ_kk adds
+    sgn(p_ik)*max(p_ik*p_kj, 0) to p_ij, which is nonzero only when
+    p_ik != 0 and p_kj != 0.  P is sign-skew-symmetric, so p_ik != 0 iff
+    p_ki != 0, and an entry off row and column kk changes only when both
+    its indices lie in the support of row kk, the same in P and in rows
+    since row kk is only negated.  On the diagonal the addend is zero, as
+    p_ik*p_ki <= 0.  The pairs (i, kk) and (kk, i) are negated together,
+    which keeps them zero or of opposite signs, and p_kk = 0 keeps kk out
+    of the support.  So the pairs inside the support are the only ones
+    that can fail, and each is given the full pair test.
+    """
+    if kk is None:
+        return not _sign_skew_rows(rows)
+    support = [j for j, b in enumerate(rows[kk]) if b]
+    for a, i in enumerate(support, 1):
+        row_i = rows[i]
+        for j in support[a:]:
+            x, y = row_i[j], rows[j][i]
+            if x * y >= 0 and (x or y):
+                return True
+    return False
+
+
 def check_total_mutability(matrix: ExchangeMatrix, depth: int) -> MutabilityReport:
     """Exhaustively mutate to the given depth, checking sign-skew-symmetry.
 
-    Each reachable matrix is checked once (see _first_violation).  On
-    failure the witness is a shortest violating sequence (breadth-first,
-    smallest directions first).  complete means every matrix reachable by
-    any sequence was checked.
+    Each reachable matrix is checked once (see _first_violation), after
+    a step only at the pairs that step can change (_sign_skew_violation).
+    On failure the witness is a shortest violating sequence
+    (breadth-first, smallest directions first).  complete means every
+    matrix reachable by any sequence was checked.
     """
     _require_positive(depth, "search depth")
     _require_sign_skew(matrix)
-    witness, complete = _first_violation(
-        matrix.entries, matrix.n, depth, lambda rows: not _sign_skew_rows(rows)
-    )
+    witness, complete = _first_violation(matrix.entries, matrix.n, depth, _sign_skew_violation)
     return MutabilityReport(ok=witness is None, counterexample=witness, complete=complete)
 
 

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import compress
 from typing import Optional, Sequence
 
 from .matrices import (  # noqa: F401  seeds.mutate and seeds.format_int are read from outside
@@ -130,22 +131,39 @@ class CoherenceReport:
     complete: bool = False
 
 
+def _mixed_column(rows: IntMatrix, kk: Optional[int]) -> bool:
+    """Whether C of rows = [B; C] has a column with entries of both signs.
+
+    Step-local test for _first_violation: rows is μ_kk of a state whose C
+    has no mixed column, or the start when kk is None, which gets the
+    full test.  μ_kk negates column kk of C, which keeps it unmixed, and
+    adds sgn(c_ik)*max(c_ik*b_kj, 0) to c_ij at j != kk, which is zero in
+    every row when b_kj = 0.  So only the columns j with b_kj != 0 can
+    turn mixed; row kk of B is only negated, so its support is read from
+    rows.  This uses no property of B.
+    """
+    columns = zip(*rows[len(rows[0]):])
+    if kk is not None:
+        columns = compress(columns, rows[kk])
+    for column in columns:
+        if min(column) < 0 < max(column):
+            return True
+    return False
+
+
 def check_sign_coherence(seed: FramedSeed, depth: int) -> CoherenceReport:
     """Exhaustively mutate to the given depth, watching for mixed c-vectors.
 
-    Each reachable seed (B, C) is checked once (see _first_violation); a
-    counterexample is a shortest sequence producing a column with entries
-    of both signs.  complete means every seed reachable by any sequence
-    was checked.  B must be sign-skew-symmetric, as in
+    Each reachable seed (B, C) is checked once (see _first_violation),
+    after a step only at the columns that step can change (_mixed_column);
+    a counterexample is a shortest sequence producing a column with
+    entries of both signs.  complete means every seed reachable by any
+    sequence was checked.  B must be sign-skew-symmetric, as in
     check_total_mutability.
     """
     _require_positive(depth, "search depth")
     _require_sign_skew(seed.b)
-    n = seed.n
-    witness, complete = _first_violation(
-        seed.b.entries + seed.c, n, depth,
-        lambda rows: any(min(column) < 0 < max(column) for column in zip(*rows[n:])),
-    )
+    witness, complete = _first_violation(seed.b.entries + seed.c, seed.n, depth, _mixed_column)
     return CoherenceReport(ok=witness is None, counterexample=witness, complete=complete)
 
 
@@ -214,9 +232,19 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
     """All maximal green sequences of length <= max_len, lexicographic.
 
     Depth-first over green directions only, ascending, so the result order
-    is deterministic; the walk steps the rows of [B; C].  Practical limits:
-    n <= 5, max_len <= 8.  B must be sign-skew-symmetric, as in
-    check_sign_coherence.
+    is deterministic; the walk steps the rows of [B; C].  B must be
+    sign-skew-symmetric, as in check_sign_coherence.
+
+    Green-count bound.  A state with g green columns is not extended
+    unless its sequence has at most max_len - g steps.  Mutation at a
+    green k negates column k, and adds sgn(c_ik)*max(c_ik*b_kj, 0) >= 0 to
+    every c_ij at j != k, as c_ik >= 0 in every row: the other columns
+    only grow, so every other green column stays green.  A step thus
+    removes at most one green column, and a state with g green columns
+    is at least g steps from one with none.  A subtree the bound cuts
+    holds no maximal green sequence of length <= max_len, so the list is
+    the one the unbounded walk gives.  The argument holds for any C.
+    Practical limits: n <= 6, max_len <= 8.
     """
     _require_positive(max_len, "max_len")
     _require_sign_skew(seed.b)
@@ -235,7 +263,7 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
                 )
             )
             return
-        if len(seq) == max_len:
+        if len(seq) + len(greens) > max_len:
             return
         for kk in greens:
             nxt = _mutate_rows(rows, kk)

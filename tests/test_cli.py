@@ -218,6 +218,30 @@ class TestMgs:
         assert code == 2
         assert "no source" in err
 
+    @pytest.mark.parametrize("max_len", ["1", "0"])
+    def test_brute_force_bound_below_size_exit_2(self, capsys, tmp_path, max_len):
+        # the source sequence has length n, so a shorter bound cannot confirm it
+        path = tmp_path / "zero.mat"
+        path.write_text("2\n0 0\n0 0\n", encoding="utf-8")
+        argv = ["mgs", str(path), "--brute-force", "--max-len", max_len, "--json-out"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"--max-len {max_len} is below the matrix size 2" in err
+        code, out, _ = run(capsys, argv[:-2] + ["2", "--json-out"])
+        assert code == 0
+        assert json.loads(out)["brute_force_sequences"] == [[1, 2], [2, 1]]
+
+    def test_cross_check_failure_goes_to_stderr(self, capsys, rank2_file, monkeypatch):
+        monkeypatch.setattr("quivermut.cli.brute_force_green_search", lambda seed, max_len: [])
+        code, out, err = run(capsys, ["mgs", rank2_file, "--brute-force", "--json-out"])
+        assert code == 1
+        assert json.loads(out)["brute_force_sequences"] == []
+        assert err == "brute-force cross-check failed: source sequence not found\n"
+        code, out, err = run(capsys, ["mgs", rank2_file, "--brute-force"])
+        assert code == 1
+        assert out.endswith("brute-force maximal green sequences: 0\n")
+        assert "cross-check failed" in err
+
 
 class TestCoherence:
     def test_ok(self, capsys, example_file):

@@ -1,15 +1,18 @@
-"""The shared breadth-first search behind both exhaustive checks.
+"""The exhaustive searches: the shared breadth-first search and the green walk.
 
 check_total_mutability and check_sign_coherence test each reachable state
 once.  A reference that enumerates every sequence, skipping none for its
 end state, must give the same witness; completeness is checked against the
 finite-type classification in rank 2 (Fomin-Zelevinsky, "Cluster algebras
-II", 2003).
+II", 2003).  The step-local tests they apply after a step must answer as
+the full tests do, and brute_force_green_search, pruned by its green-count
+bound, must list what the unpruned walk lists.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +21,7 @@ from quivermut import (
     ExchangeMatrix,
     FramedSeed,
     MutabilityReport,
+    brute_force_green_search,
     check_sign_coherence,
     check_total_mutability,
     extend,
@@ -25,8 +29,10 @@ from quivermut import (
     mutate,
     mutate_framed,
 )
+from quivermut.matrices import _mutate_rows, _sign_skew_violation
+from quivermut.seeds import _mixed_column
 
-from corpus import random_acyclic_connected, random_sign_skew
+from corpus import corpus_matrices, example_matrix, random_acyclic_connected, random_sign_skew
 from test_seeds import exact_det
 
 DIFFERENTIAL_SEED = 0x5EA4C4
@@ -61,9 +67,14 @@ def reference_search(start, n, depth, step, bad):
 
 
 def has_mixed_column(seed: FramedSeed) -> bool:
+    return mixed_rows(seed.b.entries + seed.c)
+
+
+def mixed_rows(rows) -> bool:
+    """Whether C of rows = [B; C] has a column with a positive and a negative entry."""
     return any(
         any(x > 0 for x in column) and any(x < 0 for x in column)
-        for column in zip(*seed.c)
+        for column in zip(*rows[len(rows[0]):])
     )
 
 
@@ -183,3 +194,97 @@ def test_zero_matrix_complete_at_depth_1():
 def test_reports_default_to_incomplete():
     assert not CoherenceReport(ok=True, counterexample=None).complete
     assert not MutabilityReport(ok=True, counterexample=None).complete
+
+
+def not_sign_skew_rows(rows) -> bool:
+    return not is_sign_skew_symmetric(ExchangeMatrix(rows))
+
+
+def test_step_local_tests_match_full_tests():
+    # Every state within depth 3 whose parent passes the full test, in
+    # every direction: the step-local test sees only what the step changed,
+    # and must still give the full test's verdict.
+    rng = random.Random(DIFFERENTIAL_SEED + 3)
+    verdicts: Counter = Counter()
+    for _ in range(CASES):
+        matrix = random_sign_skew(rng, rng.randint(2, 5))  # cyclic ones included
+        n = matrix.n
+        c = random_c(rng, n)
+        for start, local, full in (
+            (matrix.entries, _sign_skew_violation, not_sign_skew_rows),
+            (matrix.entries + c, _mixed_column, mixed_rows),
+        ):
+            assert local(start, None) == full(start)
+            level = [start]
+            for _ in range(3):
+                parents, level = level, []
+                for parent in parents:
+                    if full(parent):
+                        continue
+                    for kk in range(n):
+                        child = _mutate_rows(parent, kk)
+                        verdict = full(child)
+                        assert local(child, kk) == verdict, (parent, kk)
+                        verdicts[local.__name__, verdict] += 1
+                        level.append(child)
+    assert min(verdicts.values()) >= 500, verdicts
+
+
+def reference_green_search(seed: FramedSeed, max_len: int, step=_mutate_rows):
+    """(sequence, C-matrices) of each maximal green sequence of length <= max_len, sorted.
+
+    The walk without the green-count bound: every green direction is
+    followed until max_len steps.
+    """
+    n = seed.n
+    found = []
+
+    def walk(rows, seq, cs):
+        greens = [jj for jj, col in enumerate(zip(*rows[n:])) if min(col) >= 0 and max(col) > 0]
+        if not greens:
+            found.append((seq, cs))
+            return
+        if len(seq) == max_len:
+            return
+        for kk in greens:
+            nxt = step(rows, kk)
+            walk(nxt, seq + (kk + 1,), cs + (nxt[n:],))
+
+    walk(seed.b.entries + seed.c, (), (seed.c,))
+    return sorted(found)
+
+
+def test_green_bound_matches_unpruned_walk():
+    # Every bound from 1 to n + 3 on the corpus (C = I) and on random
+    # seeds whose C is the identity, one-signed columns or any signs.
+    rng = random.Random(DIFFERENTIAL_SEED + 4)
+    seeds_checked = [extend(matrix) for matrix in corpus_matrices()]
+    for _ in range(240):
+        matrix = random_sign_skew(rng, rng.randint(1, 4))
+        seeds_checked.append(FramedSeed(matrix, random_c(rng, matrix.n)))
+    found = lengths = 0
+    for seed in seeds_checked:
+        for max_len in range(1, seed.n + 4):
+            expected = reference_green_search(seed, max_len)
+            got = [(r.sequence, r.step_c_matrices) for r in brute_force_green_search(seed, max_len)]
+            assert got == expected, (seed, max_len)
+        found += len(expected)
+        lengths += any(len(seq) > seed.n for seq, _ in expected)
+    assert found >= 500 and lengths >= 10, (found, lengths)
+
+
+def test_green_bound_prunes_the_running_example(monkeypatch):
+    seed = extend(example_matrix())
+    calls = Counter()
+
+    def counted(name):
+        def step(rows, kk):
+            calls[name] += 1
+            return _mutate_rows(rows, kk)
+        return step
+
+    expected = reference_green_search(seed, 4, counted("reference"))
+    monkeypatch.setattr("quivermut.seeds._mutate_rows", counted("pruned"))
+    got = [(r.sequence, r.step_c_matrices) for r in brute_force_green_search(seed, 4)]
+    assert got == expected
+    assert calls["pruned"] < calls["reference"], calls
