@@ -1,9 +1,13 @@
-"""Command-line front end.
+"""Command-line front end, with one output path.
 
-Exit codes: 0 when the requested report or property check succeeds, 1 when
-a checked property is violated (a witness is printed), 2 for usage or
-input errors.  Output is deterministic; --json-out switches to machine
-form, and seeds are emitted in the canonical seed document format.
+Each _cmd_* handler returns a _Result: its exit code, its --json-out
+payload and its plain-text lines, a generator that is formatted only when
+printed.  No handler writes to stdout.  main alone reads --json-out,
+prints the payload (seeds as the canonical seed document) or the lines,
+and maps errors to exit codes.  Exit codes: 0 when the requested report
+or property check succeeds, 1 when a checked property is violated (a
+witness is printed) or green-sequence verification fails, 2 for usage or
+input errors.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -12,37 +16,24 @@ import argparse
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .matrices import (
-    ExchangeMatrix,
-    MutabilityReport,
-    check_total_mutability,
-    classify,
-    format_int,
-    format_json,
-    parse_int,
-    parse_matrix,
+    ExchangeMatrix, MutabilityReport, check_total_mutability, classify, format_int, format_json,
+    parse_int, parse_matrix,
 )
 from .seeds import (
-    CoherenceReport,
-    GreenVerificationError,
-    apply_sequence_framed,
-    brute_force_green_search,
-    check_sign_coherence,
-    extend,
-    format_seed,
-    source_mgs,
+    CoherenceReport, GreenVerificationError, apply_sequence_framed, brute_force_green_search,
+    check_sign_coherence, extend, source_mgs,
 )
-from .unfolding import (
-    build_truncation,
-    to_dot,
-    verify_unfolding_commutation,
-)
+from .unfolding import build_truncation, to_dot, verify_unfolding_commutation
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+
+# exit code, --json-out payload (format_json), plain-text lines
+_Result = tuple[int, dict, Iterator[str]]
 
 
 def _bool_str(value: bool) -> str:
@@ -72,152 +63,143 @@ def _load_matrix(path: str) -> ExchangeMatrix:
     return parse_matrix(Path(path).read_text(encoding="utf-8"))
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> _Result:
     report = classify(_load_matrix(args.matrix))
-    if args.json_out:
-        print(format_json({
-            "skew_symmetric": report.skew_symmetric,
-            "symmetrizer": report.symmetrizer,
-            "sign_skew_symmetric": report.sign_skew_symmetric,
-            "acyclic": report.acyclic,
-        }))
-        return EXIT_OK
-    print(f"skew-symmetric: {_bool_str(report.skew_symmetric)}")
-    if report.symmetrizer is None:
-        print("symmetrizer: none")
-    else:
-        print("symmetrizer: " + " ".join(map(format_int, report.symmetrizer)))
-    print(f"sign-skew-symmetric: {_bool_str(report.sign_skew_symmetric)}")
-    print(f"acyclic: {_bool_str(report.acyclic)}")
-    return EXIT_OK
+
+    def lines() -> Iterator[str]:
+        yield f"skew-symmetric: {_bool_str(report.skew_symmetric)}"
+        if report.symmetrizer is None:
+            yield "symmetrizer: none"
+        else:
+            yield "symmetrizer: " + " ".join(map(format_int, report.symmetrizer))
+        yield f"sign-skew-symmetric: {_bool_str(report.sign_skew_symmetric)}"
+        yield f"acyclic: {_bool_str(report.acyclic)}"
+
+    return EXIT_OK, {
+        "skew_symmetric": report.skew_symmetric,
+        "symmetrizer": report.symmetrizer,
+        "sign_skew_symmetric": report.sign_skew_symmetric,
+        "acyclic": report.acyclic,
+    }, lines()
 
 
-def _cmd_mutate(args: argparse.Namespace) -> int:
+def _cmd_mutate(args: argparse.Namespace) -> _Result:
     seed = extend(_load_matrix(args.matrix))
     seed = apply_sequence_framed(seed, _parse_directions(args.seq))
-    if args.json_out:
-        sys.stdout.write(format_seed(seed))
-        return EXIT_OK
-    for name, rows in (("b", seed.b.entries), ("c", seed.c)):
-        print(f"{name}:")
-        for row in rows:
-            print(" ".join(map(format_int, row)))
-    return EXIT_OK
+
+    def lines() -> Iterator[str]:
+        for name, rows in (("b", seed.b.entries), ("c", seed.c)):
+            yield f"{name}:"
+            for row in rows:
+                yield " ".join(map(format_int, row))
+
+    # the canonical seed document of format_seed
+    return EXIT_OK, {"b": seed.b.entries, "c": seed.c}, lines()
 
 
-def _cmd_mgs(args: argparse.Namespace) -> int:
+def _cmd_mgs(args: argparse.Namespace) -> _Result:
+    if args.max_len is not None and not args.brute_force:
+        raise ValueError("--max-len bounds the brute-force search; it needs --brute-force")
     matrix = _load_matrix(args.matrix)
     max_len = args.max_len if args.max_len is not None else matrix.n
-    if args.brute_force and max_len < matrix.n:
+    if max_len < matrix.n:
         # the source sequence has length n, so no shorter bound can confirm it
         raise ValueError(f"--max-len {max_len} is below the matrix size {matrix.n}, "
                          "the length of the source sequence")
-    try:
-        report = source_mgs(matrix)
-    except GreenVerificationError as exc:
-        print(f"green-sequence verification failed: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    brute: Optional[list] = None
+    report = source_mgs(matrix)
+    payload = {
+        "sequence": report.sequence,
+        "is_green_sequence": report.is_green_sequence,
+        "is_maximal": report.is_maximal,
+        "step_c_matrices": report.step_c_matrices,
+    }
+    brute: list = []
+    code = EXIT_OK
     if args.brute_force:
         brute = brute_force_green_search(extend(matrix), max_len)
-    if args.json_out:
-        payload = {
-            "sequence": report.sequence,
-            "is_green_sequence": report.is_green_sequence,
-            "is_maximal": report.is_maximal,
-            "step_c_matrices": report.step_c_matrices,
-        }
-        if brute is not None:
-            payload["brute_force_sequences"] = [r.sequence for r in brute]
-        print(format_json(payload))
-    else:
-        print(f"sequence: {_seq_str(report.sequence)}")
-        print(f"green: {_bool_str(report.is_green_sequence)}")
-        print(f"maximal: {_bool_str(report.is_maximal)}")
-        if brute is not None:
-            print(f"brute-force maximal green sequences: {len(brute)}")
+        payload["brute_force_sequences"] = [r.sequence for r in brute]
+        if report.sequence not in payload["brute_force_sequences"]:
+            print("brute-force cross-check failed: source sequence not found", file=sys.stderr)
+            code = EXIT_VIOLATION
+
+    def lines() -> Iterator[str]:
+        yield f"sequence: {_seq_str(report.sequence)}"
+        yield f"green: {_bool_str(report.is_green_sequence)}"
+        yield f"maximal: {_bool_str(report.is_maximal)}"
+        if args.brute_force:
+            yield f"brute-force maximal green sequences: {len(brute)}"
             for r in brute:
-                print(f"  {_seq_str(r.sequence)}")
-    if brute is not None and report.sequence not in {r.sequence for r in brute}:
-        print("brute-force cross-check failed: source sequence not found", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+                yield f"  {_seq_str(r.sequence)}"
+
+    return code, payload, lines()
 
 
-def _print_verdict(
-    args: argparse.Namespace, claim: str, report: MutabilityReport | CoherenceReport
-) -> int:
-    if args.json_out:
-        print(format_json({
-            "ok": report.ok,
-            "depth": args.depth,
-            "counterexample": report.counterexample,
-        }))
-    else:
-        print(f"{claim}: {_bool_str(report.ok)} (depth {args.depth})")
+def _verdict(claim: str, depth: int, report: MutabilityReport | CoherenceReport) -> _Result:
+    def lines() -> Iterator[str]:
+        yield f"{claim}: {_bool_str(report.ok)} (depth {depth})"
         if not report.ok:
-            print(f"counterexample: {_seq_str(report.counterexample)}")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+            yield f"counterexample: {_seq_str(report.counterexample)}"
+
+    code = EXIT_OK if report.ok else EXIT_VIOLATION
+    payload = {"ok": report.ok, "depth": depth, "counterexample": report.counterexample}
+    return code, payload, lines()
 
 
-def _cmd_coherence(args: argparse.Namespace) -> int:
+def _cmd_coherence(args: argparse.Namespace) -> _Result:
     seed = extend(_load_matrix(args.matrix))
-    return _print_verdict(args, "sign-coherent", check_sign_coherence(seed, args.depth))
+    return _verdict("sign-coherent", args.depth, check_sign_coherence(seed, args.depth))
 
 
-def _cmd_total_mutability(args: argparse.Namespace) -> int:
+def _cmd_total_mutability(args: argparse.Namespace) -> _Result:
     report = check_total_mutability(_load_matrix(args.matrix), args.depth)
-    return _print_verdict(args, "totally-mutable", report)
+    return _verdict("totally-mutable", args.depth, report)
 
 
-def _cmd_unfold(args: argparse.Namespace) -> int:
+def _cmd_unfold(args: argparse.Namespace) -> _Result:
     quiver = build_truncation(_load_matrix(args.matrix), args.m, framed=args.framed)
-    label_counts = {
-        str(label): len(quiver.mutable_ids(label))
-        for label in quiver.present_labels()
-    }
+    label_counts = {str(label): len(quiver.mutable_ids(label))
+                    for label in quiver.present_labels()}
     if args.dot:
         Path(args.dot).write_text(to_dot(quiver), encoding="utf-8")
-    if args.json_out:
-        print(format_json({
-            "vertices": quiver.vertex_count,
-            "mutable": quiver.mutable_count,
-            "frozen": quiver.frozen_count,
-            "arrows": quiver.arrow_count,
-            "complete": quiver.is_complete,
-            "interior_radius": quiver.interior_radius,
-            "labels": label_counts,
-        }))
-        return EXIT_OK
-    print(
-        f"vertices: {quiver.vertex_count} "
-        f"({quiver.mutable_count} mutable, {quiver.frozen_count} frozen)"
-    )
-    print(f"arrows: {quiver.arrow_count}")
-    print(f"complete: {_bool_str(quiver.is_complete)}")
-    radius = "infinite" if quiver.is_complete else str(quiver.interior_radius)
-    print(f"interior radius: {radius}")
-    print("labels: " + " ".join(f"{k}={v}" for k, v in label_counts.items()))
-    if args.dot:
-        print(f"dot written to {args.dot}")
-    return EXIT_OK
+
+    def lines() -> Iterator[str]:
+        yield (f"vertices: {quiver.vertex_count} "
+               f"({quiver.mutable_count} mutable, {quiver.frozen_count} frozen)")
+        yield f"arrows: {quiver.arrow_count}"
+        yield f"complete: {_bool_str(quiver.is_complete)}"
+        radius = "infinite" if quiver.is_complete else str(quiver.interior_radius)
+        yield f"interior radius: {radius}"
+        yield "labels: " + " ".join(f"{k}={v}" for k, v in label_counts.items())
+        if args.dot:
+            yield f"dot written to {args.dot}"
+
+    return EXIT_OK, {
+        "vertices": quiver.vertex_count,
+        "mutable": quiver.mutable_count,
+        "frozen": quiver.frozen_count,
+        "arrows": quiver.arrow_count,
+        "complete": quiver.is_complete,
+        "interior_radius": quiver.interior_radius,
+        "labels": label_counts,
+    }, lines()
 
 
-def _cmd_verify_unfolding(args: argparse.Namespace) -> int:
+def _cmd_verify_unfolding(args: argparse.Namespace) -> _Result:
     directions = _parse_directions(args.seq)
     report = verify_unfolding_commutation(_load_matrix(args.matrix), directions, args.m)
-    if args.json_out:
-        print(format_json({
-            "ok": report.ok,
-            "steps": len(directions),
-            "m": args.m,
-            "first_divergence": report.first_divergence,
-        }))
-    else:
-        print(f"commutes: {_bool_str(report.ok)} (steps {len(directions)}, m {args.m})")
+
+    def lines() -> Iterator[str]:
+        yield f"commutes: {_bool_str(report.ok)} (steps {len(directions)}, m {args.m})"
         if not report.ok:
-            print(f"first divergence at step {report.first_divergence}")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+            yield f"first divergence at step {report.first_divergence}"
+
+    code = EXIT_OK if report.ok else EXIT_VIOLATION
+    return code, {
+        "ok": report.ok,
+        "steps": len(directions),
+        "m": args.m,
+        "first_divergence": report.first_divergence,
+    }, lines()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute-force", action="store_true",
                    help="cross-check against exhaustive enumeration")
     p.add_argument("--max-len", type=int, default=None,
-                   help="brute-force length bound, at least the matrix size (default: matrix size)")
+                   help="brute-force length bound, at least the matrix size (default: "
+                   "matrix size); only with --brute-force")
 
     p = add("coherence", _cmd_coherence, "exhaustive c-vector sign-coherence check")
     p.add_argument("--depth", type=int, required=True, help="search depth (positive)")
@@ -268,26 +251,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser main reuses, built on the first request, not at import.
-
-    parse_args leaves a parser as it was, so one per process serves every
-    request; building it at import would slow every import of this module.
-    """
+    """The parser main reuses, built on the first request, not at import: parse_args
+    leaves a parser as it was, and building it at import would slow every import."""
     return build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, payload, lines = args.handler(args)
+    except GreenVerificationError as exc:
+        print(f"green-sequence verification failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def main_entry() -> None:
-    sys.exit(main())
+    if args.json_out:
+        print(format_json(payload))
+    else:
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+    return code
 
 
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

@@ -47,6 +47,11 @@ from .seeds import FramedSeed, identity_rows
 # and σ_1 and says where σ_2 is measured.
 _SPANS = (1, 2, 3)
 
+# The most vertices one truncation or piece may have, checked before it is
+# built (_grow).  CPython 3.11 takes ≈400 bytes a vertex; the largest
+# truncation the tests build, the running example at m = 10, has 554,348.
+_MAX_VERTICES = 2_000_000
+
 Adjacency = dict[int, dict[int, int]]
 
 
@@ -211,12 +216,15 @@ def _label_distances(matrix: ExchangeMatrix) -> list[Optional[int]]:
 def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> LabeledQuiver:
     """Glue the pieces of build_piece ring by ring around a vertex labeled root.
 
-    pieces[i][p] lists (satellite label j, sign of b_ji), in label order,
-    for a center labeled i whose parent is labeled p, or p = 0 for the
-    root; the table is built once from the columns of B.  Rings
-    0..rings-1 are expanded in turn: each vertex gets its frozen copy
-    (when framed), then the satellites of its table entry, each with the
-    entry adj[center][satellite] = that sign.
+    First the vertex count is predicted from the columns of B, ring by
+    ring over the number of ring vertices per (label, parent label), and a
+    count above _MAX_VERTICES raises ValueError; nothing is built before.
+    pieces[i][p] then lists (satellite label j, sign of b_ji), in label
+    order, for a center labeled i whose parent is labeled p, or p = 0 for
+    the root, for each pair (i, p) that occurs.  Rings 0..rings-1 are
+    expanded in turn: each vertex gets its frozen copy (when framed), then
+    the satellites of its table entry, each with the entry
+    adj[center][satellite] = that sign.
 
     The root lacks its whole piece.  Any other vertex v, labeled i, has
     one arrow so far, the one to its parent, labeled p: v was glued as a
@@ -231,14 +239,31 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
     """
     e = matrix.entries
     n = matrix.n
-    pieces: list[list[tuple[tuple[int, int], ...]]] = [[]]
-    for i in range(n):
-        column = [(j + 1, 1 if e[j][i] > 0 else -1, abs(e[j][i]))
-                  for j in range(n) if j != i and e[j][i]]
-        pieces.append([
-            tuple((j, sign) for j, sign, count in column for _ in range(count - (j == p)))
-            for p in range(n + 1)
-        ])
+    # columns[i]: (satellite label j, sign of b_ji, |b_ji|) for each nonzero b_ji
+    columns = [[]] + [[(j + 1, 1 if e[j][i] > 0 else -1, abs(e[j][i]))
+                       for j in range(n) if j != i and e[j][i]] for i in range(n)]
+    counts, total = {(root, 0): 1}, 1  # ring vertices per (label, parent label)
+    pieces: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in columns]
+    for _ in range(rings):
+        grown_counts: dict[tuple[int, int], int] = {}
+        for (i, p), c in counts.items():
+            pieces[i][p] = ()  # a pair that occurs; its satellites are listed below
+            total += c * framed
+            for j, _sign, count in columns[i]:
+                if count > (j == p):
+                    grown_counts[j, i] = grown_counts.get((j, i), 0) + c * (count - (j == p))
+        total += sum(grown_counts.values())
+        if total > _MAX_VERTICES:
+            size = total if total < 10**18 else f"2**{total.bit_length() - 1}"
+            raise ValueError(f"the truncation would have at least {size} vertices, "
+                             f"more than the {_MAX_VERTICES} one build allows")
+        if not grown_counts:
+            break
+        counts = grown_counts
+    for i, table in enumerate(pieces):
+        for p in table:
+            table[p] = tuple((j, sign) for j, sign, count in columns[i]
+                             for _ in range(count - (j == p)))
     labels, frozen, depths = [root], [False], [0]
     adj: Adjacency = {0: {}}
     ring, parent_labels = [0], [0]  # the ring's vertices and their parents' labels

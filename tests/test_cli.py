@@ -8,17 +8,21 @@ import pytest
 
 from quivermut import (
     ExchangeMatrix,
+    GreenVerificationError,
     apply_sequence_framed,
     extend,
     format_matrix,
+    format_seed,
     mutate_framed,
     parse_matrix,
     parse_seed,
 )
+from quivermut import unfolding
 from quivermut.cli import build_parser, main
 from quivermut.matrices import parse_int
 
 from corpus import example_matrix
+from test_unfolding import one_ring_less_at_step_2
 
 RANK2_TEXT = "2\n0 1\n-1 0\n"
 
@@ -134,6 +138,7 @@ class TestMutate:
         assert code == 0
         seed = parse_seed(out)
         assert seed == mutate_framed(mutate_framed(extend(example_matrix()), 1), 2)
+        assert out == format_seed(seed)
 
     def test_entries_past_the_int_str_digit_limit(self, capsys, example_file):
         # the sink numbering 4,3,2,1 grows entries past 4,300 digits near step 9,840
@@ -231,6 +236,27 @@ class TestMgs:
         assert code == 0
         assert json.loads(out)["brute_force_sequences"] == [[1, 2], [2, 1]]
 
+    @pytest.mark.parametrize("max_len", ["-3", "0", "2", "9"])
+    def test_max_len_without_brute_force_exit_2(self, capsys, tmp_path, max_len):
+        # the bound reaches only the brute-force search, so alone it is refused
+        path = tmp_path / "zero.mat"
+        path.write_text("2\n0 0\n0 0\n", encoding="utf-8")
+        for json_out in ([], ["--json-out"]):
+            code, out, err = run(capsys, ["mgs", str(path), "--max-len", max_len] + json_out)
+            assert (code, out) == (2, "")
+            assert err == ("error: --max-len bounds the brute-force search; "
+                           "it needs --brute-force\n")
+
+    @pytest.mark.parametrize("json_out", [False, True])
+    def test_green_verification_failure_exit_1(self, capsys, rank2_file, monkeypatch, json_out):
+        def failing_source_mgs(matrix):
+            raise GreenVerificationError("step 2 is not green")
+
+        monkeypatch.setattr("quivermut.cli.source_mgs", failing_source_mgs)
+        code, out, err = run(capsys, ["mgs", rank2_file] + ["--json-out"] * json_out)
+        assert (code, out) == (1, "")
+        assert err == "green-sequence verification failed: step 2 is not green\n"
+
     def test_cross_check_failure_goes_to_stderr(self, capsys, rank2_file, monkeypatch):
         monkeypatch.setattr("quivermut.cli.brute_force_green_search", lambda seed, max_len: [])
         code, out, err = run(capsys, ["mgs", rank2_file, "--brute-force", "--json-out"])
@@ -318,6 +344,16 @@ class TestUnfold:
         code, _, err = run(capsys, ["unfold", example_file, "--m", "0"])
         assert code == 2
 
+    def test_unbuildable_truncation_exit_2(self, capsys, tmp_path):
+        # label 2's piece has 10**5000 satellites: refused before anything is built
+        path = tmp_path / "big.mat"
+        path.write_text(format_matrix(ExchangeMatrix([[0, 10**5000], [-1, 0]])), encoding="utf-8")
+        for argv in (["unfold", str(path), "--m", "2"],
+                     ["verify-unfolding", str(path), "-s", "1", "--m", "4", "--json-out"]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: the truncation would have at least 2**16609 vertices")
+
 
 class TestVerifyUnfolding:
     def test_ok(self, capsys, example_file):
@@ -336,6 +372,18 @@ class TestVerifyUnfolding:
             capsys, ["verify-unfolding", str(path), "-s", "2,3,1,2", "--m", "10"]
         )
         assert (code, out) == (0, "commutes: true (steps 4, m 10)\n")
+
+    def test_divergence_exit_1(self, capsys, example_file, monkeypatch):
+        # step 2 of three cut one ring shallower than the ball schedule
+        # (_ball_limits) gives a fold that differs after step 3
+        monkeypatch.setattr(unfolding, "_ball_limits", one_ring_less_at_step_2)
+        argv = ["verify-unfolding", example_file, "-s", "3,4,2", "--m", "8"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (1, "")
+        assert out == "commutes: false (steps 3, m 8)\nfirst divergence at step 3\n"
+        code, out, err = run(capsys, argv + ["--json-out"])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"ok": False, "steps": 3, "m": 8, "first_divergence": 3}
 
     def test_budget_exit_2(self, capsys, example_file):
         code, _, err = run(

@@ -11,6 +11,7 @@ import re
 import pytest
 
 from quivermut import (
+    CommutationReport,
     ExchangeMatrix,
     FramedSeed,
     GammaReport,
@@ -28,6 +29,7 @@ from quivermut import (
     mutate_framed,
     orbit_mutate,
     orbit_sources,
+    source_mgs,
     to_dot,
     verify_unfolding_commutation,
 )
@@ -44,6 +46,7 @@ from quivermut.unfolding import (
 )
 
 from corpus import EXAMPLE_ROWS, corpus_matrices, example_matrix, random_acyclic_connected
+from test_acceptance import _vertex_column_sign
 
 ONE = ExchangeMatrix([[0]])
 TWO_LEAF = ExchangeMatrix([[0, 1], [-2, 0]])  # finite unfolding, label 2 twice
@@ -251,6 +254,31 @@ class TestBuildTruncation:
         build_truncation(example_matrix(), 4).adj[0].clear()
         report = verify_unfolding_commutation(example_matrix(), (1,), 4)
         assert report.ok and report.first_divergence is None
+
+    @pytest.mark.parametrize("framed", [True, False])
+    def test_vertex_count_is_predicted_exactly_before_building(self, monkeypatch, framed):
+        builds = [(matrix, m) for matrix in corpus_matrices()[::5] for m in (1, 2, 4)]
+        builds += [(TWO_LEAF, 3), (ONE, 2)]
+        counts = [build_truncation(matrix, m, framed).vertex_count for matrix, m in builds]
+        for (matrix, m), count in zip(builds, counts):
+            monkeypatch.setattr(unfolding, "_MAX_VERTICES", count)
+            assert build_truncation(matrix, m, framed).vertex_count == count
+            monkeypatch.setattr(unfolding, "_MAX_VERTICES", count - 1)
+            with pytest.raises(ValueError, match=f"would have at least {count} vertices"):
+                build_truncation(matrix, m, framed)
+
+    def test_unbuildable_truncation_is_refused_before_building(self):
+        # label 2's piece has 10**5000 satellites of label 1, so every
+        # truncation that expands a label-2 vertex is refused; the piece
+        # at label 1 and the truncation at m = 1 have one vertex of label 2
+        big = ExchangeMatrix([[0, 10**5000], [-1, 0]])
+        too_many = r"would have at least 2\*\*16609 vertices, more than the 2000000"
+        for build in (lambda: build_truncation(big, 2), lambda: build_piece(big, 2),
+                      lambda: verify_unfolding_commutation(big, (1,), 4)):
+            with pytest.raises(ValueError, match=too_many):
+                build()
+        assert build_piece(big, 1).vertex_count == 3
+        assert build_truncation(big, 1, framed=False).vertex_count == 2
 
     # sha256 of to_dot(q) and of repr(q.depths), recorded from the vertex-by-vertex
     # builder that the piece table replaced
@@ -619,6 +647,33 @@ class TestOrbitSources:
         assert 4 in orbit_sources(quiver)
 
 
+class TestOrbitGreenLift:
+    """The source maximal green sequence of B, orbit-mutated on the unfolding.
+
+    PAPER.md argues the existence of a maximal green sequence through the
+    unfolding; this oracle checks it there, on the framed truncation at
+    m = 2L + 2, with the column signs of the frozen copies.
+    """
+
+    @staticmethod
+    def interior_signs(quiver: LabeledQuiver, labels) -> set[str]:
+        return {_vertex_column_sign(quiver, v)
+                for k in labels for v in quiver.mutable_ids(k) if quiver.is_interior(v)}
+
+    def test_source_mgs_lifts_to_an_orbit_green_sequence(self):
+        for matrix in corpus_matrices():
+            seq = source_mgs(matrix).sequence
+            quiver = build_truncation(matrix, 2 * len(seq) + 2, framed=True)
+            for step, k in enumerate(seq, start=1):
+                # every interior label-k vertex is green before the step at k
+                assert self.interior_signs(quiver, [k]) == {"green"}, (matrix, step)
+                quiver = orbit_mutate(quiver, k)
+                if step == 1:
+                    # and red after it, so a sequence starting k, k is not green
+                    assert self.interior_signs(quiver, [k]) == {"red"}, matrix
+            assert self.interior_signs(quiver, range(1, matrix.n + 1)) == {"red"}, matrix
+
+
 class TestCommutations:
     def test_empty_sequence(self):
         report = verify_unfolding_commutation(example_matrix(), (), 2)
@@ -916,6 +971,13 @@ class TestMutationKernel:
             assert adj == quiver.adj
 
 
+def one_ring_less_at_step_2(quiver, steps, reps):
+    """_ball_limits with step 2 of three cut one ring shallower than its schedule."""
+    limits = _ball_limits(quiver, steps, reps)
+    assert steps == 3 and limits is not None
+    return [limits[0], limits[1] - 1]
+
+
 class TestTrustedBallReplay:
     """The replay inside verify_unfolding_commutation against orbit_mutate.
 
@@ -1017,8 +1079,12 @@ class TestTrustedBallReplay:
         (EXAMPLE_ROWS, (3, 4, 2)),
         (((0, -1, -1), (2, 0, -2), (1, 2, 0)), (2, 3, 1)),
     ])
-    def test_one_ring_less_at_three_steps_would_diverge_here(self, rows, seq):
+    def test_one_ring_less_at_three_steps_would_diverge_here(self, monkeypatch, rows, seq):
         assert verify_unfolding_commutation(ExchangeMatrix(rows), seq, 8).ok
+        monkeypatch.setattr(unfolding, "_ball_limits", one_ring_less_at_step_2)
+        assert verify_unfolding_commutation(ExchangeMatrix(rows), seq, 8) == CommutationReport(
+            ok=False, first_divergence=3
+        )
 
     def test_gamma_verdict_on_hand_built_violations(self):
         loop = tiny_quiver(1, [1, 1], [False, False], [(0, 1)])
