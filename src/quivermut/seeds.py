@@ -67,7 +67,7 @@ class FramedSeed:
 
     def c_column(self, j: int) -> tuple[int, ...]:
         """Column j (1-based) of the C-matrix."""
-        jj = _check_index(j, self.n)
+        jj = _check_index(j, self.n, "c-vector column")
         return tuple(row[jj] for row in self.c)
 
 

@@ -20,6 +20,8 @@ through `_replay`, mutating fewer vertices with the same fold; the
 docstrings of `_replay` and `verify_unfolding_commutation` argue which
 vertices, and why.
 
+A quiver stores its arrows in `adj`, a list with one dict per vertex id:
+ids are dense, 0..V-1, so a vertex's id is its position in the list.
 Orientation convention, used consistently for adjacency and folding: a
 positive entry for the ordered pair (i, j) means arrows from j to i, so it
 is the quiver's `adj[j][i]`, the net number of arrows j -> i.  For the
@@ -48,11 +50,13 @@ from .seeds import FramedSeed, identity_rows
 _SPANS = (1, 2, 3)
 
 # The most vertices one truncation or piece may have, checked before it is
-# built (_grow).  CPython 3.11 takes ≈400 bytes a vertex; the largest
-# truncation the tests build, the running example at m = 10, has 554,348.
+# built (_grow).  A built truncation takes ≈313 bytes a vertex, so about
+# 0.63 GB at the cap (tracemalloc on the framed running example at m = 8,
+# CPython 3.11.7); the largest truncation the tests build, the running
+# example at m = 10, has 554,348.
 _MAX_VERTICES = 2_000_000
 
-Adjacency = dict[int, dict[int, int]]
+Adjacency = list[dict[int, int]]
 
 
 class GammaViolationError(ValueError):
@@ -90,8 +94,9 @@ class LabeledQuiver:
     label's `mutable_ids` come in (depth, id) order, whatever the
     numbering, so the first is the label's shallowest vertex:
     `core_depth`, the default fold representative and `can_fold` read it.
-    `adj[u][v]` is the net number of arrows u -> v, negative when they run
-    v -> u; only nonzero entries are stored, and adj[v][u] == -adj[u][v].
+    `adj` is a list with one dict per vertex id: `adj[u][v]` is the net
+    number of arrows u -> v, negative when they run v -> u; only nonzero
+    entries are stored, and adj[v][u] == -adj[u][v].
     `orbit_mutate` leaves its input as it is and returns a new quiver with
     its own `adj`, sharing the vertex arrays and the label index.
 
@@ -106,7 +111,7 @@ class LabeledQuiver:
     labels: tuple[int, ...]
     frozen: tuple[bool, ...]
     depths: tuple[int, ...]
-    adj: dict[int, dict[int, int]]
+    adj: list[dict[int, int]]
     interior_radius: Optional[int]
     core_depth: int = field(init=False, compare=False)
     _label_ids: dict[int, tuple[int, ...]] = field(init=False, compare=False)
@@ -115,6 +120,11 @@ class LabeledQuiver:
         lengths = (len(self.labels), len(self.frozen), len(self.depths))
         if min(lengths) != max(lengths):
             raise ValueError(f"labels, frozen and depths differ in length: {lengths}")
+        if not isinstance(self.adj, list):
+            raise ValueError(f"adj must be a list with one dict per vertex, "
+                             f"not a {type(self.adj).__name__}")
+        if len(self.adj) != lengths[0]:
+            raise ValueError(f"adj and labels differ in length: {(len(self.adj), lengths[0])}")
         for label in (min(self.labels, default=1), max(self.labels, default=1)):
             if not 1 <= label <= self.n_labels:
                 raise ValueError(f"label {label!r} is not in 1..{self.n_labels}")
@@ -143,7 +153,7 @@ class LabeledQuiver:
 
     @property
     def arrow_count(self) -> int:
-        return sum(map(len, self.adj.values())) // 2
+        return sum(map(len, self.adj)) // 2
 
     @property
     def is_complete(self) -> bool:
@@ -265,7 +275,7 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
             table[p] = tuple((j, sign) for j, sign, count in columns[i]
                              for _ in range(count - (j == p)))
     labels, frozen, depths = [root], [False], [0]
-    adj: Adjacency = {0: {}}
+    adj: Adjacency = [{}]
     ring, parent_labels = [0], [0]  # the ring's vertices and their parents' labels
     radius: Optional[int] = rings - 1
     for depth in range(rings):
@@ -277,14 +287,14 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
                 labels.append(label)
                 frozen.append(True)
                 depths.append(depth)
-                adj[f] = {v: -1}
+                adj.append({v: -1})
                 adj[v][f] = 1
             for j, sign in pieces[label][parent_label]:
                 s = len(labels)
                 labels.append(j)
                 frozen.append(False)
                 depths.append(depth + 1)
-                adj[s] = {v: -sign}
+                adj.append({v: -sign})
                 adj[v][s] = sign
                 grown.append(s)
                 grown_parent_labels.append(label)
@@ -423,7 +433,7 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     by 2.
     """
     targets = _orbit_targets(quiver, k, range(quiver.vertex_count))
-    adj = {u: d.copy() for u, d in quiver.adj.items()}
+    adj = [d.copy() for d in quiver.adj]
     for t in targets:
         _mutate_vertex(adj, quiver.frozen, t)
     radius = None if quiver.is_complete else quiver.interior_radius - 2
@@ -698,7 +708,7 @@ def _replay(
     moved after the cone's, and then change nothing the fold reads.  The
     cone is mutated in (depth, id) order, as orbit_mutate's step is.
 
-    Ownership.  The outer dict is copied here, and each vertex has one
+    Ownership.  The outer list is copied here, and each vertex has one
     inner dict.  Before a step's first mutation, let A be its targets
     together with their current neighbors; each vertex of A whose flag in
     `owned` is 0 gets a copy of its inner dict and flag 1.  Every arrow
@@ -728,7 +738,7 @@ def _replay(
     The frozen copy is the only frozen neighbor of its vertex and has no
     other neighbor.  So no path u -> x -> w has u and w in one class.
     """
-    work = _with_arrows(quiver, dict(quiver.adj), quiver.interior_radius)
+    work = _with_arrows(quiver, quiver.adj.copy(), quiver.interior_radius)
     adj = work.adj
     last = len(directions)
     limits = _ball_limits(quiver, last, reps)

@@ -31,7 +31,7 @@ SURFACE = {
     "GreenSequenceReport": "(sequence: 'tuple[int, ...]', step_c_matrices: 'tuple[IntMatrix, ...]', is_green_sequence: 'bool', is_maximal: 'bool')",
     "GreenVerificationError": "RuntimeError",
     "InteriorExhaustedError": "ValueError",
-    "LabeledQuiver": "(*, n_labels: 'int', framed: 'bool', labels: 'tuple[int, ...]', frozen: 'tuple[bool, ...]', depths: 'tuple[int, ...]', adj: 'dict[int, dict[int, int]]', interior_radius: 'Optional[int]')",
+    "LabeledQuiver": "(*, n_labels: 'int', framed: 'bool', labels: 'tuple[int, ...]', frozen: 'tuple[bool, ...]', depths: 'tuple[int, ...]', adj: 'list[dict[int, int]]', interior_radius: 'Optional[int]')",
     "MatrixFormatError": "ValueError",
     "MutabilityReport": "(ok: 'bool', counterexample: 'Optional[tuple[int, ...]]', complete: 'bool' = False)",
     "admissible_source_numbering": "(matrix: 'ExchangeMatrix') -> 'tuple[int, ...]'",

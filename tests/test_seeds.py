@@ -240,6 +240,14 @@ class TestColumnSign:
         assert column_sign(seed, 1) is ColumnSign.ZERO
         assert 1 not in green_directions(seed)
 
+    @pytest.mark.parametrize("j", [0, 5, "1"])
+    def test_column_out_of_range_names_the_column(self, j):
+        seed = extend(example_matrix())
+        with pytest.raises(IndexError, match=rf"^c-vector column {j!r} out of range 1\.\.4$"):
+            column_sign(seed, j)
+        with pytest.raises(IndexError, match=rf"^c-vector column {j!r} out of range 1\.\.4$"):
+            seed.c_column(j)
+
 
 class TestSignCoherence:
     def test_rank2_depth_6(self):

@@ -56,7 +56,7 @@ TREE_PATH = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
 def tiny_quiver(
     n_labels, labels, frozen, arrows, framed=False, depths=None, interior_radius=None
 ) -> LabeledQuiver:
-    adj = {i: {} for i in range(len(labels))}
+    adj = [{} for _ in labels]
     for u, v in arrows:
         adj[u][v] = adj[u].get(v, 0) + 1
         adj[v][u] = -adj[u][v]
@@ -78,7 +78,7 @@ def renumbered(quiver: LabeledQuiver, rng: random.Random) -> LabeledQuiver:
     old_id = sorted(range(quiver.vertex_count), key=new_id.__getitem__)
 
     def moved(adjacency):
-        return {new_id[u]: {new_id[w]: m for w, m in d.items()} for u, d in adjacency.items()}
+        return [{new_id[w]: m for w, m in adjacency[u].items()} for u in old_id]
 
     return LabeledQuiver(
         n_labels=quiver.n_labels,
@@ -424,8 +424,8 @@ class TestOrbitMutate:
         before = copy.deepcopy(quiver)
         mutated = orbit_mutate(quiver, 2)
         assert quiver == before and quiver.adj == before.adj
-        inner = {id(d) for d in quiver.adj.values()}
-        assert not any(id(d) in inner for d in mutated.adj.values())
+        inner = {id(d) for d in quiver.adj}
+        assert not any(id(d) in inner for d in mutated.adj)
         mutated.adj[0].clear()
         mutated.adj[1].clear()
         assert quiver == before and quiver.adj == before.adj
@@ -517,7 +517,7 @@ class TestGammaConditions:
     def test_vertexless_quiver_is_clean(self, interior_only):
         # no vertex, so no depth to take the scan limit from
         empty = LabeledQuiver(n_labels=1, framed=False, labels=(), frozen=(), depths=(),
-                              adj={}, interior_radius=None)
+                              adj=[], interior_radius=None)
         assert check_gamma_conditions(empty, interior_only) == GammaReport(True, True, (), ())
 
     def test_witnesses_match_brute_force_in_order(self):
@@ -582,7 +582,7 @@ def random_class_quiver(rng: random.Random) -> LabeledQuiver:
             join(x, w)
         elif kind[u] == kind[x]:
             join(u, x)
-    adj = {v: {} for v in range(n)}
+    adj = [{} for _ in range(n)]
     for (u, w), mult in arrows.items():
         adj[u][w], adj[w][u] = mult, -mult
     return LabeledQuiver(
@@ -881,7 +881,7 @@ def check_replay_against_orbit_mutate(matrix, m, lengths, monkeypatch, spans) ->
             compared += 1
     for prefix, ref in reference.items():
         depths = ref.depths
-        span = max(abs(depths[u] - depths[w]) for u, d in ref.adj.items() for w in d)
+        span = max(abs(depths[u] - depths[w]) for u, d in enumerate(ref.adj) for w in d)
         spans[len(prefix)] = max(spans.get(len(prefix), 0), span)
     return compared
 
@@ -903,7 +903,7 @@ def random_net_quiver(rng: random.Random) -> LabeledQuiver:
 
 def assert_net_arrows(adj) -> None:
     """adj is antisymmetric, with no zero or diagonal entry."""
-    for u, d in adj.items():
+    for u, d in enumerate(adj):
         for w, mult in d.items():
             assert mult != 0 and u != w and adj[w].get(u) == -mult
 
@@ -923,6 +923,19 @@ class TestQuiverFields:
     def test_fields_of_unequal_length_are_rejected(self, frozen, depths):
         with pytest.raises(ValueError, match="labels, frozen and depths differ in length"):
             tiny_quiver(1, [1, 1], frozen, [(0, 1)], depths=depths)
+
+    def test_adj_must_be_a_list_with_one_dict_per_vertex(self):
+        # a dict adj once constructed, read 0 arrows and made to_dot raise KeyError
+        fields = dict(n_labels=1, framed=False, labels=(1, 1), frozen=(False, False),
+                      depths=(0, 1), interior_radius=None)
+        with pytest.raises(ValueError, match=r"^adj must be a list with one dict per vertex, "
+                                             r"not a dict$"):
+            LabeledQuiver(adj={0: {}}, **fields)
+        for adj in ([{}], [{1: 1}, {0: -1}, {}]):
+            with pytest.raises(ValueError, match=rf"^adj and labels differ in length: "
+                                                 rf"\({len(adj)}, 2\)$"):
+                LabeledQuiver(adj=adj, **fields)
+        assert LabeledQuiver(adj=[{1: 1}, {0: -1}], **fields).arrow_count == 1
 
 
 DOT_ARROW = re.compile(r"^  v(\d+) -> v(\d+)(?: \[label=(\d+)\])?;$", re.MULTILINE)
