@@ -26,7 +26,7 @@ from .seeds import (
     CoherenceReport, GreenVerificationError, apply_sequence_framed, brute_force_green_search,
     check_sign_coherence, extend, source_mgs,
 )
-from .unfolding import build_truncation, to_dot, verify_unfolding_commutation
+from .unfolding import _verify_replay, build_truncation, to_dot
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -186,7 +186,11 @@ def _cmd_unfold(args: argparse.Namespace) -> _Result:
 
 def _cmd_verify_unfolding(args: argparse.Namespace) -> _Result:
     directions = _parse_directions(args.seq)
-    report = verify_unfolding_commutation(_load_matrix(args.matrix), directions, args.m)
+    matrix = _load_matrix(args.matrix)
+    # verify_unfolding_commutation's replay on the request's own build, freed
+    # when the handler returns: its cache serves repeated library calls, and a
+    # request makes one
+    report = _verify_replay(build_truncation(matrix, args.m), matrix, directions, args.m)
 
     def lines() -> Iterator[str]:
         yield f"commutes: {_bool_str(report.ok)} (steps {len(directions)}, m {args.m})"
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-unfolding", _cmd_verify_unfolding,
             "check that orbit-mutation commutes with folding")
     p.add_argument("-s", "--seq", default="", help="comma-separated orbit labels")
-    p.add_argument("--m", type=int, required=True, help="interior budget")
+    p.add_argument("--m", type=int, required=True, help="interior budget (positive)")
 
     return parser
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from threading import Lock
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .matrices import (
@@ -343,10 +343,36 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
     return _grow(matrix, 1, max(1, max(dist) + m - 1), framed)
 
 
-@lru_cache(maxsize=64)
+_truncations: dict[tuple[ExchangeMatrix, int], LabeledQuiver] = {}  # oldest use first
+_truncations_lock = Lock()
+
+
 def _shared_truncation(matrix: ExchangeMatrix, m: int) -> LabeledQuiver:
-    """The framed truncation that verify_unfolding_commutation replays; never handed out."""
-    return build_truncation(matrix, m, framed=True)
+    """The framed truncation that verify_unfolding_commutation replays; never handed out.
+
+    Repeated library calls on one (matrix, m) reuse one build, kept in a
+    least-recently-used dict of at most 64 entries whose vertices total at
+    most _MAX_VERTICES: after a build, the least recently used entries are
+    evicted until both bounds hold.  _grow refuses any build above
+    _MAX_VERTICES, so the newest build alone meets both bounds and always
+    stays, and the cache never holds more than one build at the cap could
+    take (≈0.63 GB); an entry count alone would allow 64 of them.  A hit
+    changes neither bound, so only a build evicts.
+    """
+    key = (matrix, m)
+    with _truncations_lock:
+        quiver = _truncations.pop(key, None)
+        if quiver is not None:
+            _truncations[key] = quiver
+            return quiver
+    quiver = build_truncation(matrix, m, framed=True)
+    with _truncations_lock:
+        _truncations.pop(key, None)  # a concurrent caller's build of the same key
+        _truncations[key] = quiver
+        total = sum(cached.vertex_count for cached in _truncations.values())
+        while len(_truncations) > 64 or total > _MAX_VERTICES:
+            total -= _truncations.pop(next(iter(_truncations))).vertex_count
+    return quiver
 
 
 # ------------------------------------------------------------------ mutation
@@ -680,8 +706,9 @@ def _replay(
     each step updates its `adj` and `interior_radius` in place.
     Checks and errors are those of orbit_mutate (_orbit_targets), made on
     the state about to be mutated.  `work` shares inner dicts with `quiver`
-    until it owns them, so it must never leave verify_unfolding_commutation:
-    a caller that wrote to it would write to the cached truncation.
+    until it owns them, so it must never leave _verify_replay: a caller
+    that wrote to it would write to the truncation it was given, which
+    may be the cached one.
 
     Targets.  The final step at label k mutates its fold cone
     (_fold_cone): out of every label-k vertex, those that are one of the
@@ -825,7 +852,15 @@ def verify_unfolding_commutation(
     """
     directions = tuple(directions)
     _require_positive(m, "truncation budget m")
-    quiver = _shared_truncation(matrix, m)
+    return _verify_replay(_shared_truncation(matrix, m), matrix, directions, m)
+
+
+def _verify_replay(
+    quiver: LabeledQuiver, matrix: ExchangeMatrix, directions: tuple[int, ...], m: int
+) -> CommutationReport:
+    """verify_unfolding_commutation on `quiver`, the fresh framed truncation
+    build_truncation(matrix, m) gives, which is only read.  The command line
+    passes its own build, so the quiver lives only as long as the request."""
     if m < 2 * len(directions) + 2 and not quiver.is_complete:
         raise InteriorExhaustedError(
             f"interior budget violated: m={m} but {len(directions)} steps "

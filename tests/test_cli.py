@@ -392,6 +392,17 @@ class TestVerifyUnfolding:
         assert code == 2
         assert "interior budget" in err
 
+    @pytest.mark.parametrize(
+        "seq, m, code", [("1,2", "6", 0), ("1,2,3", "4", 2), ("5", "4", 2)],
+        ids=["ok", "budget", "label-range"],
+    )
+    def test_request_keeps_no_truncation(self, capsys, example_file, monkeypatch, seq, m, code):
+        # the request builds its own truncation and frees it; the library cache
+        # for repeated calls stays as it was
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        assert run(capsys, ["verify-unfolding", example_file, "-s", seq, "--m", m])[0] == code
+        assert unfolding._truncations == {}
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys, example_file):

@@ -1131,6 +1131,19 @@ class TestTrustedBallReplay:
             assert cached == cold
             assert cached.adj == cold.adj
 
+    def test_cache_holds_at_most_one_cap_of_vertices(self, monkeypatch):
+        # corpus matrices 2 and 17 at m = 8 (158 and 82 vertices) each fit a
+        # cap of 158 but not together: caching 17 evicts the older 2
+        older, newer = corpus_matrices()[2], corpus_matrices()[17]
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        monkeypatch.setattr(unfolding, "_MAX_VERTICES", 158)
+        for matrix in (older, newer):
+            for seq in full_length_sequences(matrix.n, 3):
+                assert verify_unfolding_commutation(matrix, seq, 8).ok
+            assert list(unfolding._truncations) == [(matrix, 8)]
+        kept = unfolding._truncations[(newer, 8)]
+        assert kept == build_truncation(newer, 8, framed=True)
+
     @pytest.mark.parametrize("reverse", [False, True])
     def test_step_owns_every_vertex_it_writes(self, reverse):
         # label-2 targets 1, 2 and 3 at depths 0, 2, 2 with radius 1, all in
