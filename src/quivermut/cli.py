@@ -26,7 +26,7 @@ from .seeds import (
     CoherenceReport, GreenVerificationError, apply_sequence_framed, brute_force_green_search,
     check_sign_coherence, extend, source_mgs,
 )
-from .unfolding import _verify_replay, build_truncation, to_dot
+from .unfolding import _TRUSTED_STEPS, _verify_replay, build_truncation, to_dot
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -248,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-unfolding", _cmd_verify_unfolding,
             "check that orbit-mutation commutes with folding")
     p.add_argument("-s", "--seq", default="", help="comma-separated orbit labels")
-    p.add_argument("--m", type=int, required=True, help="interior budget (positive)")
+    p.add_argument("--m", type=int, required=True,
+                   help="interior budget (positive); L steps on an infinite unfolding need "
+                   f"m >= 2L + 2 and L <= {_TRUSTED_STEPS}")
 
     return parser
 

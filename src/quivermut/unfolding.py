@@ -8,9 +8,11 @@ folds the quiver back onto the matrix: one column of the extended matrix
 quivers are represented by finite truncations carrying an interior
 radius: the depth up to which every vertex still has its complete,
 faithful neighborhood.  Orbit-mutation (simultaneous mutation at all
-vertices of one label) consumes two units of that radius per step, a
-conservative budget that the test suite cross-validates against deeper
-truncations.
+vertices of one label) consumes two units of that radius per step.  That
+rule is argued through three steps and checked against deeper truncations
+through four; at five it claims vertices whose arrows are already wrong,
+so `verify_unfolding_commutation` refuses five or more steps on an
+infinite unfolding (`_TRUSTED_STEPS`).
 
 Orbit-mutation has two paths, which share the gate `_orbit_targets`
 (label, interior and Γ checks) and the kernel `_mutate_vertex`.  The
@@ -48,6 +50,12 @@ from .seeds import FramedSeed, identity_rows
 # steps at depths derived from them (_ball_limits); its docstring proves σ_0
 # and σ_1 and says where σ_2 is measured.
 _SPANS = (1, 2, 3)
+
+# The most orbit-mutations of a fresh, incomplete truncation after which
+# its interior radius is trusted: the rule of two units a step is argued
+# through three (_SPANS) and checked against deeper truncations at four; at
+# five, m = 2L + 2 gave false divergences at step 5 (TestFiveStepRefusal).
+_TRUSTED_STEPS = 4
 
 # The most vertices one truncation or piece may have, checked before it is
 # built (_grow).  A built truncation takes ≈313 bytes a vertex, so about
@@ -343,7 +351,7 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
     return _grow(matrix, 1, max(1, max(dist) + m - 1), framed)
 
 
-_truncations: dict[tuple[ExchangeMatrix, int], LabeledQuiver] = {}  # oldest use first
+_truncations: dict[tuple[ExchangeMatrix, int], LabeledQuiver] = {}  # oldest build first
 _truncations_lock = Lock()
 
 
@@ -351,20 +359,19 @@ def _shared_truncation(matrix: ExchangeMatrix, m: int) -> LabeledQuiver:
     """The framed truncation that verify_unfolding_commutation replays; never handed out.
 
     Repeated library calls on one (matrix, m) reuse one build, kept in a
-    least-recently-used dict of at most 64 entries whose vertices total at
-    most _MAX_VERTICES: after a build, the least recently used entries are
-    evicted until both bounds hold.  _grow refuses any build above
-    _MAX_VERTICES, so the newest build alone meets both bounds and always
-    stays, and the cache never holds more than one build at the cap could
-    take (≈0.63 GB); an entry count alone would allow 64 of them.  A hit
-    changes neither bound, so only a build evicts.
+    dict of at most 64 entries whose vertices total at most _MAX_VERTICES:
+    after a build, the oldest builds are evicted until both bounds hold.
+    _grow refuses any build above _MAX_VERTICES, so the newest build alone
+    meets both bounds and always stays, and the cache never holds more
+    than one build at the cap could take (≈0.63 GB); an entry count alone
+    would allow 64 of them.  A hit is a plain read: it changes neither
+    bound nor the order, so only a build evicts, and a key is rebuilt only
+    after 64 newer builds, or fewer when they are large.
     """
     key = (matrix, m)
-    with _truncations_lock:
-        quiver = _truncations.pop(key, None)
-        if quiver is not None:
-            _truncations[key] = quiver
-            return quiver
+    quiver = _truncations.get(key)
+    if quiver is not None:
+        return quiver
     quiver = build_truncation(matrix, m, framed=True)
     with _truncations_lock:
         _truncations.pop(key, None)  # a concurrent caller's build of the same key
@@ -456,7 +463,10 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     the first step this keeps the whole truncation exactly equal to the
     induced subquiver of the mutated infinite quiver, and later boundary
     error stays outside the interior accounted by the radius, which drops
-    by 2.
+    by 2.  That accounting is trusted only through _TRUSTED_STEPS = 4
+    orbit-mutations of a fresh truncation: after five, vertices the radius
+    calls interior can have wrong arrows.  A chain is not refused here,
+    since a quiver does not record how many steps it has taken.
     """
     targets = _orbit_targets(quiver, k, range(quiver.vertex_count))
     adj = [d.copy() for d in quiver.adj]
@@ -480,7 +490,9 @@ def _gamma_witnesses(
     vertices at depth <= radius count (all of them when radius is None).
     A first pass collects the classes of x's in- and out-neighbors; x has
     a witness, and is enumerated, exactly when its class is an out-class
-    (a loop) or some class is both (a 2-cycle; u != w, as arrows run one way).
+    (a loop) or some class is both (a 2-cycle).  In a 2-cycle u != w
+    always: u is an in-neighbor and w an out-neighbor of x, two distinct
+    keys of adj[x], as the net arrows between two vertices run one way.
     """
     labels = quiver.labels
     frozen = quiver.frozen
@@ -511,8 +523,7 @@ def _gamma_witnesses(
                 if class_w == class_x:
                     yield x, w
                 for u in ins_by_class.get(class_w, ()):
-                    if u != w:
-                        yield u, x, w
+                    yield u, x, w
 
 
 def check_gamma_conditions(
@@ -559,14 +570,6 @@ def orbit_sources(quiver: LabeledQuiver) -> list[int]:
 # ------------------------------------------------------------------- folding
 
 
-def _require_interior(quiver: LabeledQuiver, label: int, rep: int) -> None:
-    if not quiver.is_interior(rep):
-        raise InteriorExhaustedError(
-            f"representative {rep} for label {label} is not interior "
-            f"(depth {quiver.depths[rep]} > radius {quiver.interior_radius})"
-        )
-
-
 _SHALLOWEST = object()  # _representative's default; folding rejects an explicit None
 
 
@@ -584,7 +587,11 @@ def _representative(quiver: LabeledQuiver, label: int, rep: object = _SHALLOWEST
         raise ValueError(
             f"representative {rep} has label {quiver.labels[rep]}, expected {label}"
         )
-    _require_interior(quiver, label, rep)
+    if not quiver.is_interior(rep):
+        raise InteriorExhaustedError(
+            f"representative {rep} for label {label} is not interior "
+            f"(depth {quiver.depths[rep]} > radius {quiver.interior_radius})"
+        )
     return rep
 
 
@@ -800,15 +807,18 @@ def verify_unfolding_commutation(
     Replays the directions as orbit-mutations on the framed truncation and
     as ordinary mutations of the rows of the extended matrix [B; I]; after
     every prefix the 2n folded rows must equal those rows exactly.
-    Requires interior budget m >= 2*len(directions) + 2, unless the
-    truncation is the whole (finite) unfolding, which loses no interior.
+    On an infinite unfolding, L = len(directions) orbit-mutations need
+    interior budget m >= 2L + 2, and at most _TRUSTED_STEPS = 4 are
+    taken: a longer sequence raises InteriorExhaustedError at any m.  The
+    whole (finite) unfolding loses no interior and takes any length at any
+    m.  _verify_replay argues the budget.
 
-    Reports and errors are those of chaining orbit_mutate and folding, but
-    the replay (_replay) does far less work.  It writes to one working
-    quiver instead of copying the truncation per step.  The final step
-    mutates only its fold cone, the label-k vertices that can reach a
-    representative's arrows; each earlier step, only the label-k vertices
-    down to its depth in the ball schedule below.  The Γ check scans only
+    Within the budget, reports and errors are those of chaining
+    orbit_mutate and folding, but the replay (_replay) does far less work.
+    It writes to one working quiver instead of copying the truncation per
+    step.  The final step mutates only its fold cone, the label-k vertices
+    that can reach a representative's arrows; each earlier step, only the
+    label-k vertices down to its depth in the ball schedule below.  The Γ check scans only
     the vertices the previous step touched.  _replay argues the cone and
     the scan.  Representatives are chosen once, since mutation moves no
     label or depth, and folding sums only their neighborhoods.
@@ -860,23 +870,33 @@ def _verify_replay(
 ) -> CommutationReport:
     """verify_unfolding_commutation on `quiver`, the fresh framed truncation
     build_truncation(matrix, m) gives, which is only read.  The command line
-    passes its own build, so the quiver lives only as long as the request."""
-    if m < 2 * len(directions) + 2 and not quiver.is_complete:
+    passes its own build, so the quiver lives only as long as the request.
+
+    The budget is compared with the length here, once, before any step.
+    An incomplete fresh truncation has radius r_0 = d* + m - 2
+    (build_truncation, m >= 2), and d* is the depth of the deepest default
+    representative, as each label's shallowest vertex lies at its label's
+    first-occurrence depth.  Each step costs 2, so after s <= L steps the
+    radius is d* + m - 2 - 2s >= d* + 2(L - s) >= d* when m >= 2L + 2:
+    every representative stays interior through the last fold, and the
+    interior gate of _orbit_targets never trips.  The radius itself is
+    trusted only through _TRUSTED_STEPS steps, so longer sequences are
+    refused whatever m is.
+    """
+    steps = len(directions)
+    if not quiver.is_complete and (steps > _TRUSTED_STEPS or m < 2 * steps + 2):
         raise InteriorExhaustedError(
-            f"interior budget violated: m={m} but {len(directions)} steps "
-            f"need m >= {2 * len(directions) + 2}"
+            f"interior budget exceeded: {steps} steps, but an infinite unfolding's "
+            f"interior is trusted for {_TRUSTED_STEPS} steps at most" if steps > _TRUSTED_STEPS
+            else f"interior budget violated: m={m} but {steps} steps need m >= {2 * steps + 2}"
         )
     rows = matrix.entries + identity_rows(matrix.n)
-    reps = _resolve_representatives(quiver, None)
-    deepest = max(quiver.depths[rep] for rep in reps.values())
-    for step, work in _replay(quiver, directions, reps.values()):
+    reps = _resolve_representatives(quiver, None).values()
+    for step, work in _replay(quiver, directions, reps):
         if step:
             # _replay has checked the label with _orbit_targets
             rows = _mutate_rows(rows, directions[step - 1] - 1)
-            if work.interior_radius is not None and work.interior_radius < deepest:
-                for label, rep in reps.items():
-                    _require_interior(work, label, rep)
-        if _fold_rows(work, reps.values()) != rows:
+        if _fold_rows(work, reps) != rows:
             return CommutationReport(ok=False, first_divergence=step)
     return CommutationReport(ok=True, first_divergence=None)
 

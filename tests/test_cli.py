@@ -21,7 +21,7 @@ from quivermut import unfolding
 from quivermut.cli import build_parser, main
 from quivermut.matrices import parse_int
 
-from corpus import example_matrix
+from corpus import corpus_matrices, example_matrix
 from test_unfolding import one_ring_less_at_step_2
 
 RANK2_TEXT = "2\n0 1\n-1 0\n"
@@ -391,6 +391,28 @@ class TestVerifyUnfolding:
         )
         assert code == 2
         assert "interior budget" in err
+
+    @pytest.mark.parametrize("index, seq", [(36, "2,3,1,2,1"), (48, "2,4,1,3,4")])
+    @pytest.mark.parametrize("m", ["12", "14"])
+    def test_five_steps_exit_2(self, capsys, tmp_path, index, seq, m):
+        # at m = 12 these once exited 1 with a false divergence at step 5
+        path = tmp_path / f"corpus{index}.mat"
+        path.write_text(format_matrix(corpus_matrices()[index]), encoding="utf-8")
+        for extra in ([], ["--json-out"]):
+            code, out, err = run(capsys, ["verify-unfolding", str(path), "-s", seq, "--m", m]
+                                 + extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: interior budget exceeded: 5 steps")
+
+    def test_kronecker_four_steps_commute_five_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "kron.mat"
+        path.write_text("2\n0 2\n-2 0\n", encoding="utf-8")
+        argv = ["verify-unfolding", str(path), "--json-out"]
+        code, out, _ = run(capsys, argv + ["-s", "1,2,1,2", "--m", "10"])
+        assert code == 0 and json.loads(out)["ok"] is True
+        code, out, err = run(capsys, argv + ["-s", "1,2,1,2,1", "--m", "12"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: interior budget")
 
     @pytest.mark.parametrize(
         "seq, m, code", [("1,2", "6", 0), ("1,2,3", "4", 2), ("5", "4", 2)],

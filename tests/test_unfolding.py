@@ -725,13 +725,20 @@ class TestCommutations:
     def test_truncation_consistency_depth_zero_after_two_steps(self):
         # after every step, every interior vertex has its full arrows of a
         # deeper truncation: the example at m = 4 against m = 6, down to radius
-        # 0, and every pruned length-3 sequence of the n <= 3 corpus matrices at
-        # m = 8 against m = 10
+        # 0, every pruned length-3 sequence of the n <= 3 corpus matrices at
+        # m = 8 against m = 10, and, out to the longest sequence the budget
+        # admits on an infinite unfolding, every pruned length-4 sequence at
+        # m = 10 against m = 12 of the n = 3 corpus matrices whose m = 12
+        # truncation has at most 1,000 vertices
+        corpus = corpus_matrices()
+        four_step = [i for i, matrix in enumerate(corpus)
+                     if matrix.n == 3 and build_truncation(matrix, 12).vertex_count <= 1000]
+        assert four_step == [16, 17, 19, 20, 21, 22, 24, 26, 27, 29, 30]
         cases = [(example_matrix(), 4, [(1,), (2,), (1, 2), (2, 3)])] + [
             (matrix, 8, full_length_sequences(matrix.n, 3))
-            for matrix in corpus_matrices()[1:]
+            for matrix in corpus[1:]
             if matrix.n <= 3
-        ]
+        ] + [(corpus[i], 10, full_length_sequences(3, 4)) for i in four_step]
         states = 0
         for matrix, m, sequences in cases:
             chains = {(): (build_truncation(matrix, m), build_truncation(matrix, m + 2))}
@@ -748,8 +755,8 @@ class TestCommutations:
                             assert small.adj[v] == big.adj[v], (matrix, prefix, v)
                     states += 1
         # 4 example prefixes; 15 n=2 and 15 n=3 matrices with 2 + 2 + 2 and
-        # 3 + 6 + 12 prefixes
-        assert states == 4 + 15 * 6 + 15 * 21
+        # 3 + 6 + 12 prefixes; 11 n=3 matrices with 3 + 6 + 12 + 24 = 45
+        assert states == 4 + 15 * 6 + 15 * 21 + 11 * 45
 
     def test_one_step_agrees_on_whole_shared_ball(self):
         # through the first orbit-mutation the truncation matches the induced
@@ -853,6 +860,8 @@ def check_replay_against_orbit_mutate(matrix, m, lengths, monkeypatch, spans) ->
     monkeypatch.setattr(unfolding, "_gamma_witnesses", recording_gamma_witnesses)
     base = build_truncation(matrix, m, framed=True)
     reps = [_default_representative(base, label) for label in range(1, matrix.n + 1)]
+    # _verify_replay's budget argument: d* is the deepest default representative
+    assert base.core_depth == max(base.depths[rep] for rep in reps)
     reference = {(): base}
     compared = 0
     for seq in (seq for length in lengths for seq in full_length_sequences(matrix.n, length)):
@@ -869,6 +878,8 @@ def check_replay_against_orbit_mutate(matrix, m, lengths, monkeypatch, spans) ->
         for step, work in _replay(base, seq, reps):
             ref = reference[seq[:step]]
             assert work.interior_radius == ref.interior_radius
+            # every representative is interior, as m >= 2L + 2 makes it
+            assert work.is_complete or work.interior_radius >= base.core_depth, (seq, step)
             if step:
                 # the verdict taken on the previous state, before this step
                 assert verdicts[step - 1] == expected[step - 1]
@@ -1031,6 +1042,24 @@ class TestTrustedBallReplay:
         assert compared == 3 * (2 * 2 + 2 * 3 + 2 * 4) + 3 * (3 * 2 + 6 * 3 + 12 * 4) + 4 * (
             4 * 2 + 12 * 3 + 36 * 4
         )
+        assert [spans[s] for s in range(3)] == [1, 2, 3]
+
+    def test_interior_matches_orbit_mutate_on_random_n5(self, monkeypatch):
+        # beyond the corpus (n <= 4): of the first 40 seeded n = 5 draws, those
+        # whose m = 8 truncation has 100 to 500 vertices
+        rng = random.Random(0x5EED05)
+        draws = [random_acyclic_connected(rng, 5, 3) for _ in range(40)]
+        chosen = [matrix for matrix in draws
+                  if 100 <= build_truncation(matrix, 8, framed=True).vertex_count <= 500]
+        assert len(chosen) == 9
+        compared = 0
+        spans = {}
+        for matrix in chosen:
+            compared += check_replay_against_orbit_mutate(
+                matrix, 8, (1, 2, 3), monkeypatch, spans
+            )
+        # 5 + 20 + 80 sequences of lengths 1, 2 and 3 through 2, 3 and 4 states
+        assert compared == 9 * (5 * 2 + 20 * 3 + 80 * 4) == 3510
         assert [spans[s] for s in range(3)] == [1, 2, 3]
 
     def test_interior_matches_orbit_mutate_on_example(self, monkeypatch):
@@ -1234,6 +1263,28 @@ class TestFourStepReplay:
                 assert verify_unfolding_commutation(corpus[i], seq, 10).ok, (i, seq)
                 checked += 1
         assert checked == 636
+
+
+class TestFiveStepRefusal:
+    """Five or more steps on an infinite unfolding are refused, whatever m.
+
+    At m = 2L + 2 = 12 these two corpus sequences once reported a divergence
+    at step 5, and at m = 13 and 14 they reported ok: the radius overclaims
+    after five steps, and the fold read a vertex it wrongly trusted.
+    """
+
+    @pytest.mark.parametrize("index, seq", [(36, (2, 3, 1, 2, 1)), (48, (2, 4, 1, 3, 4))])
+    @pytest.mark.parametrize("m", [12, 14])
+    def test_corpus_sequences_raise(self, index, seq, m):
+        with pytest.raises(InteriorExhaustedError, match=r"^interior budget exceeded: 5 steps"):
+            verify_unfolding_commutation(corpus_matrices()[index], seq, m)
+
+    def test_kronecker_four_steps_commute_five_raise(self):
+        kronecker = ExchangeMatrix([[0, 2], [-2, 0]])
+        assert not build_truncation(kronecker, 10).is_complete
+        assert verify_unfolding_commutation(kronecker, (1, 2, 1, 2), 10).ok
+        with pytest.raises(InteriorExhaustedError, match=r"^interior budget"):
+            verify_unfolding_commutation(kronecker, (1, 2, 1, 2, 1), 12)
 
 
 class TestRepresentatives:
