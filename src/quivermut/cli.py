@@ -190,7 +190,7 @@ def _cmd_verify_unfolding(args: argparse.Namespace) -> _Result:
     # verify_unfolding_commutation's replay on the request's own build, freed
     # when the handler returns: its cache serves repeated library calls, and a
     # request makes one
-    report = _verify_replay(build_truncation(matrix, args.m), matrix, directions, args.m)
+    report = _verify_replay(build_truncation(matrix, args.m), matrix, directions)
 
     def lines() -> Iterator[str]:
         yield f"commutes: {_bool_str(report.ok)} (steps {len(directions)}, m {args.m})"

@@ -243,7 +243,7 @@ def _mutate_rows(rows: IntMatrix, kk: int) -> IntMatrix:
 
 def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Mutation of the matrix in direction k (1-based), see _mutate_rows."""
-    return ExchangeMatrix(_mutate_rows(matrix.entries, _check_index(k, matrix.n)))
+    return apply_sequence(matrix, (k,))
 
 
 def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> ExchangeMatrix:

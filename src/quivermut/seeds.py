@@ -87,9 +87,7 @@ def extend(matrix: ExchangeMatrix) -> FramedSeed:
 
 def mutate_framed(seed: FramedSeed, k: int) -> FramedSeed:
     """mutate of the extended matrix [B; C] in direction k (1-based)."""
-    n = seed.n
-    rows = _mutate_rows(seed.b.entries + seed.c, _check_index(k, n))
-    return FramedSeed(ExchangeMatrix(rows[:n]), rows[n:])
+    return apply_sequence_framed(seed, (k,))
 
 
 def apply_sequence_framed(seed: FramedSeed, directions: Sequence[int]) -> FramedSeed:

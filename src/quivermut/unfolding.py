@@ -12,7 +12,9 @@ vertices of one label) consumes two units of that radius per step.  That
 rule is argued through three steps and checked against deeper truncations
 through four; at five it claims vertices whose arrows are already wrong,
 so `verify_unfolding_commutation` refuses five or more steps on an
-infinite unfolding (`_TRUSTED_STEPS`).
+infinite unfolding, and `orbit_mutate` refuses the fifth call of a chain
+(`_TRUSTED_STEPS`).  Each vertex's class, its label and kind, is indexed
+once per quiver (`LabeledQuiver._classes`).
 
 Orbit-mutation has two paths, which share the gate `_orbit_targets`
 (label, interior and Γ checks) and the kernel `_mutate_vertex`.  The
@@ -33,6 +35,7 @@ frozen one.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -105,13 +108,19 @@ class LabeledQuiver:
     `adj` is a list with one dict per vertex id: `adj[u][v]` is the net
     number of arrows u -> v, negative when they run v -> u; only nonzero
     entries are stored, and adj[v][u] == -adj[u][v].
-    `orbit_mutate` leaves its input as it is and returns a new quiver with
-    its own `adj`, sharing the vertex arrays and the label index.
+    A vertex's class is its label and kind, indexed once in `_classes`:
+    label - 1 for a mutable vertex and n_labels + label - 1 for a frozen
+    one, which is also its row in the folded [B; C].  The Γ scan, the fold,
+    the fold cone and the label index read it.
+    `orbit_mutate` leaves its input as it is and returns a copy
+    (`copy.copy`) with its own `adj`, sharing the vertex arrays and the
+    derived fields.
 
     `interior_radius` is the depth up to which vertex neighborhoods are
     complete and entries are trusted; None means the quiver is the whole
     (finite) unfolding and never loses interior.  Equality ignores the
-    derived `core_depth` and label index; a mutable quiver has no hash.
+    derived `core_depth`, class index and label index; a mutable quiver
+    has no hash.
     """
 
     n_labels: int
@@ -122,6 +131,7 @@ class LabeledQuiver:
     adj: list[dict[int, int]]
     interior_radius: Optional[int]
     core_depth: int = field(init=False, compare=False)
+    _classes: tuple[int, ...] = field(init=False, compare=False)
     _label_ids: dict[int, tuple[int, ...]] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -136,13 +146,15 @@ class LabeledQuiver:
         for label in (min(self.labels, default=1), max(self.labels, default=1)):
             if not 1 <= label <= self.n_labels:
                 raise ValueError(f"label {label!r} is not in 1..{self.n_labels}")
-        label_ids: dict[int, list[int]] = {}
-        for v, label in enumerate(self.labels):
-            if not self.frozen[v]:
-                label_ids.setdefault(label, []).append(v)
+        n = self.n_labels
+        self._classes = tuple([label - 1 + n * f for label, f in zip(self.labels, self.frozen)])
+        class_ids: list[list[int]] = [[] for _ in range(2 * n)]
+        for v, c in enumerate(self._classes):
+            class_ids[c].append(v)
         depth = self.depths.__getitem__
         # a stable sort of id-ordered lists: (depth, id) order
-        self._label_ids = {lab: tuple(sorted(ids, key=depth)) for lab, ids in label_ids.items()}
+        self._label_ids = {c + 1: tuple(sorted(ids, key=depth))
+                           for c, ids in enumerate(class_ids[:n]) if ids}
         self.core_depth = max((depth(ids[0]) for ids in self._label_ids.values()), default=0)
 
     # ------------------------------------------------------------------ views
@@ -252,8 +264,9 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
     in the same direction.  That satellite is the parent, and v lacks the
     rest of its piece, which is pieces[i][p].
 
-    The radius is rings - 1, or None (the whole unfolding) when a ring
-    adds no vertex.
+    The radius is rings - 1.  When the prediction finds a ring that adds
+    no vertex, the unfolding is finite: the build stops at that ring and
+    the radius is None (the whole unfolding).
     """
     e = matrix.entries
     n = matrix.n
@@ -262,7 +275,8 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
                        for j in range(n) if j != i and e[j][i]] for i in range(n)]
     counts, total = {(root, 0): 1}, 1  # ring vertices per (label, parent label)
     pieces: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in columns]
-    for _ in range(rings):
+    radius: Optional[int] = rings - 1
+    for depth in range(rings):
         grown_counts: dict[tuple[int, int], int] = {}
         for (i, p), c in counts.items():
             pieces[i][p] = ()  # a pair that occurs; its satellites are listed below
@@ -276,6 +290,7 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
             raise ValueError(f"the truncation would have at least {size} vertices, "
                              f"more than the {_MAX_VERTICES} one build allows")
         if not grown_counts:
+            rings, radius = depth + 1, None
             break
         counts = grown_counts
     for i, table in enumerate(pieces):
@@ -285,7 +300,6 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
     labels, frozen, depths = [root], [False], [0]
     adj: Adjacency = [{}]
     ring, parent_labels = [0], [0]  # the ring's vertices and their parents' labels
-    radius: Optional[int] = rings - 1
     for depth in range(rings):
         grown, grown_parent_labels = [], []
         for v, parent_label in zip(ring, parent_labels):
@@ -306,9 +320,6 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
                 adj[v][s] = sign
                 grown.append(s)
                 grown_parent_labels.append(label)
-        if not grown:
-            radius = None
-            break
         ring, parent_labels = grown, grown_parent_labels
     return LabeledQuiver(n_labels=n, framed=framed, labels=tuple(labels), frozen=tuple(frozen),
                          depths=tuple(depths), adj=adj, interior_radius=radius)
@@ -443,16 +454,6 @@ def _orbit_targets(quiver: LabeledQuiver, k: int, scan: Iterable[int]) -> tuple[
     return targets
 
 
-def _with_arrows(quiver: LabeledQuiver, adj: Adjacency, radius: Optional[int]) -> LabeledQuiver:
-    """The vertices and label index of `quiver` with other arrows and interior radius."""
-    result = object.__new__(LabeledQuiver)
-    for name in LabeledQuiver.__slots__:
-        setattr(result, name, getattr(quiver, name))
-    result.adj = adj
-    result.interior_radius = radius
-    return result
-
-
 def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     """Mutate simultaneously at every mutable vertex labeled k.
 
@@ -465,15 +466,27 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     error stays outside the interior accounted by the radius, which drops
     by 2.  That accounting is trusted only through _TRUSTED_STEPS = 4
     orbit-mutations of a fresh truncation: after five, vertices the radius
-    calls interior can have wrong arrows.  A chain is not refused here,
-    since a quiver does not record how many steps it has taken.
+    calls interior can have wrong arrows.  A fresh incomplete truncation
+    has its outer ring at radius + 1, and depths never change under
+    mutation, so the outer ring's depth less one, less the radius, is
+    twice the steps taken.  When that gap is 2 * _TRUSTED_STEPS or more,
+    as at the fifth call of a chain, InteriorExhaustedError is raised.
     """
+    radius = quiver.interior_radius
+    outer = max(quiver.depths, default=0)
+    if radius is not None and outer - 1 - radius >= 2 * _TRUSTED_STEPS:
+        raise InteriorExhaustedError(
+            f"interior budget exceeded: radius {radius} and outer ring at depth {outer}, as "
+            f"after {(outer - 1 - radius) // 2} orbit-mutations of a fresh truncation, but an "
+            f"infinite unfolding's interior is trusted for {_TRUSTED_STEPS} steps at most"
+        )
     targets = _orbit_targets(quiver, k, range(quiver.vertex_count))
-    adj = [d.copy() for d in quiver.adj]
+    result = copy.copy(quiver)
+    result.adj = [d.copy() for d in quiver.adj]
     for t in targets:
-        _mutate_vertex(adj, quiver.frozen, t)
-    radius = None if quiver.is_complete else quiver.interior_radius - 2
-    return _with_arrows(quiver, adj, radius)
+        _mutate_vertex(result.adj, quiver.frozen, t)
+    result.interior_radius = None if radius is None else radius - 2
+    return result
 
 
 # -------------------------------------------------------------------- checks
@@ -486,43 +499,39 @@ def _gamma_witnesses(
 
     A loop is an arrow x -> w inside one class; a 2-cycle is a path
     u -> x -> w with u != w in one class and x in another.  A class is a
-    label and a kind, so frozen copies form their own classes.  Only
-    vertices at depth <= radius count (all of them when radius is None).
+    label and a kind (`_classes`), so frozen copies form their own
+    classes.  Only vertices at depth <= radius count (all of them when
+    radius is None).
     A first pass collects the classes of x's in- and out-neighbors; x has
     a witness, and is enumerated, exactly when its class is an out-class
     (a loop) or some class is both (a 2-cycle).  In a 2-cycle u != w
     always: u is an in-neighbor and w an out-neighbor of x, two distinct
     keys of adj[x], as the net arrows between two vertices run one way.
     """
-    labels = quiver.labels
-    frozen = quiver.frozen
+    classes = quiver._classes
     depths = quiver.depths
     adj = quiver.adj
     limit = max(depths, default=0) if radius is None else radius
     for x in scan:
         if depths[x] > limit:
             continue
-        # frozen classes get negative keys
-        class_x = -labels[x] if frozen[x] else labels[x]
+        class_x = classes[x]
         adj_x = adj[x]
         ins, outs = set(), set()
         for u, mult in adj_x.items():
             if depths[u] <= limit:
-                (outs if mult > 0 else ins).add(-labels[u] if frozen[u] else labels[u])
+                (outs if mult > 0 else ins).add(classes[u])
         if class_x not in outs and ins.isdisjoint(outs):
             continue
         ins_by_class: dict[int, list[int]] = {}
         for u, mult in adj_x.items():
-            if mult < 0 and depths[u] <= limit:
-                class_u = -labels[u] if frozen[u] else labels[u]
-                if class_u != class_x:
-                    ins_by_class.setdefault(class_u, []).append(u)
+            if mult < 0 and depths[u] <= limit and classes[u] != class_x:
+                ins_by_class.setdefault(classes[u], []).append(u)
         for w, mult in adj_x.items():
             if mult > 0 and depths[w] <= limit:
-                class_w = -labels[w] if frozen[w] else labels[w]
-                if class_w == class_x:
+                if classes[w] == class_x:
                     yield x, w
-                for u in ins_by_class.get(class_w, ()):
+                for u in ins_by_class.get(classes[w], ()):
                     yield u, x, w
 
 
@@ -619,15 +628,13 @@ def _resolve_representatives(
 def _column_sums(quiver: LabeledQuiver, rep: int) -> list[int]:
     """Orbit sums at one representative: its column of the folded [B; C].
 
-    Label i adds to entry i - 1, or n + i - 1 for a frozen vertex.
+    Each neighbor adds to the entry of its class (`_classes`).
     """
-    labels = quiver.labels
-    frozen = quiver.frozen
-    n = quiver.n_labels
-    column = [0] * (2 * n)
+    classes = quiver._classes
+    column = [0] * (2 * quiver.n_labels)
     for u, mult in quiver.adj[rep].items():
         # adj[rep][u] is the (u, rep) entry
-        column[labels[u] - 1 + n * frozen[u]] += mult
+        column[classes[u]] += mult
     return column
 
 
@@ -674,14 +681,13 @@ def _fold_cone(quiver: LabeledQuiver, k: int, reps: Iterable[int]) -> list[int]:
     says why mutating them gives the fold of the whole step at k.
     """
     depths = quiver.depths
-    labels = quiver.labels
-    frozen = quiver.frozen
+    classes = quiver._classes
     adj = quiver.adj
     cone: set[int] = set()
     stack = [v for rep in reps for v in (rep, *adj[rep])]
     while stack:
         v = stack.pop()
-        if labels[v] == k and not frozen[v] and v not in cone:
+        if classes[v] == k - 1 and v not in cone:
             cone.add(v)
             stack += adj[v]
     return sorted(cone, key=lambda v: (depths[v], v))
@@ -772,8 +778,8 @@ def _replay(
     The frozen copy is the only frozen neighbor of its vertex and has no
     other neighbor.  So no path u -> x -> w has u and w in one class.
     """
-    work = _with_arrows(quiver, quiver.adj.copy(), quiver.interior_radius)
-    adj = work.adj
+    work = copy.copy(quiver)
+    adj = work.adj = quiver.adj.copy()
     last = len(directions)
     limits = _ball_limits(quiver, last, reps)
     owned = bytearray(quiver.vertex_count)  # 1 where adj[v] is already a copy
@@ -862,29 +868,31 @@ def verify_unfolding_commutation(
     """
     directions = tuple(directions)
     _require_positive(m, "truncation budget m")
-    return _verify_replay(_shared_truncation(matrix, m), matrix, directions, m)
+    return _verify_replay(_shared_truncation(matrix, m), matrix, directions)
 
 
 def _verify_replay(
-    quiver: LabeledQuiver, matrix: ExchangeMatrix, directions: tuple[int, ...], m: int
+    quiver: LabeledQuiver, matrix: ExchangeMatrix, directions: tuple[int, ...]
 ) -> CommutationReport:
-    """verify_unfolding_commutation on `quiver`, the fresh framed truncation
-    build_truncation(matrix, m) gives, which is only read.  The command line
+    """verify_unfolding_commutation on `quiver`, a fresh framed truncation
+    of `matrix` (build_truncation), which is only read.  The command line
     passes its own build, so the quiver lives only as long as the request.
 
-    The budget is compared with the length here, once, before any step.
-    An incomplete fresh truncation has radius r_0 = d* + m - 2
-    (build_truncation, m >= 2), and d* is the depth of the deepest default
-    representative, as each label's shallowest vertex lies at its label's
-    first-occurrence depth.  Each step costs 2, so after s <= L steps the
-    radius is d* + m - 2 - 2s >= d* + 2(L - s) >= d* when m >= 2L + 2:
-    every representative stays interior through the last fold, and the
-    interior gate of _orbit_targets never trips.  The radius itself is
-    trusted only through _TRUSTED_STEPS steps, so longer sequences are
-    refused whatever m is.
+    The budget is read from the quiver and compared with the length here,
+    once, before any step.  d* = core_depth is the depth of the deepest
+    default representative, as each label's shallowest vertex lies at its
+    label's first-occurrence depth.  Each step costs 2, so the last fold's
+    representatives stay interior exactly when r_0 - 2L >= d*, and then
+    the interior gate of _orbit_targets never trips before it.  An
+    incomplete fresh truncation has radius r_0 = d* + m - 2
+    (build_truncation), so its m is r_0 - d* + 2 and the rule reads
+    m >= 2L + 2.  The radius itself is trusted only through
+    _TRUSTED_STEPS steps, so longer sequences are refused whatever m is.
     """
     steps = len(directions)
-    if not quiver.is_complete and (steps > _TRUSTED_STEPS or m < 2 * steps + 2):
+    radius = quiver.interior_radius
+    if radius is not None and (steps > _TRUSTED_STEPS or radius - 2 * steps < quiver.core_depth):
+        m = radius - quiver.core_depth + 2
         raise InteriorExhaustedError(
             f"interior budget exceeded: {steps} steps, but an infinite unfolding's "
             f"interior is trusted for {_TRUSTED_STEPS} steps at most" if steps > _TRUSTED_STEPS

@@ -106,6 +106,7 @@ class TestLabeledQuiver:
         twin = copy.copy(quiver)
         assert twin == quiver and twin is not quiver
         assert twin._label_ids is quiver._label_ids
+        assert twin._classes is quiver._classes
         assert twin.core_depth == quiver.core_depth
 
     def test_equality_compares_the_constructor_fields(self):

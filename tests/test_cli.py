@@ -414,6 +414,16 @@ class TestVerifyUnfolding:
         assert (code, out) == (2, "")
         assert err.startswith("error: interior budget")
 
+    def test_under_budget_stderr_bytes(self, capsys, tmp_path):
+        # m in the message is read back from the build's radius and core depth
+        path = tmp_path / "kron.mat"
+        path.write_text("2\n0 2\n-2 0\n", encoding="utf-8")
+        argv = ["verify-unfolding", str(path), "-s", "1,2,1,2", "--m", "9"]
+        for extra in ([], ["--json-out"]):
+            assert run(capsys, argv + extra) == (
+                2, "", "error: interior budget violated: m=9 but 4 steps need m >= 10\n"
+            )
+
     @pytest.mark.parametrize(
         "seq, m, code", [("1,2", "6", 0), ("1,2,3", "4", 2), ("5", "4", 2)],
         ids=["ok", "budget", "label-range"],

@@ -42,7 +42,6 @@ from quivermut.unfolding import (
     _mutate_vertex,
     _replay,
     _shared_truncation,
-    _with_arrows,
 )
 
 from corpus import EXAMPLE_ROWS, corpus_matrices, example_matrix, random_acyclic_connected
@@ -986,7 +985,8 @@ class TestMutationKernel:
             t = rng.choice([v for v in range(quiver.vertex_count) if not quiver.frozen[v]])
             adj = copy.deepcopy(quiver.adj)
             _mutate_vertex(adj, quiver.frozen, t)
-            mutated = _with_arrows(quiver, adj, None)
+            mutated = copy.copy(quiver)
+            mutated.adj = adj
             assert adjacency_rows(mutated) == signed_vertex_mutation(
                 adjacency_rows(quiver), quiver.frozen, t
             )
@@ -1243,7 +1243,9 @@ class TestFoldCone:
             adj = copy.deepcopy(quiver.adj)
             for t in targets:
                 _mutate_vertex(adj, quiver.frozen, t)
-            return _with_arrows(quiver, adj, None)
+            mutated = copy.copy(quiver)
+            mutated.adj = adj
+            return mutated
 
         whole = mutated_at(quiver.mutable_ids(2))
         *_, (_, cone) = _replay(quiver, (2,), [3])
@@ -1285,6 +1287,36 @@ class TestFiveStepRefusal:
         assert verify_unfolding_commutation(kronecker, (1, 2, 1, 2), 10).ok
         with pytest.raises(InteriorExhaustedError, match=r"^interior budget"):
             verify_unfolding_commutation(kronecker, (1, 2, 1, 2, 1), 12)
+
+    @pytest.mark.parametrize("index, seq", [(36, (2, 3, 1, 2, 1)), (48, (2, 4, 1, 3, 4))])
+    def test_orbit_mutate_chain_refuses_its_fifth_step(self, index, seq):
+        # the fifth call once folded to a seed other than apply_sequence_framed's
+        quiver = build_truncation(corpus_matrices()[index], 12, framed=True)
+        for k in seq[:4]:
+            quiver = orbit_mutate(quiver, k)
+        assert quiver.can_fold
+        with pytest.raises(InteriorExhaustedError, match=r"^interior budget exceeded"):
+            orbit_mutate(quiver, seq[4])
+
+    def test_complete_quiver_takes_any_number_of_orbit_mutations(self):
+        seq = (1, 2) * 6
+        quiver = build_truncation(TWO_LEAF, 2, framed=True)
+        for k in seq:
+            quiver = orbit_mutate(quiver, k)
+        assert quiver.is_complete
+        assert folding(quiver) == apply_sequence_framed(extend(TWO_LEAF), seq)
+
+    def test_incomplete_build_gives_back_its_m(self):
+        # _verify_replay reads m from a fresh truncation as radius - core_depth + 2;
+        # frozen copies add no ring, so unframed builds have the same radius
+        incomplete = 0
+        for m in range(1, 11):
+            for matrix in corpus_matrices():
+                quiver = build_truncation(matrix, m, framed=False)
+                if not quiver.is_complete:
+                    assert quiver.interior_radius - quiver.core_depth + 2 == m
+                    incomplete += 1
+        assert incomplete == 381
 
 
 class TestRepresentatives:
