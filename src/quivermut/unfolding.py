@@ -10,15 +10,18 @@ radius: the depth up to which every vertex still has its complete,
 faithful neighborhood.  Orbit-mutation (simultaneous mutation at all
 vertices of one label) consumes two units of that radius per step.  That
 rule is argued through three steps and checked against deeper truncations
-through four; at five it claims vertices whose arrows are already wrong,
-so `verify_unfolding_commutation` refuses five or more steps on an
-infinite unfolding, and `orbit_mutate` refuses the fifth call of a chain
-(`_TRUSTED_STEPS`).  Each vertex's class, its label and kind, is indexed
-once per quiver (`LabeledQuiver._classes`).
+through four; at five it claims vertices whose arrows are already wrong.
+So each quiver counts the orbit-mutations it has taken, and one rule
+(`_require_trusted`, `_TRUSTED_STEPS`) refuses a fifth on an infinite
+unfolding: `orbit_mutate` at the fifth call of a chain, and
+`verify_unfolding_commutation` before it replays five or more steps.
+Each vertex's class, its label and kind, is indexed once per quiver
+(`LabeledQuiver._classes`).
 
 Orbit-mutation has two paths, which share the gate `_orbit_targets`
-(label, interior and Γ checks) and the kernel `_mutate_vertex`.  The
-public `orbit_mutate` copies and mutates the whole truncation.
+(label, step count, interior and Γ checks) and the step `_orbit_step`
+(mutations, radius drop, count).  The public `orbit_mutate` copies and
+mutates the whole truncation.
 `verify_unfolding_commutation` replays on one private working quiver
 through `_replay`, mutating fewer vertices with the same fold; the
 docstrings of `_replay` and `verify_unfolding_commutation` argue which
@@ -54,10 +57,11 @@ from .seeds import FramedSeed, identity_rows
 # and σ_1 and says where σ_2 is measured.
 _SPANS = (1, 2, 3)
 
-# The most orbit-mutations of a fresh, incomplete truncation after which
-# its interior radius is trusted: the rule of two units a step is argued
-# through three (_SPANS) and checked against deeper truncations at four; at
-# five, m = 2L + 2 gave false divergences at step 5 (TestFiveStepRefusal).
+# The most orbit-mutations of an incomplete quiver after which its
+# interior radius is trusted (_require_trusted): the rule of two units a
+# step is argued through three (_SPANS) and checked against deeper
+# truncations at four; at five, m = 2L + 2 gave false divergences at step 5
+# (TestFiveStepRefusal).
 _TRUSTED_STEPS = 4
 
 # The most vertices one truncation or piece may have, checked before it is
@@ -118,9 +122,11 @@ class LabeledQuiver:
 
     `interior_radius` is the depth up to which vertex neighborhoods are
     complete and entries are trusted; None means the quiver is the whole
-    (finite) unfolding and never loses interior.  Equality ignores the
-    derived `core_depth`, class index and label index; a mutable quiver
-    has no hash.
+    (finite) unfolding and never loses interior.  `_steps` counts the
+    orbit-mutations taken: 0 when constructed, carried over by
+    `copy.copy`, and 1 more after each step (`_orbit_step`).  Equality
+    ignores the derived `core_depth`, class index and label index and the
+    step count; a mutable quiver has no hash.
     """
 
     n_labels: int
@@ -133,8 +139,10 @@ class LabeledQuiver:
     core_depth: int = field(init=False, compare=False)
     _classes: tuple[int, ...] = field(init=False, compare=False)
     _label_ids: dict[int, tuple[int, ...]] = field(init=False, compare=False)
+    _steps: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self) -> None:
+        _require_positive(self.n_labels, "n_labels")
         lengths = (len(self.labels), len(self.frozen), len(self.depths))
         if min(lengths) != max(lengths):
             raise ValueError(f"labels, frozen and depths differ in length: {lengths}")
@@ -427,18 +435,42 @@ def _mutate_vertex(adj: Adjacency, frozen: tuple[bool, ...], t: int) -> None:
         adj[u][t] = a
 
 
+def _require_trusted(quiver: LabeledQuiver, steps: int) -> None:
+    """Refuse steps more orbit-mutations of an incomplete quiver when they
+    would take it past _TRUSTED_STEPS in all."""
+    taken = quiver._steps + steps
+    if not quiver.is_complete and taken > _TRUSTED_STEPS:
+        raise InteriorExhaustedError(
+            f"interior budget exceeded: {taken} steps, but an infinite unfolding's "
+            f"interior is trusted for {_TRUSTED_STEPS} steps at most"
+        )
+
+
+def _orbit_step(work: LabeledQuiver, targets: Iterable[int]) -> None:
+    """Take one orbit-mutation on work in place: mutate the targets in
+    order, lower the radius by 2 (a complete quiver keeps None) and count
+    the step.  work.adj must hold only dicts the caller may write."""
+    for t in targets:
+        _mutate_vertex(work.adj, work.frozen, t)
+    if work.interior_radius is not None:
+        work.interior_radius -= 2
+    work._steps += 1
+
+
 def _orbit_targets(quiver: LabeledQuiver, k: int, scan: Iterable[int]) -> tuple[int, ...]:
     """Check that label k can be orbit-mutated; return its vertices, in (depth, id) order.
 
-    The checks, in order: k is a label, it occurs, every label still has
-    an interior representative, and no vertex of scan within the interior
-    has a label-class loop or 2-cycle (_gamma_witnesses).  A Γ violation
+    The checks, in order: k is a label, it occurs, one more step stays
+    within the trusted steps (_require_trusted), every label still has an
+    interior representative, and no vertex of scan within the interior has
+    a label-class loop or 2-cycle (_gamma_witnesses).  A Γ violation
     reports the whole interior's witnesses.
     """
     _check_index(k, quiver.n_labels, "orbit label")
     targets = quiver.mutable_ids(k)
     if not targets:
         raise ValueError(f"label {k} does not occur in the quiver")
+    _require_trusted(quiver, 1)
     if not quiver.can_fold:
         raise InteriorExhaustedError(
             f"interior exhausted: radius {quiver.interior_radius} has shrunk below "
@@ -465,27 +497,15 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     induced subquiver of the mutated infinite quiver, and later boundary
     error stays outside the interior accounted by the radius, which drops
     by 2.  That accounting is trusted only through _TRUSTED_STEPS = 4
-    orbit-mutations of a fresh truncation: after five, vertices the radius
-    calls interior can have wrong arrows.  A fresh incomplete truncation
-    has its outer ring at radius + 1, and depths never change under
-    mutation, so the outer ring's depth less one, less the radius, is
-    twice the steps taken.  When that gap is 2 * _TRUSTED_STEPS or more,
-    as at the fifth call of a chain, InteriorExhaustedError is raised.
+    orbit-mutations: after five, vertices the radius calls interior can
+    have wrong arrows.  The result counts one step more than its input, so
+    the fifth call of a chain on an incomplete quiver raises
+    InteriorExhaustedError (_require_trusted).
     """
-    radius = quiver.interior_radius
-    outer = max(quiver.depths, default=0)
-    if radius is not None and outer - 1 - radius >= 2 * _TRUSTED_STEPS:
-        raise InteriorExhaustedError(
-            f"interior budget exceeded: radius {radius} and outer ring at depth {outer}, as "
-            f"after {(outer - 1 - radius) // 2} orbit-mutations of a fresh truncation, but an "
-            f"infinite unfolding's interior is trusted for {_TRUSTED_STEPS} steps at most"
-        )
     targets = _orbit_targets(quiver, k, range(quiver.vertex_count))
     result = copy.copy(quiver)
     result.adj = [d.copy() for d in quiver.adj]
-    for t in targets:
-        _mutate_vertex(result.adj, quiver.frozen, t)
-    result.interior_radius = None if radius is None else radius - 2
+    _orbit_step(result, targets)
     return result
 
 
@@ -716,7 +736,8 @@ def _replay(
 
     Yields (step, work) before the first step and after each one.  `work`
     is one private LabeledQuiver, made here with the vertices of `quiver`;
-    each step updates its `adj` and `interior_radius` in place.
+    each step updates its `adj`, `interior_radius` and step count in place
+    (_orbit_step), as orbit_mutate's step does to its copy.
     Checks and errors are those of orbit_mutate (_orbit_targets), made on
     the state about to be mutated.  `work` shares inner dicts with `quiver`
     until it owns them, so it must never leave _verify_replay: a caller
@@ -787,20 +808,16 @@ def _replay(
     yield 0, work
     for step, k in enumerate(directions, start=1):
         targets = _orbit_targets(work, k, scan)
-        radius = work.interior_radius
         if step == last:
             targets = _fold_cone(work, k, reps)
         elif limits is not None:
             limit = limits[step - 1]
             targets = targets[:bisect_right(targets, limit, key=work.depths.__getitem__)]
-        if radius is not None:
-            work.interior_radius = radius - 2
         around = set(targets).union(*map(adj.__getitem__, targets))
         for v in around:
             if not owned[v]:
                 owned[v], adj[v] = 1, adj[v].copy()
-        for t in targets:
-            _mutate_vertex(adj, work.frozen, t)
+        _orbit_step(work, targets)
         scan = around
         yield step, work
 
@@ -886,17 +903,16 @@ def _verify_replay(
     the interior gate of _orbit_targets never trips before it.  An
     incomplete fresh truncation has radius r_0 = d* + m - 2
     (build_truncation), so its m is r_0 - d* + 2 and the rule reads
-    m >= 2L + 2.  The radius itself is trusted only through
-    _TRUSTED_STEPS steps, so longer sequences are refused whatever m is.
+    m >= 2L + 2.  Before that rule, the quiver's step count, 0 as it is
+    fresh, plus L must stay within _TRUSTED_STEPS (_require_trusted), so
+    longer sequences are refused whatever m is, before any step.
     """
     steps = len(directions)
-    radius = quiver.interior_radius
-    if radius is not None and (steps > _TRUSTED_STEPS or radius - 2 * steps < quiver.core_depth):
-        m = radius - quiver.core_depth + 2
+    _require_trusted(quiver, steps)
+    m = None if quiver.is_complete else quiver.interior_radius - quiver.core_depth + 2
+    if m is not None and m < 2 * steps + 2:
         raise InteriorExhaustedError(
-            f"interior budget exceeded: {steps} steps, but an infinite unfolding's "
-            f"interior is trusted for {_TRUSTED_STEPS} steps at most" if steps > _TRUSTED_STEPS
-            else f"interior budget violated: m={m} but {steps} steps need m >= {2 * steps + 2}"
+            f"interior budget violated: m={m} but {steps} steps need m >= {2 * steps + 2}"
         )
     rows = matrix.entries + identity_rows(matrix.n)
     reps = _resolve_representatives(quiver, None).values()

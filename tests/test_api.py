@@ -15,7 +15,7 @@ import inspect
 import pytest
 
 import quivermut
-from quivermut import ExchangeMatrix, LabeledQuiver, build_truncation
+from quivermut import ExchangeMatrix, LabeledQuiver, build_truncation, orbit_mutate
 
 from corpus import example_matrix
 
@@ -108,6 +108,8 @@ class TestLabeledQuiver:
         assert twin._label_ids is quiver._label_ids
         assert twin._classes is quiver._classes
         assert twin.core_depth == quiver.core_depth
+        stepped = orbit_mutate(quiver, 1)
+        assert copy.copy(stepped)._steps == stepped._steps == 1
 
     def test_equality_compares_the_constructor_fields(self):
         quiver = build_truncation(example_matrix(), 2)

@@ -877,6 +877,7 @@ def check_replay_against_orbit_mutate(matrix, m, lengths, monkeypatch, spans) ->
         for step, work in _replay(base, seq, reps):
             ref = reference[seq[:step]]
             assert work.interior_radius == ref.interior_radius
+            assert work._steps == ref._steps == step
             # every representative is interior, as m >= 2L + 2 makes it
             assert work.is_complete or work.interior_radius >= base.core_depth, (seq, step)
             if step:
@@ -919,6 +920,21 @@ def assert_net_arrows(adj) -> None:
 
 
 class TestQuiverFields:
+    @pytest.mark.parametrize("n_labels, labels", [(True, [1]), ("2", [1]), (0, []), (-1, [])])
+    def test_n_labels_must_be_a_positive_int(self, n_labels, labels):
+        # True once passed as 1, "2" raised a bare TypeError, and 0 on an
+        # empty quiver raised "label 1 is not in 1..0"
+        with pytest.raises(ValueError, match=rf"^n_labels must be a positive integer, "
+                                             rf"got {re.escape(repr(n_labels))}$"):
+            tiny_quiver(n_labels, labels, [False] * len(labels), [])
+
+    def test_step_count_starts_at_zero_and_is_not_compared(self):
+        quiver = tiny_quiver(2, [1, 2], [False, False], [(0, 1)])
+        assert quiver._steps == 0
+        stepped = orbit_mutate(quiver, 1)
+        assert stepped._steps == 1 and quiver._steps == 0
+        assert orbit_mutate(stepped, 1) == quiver  # mutation at 1 twice is the identity
+
     def test_label_outside_1_to_n_labels_is_rejected(self):
         # label 0 once folded into the frozen row, giving c = ((2,),), and
         # label 3 of 2 made folding raise a bare IndexError
@@ -1297,6 +1313,29 @@ class TestFiveStepRefusal:
         assert quiver.can_fold
         with pytest.raises(InteriorExhaustedError, match=r"^interior budget exceeded"):
             orbit_mutate(quiver, seq[4])
+
+    def test_hand_built_quiver_takes_its_first_orbit_mutation(self):
+        # the step count was once guessed from the outer ring's depth less
+        # the radius, a gap of 8 here, and this first step was refused "as
+        # after 4 orbit-mutations"
+        quiver = LabeledQuiver(n_labels=2, framed=False, labels=(1, 2, 1),
+                               frozen=(False, False, False), depths=(0, 1, 10),
+                               adj=[{1: 1}, {0: -1}, {}], interior_radius=1)
+        assert quiver.can_fold and folding(quiver) == ExchangeMatrix([[0, -1], [1, 0]])
+        mutated = orbit_mutate(quiver, 1)
+        assert mutated.interior_radius == -1 and mutated._steps == 1
+        assert mutated.adj == [{1: -1}, {0: 1}, {}]
+
+    def test_fifth_call_checks_its_label_first(self):
+        quiver = build_truncation(ExchangeMatrix([[0, 2], [-2, 0]]), 10, framed=True)
+        for k in (1, 2, 1, 2):
+            quiver = orbit_mutate(quiver, k)
+        with pytest.raises(IndexError, match=r"^orbit label 3 out of range 1\.\.2$"):
+            orbit_mutate(quiver, 3)
+        with pytest.raises(InteriorExhaustedError, match=r"^interior budget exceeded: 5 steps, "
+                                                         r"but an infinite unfolding's interior "
+                                                         r"is trusted for 4 steps at most$"):
+            orbit_mutate(quiver, 1)
 
     def test_complete_quiver_takes_any_number_of_orbit_mutations(self):
         seq = (1, 2) * 6
