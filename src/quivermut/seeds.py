@@ -28,7 +28,6 @@ from .matrices import (  # noqa: F401  seeds.mutate and seeds.format_int are rea
     _source_order,
     format_int,
     format_json,
-    is_sign_skew_symmetric,
     mutate,
     parse_int,
 )
@@ -80,8 +79,7 @@ class ColumnSign(Enum):
 
 def extend(matrix: ExchangeMatrix) -> FramedSeed:
     """Attach the identity C-matrix to a sign-skew-symmetric matrix."""
-    if not is_sign_skew_symmetric(matrix):
-        raise ValueError("cannot extend: matrix is not sign-skew-symmetric")
+    _require_sign_skew(matrix)
     return FramedSeed(matrix, identity_rows(matrix.n))
 
 

@@ -47,9 +47,8 @@ from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .matrices import (
     ExchangeMatrix, IntMatrix, _check_index, _is_int, _mutate_rows, _require_positive,
-    is_acyclic, is_sign_skew_symmetric,
 )
-from .seeds import FramedSeed, identity_rows
+from .seeds import FramedSeed, admissible_source_numbering, identity_rows
 
 # σ_s, the largest depth difference along an arrow after s orbit-mutations
 # of a fresh truncation: the replay in verify_unfolding_commutation cuts its
@@ -225,13 +224,6 @@ class LabeledQuiver:
 # ---------------------------------------------------------------- validation
 
 
-def _require_unfoldable(matrix: ExchangeMatrix) -> None:
-    if not is_sign_skew_symmetric(matrix):
-        raise ValueError("unfolding requires a sign-skew-symmetric matrix")
-    if not is_acyclic(matrix):
-        raise ValueError("unfolding requires an acyclic matrix")
-
-
 def _label_distances(matrix: ExchangeMatrix) -> list[Optional[int]]:
     """Distances from label 1 over the undirected nonzero pattern."""
     e = matrix.entries
@@ -339,9 +331,10 @@ def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQ
     For each label j the piece has |b_ji| satellites; the arrow runs from
     satellite to center when b_ji < 0 and from center to satellite when
     b_ji > 0, so that folding at the center recovers column i.  The framed
-    variant adds the center's frozen copy.
+    variant adds the center's frozen copy.  The matrix must be acyclic and
+    sign-skew-symmetric, as for build_truncation.
     """
-    _require_unfoldable(matrix)
+    admissible_source_numbering(matrix)
     _check_index(i, matrix.n, "piece center")
     return _grow(matrix, i, 1, framed)
 
@@ -355,10 +348,12 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
     representative as long as the budget permits (folding needs m >= 2 on
     a fresh truncation, and each orbit-mutation costs 2).  If a gluing round adds nothing the
     quiver is the whole finite unfolding and the interior never shrinks.
-    Every call builds a new quiver, which the caller owns.
+    Every call builds a new quiver, which the caller owns.  The matrix must
+    be acyclic and sign-skew-symmetric; admissible_source_numbering refuses
+    any other, with its messages.
     """
     _require_positive(m, "truncation budget m")
-    _require_unfoldable(matrix)
+    admissible_source_numbering(matrix)
     dist = _label_distances(matrix)
     missing = [str(i + 1) for i, d in enumerate(dist) if d is None]
     if missing:
@@ -446,6 +441,16 @@ def _require_trusted(quiver: LabeledQuiver, steps: int) -> None:
         )
 
 
+def _require_can_fold(quiver: LabeledQuiver) -> None:
+    """Refuse a quiver some label of which has no interior default
+    representative (LabeledQuiver.can_fold)."""
+    if not quiver.can_fold:
+        raise InteriorExhaustedError(
+            f"interior exhausted: radius {quiver.interior_radius} has shrunk below "
+            f"the deepest first-occurrence depth {quiver.core_depth}"
+        )
+
+
 def _orbit_step(work: LabeledQuiver, targets: Iterable[int]) -> None:
     """Take one orbit-mutation on work in place: mutate the targets in
     order, lower the radius by 2 (a complete quiver keeps None) and count
@@ -462,20 +467,17 @@ def _orbit_targets(quiver: LabeledQuiver, k: int, scan: Iterable[int]) -> tuple[
 
     The checks, in order: k is a label, it occurs, one more step stays
     within the trusted steps (_require_trusted), every label still has an
-    interior representative, and no vertex of scan within the interior has
-    a label-class loop or 2-cycle (_gamma_witnesses).  A Γ violation
-    reports the whole interior's witnesses.
+    interior representative (_require_can_fold), and no vertex of scan
+    within the interior has a label-class loop or 2-cycle
+    (_gamma_witnesses).  A Γ violation reports the whole interior's
+    witnesses.
     """
     _check_index(k, quiver.n_labels, "orbit label")
     targets = quiver.mutable_ids(k)
     if not targets:
-        raise ValueError(f"label {k} does not occur in the quiver")
+        raise ValueError(f"label {k!r} missing from quiver")
     _require_trusted(quiver, 1)
-    if not quiver.can_fold:
-        raise InteriorExhaustedError(
-            f"interior exhausted: radius {quiver.interior_radius} has shrunk below "
-            f"the deepest first-occurrence depth {quiver.core_depth}"
-        )
+    _require_can_fold(quiver)
     if next(_gamma_witnesses(quiver, scan, quiver.interior_radius), None) is not None:
         report = check_gamma_conditions(quiver, interior_only=True)
         raise GammaViolationError(
@@ -586,8 +588,7 @@ def orbit_sources(quiver: LabeledQuiver) -> list[int]:
     arrow into the frozen copy is outgoing and never blocks, while an
     arrow coming back from a frozen vertex does.
     """
-    if not quiver.can_fold:
-        raise InteriorExhaustedError("interior exhausted: no trusted vertices per label")
+    _require_can_fold(quiver)
     result = []
     for label in range(1, quiver.n_labels + 1):
         ids = [v for v in quiver.mutable_ids(label) if quiver.is_interior(v)]
@@ -635,7 +636,7 @@ def _resolve_representatives(
     chosen: dict[int, int] = {}
     for label in range(1, quiver.n_labels + 1):
         if not quiver.mutable_ids(label):
-            raise ValueError(f"label {label} missing from quiver: cannot fold")
+            raise ValueError(f"label {label!r} missing from quiver")
         if representatives is None:
             chosen[label] = _representative(quiver, label)
         elif label in representatives:

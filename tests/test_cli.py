@@ -436,6 +436,43 @@ class TestVerifyUnfolding:
         assert unfolding._truncations == {}
 
 
+NOT_SIGN_SKEW_TEXT = "2\n0 1\n1 0\n"
+THREE_CYCLE_TEXT = "3\n0 1 -1\n-1 0 1\n1 -1 0\n"
+
+
+class TestPreconditionRefusals:
+    """Every subcommand that needs a precondition refuses its violation with
+    the same line: one check and one message per precondition."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mutate", "-s", "1"],
+        ["mgs"],
+        ["mgs", "--brute-force"],
+        ["coherence", "--depth", "1"],
+        ["total-mutability", "--depth", "1"],
+        ["unfold", "--m", "2"],
+        ["verify-unfolding", "-s", "1", "--m", "4"],
+    ], ids=" ".join)
+    def test_not_sign_skew_symmetric(self, capsys, tmp_path, argv):
+        path = tmp_path / "nss.mat"
+        path.write_text(NOT_SIGN_SKEW_TEXT, encoding="utf-8")
+        code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+        assert (code, out, err) == (2, "", "error: input matrix is not sign-skew-symmetric\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["mgs"],
+        ["unfold", "--m", "2"],
+        ["verify-unfolding", "-s", "1", "--m", "4"],
+    ], ids=" ".join)
+    def test_not_acyclic(self, capsys, tmp_path, argv):
+        path = tmp_path / "cyc.mat"
+        path.write_text(THREE_CYCLE_TEXT, encoding="utf-8")
+        code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+        assert (code, out, err) == (
+            2, "", "error: no source among indices {1,2,3}: matrix is not acyclic\n"
+        )
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys, example_file):
         outputs = []

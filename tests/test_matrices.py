@@ -78,6 +78,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ExchangeMatrix([])
 
+    def test_repr_reads_back(self):
+        assert repr(ExchangeMatrix([[0, 1], [-1, 0]])) == "ExchangeMatrix([[0, 1], [-1, 0]])"
+
 
 class TestClassify:
     def test_rank2_skew(self):
@@ -349,6 +352,12 @@ class TestTextFormat:
     def test_bad_token(self):
         with pytest.raises(MatrixFormatError, match="line 3, column 1: 'x' is not an integer"):
             parse_matrix("2\n0 1\nx 0\n")
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_input(self, text):
+        with pytest.raises(MatrixFormatError) as raised:
+            parse_matrix(text)
+        assert str(raised.value) == "line 1: expected matrix size, found empty input"
 
     def test_missing_rows(self):
         with pytest.raises(MatrixFormatError, match="expected 2 rows, found 1"):

@@ -29,7 +29,7 @@ from quivermut import (
     source_mgs,
 )
 
-from quivermut.seeds import format_int, parse_int
+from quivermut.seeds import _replay_and_verify, format_int, parse_int
 
 from corpus import corpus_matrices, example_matrix
 
@@ -370,6 +370,15 @@ class TestSourceMgs:
         with pytest.raises(ValueError, match="no source"):
             source_mgs(ExchangeMatrix([[0, -1, 1], [1, 0, -1], [-1, 1, 0]]))
 
+    @pytest.mark.parametrize("directions, message", [
+        ((1,), "final seed still has green directions [2]"),
+        ((1, 1), "step 2: direction 1 is not green before mutation"),
+    ])
+    def test_replay_refuses_a_sequence_that_is_not_maximal_green(self, directions, message):
+        with pytest.raises(GreenVerificationError) as raised:
+            _replay_and_verify(extend(RANK2), directions)
+        assert str(raised.value) == message
+
 
 class TestBruteForce:
     def test_rank2_catalogue(self):
@@ -483,6 +492,8 @@ class TestDeterminantGuard:
         (check_sign_coherence, (FramedSeed(NOT_SIGN_SKEW, identity(2)), 1)),
         (admissible_source_numbering, (NOT_SIGN_SKEW,)),
         (brute_force_green_search, (FramedSeed(NOT_SIGN_SKEW, identity(2)), 1)),
+        (extend, (NOT_SIGN_SKEW,)),
+        (source_mgs, (NOT_SIGN_SKEW,)),
     ],
     ids=lambda value: getattr(value, "__name__", ""),
 )
@@ -524,3 +535,5 @@ class TestSeedDocument:
             parse_seed('{"b": [[0]]}')
         with pytest.raises(ValueError):
             parse_seed('{"b": [[0]], "c": [[1]], "extra": 1}')
+        with pytest.raises(ValueError, match="^seed key 'b' must be a list of rows$"):
+            parse_seed('{"b": [1, 2], "c": [[1]]}')

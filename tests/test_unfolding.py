@@ -646,6 +646,46 @@ class TestOrbitSources:
         assert 4 in orbit_sources(quiver)
 
 
+class TestQuiverRefusals:
+    """Each quiver precondition has one refusal and one message, whichever
+    operation meets it first."""
+
+    def test_absent_label(self):
+        quiver = LabeledQuiver(n_labels=2, framed=False, labels=(1,), frozen=(False,),
+                               depths=(0,), adj=[{}], interior_radius=None)
+        for operation in (lambda: orbit_mutate(quiver, 2), lambda: folding(quiver)):
+            with pytest.raises(ValueError) as raised:
+                operation()
+            assert str(raised.value) == "label 2 missing from quiver"
+
+    def test_exhausted_interior(self):
+        quiver = tiny_quiver(2, (1, 2), (False, False), [(0, 1)], depths=(0, 1),
+                             interior_radius=0)
+        for operation in (lambda: orbit_sources(quiver), lambda: orbit_mutate(quiver, 1)):
+            with pytest.raises(InteriorExhaustedError) as raised:
+                operation()
+            assert str(raised.value) == (
+                "interior exhausted: radius 0 has shrunk below the deepest "
+                "first-occurrence depth 1"
+            )
+
+
+@pytest.mark.parametrize("build", [
+    lambda matrix: build_piece(matrix, 1),
+    lambda matrix: build_truncation(matrix, 2),
+    lambda matrix: verify_unfolding_commutation(matrix, (1,), 4),
+], ids=["build_piece", "build_truncation", "verify_unfolding_commutation"])
+@pytest.mark.parametrize("matrix, message", [
+    ([[0, 1], [1, 0]], "input matrix is not sign-skew-symmetric"),
+    ([[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
+     "no source among indices {1,2,3}: matrix is not acyclic"),
+], ids=["not-sign-skew", "cyclic"])
+def test_unfolding_refuses_as_the_source_numbering_does(build, matrix, message):
+    with pytest.raises(ValueError) as raised:
+        build(ExchangeMatrix(matrix))
+    assert str(raised.value) == message
+
+
 class TestOrbitGreenLift:
     """The source maximal green sequence of B, orbit-mutated on the unfolding.
 
