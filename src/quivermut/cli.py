@@ -26,7 +26,9 @@ from .seeds import (
     CoherenceReport, GreenVerificationError, apply_sequence_framed, brute_force_green_search,
     check_sign_coherence, extend, source_mgs,
 )
-from .unfolding import _TRUSTED_STEPS, _verify_replay, build_truncation, to_dot
+from .unfolding import (
+    _TRUSTED_STEPS, _grow, _summary, _truncation_counts, _verify_replay, build_truncation, to_dot,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -156,32 +158,26 @@ def _cmd_total_mutability(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_unfold(args: argparse.Namespace) -> _Result:
-    quiver = build_truncation(_load_matrix(args.matrix), args.m, framed=args.framed)
-    label_counts = {str(label): len(quiver.mutable_ids(label))
-                    for label in quiver.present_labels()}
+    matrix = _load_matrix(args.matrix)
+    # the report is read off the counts; only the DOT export builds, from them
+    counts = _truncation_counts(matrix, args.m, args.framed)
+    summary = _summary(counts, args.framed)
+    summary["labels"] = {str(label): c for label, c in summary["labels"].items()}
     if args.dot:
-        Path(args.dot).write_text(to_dot(quiver), encoding="utf-8")
+        Path(args.dot).write_text(to_dot(_grow(matrix, args.framed, counts)), encoding="utf-8")
 
     def lines() -> Iterator[str]:
-        yield (f"vertices: {quiver.vertex_count} "
-               f"({quiver.mutable_count} mutable, {quiver.frozen_count} frozen)")
-        yield f"arrows: {quiver.arrow_count}"
-        yield f"complete: {_bool_str(quiver.is_complete)}"
-        radius = "infinite" if quiver.is_complete else str(quiver.interior_radius)
-        yield f"interior radius: {radius}"
-        yield "labels: " + " ".join(f"{k}={v}" for k, v in label_counts.items())
+        yield (f"vertices: {summary['vertices']} "
+               f"({summary['mutable']} mutable, {summary['frozen']} frozen)")
+        yield f"arrows: {summary['arrows']}"
+        yield f"complete: {_bool_str(summary['complete'])}"
+        radius = summary["interior_radius"]
+        yield f"interior radius: {'infinite' if radius is None else radius}"
+        yield "labels: " + " ".join(f"{k}={v}" for k, v in summary["labels"].items())
         if args.dot:
             yield f"dot written to {args.dot}"
 
-    return EXIT_OK, {
-        "vertices": quiver.vertex_count,
-        "mutable": quiver.mutable_count,
-        "frozen": quiver.frozen_count,
-        "arrows": quiver.arrow_count,
-        "complete": quiver.is_complete,
-        "interior_radius": quiver.interior_radius,
-        "labels": label_counts,
-    }, lines()
+    return EXIT_OK, summary, lines()
 
 
 def _cmd_verify_unfolding(args: argparse.Namespace) -> _Result:

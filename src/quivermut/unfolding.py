@@ -64,10 +64,11 @@ _SPANS = (1, 2, 3)
 _TRUSTED_STEPS = 4
 
 # The most vertices one truncation or piece may have, checked before it is
-# built (_grow).  A built truncation takes ≈313 bytes a vertex, so about
-# 0.63 GB at the cap (tracemalloc on the framed running example at m = 8,
-# CPython 3.11.7); the largest truncation the tests build, the running
-# example at m = 10, has 554,348.
+# built (_count_rings).  A built truncation takes ≈313 bytes a vertex, so
+# about 0.63 GB at the cap (tracemalloc on the framed running example at
+# m = 8, CPython 3.11.7).  The running example at m = 10 has 554,348
+# vertices framed and 417,961 unframed, the largest truncation the tests
+# build.
 _MAX_VERTICES = 2_000_000
 
 Adjacency = list[dict[int, int]]
@@ -195,14 +196,22 @@ class LabeledQuiver:
         return tuple(sorted(self._label_ids))
 
     def mutable_ids(self, label: int) -> tuple[int, ...]:
-        return self._label_ids.get(label, ())
+        """The label's mutable vertices; () for a label that is absent or no int."""
+        return self._label_ids.get(label, ()) if _is_int(label) else ()
+
+    def _vertex(self, v: object) -> int:
+        """v, when it is a vertex id in 0..V-1; IndexError naming it otherwise."""
+        if not _is_int(v) or not 0 <= v < len(self.labels):
+            raise IndexError(f"vertex {v!r} out of range 0..{len(self.labels) - 1}")
+        return v
 
     def is_interior(self, v: int) -> bool:
-        return self.is_complete or self.depths[v] <= self.interior_radius
+        depth = self.depths[self._vertex(v)]
+        return self.is_complete or depth <= self.interior_radius
 
     def entry(self, i: int, j: int) -> int:
         """Signed adjacency entry for the ordered pair (i, j): mult(j->i) - mult(i->j)."""
-        return self.adj[j].get(i, 0)
+        return self.adj[self._vertex(j)].get(self._vertex(i), 0)
 
     def arrows(self) -> list[tuple[int, int, int]]:
         """All arrows as (source, target, multiplicity), sorted."""
@@ -243,43 +252,42 @@ def _label_distances(matrix: ExchangeMatrix) -> list[Optional[int]]:
 # -------------------------------------------------------------- construction
 
 
-def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> LabeledQuiver:
-    """Glue the pieces of build_piece ring by ring around a vertex labeled root.
+# The vertices of one truncation, counted before it is built (_count_rings):
+# one dict per ring out from the root, mapping (label, parent label) to the
+# ring's vertices of that label and parent label, the root's parent label
+# being 0; the number of rings expanded; the interior radius, None for the
+# whole (finite) unfolding.
+_RingCounts = tuple[list[dict[tuple[int, int], int]], int, Optional[int]]
 
-    First the vertex count is predicted from the columns of B, ring by
-    ring over the number of ring vertices per (label, parent label), and a
-    count above _MAX_VERTICES raises ValueError; nothing is built before.
-    pieces[i][p] then lists (satellite label j, sign of b_ji), in label
-    order, for a center labeled i whose parent is labeled p, or p = 0 for
-    the root, for each pair (i, p) that occurs.  Rings 0..rings-1 are
-    expanded in turn: each vertex gets its frozen copy (when framed), then
-    the satellites of its table entry, each with the entry
-    adj[center][satellite] = that sign.
 
-    The root lacks its whole piece.  Any other vertex v, labeled i, has
-    one arrow so far, the one to its parent, labeled p: v was glued as a
-    satellite of the parent's piece, with the arrow from v to the parent
-    when b_ip < 0.  Sign-skew-symmetry makes b_pi nonzero and of the other
-    sign, so v's piece has at least one satellite labeled p, with its arrow
-    in the same direction.  That satellite is the parent, and v lacks the
-    rest of its piece, which is pieces[i][p].
-
-    The radius is rings - 1.  When the prediction finds a ring that adds
-    no vertex, the unfolding is finite: the build stops at that ring and
-    the radius is None (the whole unfolding).
-    """
+def _columns(matrix: ExchangeMatrix) -> list[list[tuple[int, int, int]]]:
+    """columns[i]: (satellite label j, sign of b_ji, |b_ji|) for each nonzero
+    b_ji, j != i, in label order; columns[0], the root's parent label, is empty."""
     e = matrix.entries
     n = matrix.n
-    # columns[i]: (satellite label j, sign of b_ji, |b_ji|) for each nonzero b_ji
-    columns = [[]] + [[(j + 1, 1 if e[j][i] > 0 else -1, abs(e[j][i]))
-                       for j in range(n) if j != i and e[j][i]] for i in range(n)]
-    counts, total = {(root, 0): 1}, 1  # ring vertices per (label, parent label)
-    pieces: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in columns]
-    radius: Optional[int] = rings - 1
+    return [[]] + [[(j + 1, 1 if e[j][i] > 0 else -1, abs(e[j][i]))
+                    for j in range(n) if j != i and e[j][i]] for i in range(n)]
+
+
+def _count_rings(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> _RingCounts:
+    """Count the vertices of the truncation _grow builds around a vertex labeled root.
+
+    The counts follow from the columns of B.  A ring vertex labeled i whose
+    parent is labeled p gets |b_ji| satellites of each label j in the next
+    ring, less one when j = p, since one of them is its parent (_grow says
+    why).  Rings 0..rings-1 are expanded, and each of their vertices also
+    gets its frozen copy when framed.  A running total above _MAX_VERTICES
+    raises ValueError, so nothing is built before the size is known.  When
+    a ring adds no vertex the unfolding is finite: counting stops at the
+    ring expanded last and the radius is None.  Otherwise the radius is
+    rings - 1 and the last dict counts the unexpanded outer ring.
+    """
+    columns = _columns(matrix)
+    counts, total = {(root, 0): 1}, 1
+    ring_counts = [counts]
     for depth in range(rings):
         grown_counts: dict[tuple[int, int], int] = {}
         for (i, p), c in counts.items():
-            pieces[i][p] = ()  # a pair that occurs; its satellites are listed below
             total += c * framed
             for j, _sign, count in columns[i]:
                 if count > (j == p):
@@ -290,13 +298,62 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
             raise ValueError(f"the truncation would have at least {size} vertices, "
                              f"more than the {_MAX_VERTICES} one build allows")
         if not grown_counts:
-            rings, radius = depth + 1, None
-            break
+            return ring_counts, depth + 1, None
+        ring_counts.append(grown_counts)
         counts = grown_counts
-    for i, table in enumerate(pieces):
-        for p in table:
-            table[p] = tuple((j, sign) for j, sign, count in columns[i]
+    return ring_counts, rings, rings - 1
+
+
+def _summary(counts: _RingCounts, framed: bool) -> dict:
+    """What `quivermut unfold` reports of _grow(matrix, framed, counts), read
+    off the counts without building: vertices, mutable, frozen, arrows,
+    complete, interior_radius and labels, the mutable vertices per present
+    label in label order.  A fresh truncation is a tree (_replay's
+    docstring argues it), so it has one arrow fewer than vertices.
+    """
+    ring_counts, rings, radius = counts
+    labels: dict[int, int] = {}
+    for ring in ring_counts:
+        for (i, _p), c in ring.items():
+            labels[i] = labels.get(i, 0) + c
+    mutable = sum(labels.values())
+    frozen = framed * sum(c for ring in ring_counts[:rings] for c in ring.values())
+    return {
+        "vertices": mutable + frozen,
+        "mutable": mutable,
+        "frozen": frozen,
+        "arrows": mutable + frozen - 1,
+        "complete": radius is None,
+        "interior_radius": radius,
+        "labels": dict(sorted(labels.items())),
+    }
+
+
+def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQuiver:
+    """Glue the pieces of build_piece ring by ring, as counted by _count_rings.
+
+    pieces[i][p] lists (satellite label j, sign of b_ji), in label order,
+    for a center labeled i whose parent is labeled p, or p = 0 for the
+    root, for each pair (i, p) that occurs in an expanded ring.  Those
+    rings are expanded in turn: each vertex gets its frozen copy (when
+    framed), then the satellites of its table entry, each with the entry
+    adj[center][satellite] = that sign.  The radius is the counted one.
+
+    The root lacks its whole piece.  Any other vertex v, labeled i, has
+    one arrow so far, the one to its parent, labeled p: v was glued as a
+    satellite of the parent's piece, with the arrow from v to the parent
+    when b_ip < 0.  Sign-skew-symmetry makes b_pi nonzero and of the other
+    sign, so v's piece has at least one satellite labeled p, with its arrow
+    in the same direction.  That satellite is the parent, and v lacks the
+    rest of its piece, which is pieces[i][p].
+    """
+    ring_counts, rings, radius = counts
+    columns = _columns(matrix)
+    pieces: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in columns]
+    for i, p in set().union(*ring_counts[:rings]):
+        pieces[i][p] = tuple((j, sign) for j, sign, count in columns[i]
                              for _ in range(count - (j == p)))
+    (root, _), = ring_counts[0]  # ring 0 is the root alone
     labels, frozen, depths = [root], [False], [0]
     adj: Adjacency = [{}]
     ring, parent_labels = [0], [0]  # the ring's vertices and their parents' labels
@@ -321,8 +378,9 @@ def _grow(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) -> Labele
                 grown.append(s)
                 grown_parent_labels.append(label)
         ring, parent_labels = grown, grown_parent_labels
-    return LabeledQuiver(n_labels=n, framed=framed, labels=tuple(labels), frozen=tuple(frozen),
-                         depths=tuple(depths), adj=adj, interior_radius=radius)
+    return LabeledQuiver(n_labels=matrix.n, framed=framed, labels=tuple(labels),
+                         frozen=tuple(frozen), depths=tuple(depths), adj=adj,
+                         interior_radius=radius)
 
 
 def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQuiver:
@@ -336,7 +394,7 @@ def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQ
     """
     admissible_source_numbering(matrix)
     _check_index(i, matrix.n, "piece center")
-    return _grow(matrix, i, 1, framed)
+    return _grow(matrix, framed, _count_rings(matrix, i, 1, framed))
 
 
 def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> LabeledQuiver:
@@ -350,8 +408,16 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
     quiver is the whole finite unfolding and the interior never shrinks.
     Every call builds a new quiver, which the caller owns.  The matrix must
     be acyclic and sign-skew-symmetric; admissible_source_numbering refuses
-    any other, with its messages.
+    any other, with its messages.  The arguments are checked and the
+    vertices counted once (_truncation_counts, through _count_rings, the
+    counting that `quivermut unfold` reports from), and _grow builds from
+    those counts.
     """
+    return _grow(matrix, framed, _truncation_counts(matrix, m, framed))
+
+
+def _truncation_counts(matrix: ExchangeMatrix, m: int, framed: bool) -> _RingCounts:
+    """Check build_truncation's arguments, in its order, and count its rings."""
     _require_positive(m, "truncation budget m")
     admissible_source_numbering(matrix)
     dist = _label_distances(matrix)
@@ -362,7 +428,7 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
             + ",".join(missing)
             + "} are unreachable from label 1"
         )
-    return _grow(matrix, 1, max(1, max(dist) + m - 1), framed)
+    return _count_rings(matrix, 1, max(1, max(dist) + m - 1), framed)
 
 
 _truncations: dict[tuple[ExchangeMatrix, int], LabeledQuiver] = {}  # oldest build first
@@ -375,10 +441,10 @@ def _shared_truncation(matrix: ExchangeMatrix, m: int) -> LabeledQuiver:
     Repeated library calls on one (matrix, m) reuse one build, kept in a
     dict of at most 64 entries whose vertices total at most _MAX_VERTICES:
     after a build, the oldest builds are evicted until both bounds hold.
-    _grow refuses any build above _MAX_VERTICES, so the newest build alone
-    meets both bounds and always stays, and the cache never holds more
-    than one build at the cap could take (≈0.63 GB); an entry count alone
-    would allow 64 of them.  A hit is a plain read: it changes neither
+    _count_rings refuses any build above _MAX_VERTICES, so the newest build
+    alone meets both bounds and always stays, and the cache never holds
+    more than one build at the cap could take (≈0.63 GB); an entry count
+    alone would allow 64 of them.  A hit is a plain read: it changes neither
     bound nor the order, so only a build evicts, and a key is rebuilt only
     after 64 newer builds, or fewer when they are large.
     """

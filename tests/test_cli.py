@@ -354,6 +354,40 @@ class TestUnfold:
             assert (code, out) == (2, "")
             assert err.startswith("error: the truncation would have at least 2**16609 vertices")
 
+    # the running example's output at m = 10, framed, as the build reported it
+    EXAMPLE_M10 = ("vertices: 554348 (417961 mutable, 136387 frozen)\n"
+                   "arrows: 554347\n"
+                   "complete: false\n"
+                   "interior radius: 10\n"
+                   "labels: 1=21535 2=79735 3=82955 4=233736\n")
+
+    def test_report_without_dot_builds_nothing(self, capsys, example_file, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("built a truncation")
+
+        monkeypatch.setattr("quivermut.cli._grow", no_build)
+        monkeypatch.setattr(unfolding, "_grow", no_build)
+        argv = ["unfold", example_file, "--m", "10", "--framed"]
+        assert run(capsys, argv) == (0, self.EXAMPLE_M10, "")
+
+    def test_dot_request_validates_and_counts_once(self, capsys, example_file, tmp_path,
+                                                   monkeypatch):
+        calls = []
+        for name in ("admissible_source_numbering", "_count_rings"):
+            def counted(*args, _name=name, _fn=getattr(unfolding, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(unfolding, name, counted)
+        dot_path = tmp_path / "out.dot"
+        argv = ["unfold", example_file, "--m", "4", "--framed", "--json-out"]
+        code, with_dot, _ = run(capsys, argv + ["--dot", str(dot_path)])
+        assert code == 0
+        assert calls == ["admissible_source_numbering", "_count_rings"]
+        quiver = unfolding.build_truncation(example_matrix(), 4)
+        assert dot_path.read_text(encoding="utf-8") == unfolding.to_dot(quiver)
+        assert run(capsys, argv) == (0, with_dot, "")
+
 
 class TestVerifyUnfolding:
     def test_ok(self, capsys, example_file):

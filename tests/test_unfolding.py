@@ -279,6 +279,26 @@ class TestBuildTruncation:
         assert build_piece(big, 1).vertex_count == 3
         assert build_truncation(big, 1, framed=False).vertex_count == 2
 
+    @pytest.mark.parametrize("framed", [True, False])
+    def test_summary_of_the_counts_matches_the_build(self, framed):
+        # `quivermut unfold` reports the summary without building; the largest
+        # of these builds, the example at m = 8, has 57,284 vertices
+        for matrix in corpus_matrices():
+            for m in range(1, 9):
+                summary = unfolding._summary(unfolding._truncation_counts(matrix, m, framed),
+                                             framed)
+                quiver = build_truncation(matrix, m, framed)
+                assert summary == {
+                    "vertices": quiver.vertex_count,
+                    "mutable": quiver.mutable_count,
+                    "frozen": quiver.frozen_count,
+                    "arrows": quiver.arrow_count,
+                    "complete": quiver.is_complete,
+                    "interior_radius": quiver.interior_radius,
+                    "labels": {label: len(quiver.mutable_ids(label))
+                               for label in quiver.present_labels()},
+                }, (matrix, m)
+
     # sha256 of to_dot(q) and of repr(q.depths), recorded from the vertex-by-vertex
     # builder that the piece table replaced
     PINNED = {
@@ -1002,6 +1022,39 @@ class TestQuiverFields:
                                                  rf"\({len(adj)}, 2\)$"):
                 LabeledQuiver(adj=adj, **fields)
         assert LabeledQuiver(adj=[{1: 1}, {0: -1}], **fields).arrow_count == 1
+
+
+class TestVertexArguments:
+    # the complete framed truncation of a rank-2 matrix: vertices 0 and 2
+    # (labels 1 and 2) and their frozen copies 1 and 3
+    QUIVER = build_truncation(ExchangeMatrix([[0, 1], [-1, 0]]), 2)
+
+    @pytest.mark.parametrize("label", [True, 1.0, "1", None, (1,)])
+    def test_label_that_is_no_int_reads_as_absent(self, label):
+        # True and 1.0 once hashed as 1 and returned label 1's vertices
+        assert self.QUIVER.mutable_ids(1) == (0,)
+        assert self.QUIVER.mutable_ids(label) == ()
+
+    @pytest.mark.parametrize("call, vertex", [
+        (lambda q: q.is_interior(-1), "-1"),
+        (lambda q: q.is_interior(99), "99"),
+        (lambda q: q.is_interior(True), "True"),
+        (lambda q: q.is_interior(4), "4"),
+        (lambda q: q.entry(True, 0), "True"),
+        (lambda q: q.entry(0, -1), "-1"),
+        (lambda q: q.entry(4, 0), "4"),
+        (lambda q: q.entry(0, 1.0), "1.0"),
+    ])
+    def test_vertex_outside_0_to_v_minus_1_is_refused(self, call, vertex):
+        # -1 once read the last vertex, 99 gave True and entry(True, 0) gave 1
+        with pytest.raises(IndexError, match=rf"^vertex {re.escape(vertex)} out of range 0\.\.3$"):
+            call(self.QUIVER)
+
+    def test_vertices_in_range_are_read(self):
+        assert all(self.QUIVER.is_interior(v) for v in range(4))
+        # the arrow 0 -> 1 into label 1's frozen copy
+        assert (self.QUIVER.entry(1, 0), self.QUIVER.entry(0, 1), self.QUIVER.entry(0, 3)) == (
+            1, -1, 0)
 
 
 DOT_ARROW = re.compile(r"^  v(\d+) -> v(\d+)(?: \[label=(\d+)\])?;$", re.MULTILINE)
