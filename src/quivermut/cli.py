@@ -27,7 +27,7 @@ from .seeds import (
     check_sign_coherence, extend, source_mgs,
 )
 from .unfolding import (
-    _TRUSTED_STEPS, _grow, _summary, _truncation_counts, _verify_replay, build_truncation, to_dot,
+    _TRUSTED_STEPS, _summary, _tree_dot, _truncation_counts, _verify_replay, build_truncation,
 )
 
 EXIT_OK = 0
@@ -159,12 +159,12 @@ def _cmd_total_mutability(args: argparse.Namespace) -> _Result:
 
 def _cmd_unfold(args: argparse.Namespace) -> _Result:
     matrix = _load_matrix(args.matrix)
-    # the report is read off the counts; only the DOT export builds, from them
+    # the report and the DOT export are both read off the counts: nothing is built
     counts = _truncation_counts(matrix, args.m, args.framed)
     summary = _summary(counts, args.framed)
     summary["labels"] = {str(label): c for label, c in summary["labels"].items()}
     if args.dot:
-        Path(args.dot).write_text(to_dot(_grow(matrix, args.framed, counts)), encoding="utf-8")
+        Path(args.dot).write_text(_tree_dot(matrix, args.framed, counts), encoding="utf-8")
 
     def lines() -> Iterator[str]:
         yield (f"vertices: {summary['vertices']} "

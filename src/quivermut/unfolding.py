@@ -16,7 +16,9 @@ So each quiver counts the orbit-mutations it has taken, and one rule
 unfolding: `orbit_mutate` at the fifth call of a chain, and
 `verify_unfolding_commutation` before it replays five or more steps.
 Each vertex's class, its label and kind, is indexed once per quiver
-(`LabeledQuiver._classes`).
+(`LabeledQuiver._classes`).  A fresh truncation is fixed by its counts
+per ring (_count_rings): `quivermut unfold` reads its report (_summary)
+and its DOT text (_tree_dot) off them and builds no quiver.
 
 Orbit-mutation has two paths, which share the gate `_orbit_targets`
 (label, step count, interior and Γ checks) and the step `_orbit_step`
@@ -213,14 +215,24 @@ class LabeledQuiver:
         """Signed adjacency entry for the ordered pair (i, j): mult(j->i) - mult(i->j)."""
         return self.adj[self._vertex(j)].get(self._vertex(i), 0)
 
+    def _interior_ids(self, label: int) -> tuple[int, ...]:
+        """The label's interior mutable vertices, in (depth, id) order: every
+        one on a complete quiver, otherwise the prefix of mutable_ids down to
+        interior_radius, cut with one bisection on depth.  Unchecked, for
+        callers that pass a label in 1..n_labels."""
+        ids = self._label_ids.get(label, ())
+        if self.interior_radius is None:
+            return ids
+        return ids[:bisect_right(ids, self.interior_radius, key=self.depths.__getitem__)]
+
     def arrows(self) -> list[tuple[int, int, int]]:
-        """All arrows as (source, target, multiplicity), sorted."""
-        return [
-            (u, v, mult)
-            for u in range(self.vertex_count)
-            for v, mult in sorted(self.adj[u].items())
-            if mult > 0
-        ]
+        """All arrows as (source, target, multiplicity), sorted.
+
+        One sort of every positive entry: no two share (source, target), so
+        the multiplicity never decides the order.
+        """
+        return sorted((u, v, mult) for u, adj_u in enumerate(self.adj)
+                      for v, mult in adj_u.items() if mult > 0)
 
     def __repr__(self) -> str:
         radius = "complete" if self.is_complete else f"interior<={self.interior_radius}"
@@ -329,14 +341,30 @@ def _summary(counts: _RingCounts, framed: bool) -> dict:
     }
 
 
-def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQuiver:
-    """Glue the pieces of build_piece ring by ring, as counted by _count_rings.
+def _pieces(matrix: ExchangeMatrix,
+            counts: _RingCounts) -> list[dict[int, tuple[tuple[int, int], ...]]]:
+    """The piece table that _grow and _tree_dot glue from.
 
     pieces[i][p] lists (satellite label j, sign of b_ji), in label order,
     for a center labeled i whose parent is labeled p, or p = 0 for the
-    root, for each pair (i, p) that occurs in an expanded ring.  Those
-    rings are expanded in turn: each vertex gets its frozen copy (when
-    framed), then the satellites of its table entry, each with the entry
+    root, for each pair (i, p) that occurs in an expanded ring: |b_ji|
+    satellites of each label j, less the parent (_grow says why).
+    """
+    ring_counts, rings, _radius = counts
+    columns = _columns(matrix)
+    pieces: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in columns]
+    for i, p in set().union(*ring_counts[:rings]):
+        pieces[i][p] = tuple((j, sign) for j, sign, count in columns[i]
+                             for _ in range(count - (j == p)))
+    return pieces
+
+
+def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQuiver:
+    """Glue the pieces of build_piece ring by ring, as counted by _count_rings.
+
+    The expanded rings are expanded in turn: each vertex labeled i, with
+    parent labeled p, gets its frozen copy (when framed), then the
+    satellites of its entry pieces[i][p] (_pieces), each with the entry
     adj[center][satellite] = that sign.  The radius is the counted one.
 
     The root lacks its whole piece.  Any other vertex v, labeled i, has
@@ -348,11 +376,7 @@ def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQ
     rest of its piece, which is pieces[i][p].
     """
     ring_counts, rings, radius = counts
-    columns = _columns(matrix)
-    pieces: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in columns]
-    for i, p in set().union(*ring_counts[:rings]):
-        pieces[i][p] = tuple((j, sign) for j, sign, count in columns[i]
-                             for _ in range(count - (j == p)))
+    pieces = _pieces(matrix, counts)
     (root, _), = ring_counts[0]  # ring 0 is the root alone
     labels, frozen, depths = [root], [False], [0]
     adj: Adjacency = [{}]
@@ -657,7 +681,7 @@ def orbit_sources(quiver: LabeledQuiver) -> list[int]:
     _require_can_fold(quiver)
     result = []
     for label in range(1, quiver.n_labels + 1):
-        ids = [v for v in quiver.mutable_ids(label) if quiver.is_interior(v)]
+        ids = quiver._interior_ids(label)
         if ids and all(mult > 0 for v in ids for mult in quiver.adj[v].values()):
             result.append(label)
     return result
@@ -996,15 +1020,68 @@ def _verify_replay(
 
 
 def to_dot(quiver: LabeledQuiver) -> str:
-    """Deterministic DOT export: mutable ellipses, frozen boxes, labeled multi-arrows."""
+    """Deterministic DOT export: mutable ellipses, frozen boxes, labeled multi-arrows.
+
+    Any quiver, mutated ones included; `quivermut unfold --dot` writes the
+    same text for a fresh truncation from its ring counts (_tree_dot).
+    """
+    return _dot_text(quiver.labels, quiver.frozen, quiver.arrows())
+
+
+def _dot_text(labels: Sequence[int], frozen: Sequence[bool],
+              arrows: Iterable[tuple[int, int, int]]) -> str:
+    """The DOT layout, once: a line per vertex in id order, then a line per
+    arrow (source, target, multiplicity) in the order given, the
+    multiplicity as a label when above 1."""
     lines = ["digraph unfolding {"]
-    for v in range(quiver.vertex_count):
-        if quiver.frozen[v]:
-            lines.append(f'  v{v} [shape=box, label="{quiver.labels[v]}′"];')
+    for v, (label, is_frozen) in enumerate(zip(labels, frozen)):
+        if is_frozen:
+            lines.append(f'  v{v} [shape=box, label="{label}′"];')
         else:
-            lines.append(f'  v{v} [shape=ellipse, label="v{v} ({quiver.labels[v]})"];')
-    for u, v, mult in quiver.arrows():
+            lines.append(f'  v{v} [shape=ellipse, label="v{v} ({label})"];')
+    for u, v, mult in arrows:
         attr = f" [label={mult}]" if mult > 1 else ""
         lines.append(f"  v{u} -> v{v}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _tree_dot(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> str:
+    """to_dot(_grow(matrix, framed, counts)), without building the quiver.
+
+    The walk is _grow's: the same piece table (_pieces), the same rings in
+    the same order, so each vertex gets the id, label and kind that _grow
+    gives it.  Of the arrows it keeps only the one that glues each vertex
+    in, which is all of them.  _grow writes each entry pair once, when it
+    adds a vertex: adj[v][f] = 1 to v's frozen copy f, or adj[v][s] = sign,
+    which is ±1, to a satellite s.  Each pair has a new vertex at one end,
+    so no pair is written twice and no arrow cancels (the fresh truncation
+    is a tree, as _replay's docstring argues).  So arrows() of the build
+    lists v -> f, and v -> s when the sign is positive or s -> v when it is
+    negative, each of multiplicity 1, sorted by (source, target).  These
+    pairs are distinct, so sorting them once here gives the same list.
+    """
+    ring_counts, rings, _radius = counts
+    pieces = _pieces(matrix, counts)
+    (root, _), = ring_counts[0]
+    labels, frozen = [root], [False]
+    arrows: list[tuple[int, int, int]] = []
+    ring, parent_labels = [0], [0]
+    for _ in range(rings):
+        grown, grown_parent_labels = [], []
+        for v, parent_label in zip(ring, parent_labels):
+            label = labels[v]
+            if framed:
+                arrows.append((v, len(labels), 1))
+                labels.append(label)
+                frozen.append(True)
+            for j, sign in pieces[label][parent_label]:
+                s = len(labels)
+                labels.append(j)
+                frozen.append(False)
+                arrows.append((v, s, 1) if sign > 0 else (s, v, 1))
+                grown.append(s)
+                grown_parent_labels.append(label)
+        ring, parent_labels = grown, grown_parent_labels
+    arrows.sort()
+    return _dot_text(labels, frozen, arrows)

@@ -197,11 +197,7 @@ def test_criterion_8_gamma_and_orbit_signs():
 
     def orbit_signs_agree(quiver: LabeledQuiver) -> bool:
         for label in range(1, quiver.n_labels + 1):
-            signs = {
-                _vertex_column_sign(quiver, v)
-                for v in quiver.mutable_ids(label)
-                if quiver.is_interior(v)
-            }
+            signs = {_vertex_column_sign(quiver, v) for v in quiver._interior_ids(label)}
             if "mixed" in signs or len(signs) != 1:
                 return False
         return True

@@ -17,7 +17,7 @@ from quivermut import (
     parse_matrix,
     parse_seed,
 )
-from quivermut import unfolding
+from quivermut import cli, unfolding
 from quivermut.cli import build_parser, main
 from quivermut.matrices import parse_int
 
@@ -361,17 +361,20 @@ class TestUnfold:
                    "interior radius: 10\n"
                    "labels: 1=21535 2=79735 3=82955 4=233736\n")
 
-    def test_report_without_dot_builds_nothing(self, capsys, example_file, monkeypatch):
-        def no_build(*args):
-            raise AssertionError("built a truncation")
+    @staticmethod
+    def no_build(*args):
+        raise AssertionError("built a truncation")
 
-        monkeypatch.setattr("quivermut.cli._grow", no_build)
-        monkeypatch.setattr(unfolding, "_grow", no_build)
+    def test_report_without_dot_builds_nothing(self, capsys, example_file, monkeypatch):
+        monkeypatch.setattr(unfolding, "_grow", self.no_build)
         argv = ["unfold", example_file, "--m", "10", "--framed"]
         assert run(capsys, argv) == (0, self.EXAMPLE_M10, "")
+        # the command line has no builder of its own to call
+        assert not hasattr(cli, "_grow") and not hasattr(cli, "to_dot")
 
     def test_dot_request_validates_and_counts_once(self, capsys, example_file, tmp_path,
                                                    monkeypatch):
+        expected = unfolding.to_dot(unfolding.build_truncation(example_matrix(), 4))
         calls = []
         for name in ("admissible_source_numbering", "_count_rings"):
             def counted(*args, _name=name, _fn=getattr(unfolding, name)):
@@ -379,14 +382,25 @@ class TestUnfold:
                 return _fn(*args)
 
             monkeypatch.setattr(unfolding, name, counted)
+        # the DOT text is written from the counts, so a --dot request builds nothing
+        monkeypatch.setattr(unfolding, "_grow", self.no_build)
         dot_path = tmp_path / "out.dot"
         argv = ["unfold", example_file, "--m", "4", "--framed", "--json-out"]
         code, with_dot, _ = run(capsys, argv + ["--dot", str(dot_path)])
         assert code == 0
         assert calls == ["admissible_source_numbering", "_count_rings"]
-        quiver = unfolding.build_truncation(example_matrix(), 4)
-        assert dot_path.read_text(encoding="utf-8") == unfolding.to_dot(quiver)
+        assert dot_path.read_text(encoding="utf-8") == expected
         assert run(capsys, argv) == (0, with_dot, "")
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_unframed_dot_matches_the_build(self, capsys, example_file, tmp_path, m):
+        dot_path = tmp_path / "out.dot"
+        argv = ["unfold", example_file, "--m", str(m), "--dot", str(dot_path)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert ", 0 frozen)" in out
+        quiver = unfolding.build_truncation(example_matrix(), m, framed=False)
+        assert dot_path.read_text(encoding="utf-8") == unfolding.to_dot(quiver)
 
 
 class TestVerifyUnfolding:

@@ -37,11 +37,14 @@ from quivermut import unfolding
 from quivermut.unfolding import (
     _representative as _default_representative,
     _ball_limits,
+    _count_rings,
     _fold_rows,
     _gamma_witnesses,
     _mutate_vertex,
     _replay,
     _shared_truncation,
+    _tree_dot,
+    _truncation_counts,
 )
 
 from corpus import EXAMPLE_ROWS, corpus_matrices, example_matrix, random_acyclic_connected
@@ -50,6 +53,15 @@ from test_acceptance import _vertex_column_sign
 ONE = ExchangeMatrix([[0]])
 TWO_LEAF = ExchangeMatrix([[0, 1], [-2, 0]])  # finite unfolding, label 2 twice
 TREE_PATH = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+
+
+def interior_vertices(quiver: LabeledQuiver) -> list[int]:
+    """Every vertex within the interior radius: each label's interior mutable
+    vertices (_interior_ids), then the frozen ones."""
+    radius = quiver.interior_radius
+    return [v for k in quiver.present_labels() for v in quiver._interior_ids(k)] + [
+        v for v, (is_frozen, depth) in enumerate(zip(quiver.frozen, quiver.depths))
+        if is_frozen and (radius is None or depth <= radius)]
 
 
 def tiny_quiver(
@@ -322,13 +334,20 @@ class TestBuildTruncation:
 
     def test_pinned_truncations(self):
         example = example_matrix()
+        random_5 = random_acyclic_connected(random.Random(20260), 5)
         quivers = {
             "example m=4": build_truncation(example, 4),
             "example m=6 unframed": build_truncation(example, 6, framed=False),
             "example piece 3": build_piece(example, 3),
-            "random n=5 m=5": build_truncation(
-                random_acyclic_connected(random.Random(20260), 5), 5
-            ),
+            "random n=5 m=5": build_truncation(random_5, 5),
+        }
+        # the same DOT text written from the counts alone, as `unfold --dot` does
+        tree_dots = {
+            "example m=4": _tree_dot(example, True, _truncation_counts(example, 4, True)),
+            "example m=6 unframed": _tree_dot(example, False,
+                                              _truncation_counts(example, 6, False)),
+            "example piece 3": _tree_dot(example, True, _count_rings(example, 3, 1, True)),
+            "random n=5 m=5": _tree_dot(random_5, True, _truncation_counts(random_5, 5, True)),
         }
         for name, quiver in quivers.items():
             digests = tuple(
@@ -336,6 +355,24 @@ class TestBuildTruncation:
                 for text in (to_dot(quiver), repr(quiver.depths))
             )
             assert digests == self.PINNED[name], name
+            assert hashlib.sha256(tree_dots[name].encode()).hexdigest() == digests[0], name
+
+    @pytest.mark.parametrize("framed", [True, False])
+    def test_dot_from_the_counts_matches_the_build(self, framed):
+        # _tree_dot writes to_dot(_grow(...)) without building: every corpus
+        # matrix at m = 1..6 and every piece, finite unfoldings included
+        cases = complete = 0
+        for matrix in corpus_matrices():
+            counts = [_truncation_counts(matrix, m, framed) for m in range(1, 7)]
+            counts += [_count_rings(matrix, i, 1, framed) for i in range(1, matrix.n + 1)]
+            for count in counts:
+                assert _tree_dot(matrix, framed, count) == to_dot(
+                    unfolding._grow(matrix, framed, count)), (matrix, count)
+                cases += 1
+                complete += count[2] is None
+        assert cases == 51 * 6 + sum(matrix.n for matrix in corpus_matrices())
+        # the walk of a finite unfolding stops at the ring that adds no vertex
+        assert complete > 0
 
 
 class TestFolding:
@@ -717,7 +754,7 @@ class TestOrbitGreenLift:
     @staticmethod
     def interior_signs(quiver: LabeledQuiver, labels) -> set[str]:
         return {_vertex_column_sign(quiver, v)
-                for k in labels for v in quiver.mutable_ids(k) if quiver.is_interior(v)}
+                for k in labels for v in quiver._interior_ids(k)}
 
     def test_source_mgs_lifts_to_an_orbit_green_sequence(self):
         for matrix in corpus_matrices():
@@ -809,9 +846,8 @@ class TestCommutations:
                     small, big = chains[prefix] = tuple(
                         orbit_mutate(q, prefix[-1]) for q in chains[prefix[:-1]]
                     )
-                    for v in range(small.vertex_count):
-                        if small.is_interior(v):
-                            assert small.adj[v] == big.adj[v], (matrix, prefix, v)
+                    for v in interior_vertices(small):
+                        assert small.adj[v] == big.adj[v], (matrix, prefix, v)
                     states += 1
         # 4 example prefixes; 15 n=2 and 15 n=3 matrices with 2 + 2 + 2 and
         # 3 + 6 + 12 prefixes; 11 n=3 matrices with 3 + 6 + 12 + 24 = 45
@@ -944,9 +980,8 @@ def check_replay_against_orbit_mutate(matrix, m, lengths, monkeypatch, spans) ->
                 # the verdict taken on the previous state, before this step
                 assert verdicts[step - 1] == expected[step - 1]
             if step < len(seq):
-                for v in range(base.vertex_count):
-                    if ref.is_interior(v):
-                        assert work.adj[v] == ref.adj[v], (seq, step, v)
+                for v in interior_vertices(ref):
+                    assert work.adj[v] == ref.adj[v], (seq, step, v)
             folded = folding(ref)
             assert _fold_rows(work, reps) == folded.b.entries + folded.c, (seq, step)
             compared += 1
@@ -1049,6 +1084,22 @@ class TestVertexArguments:
         # -1 once read the last vertex, 99 gave True and entry(True, 0) gave 1
         with pytest.raises(IndexError, match=rf"^vertex {re.escape(vertex)} out of range 0\.\.3$"):
             call(self.QUIVER)
+
+    def test_interior_ids_are_the_interior_mutable_ids(self):
+        # the prefix cut by one bisection, against the checked is_interior, on
+        # fresh, mutated and complete truncations, framed and unframed
+        states = 0
+        for matrix in corpus_matrices()[:20]:
+            for framed in (True, False):
+                fresh = build_truncation(matrix, 4, framed)
+                for quiver in [fresh] + [orbit_mutate(fresh, k) for k in range(1, matrix.n + 1)]:
+                    for label in range(1, matrix.n + 1):
+                        assert quiver._interior_ids(label) == tuple(
+                            v for v in quiver.mutable_ids(label) if quiver.is_interior(v))
+                    assert sorted(interior_vertices(quiver)) == [
+                        v for v in range(quiver.vertex_count) if quiver.is_interior(v)]
+                    states += 1
+        assert states == 2 * sum(1 + matrix.n for matrix in corpus_matrices()[:20])
 
     def test_vertices_in_range_are_read(self):
         assert all(self.QUIVER.is_interior(v) for v in range(4))
