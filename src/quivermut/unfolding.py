@@ -17,8 +17,10 @@ unfolding: `orbit_mutate` at the fifth call of a chain, and
 `verify_unfolding_commutation` before it replays five or more steps.
 Each vertex's class, its label and kind, is indexed once per quiver
 (`LabeledQuiver._classes`).  A fresh truncation is fixed by its counts
-per ring (_count_rings): `quivermut unfold` reads its report (_summary)
-and its DOT text (_tree_dot) off them and builds no quiver.
+per ring (_count_rings), and one walk over them (_glue) numbers its
+vertices and the arrow that glues each one in.  Building (_grow) and
+`quivermut unfold --dot` (_tree_dot) both read that walk; `unfold`
+reports from the counts alone (_summary) and builds no quiver.
 
 Orbit-mutation has two paths, which share the gate `_orbit_targets`
 (label, step count, interior and Γ checks) and the step `_orbit_step`
@@ -286,7 +288,7 @@ def _count_rings(matrix: ExchangeMatrix, root: int, rings: int, framed: bool) ->
 
     The counts follow from the columns of B.  A ring vertex labeled i whose
     parent is labeled p gets |b_ji| satellites of each label j in the next
-    ring, less one when j = p, since one of them is its parent (_grow says
+    ring, less one when j = p, since one of them is its parent (_glue says
     why).  Rings 0..rings-1 are expanded, and each of their vertices also
     gets its frozen copy when framed.  A running total above _MAX_VERTICES
     raises ValueError, so nothing is built before the size is known.  When
@@ -341,31 +343,19 @@ def _summary(counts: _RingCounts, framed: bool) -> dict:
     }
 
 
-def _pieces(matrix: ExchangeMatrix,
-            counts: _RingCounts) -> list[dict[int, tuple[tuple[int, int], ...]]]:
-    """The piece table that _grow and _tree_dot glue from.
+def _glue(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> tuple[
+        tuple[int, ...], tuple[bool, ...], tuple[int, ...], list[int], list[int]]:
+    """Number the vertices of the fresh truncation counted by _count_rings.
 
-    pieces[i][p] lists (satellite label j, sign of b_ji), in label order,
-    for a center labeled i whose parent is labeled p, or p = 0 for the
-    root, for each pair (i, p) that occurs in an expanded ring: |b_ji|
-    satellites of each label j, less the parent (_grow says why).
-    """
-    ring_counts, rings, _radius = counts
-    columns = _columns(matrix)
-    pieces: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in columns]
-    for i, p in set().union(*ring_counts[:rings]):
-        pieces[i][p] = tuple((j, sign) for j, sign, count in columns[i]
-                             for _ in range(count - (j == p)))
-    return pieces
-
-
-def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQuiver:
-    """Glue the pieces of build_piece ring by ring, as counted by _count_rings.
-
-    The expanded rings are expanded in turn: each vertex labeled i, with
-    parent labeled p, gets its frozen copy (when framed), then the
-    satellites of its entry pieces[i][p] (_pieces), each with the entry
-    adj[center][satellite] = that sign.  The radius is the counted one.
+    The one walk that _grow builds from and _tree_dot writes from.  Rings
+    0..rings-1 are expanded in turn, each in id order: a vertex labeled i,
+    whose parent is labeled p (p = 0 for the root), gets its frozen copy
+    (when framed), then |b_ji| satellites of each label j, in label order,
+    less one when j = p.  Returns labels, frozen, depths, parents and
+    signs, one entry per vertex id.  Every vertex v but the root is glued
+    in by one arrow, the entry adj[parents[v]][v] = signs[v]: 1 to a
+    frozen copy, the sign of b_ji to a satellite labeled j.  The root has
+    parent -1 and sign 0.
 
     The root lacks its whole piece.  Any other vertex v, labeled i, has
     one arrow so far, the one to its parent, labeled p: v was glued as a
@@ -373,38 +363,49 @@ def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQ
     when b_ip < 0.  Sign-skew-symmetry makes b_pi nonzero and of the other
     sign, so v's piece has at least one satellite labeled p, with its arrow
     in the same direction.  That satellite is the parent, and v lacks the
-    rest of its piece, which is pieces[i][p].
+    rest of its piece.
     """
-    ring_counts, rings, radius = counts
-    pieces = _pieces(matrix, counts)
+    ring_counts, rings, _radius = counts
+    columns = _columns(matrix)
+    # (satellite label j, sign of b_ji) per satellite of a center labeled i with parent labeled p
+    pieces = {(i, p): [(j, sign) for j, sign, count in columns[i] for _ in range(count - (j == p))]
+              for i, p in set().union(*ring_counts[:rings])}
     (root, _), = ring_counts[0]  # ring 0 is the root alone
-    labels, frozen, depths = [root], [False], [0]
-    adj: Adjacency = [{}]
-    ring, parent_labels = [0], [0]  # the ring's vertices and their parents' labels
+    labels, frozen, depths, parents, signs = [root], [False], [0], [-1], [0]
+    start = 0
     for depth in range(rings):
-        grown, grown_parent_labels = [], []
-        for v, parent_label in zip(ring, parent_labels):
+        end = len(labels)  # ring `depth` is the mutable vertices in start..end-1
+        for v in range(start, end):
+            if frozen[v]:
+                continue
             label = labels[v]
             if framed:
-                f = len(labels)
                 labels.append(label)
                 frozen.append(True)
                 depths.append(depth)
-                adj.append({v: -1})
-                adj[v][f] = 1
-            for j, sign in pieces[label][parent_label]:
-                s = len(labels)
+                parents.append(v)
+                signs.append(1)
+            for j, sign in pieces[label, labels[parents[v]] if v else 0]:
                 labels.append(j)
                 frozen.append(False)
                 depths.append(depth + 1)
-                adj.append({v: -sign})
-                adj[v][s] = sign
-                grown.append(s)
-                grown_parent_labels.append(label)
-        ring, parent_labels = grown, grown_parent_labels
-    return LabeledQuiver(n_labels=matrix.n, framed=framed, labels=tuple(labels),
-                         frozen=tuple(frozen), depths=tuple(depths), adj=adj,
-                         interior_radius=radius)
+                parents.append(v)
+                signs.append(sign)
+        start = end
+    return tuple(labels), tuple(frozen), tuple(depths), parents, signs
+
+
+def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQuiver:
+    """Build the fresh truncation that _glue numbers, with the counted radius.
+
+    Each vertex's dict holds its parent first, then its children by id.
+    """
+    labels, frozen, depths, parents, signs = _glue(matrix, framed, counts)
+    adj: Adjacency = [{}] + [{parent: -sign} for parent, sign in zip(parents[1:], signs[1:])]
+    for v, parent, sign in zip(range(1, len(labels)), parents[1:], signs[1:]):
+        adj[parent][v] = sign
+    return LabeledQuiver(n_labels=matrix.n, framed=framed, labels=labels, frozen=frozen,
+                         depths=depths, adj=adj, interior_radius=counts[2])
 
 
 def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQuiver:
@@ -776,7 +777,7 @@ def folding_column(
     quiver: LabeledQuiver, label: int, representative: Optional[int] = None
 ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
     """One folded column (principal part, frozen part) at a chosen representative."""
-    if not _is_int(label) or not 1 <= label <= quiver.n_labels or not quiver.mutable_ids(label):
+    if not quiver.mutable_ids(label):
         raise ValueError(f"label {label!r} missing from quiver")
     rep = _representative(
         quiver, label, _SHALLOWEST if representative is None else representative
@@ -862,14 +863,15 @@ def _replay(
 
     Ownership.  The outer list is copied here, and each vertex has one
     inner dict.  Before a step's first mutation, let A be its targets
-    together with their current neighbors; each vertex of A whose flag in
-    `owned` is 0 gets a copy of its inner dict and flag 1.  Every arrow
-    the step changes has both endpoints in A, so `quiver` is never
-    written.  By induction over the targets in order: mutation at t writes
-    only the dicts of t and of its neighbors at that moment, and each such
-    neighbor either was one before the step, so lies in A, or was joined
-    to t by an arrow that an earlier target changed, whose endpoints lie
-    in A.  This holds even when two targets are adjacent, as same-label
+    together with their current neighbors; each vertex of A whose inner
+    dict is still the truncation's own (`is quiver.adj[v]`) gets a copy,
+    so each dict is copied at most once.  Every arrow the step changes
+    has both endpoints in A, so `quiver` is never written.  By induction
+    over the targets in order: mutation at t writes only the dicts of t
+    and of its neighbors at that moment, and each such neighbor either
+    was one before the step, so lies in A, or was joined to t by an
+    arrow that an earlier target changed, whose endpoints lie in A.
+    This holds even when two targets are adjacent, as same-label
     vertices at depth r + 1, outside the interior the Γ check covers, can
     be.  Conversely every vertex of A is written by the step, either at a
     target that still has it as a neighbor or at the earlier target that
@@ -894,7 +896,6 @@ def _replay(
     adj = work.adj = quiver.adj.copy()
     last = len(directions)
     limits = _ball_limits(quiver, last, reps)
-    owned = bytearray(quiver.vertex_count)  # 1 where adj[v] is already a copy
     scan: Iterable[int] = ()
     yield 0, work
     for step, k in enumerate(directions, start=1):
@@ -906,8 +907,8 @@ def _replay(
             targets = targets[:bisect_right(targets, limit, key=work.depths.__getitem__)]
         around = set(targets).union(*map(adj.__getitem__, targets))
         for v in around:
-            if not owned[v]:
-                owned[v], adj[v] = 1, adj[v].copy()
+            if adj[v] is quiver.adj[v]:
+                adj[v] = adj[v].copy()
         _orbit_step(work, targets)
         scan = around
         yield step, work
@@ -1023,7 +1024,8 @@ def to_dot(quiver: LabeledQuiver) -> str:
     """Deterministic DOT export: mutable ellipses, frozen boxes, labeled multi-arrows.
 
     Any quiver, mutated ones included; `quivermut unfold --dot` writes the
-    same text for a fresh truncation from its ring counts (_tree_dot).
+    same text for a fresh truncation from the walk that builds it
+    (_glue, _tree_dot), without building it.
     """
     return _dot_text(quiver.labels, quiver.frozen, quiver.arrows())
 
@@ -1047,41 +1049,11 @@ def _dot_text(labels: Sequence[int], frozen: Sequence[bool],
 
 
 def _tree_dot(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> str:
-    """to_dot(_grow(matrix, framed, counts)), without building the quiver.
-
-    The walk is _grow's: the same piece table (_pieces), the same rings in
-    the same order, so each vertex gets the id, label and kind that _grow
-    gives it.  Of the arrows it keeps only the one that glues each vertex
-    in, which is all of them.  _grow writes each entry pair once, when it
-    adds a vertex: adj[v][f] = 1 to v's frozen copy f, or adj[v][s] = sign,
-    which is ±1, to a satellite s.  Each pair has a new vertex at one end,
-    so no pair is written twice and no arrow cancels (the fresh truncation
-    is a tree, as _replay's docstring argues).  So arrows() of the build
-    lists v -> f, and v -> s when the sign is positive or s -> v when it is
-    negative, each of multiplicity 1, sorted by (source, target).  These
-    pairs are distinct, so sorting them once here gives the same list.
-    """
-    ring_counts, rings, _radius = counts
-    pieces = _pieces(matrix, counts)
-    (root, _), = ring_counts[0]
-    labels, frozen = [root], [False]
-    arrows: list[tuple[int, int, int]] = []
-    ring, parent_labels = [0], [0]
-    for _ in range(rings):
-        grown, grown_parent_labels = [], []
-        for v, parent_label in zip(ring, parent_labels):
-            label = labels[v]
-            if framed:
-                arrows.append((v, len(labels), 1))
-                labels.append(label)
-                frozen.append(True)
-            for j, sign in pieces[label][parent_label]:
-                s = len(labels)
-                labels.append(j)
-                frozen.append(False)
-                arrows.append((v, s, 1) if sign > 0 else (s, v, 1))
-                grown.append(s)
-                grown_parent_labels.append(label)
-        ring, parent_labels = grown, grown_parent_labels
+    """to_dot(_grow(matrix, framed, counts)), without building the quiver: a
+    fresh truncation's arrows are exactly its gluing arrows (_glue), each of
+    multiplicity 1."""
+    labels, frozen, _depths, parents, signs = _glue(matrix, framed, counts)
+    arrows = [(parent, v, 1) if sign > 0 else (v, parent, 1)
+              for v, parent, sign in zip(range(1, len(labels)), parents[1:], signs[1:])]
     arrows.sort()
     return _dot_text(labels, frozen, arrows)
