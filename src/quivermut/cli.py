@@ -164,7 +164,7 @@ def _cmd_unfold(args: argparse.Namespace) -> _Result:
     summary = _summary(counts, args.framed)
     summary["labels"] = {str(label): c for label, c in summary["labels"].items()}
     if args.dot:
-        Path(args.dot).write_text(_tree_dot(matrix, args.framed, counts), encoding="utf-8")
+        Path(args.dot).write_bytes(_tree_dot(matrix, args.framed, counts))
 
     def lines() -> Iterator[str]:
         yield (f"vertices: {summary['vertices']} "

@@ -19,8 +19,11 @@ Each vertex's class, its label and kind, is indexed once per quiver
 (`LabeledQuiver._classes`).  A fresh truncation is fixed by its counts
 per ring (_count_rings), and one walk over them (_glue) numbers its
 vertices and the arrow that glues each one in.  Building (_grow) and
-`quivermut unfold --dot` (_tree_dot) both read that walk; `unfold`
-reports from the counts alone (_summary) and builds no quiver.
+`quivermut unfold --dot` (_tree_dot) both read that walk; the walk gives
+each vertex's children consecutive ids, so _tree_dot reads the arrows in
+sorted order off it with no sort.  `unfold` reports from the counts
+alone (_summary) and builds no quiver.  One formatter (_dot_text) lays
+out every DOT text, as UTF-8 bytes.
 
 Orbit-mutation has two paths, which share the gate `_orbit_targets`
 (label, step count, interior and Γ checks) and the step `_orbit_step`
@@ -1024,36 +1027,78 @@ def to_dot(quiver: LabeledQuiver) -> str:
     """Deterministic DOT export: mutable ellipses, frozen boxes, labeled multi-arrows.
 
     Any quiver, mutated ones included; `quivermut unfold --dot` writes the
-    same text for a fresh truncation from the walk that builds it
-    (_glue, _tree_dot), without building it.
+    same text, as UTF-8 bytes, for a fresh truncation from the walk that
+    builds it (_glue, _tree_dot), without building it.  An arrow to a
+    vertex that does not exist (a key of an `adj` dict outside 0..V-1)
+    raises IndexError naming it.
     """
-    return _dot_text(quiver.labels, quiver.frozen, quiver.arrows())
+    arrows = quiver.arrows()
+    n = quiver.vertex_count
+    # a source is a position in adj; a target is any key of its dict
+    for _u, v, _mult in arrows:
+        if not 0 <= v < n:
+            quiver._vertex(v)
+    return _dot_text(quiver.labels, quiver.frozen, arrows).decode("utf-8")
 
 
 def _dot_text(labels: Sequence[int], frozen: Sequence[bool],
-              arrows: Iterable[tuple[int, int, int]]) -> str:
-    """The DOT layout, once: a line per vertex in id order, then a line per
-    arrow (source, target, multiplicity) in the order given, the
-    multiplicity as a label when above 1."""
+              arrows: Iterable[tuple[int, int, int]]) -> bytes:
+    """The DOT layout, once, as UTF-8 bytes: a line per vertex in id order,
+    then a line per arrow (source, target, multiplicity) in the order
+    given, the multiplicity as a label when above 1.
+
+    Each vertex's name v{id} is formatted once and reused in its line and
+    in every arrow line.  The text is ASCII but for the prime (U+2032) of
+    a frozen label, and one such character would make the whole joined
+    string two bytes a character; so each frozen line carries the ASCII
+    placeholder NUL instead, and one bytes.replace splices in the prime's
+    UTF-8 bytes after encoding.  No other line holds a NUL: the rest of
+    the text is fixed ASCII and decimal integers.
+    """
+    names = [f"v{v}" for v in range(len(labels))]
     lines = ["digraph unfolding {"]
-    for v, (label, is_frozen) in enumerate(zip(labels, frozen)):
+    for name, label, is_frozen in zip(names, labels, frozen):
         if is_frozen:
-            lines.append(f'  v{v} [shape=box, label="{label}′"];')
+            lines.append(f'  {name} [shape=box, label="{label}\0"];')
         else:
-            lines.append(f'  v{v} [shape=ellipse, label="v{v} ({label})"];')
+            lines.append(f'  {name} [shape=ellipse, label="{name} ({label})"];')
     for u, v, mult in arrows:
         attr = f" [label={mult}]" if mult > 1 else ""
-        lines.append(f"  v{u} -> v{v}{attr};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"  {names[u]} -> {names[v]}{attr};")
+    lines.append("}\n")
+    return "\n".join(lines).encode("utf-8").replace(b"\0", "′".encode("utf-8"))
 
 
-def _tree_dot(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> str:
-    """to_dot(_grow(matrix, framed, counts)), without building the quiver: a
-    fresh truncation's arrows are exactly its gluing arrows (_glue), each of
-    multiplicity 1."""
+def _tree_dot(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> bytes:
+    """to_dot(_grow(matrix, framed, counts)) as UTF-8 bytes, without
+    building the quiver or sorting its arrows.
+
+    A fresh truncation's arrows are exactly its gluing arrows (_glue), each
+    of multiplicity 1: v -> parents[v] when signs[v] < 0, parents[v] -> v
+    when signs[v] > 0.  _glue expands vertices in id order and appends
+    each one's children as it goes, so parents is nondecreasing and the
+    children of each vertex are one run of consecutive ids, all above it,
+    while its parent is below it.  The arrows sorted by (source, target)
+    are therefore, for u = 0, 1, ...: first u -> parents[u] when
+    signs[u] < 0, then u -> c for each child c in u's run with
+    signs[c] > 0.  One merge pass emits them: it walks the children c in
+    id order, whose sources parents[c] never decrease, and before each
+    one's arrow emits u -> parents[u] for every u <= parents[c] not yet
+    emitted.
+    """
     labels, frozen, _depths, parents, signs = _glue(matrix, framed, counts)
-    arrows = [(parent, v, 1) if sign > 0 else (v, parent, 1)
-              for v, parent, sign in zip(range(1, len(labels)), parents[1:], signs[1:])]
-    arrows.sort()
+    end = len(labels)
+    # the vertices glued in by an arrow to their parent, in id order, then a sentinel
+    ups = iter([u for u, sign in enumerate(signs) if sign < 0] + [end])
+    up = next(ups)
+    arrows = []
+    for c, parent, sign in zip(range(end), parents, signs):
+        while up <= parent:
+            arrows.append((up, parents[up], 1))
+            up = next(ups)
+        if sign > 0:
+            arrows.append((parent, c, 1))
+    while up < end:
+        arrows.append((up, parents[up], 1))
+        up = next(ups)
     return _dot_text(labels, frozen, arrows)

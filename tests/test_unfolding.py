@@ -40,6 +40,7 @@ from quivermut.unfolding import (
     _count_rings,
     _fold_rows,
     _gamma_witnesses,
+    _glue,
     _mutate_vertex,
     _replay,
     _shared_truncation,
@@ -355,7 +356,7 @@ class TestBuildTruncation:
                 for text in (to_dot(quiver), repr(quiver.depths))
             )
             assert digests == self.PINNED[name], name
-            assert hashlib.sha256(tree_dots[name].encode()).hexdigest() == digests[0], name
+            assert hashlib.sha256(tree_dots[name]).hexdigest() == digests[0], name
 
     @pytest.mark.parametrize("framed", [True, False])
     def test_dot_from_the_counts_matches_the_build(self, framed):
@@ -367,12 +368,41 @@ class TestBuildTruncation:
             counts += [_count_rings(matrix, i, 1, framed) for i in range(1, matrix.n + 1)]
             for count in counts:
                 assert _tree_dot(matrix, framed, count) == to_dot(
-                    unfolding._grow(matrix, framed, count)), (matrix, count)
+                    unfolding._grow(matrix, framed, count)).encode("utf-8"), (matrix, count)
                 cases += 1
                 complete += count[2] is None
         assert cases == 51 * 6 + sum(matrix.n for matrix in corpus_matrices())
         # the walk of a finite unfolding stops at the ring that adds no vertex
         assert complete > 0
+
+    @pytest.mark.parametrize("framed", [True, False])
+    def test_glue_numbers_each_vertex_children_as_one_run(self, framed):
+        # the two facts _tree_dot's sort-free arrow order rests on, on the cases
+        # above: parents never decrease, so each vertex's children are one run
+        # of consecutive ids
+        childless = 0
+        for matrix in corpus_matrices():
+            counts = [_truncation_counts(matrix, m, framed) for m in range(1, 7)]
+            counts += [_count_rings(matrix, i, 1, framed) for i in range(1, matrix.n + 1)]
+            for count in counts:
+                _labels, frozen, depths, parents, _signs = _glue(matrix, framed, count)
+                assert parents[0] == -1
+                assert all(a <= b for a, b in zip(parents[1:], parents[2:])), (matrix, count)
+                children = {}
+                for v, parent in enumerate(parents[1:], 1):
+                    children.setdefault(parent, []).append(v)
+                for run in children.values():
+                    assert run == list(range(run[0], run[-1] + 1)), (matrix, count)
+                # an expanded vertex is a mutable one in rings 0..rings-1
+                childless += sum(not frozen[v] and depths[v] < count[1] and v not in children
+                                 for v in range(len(parents)))
+        # framed, every expanded vertex has its frozen copy; unframed, an empty
+        # piece leaves one with no child, as label 2's in [[0, 1], [-1, 0]]
+        assert (childless > 0) == (not framed)
+        a2 = ExchangeMatrix(((0, 1), (-1, 0)))
+        count = _count_rings(a2, 1, 2, False)
+        # both rings expanded, the unfolding complete, vertex 1 childless
+        assert count[1:] == (2, None) and _glue(a2, False, count)[3] == [-1, 0]
 
 
 class TestFolding:
@@ -890,6 +920,15 @@ class TestDotExport:
     def test_deterministic(self):
         quiver = build_truncation(example_matrix(), 3, framed=True)
         assert to_dot(quiver) == to_dot(quiver)
+
+    @pytest.mark.parametrize("target", [5, 2, -1])
+    def test_arrow_to_a_missing_vertex_is_refused(self, target):
+        # adj holds one dict per vertex, but nothing checks the keys inside:
+        # an arrow to a vertex that does not exist is named, not written
+        quiver = LabeledQuiver(n_labels=1, framed=False, labels=(1, 1), frozen=(False, False),
+                               depths=(0, 1), adj=[{target: 1}, {}], interior_radius=None)
+        with pytest.raises(IndexError, match=rf"^vertex {target} out of range 0\.\.1$"):
+            to_dot(quiver)
 
 
 class TestCorpusFoldings:
