@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -115,12 +115,36 @@ def _require_sign_skew(matrix: ExchangeMatrix) -> None:
         raise ValueError("input matrix is not sign-skew-symmetric")
 
 
+def _pattern_walk(e: IntMatrix, root: int) -> Iterator[tuple[int, int]]:
+    """Breadth-first walk from root over the undirected nonzero pattern of a
+    square matrix: (parent, child) for each other index of root's component,
+    in the order reached, the indices of one parent ascending.  Each child
+    is one entry, or its mirror, away from its parent, and lies one edge
+    deeper than it; find_symmetrizer propagates its ratios along the walk and
+    the unfolding reads its label depths off it.
+    """
+    n = len(e)
+    reached = [False] * n
+    reached[root] = True
+    queue = deque([root])
+    while queue:
+        i = queue.popleft()
+        for j in range(n):
+            if not reached[j] and (e[i][j] or e[j][i]):
+                reached[j] = True
+                queue.append(j)
+                yield i, j
+
+
 def find_symmetrizer(matrix: ExchangeMatrix) -> Optional[tuple[int, ...]]:
     """Component-wise minimal positive diagonal D with d_i*b_ij == -d_j*b_ji.
 
     Ratios are propagated along the nonzero pattern of each connected
-    component, cleared to the least positive integers, then verified
-    globally.  Returns None when no such diagonal exists.
+    component (_pattern_walk), cleared to the least positive integers, then
+    verified globally.  Returns None when no such diagonal exists.  When one
+    does, the ratio of two indices is the same along every path between
+    them, so the walk's order does not matter; when none does, the global
+    check fails whatever the ratios.
     """
     if not is_sign_skew_symmetric(matrix):
         return None
@@ -132,15 +156,10 @@ def find_symmetrizer(matrix: ExchangeMatrix) -> Optional[tuple[int, ...]]:
             continue
         ratios[root] = Fraction(1)
         component = [root]
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if e[i][j] != 0 and ratios[j] is None:
-                    # d_i*b_ij == -d_j*b_ji with opposite signs gives this ratio.
-                    ratios[j] = ratios[i] * Fraction(abs(e[i][j]), abs(e[j][i]))
-                    component.append(j)
-                    stack.append(j)
+        for i, j in _pattern_walk(e, root):
+            # d_i*b_ij == -d_j*b_ji with opposite signs gives this ratio.
+            ratios[j] = ratios[i] * Fraction(abs(e[i][j]), abs(e[j][i]))
+            component.append(j)
         denom_lcm = lcm(*(ratios[i].denominator for i in component))
         scaled = [int(ratios[i] * denom_lcm) for i in component]
         g = gcd(*scaled)

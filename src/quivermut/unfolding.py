@@ -47,20 +47,20 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from threading import Lock
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .matrices import (
-    ExchangeMatrix, IntMatrix, _check_index, _is_int, _mutate_rows, _require_positive,
+    ExchangeMatrix, IntMatrix, _check_index, _is_int, _mutate_rows, _pattern_walk,
+    _require_positive,
 )
 from .seeds import FramedSeed, admissible_source_numbering, identity_rows
 
 # σ_s, the largest depth difference along an arrow after s orbit-mutations
 # of a fresh truncation: the replay in verify_unfolding_commutation cuts its
-# steps at depths derived from them (_ball_limits); its docstring proves σ_0
-# and σ_1 and says where σ_2 is measured.
+# steps at depths derived from them (_ball_limits); its docstring proves all
+# three bounds.
 _SPANS = (1, 2, 3)
 
 # The most orbit-mutations of an incomplete quiver after which its
@@ -158,9 +158,17 @@ class LabeledQuiver:
                              f"not a {type(self.adj).__name__}")
         if len(self.adj) != lengths[0]:
             raise ValueError(f"adj and labels differ in length: {(len(self.adj), lengths[0])}")
-        for label in (min(self.labels, default=1), max(self.labels, default=1)):
-            if not 1 <= label <= self.n_labels:
+        labels = self.labels
+        # one C-level pass over the types; only when one is not int are the
+        # labels tested one by one, and the first that is no int is refused
+        if set(map(type, labels)) - {int}:
+            labels = [label for label in labels if not _is_int(label)][:1] or labels
+        for label in (min(labels, default=1), max(labels, default=1)):
+            if not _is_int(label) or not 1 <= label <= self.n_labels:
                 raise ValueError(f"label {label!r} is not in 1..{self.n_labels}")
+        if self.interior_radius is not None and not _is_int(self.interior_radius):
+            raise ValueError(f"interior_radius must be an int or None, "
+                             f"got {self.interior_radius!r}")
         n = self.n_labels
         self._classes = tuple([label - 1 + n * f for label, f in zip(self.labels, self.frozen)])
         class_ids: list[list[int]] = [[] for _ in range(2 * n)]
@@ -245,25 +253,6 @@ class LabeledQuiver:
             f"<LabeledQuiver n_labels={self.n_labels} framed={self.framed} "
             f"vertices={self.vertex_count} arrows={self.arrow_count} {radius}>"
         )
-
-
-# ---------------------------------------------------------------- validation
-
-
-def _label_distances(matrix: ExchangeMatrix) -> list[Optional[int]]:
-    """Distances from label 1 over the undirected nonzero pattern."""
-    e = matrix.entries
-    n = matrix.n
-    dist: list[Optional[int]] = [None] * n
-    dist[0] = 0
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in range(n):
-            if dist[j] is None and (e[i][j] != 0 or e[j][i] != 0):
-                dist[j] = dist[i] + 1
-                queue.append(j)
-    return dist
 
 
 # -------------------------------------------------------------- construction
@@ -448,46 +437,23 @@ def _truncation_counts(matrix: ExchangeMatrix, m: int, framed: bool) -> _RingCou
     """Check build_truncation's arguments, in its order, and count its rings."""
     _require_positive(m, "truncation budget m")
     admissible_source_numbering(matrix)
-    dist = _label_distances(matrix)
-    missing = [str(i + 1) for i, d in enumerate(dist) if d is None]
+    depths = {0: 0}  # label - 1: its least depth, from label 1 over the nonzero pattern
+    for parent, child in _pattern_walk(matrix.entries, 0):
+        depths[child] = depths[parent] + 1
+    missing = [str(i + 1) for i in range(matrix.n) if i not in depths]
     if missing:
         raise ValueError(
             "nonzero pattern is disconnected: labels {"
             + ",".join(missing)
             + "} are unreachable from label 1"
         )
-    return _count_rings(matrix, 1, max(1, max(dist) + m - 1), framed)
+    return _count_rings(matrix, 1, max(1, max(depths.values()) + m - 1), framed)
 
 
-_truncations: dict[tuple[ExchangeMatrix, int], LabeledQuiver] = {}  # oldest build first
+# The framed truncations that verify_unfolding_commutation replays, by
+# (matrix, m); read there and never handed out.
+_truncations: dict[tuple[ExchangeMatrix, int], LabeledQuiver] = {}
 _truncations_lock = Lock()
-
-
-def _shared_truncation(matrix: ExchangeMatrix, m: int) -> LabeledQuiver:
-    """The framed truncation that verify_unfolding_commutation replays; never handed out.
-
-    Repeated library calls on one (matrix, m) reuse one build, kept in a
-    dict of at most 64 entries whose vertices total at most _MAX_VERTICES:
-    after a build, the oldest builds are evicted until both bounds hold.
-    _count_rings refuses any build above _MAX_VERTICES, so the newest build
-    alone meets both bounds and always stays, and the cache never holds
-    more than one build at the cap could take (≈0.63 GB); an entry count
-    alone would allow 64 of them.  A hit is a plain read: it changes neither
-    bound nor the order, so only a build evicts, and a key is rebuilt only
-    after 64 newer builds, or fewer when they are large.
-    """
-    key = (matrix, m)
-    quiver = _truncations.get(key)
-    if quiver is not None:
-        return quiver
-    quiver = build_truncation(matrix, m, framed=True)
-    with _truncations_lock:
-        _truncations.pop(key, None)  # a concurrent caller's build of the same key
-        _truncations[key] = quiver
-        total = sum(cached.vertex_count for cached in _truncations.values())
-        while len(_truncations) > 64 or total > _MAX_VERTICES:
-            total -= _truncations.pop(next(iter(_truncations))).vertex_count
-    return quiver
 
 
 # ------------------------------------------------------------------ mutation
@@ -545,6 +511,15 @@ def _require_can_fold(quiver: LabeledQuiver) -> None:
         )
 
 
+def _require_label(quiver: LabeledQuiver, label: object) -> tuple[int, ...]:
+    """The label's mutable vertices (mutable_ids); ValueError when it has none,
+    as for a label that is absent, out of range or no int."""
+    ids = quiver.mutable_ids(label)
+    if not ids:
+        raise ValueError(f"label {label!r} missing from quiver")
+    return ids
+
+
 def _orbit_step(work: LabeledQuiver, targets: Iterable[int]) -> None:
     """Take one orbit-mutation on work in place: mutate the targets in
     order, lower the radius by 2 (a complete quiver keeps None) and count
@@ -567,9 +542,7 @@ def _orbit_targets(quiver: LabeledQuiver, k: int, scan: Iterable[int]) -> tuple[
     witnesses.
     """
     _check_index(k, quiver.n_labels, "orbit label")
-    targets = quiver.mutable_ids(k)
-    if not targets:
-        raise ValueError(f"label {k!r} missing from quiver")
+    targets = _require_label(quiver, k)
     _require_trusted(quiver, 1)
     _require_can_fold(quiver)
     if next(_gamma_witnesses(quiver, scan, quiver.interior_radius), None) is not None:
@@ -698,10 +671,15 @@ _SHALLOWEST = object()  # _representative's default; folding rejects an explicit
 
 
 def _representative(quiver: LabeledQuiver, label: int, rep: object = _SHALLOWEST) -> int:
-    """Check that rep is an interior mutable vertex of label; return it.
+    """Check that rep is an interior mutable vertex of label, with
+    well-formed arrows; return it.
 
     The default is the label's first mutable vertex in (depth, id)
-    order: the shallowest, the smallest id among ties.
+    order: the shallowest, the smallest id among ties.  A fold reads only
+    its representatives' arrows, so only theirs are checked here, not every
+    vertex's when the quiver is made: each key of adj[rep] must be a vertex
+    id, of type int, whose own dict mirrors the entry, which a loop at rep
+    never does.
     """
     if rep is _SHALLOWEST:
         rep = quiver.mutable_ids(label)[0]
@@ -716,6 +694,11 @@ def _representative(quiver: LabeledQuiver, label: int, rep: object = _SHALLOWEST
             f"representative {rep} for label {label} is not interior "
             f"(depth {quiver.depths[rep]} > radius {quiver.interior_radius})"
         )
+    adj = quiver.adj
+    n = len(adj)
+    for u, mult in adj[rep].items():
+        if type(u) is not int or not 0 <= u < n or adj[u].get(rep) != -mult:
+            raise ValueError(f"representative {rep} has a malformed arrow to {u!r}")
     return rep
 
 
@@ -729,8 +712,7 @@ def _resolve_representatives(
             )
     chosen: dict[int, int] = {}
     for label in range(1, quiver.n_labels + 1):
-        if not quiver.mutable_ids(label):
-            raise ValueError(f"label {label!r} missing from quiver")
+        _require_label(quiver, label)
         if representatives is None:
             chosen[label] = _representative(quiver, label)
         elif label in representatives:
@@ -780,8 +762,7 @@ def folding_column(
     quiver: LabeledQuiver, label: int, representative: Optional[int] = None
 ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
     """One folded column (principal part, frozen part) at a chosen representative."""
-    if not quiver.mutable_ids(label):
-        raise ValueError(f"label {label!r} missing from quiver")
+    _require_label(quiver, label)
     rep = _representative(
         quiver, label, _SHALLOWEST if representative is None else representative
     )
@@ -941,6 +922,15 @@ def verify_unfolding_commutation(
     the scan.  Representatives are chosen once, since mutation moves no
     label or depth, and folding sums only their neighborhoods.
 
+    The truncation.  Repeated calls on one (matrix, m) replay one framed
+    build, kept in _truncations and only read.  m is checked here, before
+    the lookup, because a hit skips build_truncation's checks.  A hit
+    changes nothing.  A miss builds, and empties the cache first when its
+    build would take it past 64 builds or past _MAX_VERTICES vertices;
+    _count_rings refuses any build above _MAX_VERTICES, so every build
+    fits alone, and the cache never holds more than one build at the cap
+    could take (≈0.63 GB), where 64 builds alone could take 64 times that.
+
     The ball schedule.  Take two replays that apply the same vertex
     mutations in the same order, except that one skips some.  Mutating at
     t changes only arrows inside t's closed neighborhood, and changes them
@@ -968,11 +958,29 @@ def verify_unfolding_commutation(
     arrows join a vertex to its child or its frozen copy at its own depth.
     σ_1 = 2: same-label vertices of the tree are never adjacent, so each
     step-1 target is mutated with its tree neighbors, and each arrow it
-    adds joins two of them.  σ_2 = 3 is measured, not proven: it is the
-    largest span after two steps of the orbit_mutate chain over the test
-    corpus (TestTrustedBallReplay); the proven bound 2σ_1 = 4 leaves no
-    schedule for three steps at m = 8.  No σ_3 is known, and the old
-    radius + 1 cut through four steps diverged at step 4 (corpus matrix
+    adds joins two of them.  σ_2 = 3.  The general bound 2σ_1 = 4 (a new
+    arrow joins two neighbors of one target) leaves no schedule for three
+    steps at m = 8, so this one uses the orientations of the tree.  Let
+    step 1 be at label k.  It never joins two vertices of one label: two
+    same-label neighbors of a target s point the same way at s (the Γ
+    argument in _replay's docstring), while a mutation at s joins an
+    in-neighbor to an out-neighbor.  So the step-2 targets, like the
+    step-1 ones, are pairwise non-adjacent, and each is mutated with its
+    arrows after step 1.  A step-2 target t labeled k is adjacent to no
+    step-1 target, so it has its tree arrows alone, reversed if step 1
+    mutated it, and its mutation adds spans of at most 2.  For t of
+    another label, each arrow that step 1 creates at t comes from a
+    label-k neighbor s of t: it points out of t when t -> s, into t when
+    s -> t.  All of t's label-k neighbors point the same way, so all these
+    arrows do; each spans at most 2 (σ_1), and every other arrow at t at
+    most 1.  Mutating t joins an in-neighbor to an out-neighbor, at most
+    one of which lies across a span-2 arrow, so the new arrow spans at
+    most 2 + 1 = 3.  The argument holds for the replay and the infinite
+    unfolding alike: a skipped target (the ball cut) or a missing outer
+    neighbor only takes arrows away.  Two steps of the orbit_mutate chain
+    over the test corpus reach a span of 3 (TestTrustedBallReplay), so
+    the bound is tight.  No σ_3 is known, and the old radius + 1 cut
+    through four steps diverged at step 4 (corpus matrix
     3 / 0 -1 0 / 2 0 -3 / 0 1 0 along 2,3,1,2 at m = 10).  At m = 2L + 2
     the schedule skips the two outer rings at step 1 of two steps and the
     outer one at step 1 of three; one ring less at step 2 of three
@@ -980,7 +988,16 @@ def verify_unfolding_commutation(
     """
     directions = tuple(directions)
     _require_positive(m, "truncation budget m")
-    return _verify_replay(_shared_truncation(matrix, m), matrix, directions)
+    key = (matrix, m)
+    quiver = _truncations.get(key)
+    if quiver is None:
+        quiver = build_truncation(matrix, m, framed=True)
+        with _truncations_lock:
+            kept = sum(cached.vertex_count for cached in _truncations.values())
+            if len(_truncations) >= 64 or kept + quiver.vertex_count > _MAX_VERTICES:
+                _truncations.clear()
+            _truncations[key] = quiver
+    return _verify_replay(quiver, matrix, directions)
 
 
 def _verify_replay(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +63,52 @@ def skew_matrices(draw, max_n: int = 5, max_entry: int = 4) -> ExchangeMatrix:
             a = draw(st.integers(-max_entry, max_entry))
             rows[i][j], rows[j][i] = a, -a
     return ExchangeMatrix(rows)
+
+
+def random_symmetrizable(rng: random.Random, n: int) -> ExchangeMatrix:
+    """b_ij = a_ij*d_j and b_ji = -a_ij*d_i for a random diagonal d, so
+    d_i*b_ij == -d_j*b_ji; a_ij = 0 leaves the pair out of the pattern."""
+    d = [rng.randint(1, 4) for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = rng.choice([0, 0, -2, -1, 1, 2])
+            rows[i][j], rows[j][i] = a * d[j], -a * d[i]
+    return ExchangeMatrix(rows)
+
+
+def depth_first_symmetrizer(matrix: ExchangeMatrix):
+    """find_symmetrizer with its ratios propagated depth-first over each
+    component, the reference for the breadth-first walk."""
+    if not is_sign_skew_symmetric(matrix):
+        return None
+    e = matrix.entries
+    n = matrix.n
+    ratios = [None] * n
+    for root in range(n):
+        if ratios[root] is not None:
+            continue
+        ratios[root] = Fraction(1)
+        component = [root]
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if e[i][j] != 0 and ratios[j] is None:
+                    ratios[j] = ratios[i] * Fraction(abs(e[i][j]), abs(e[j][i]))
+                    component.append(j)
+                    stack.append(j)
+        denom_lcm = lcm(*(ratios[i].denominator for i in component))
+        scaled = [int(ratios[i] * denom_lcm) for i in component]
+        g = gcd(*scaled)
+        for i, value in zip(component, scaled):
+            ratios[i] = Fraction(value // g)
+    diag = tuple(int(r) for r in ratios)
+    for i in range(n):
+        for j in range(n):
+            if diag[i] * e[i][j] != -diag[j] * e[j][i]:
+                return None
+    return diag
 
 
 class TestConstruction:
@@ -133,6 +181,23 @@ class TestClassify:
         for i in range(n):
             for j in range(n):
                 assert diag[i] * e[i][j] == -diag[j] * e[j][i]
+
+    def test_symmetrizer_agrees_with_a_depth_first_walk(self):
+        # find_symmetrizer propagates its ratios breadth-first (_pattern_walk);
+        # the depth-first walk it once took must give the same diagonal, on
+        # symmetrizable matrices and on others
+        rng = random.Random(29)
+        found = 0
+        for trial in range(2000):
+            n = rng.randint(1, 6)
+            if trial % 2:
+                matrix = random_sign_skew(rng, n, 4)
+            else:
+                matrix = random_symmetrizable(rng, n)
+            diag = find_symmetrizer(matrix)
+            assert diag == depth_first_symmetrizer(matrix), matrix
+            found += diag is not None
+        assert 1000 < found < 2000
 
     def test_acyclicity_matches_cycle_enumeration(self):
         def has_cycle(matrix: ExchangeMatrix) -> bool:

@@ -43,7 +43,6 @@ from quivermut.unfolding import (
     _glue,
     _mutate_vertex,
     _replay,
-    _shared_truncation,
     _tree_dot,
     _truncation_counts,
 )
@@ -484,6 +483,21 @@ class TestFolding:
         quiver = build_truncation(example_matrix(), 2)
         with pytest.raises(ValueError, match=f"label {label!r} missing from quiver"):
             folding_column(quiver, label)
+
+    @pytest.mark.parametrize("labels, adj, neighbour", [
+        ((1, 1), [{-1: 1}, {}], -1), ((1, 2), [{1: 1}, {}], 1), ((1, 2), [{0: 1}, {}], 0),
+    ], ids=["no-vertex", "unmirrored", "loop"])
+    def test_representative_with_a_malformed_arrow_is_refused(self, labels, adj, neighbour):
+        # the key -1 once read the last vertex's class, folding to [[1]], and
+        # the unmirrored arrow folded to [[0, 0], [1, 0]]
+        quiver = LabeledQuiver(n_labels=max(labels), framed=False, labels=labels,
+                               frozen=(False, False), depths=(0, 0), adj=adj,
+                               interior_radius=None)
+        message = rf"^representative 0 has a malformed arrow to {neighbour}$"
+        with pytest.raises(ValueError, match=message):
+            folding(quiver)
+        with pytest.raises(ValueError, match=message):
+            folding_column(quiver, 1)
 
     @pytest.mark.parametrize("label", [0, 5, -1])
     def test_folding_column_rejects_a_label_out_of_range(self, label):
@@ -1083,6 +1097,20 @@ class TestQuiverFields:
         with pytest.raises(ValueError, match=r"^label 3 is not in 1\.\.2$"):
             tiny_quiver(2, [1, 3], [False, False], [(0, 1)])
 
+    @pytest.mark.parametrize("labels, wrong", [((True, 2), True), ((1.5, 2), 1.5), ((1, 2.0), 2.0)],
+                             ids=["bool", "float-min", "float-max"])
+    def test_label_that_is_no_int_is_rejected(self, labels, wrong):
+        # True once passed as label 1, and a float raised a bare TypeError
+        with pytest.raises(ValueError, match=rf"^label {wrong!r} is not in 1\.\.2$"):
+            tiny_quiver(2, labels, [False, False], [(0, 1)])
+
+    @pytest.mark.parametrize("radius", [1.5, True])
+    def test_interior_radius_must_be_an_int_or_none(self, radius):
+        # both were once taken as a radius
+        with pytest.raises(ValueError, match=rf"^interior_radius must be an int or None, "
+                                             rf"got {radius!r}$"):
+            tiny_quiver(2, [1, 2], [False, False], [(0, 1)], interior_radius=radius)
+
     @pytest.mark.parametrize("frozen, depths", [
         ([False], [0, 0]), ([False] * 3, [0, 0]), ([False, False], [0]),
     ])
@@ -1360,10 +1388,26 @@ class TestTrustedBallReplay:
         for matrix in matrices:
             for seq in full_length_sequences(matrix.n, 3)[:6]:
                 assert verify_unfolding_commutation(matrix, seq, 8).ok
-            cached = _shared_truncation(matrix, 8)
+            cached = unfolding._truncations[matrix, 8]
             cold = build_truncation(matrix, 8, framed=True)
             assert cached == cold
             assert cached.adj == cold.adj
+
+    def test_65th_key_empties_the_cache_and_a_hit_changes_nothing(self, monkeypatch):
+        # ONE's unfolding is one vertex and its frozen copy, so 65 builds are cheap
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        cache = unfolding._truncations
+        for m in range(1, 65):
+            assert verify_unfolding_commutation(ONE, (1,), m).ok
+        kept = [(key, id(quiver)) for key, quiver in cache.items()]
+        assert len(kept) == 64
+        assert verify_unfolding_commutation(ONE, (1, 1), 1).ok
+        assert [(key, id(quiver)) for key, quiver in cache.items()] == kept
+        assert verify_unfolding_commutation(ONE, (1,), 65).ok
+        assert list(cache) == [(ONE, 65)]
+        newest = cache[ONE, 65]
+        assert verify_unfolding_commutation(ONE, (), 65).ok
+        assert list(cache) == [(ONE, 65)] and cache[ONE, 65] is newest
 
     def test_cache_holds_at_most_one_cap_of_vertices(self, monkeypatch):
         # corpus matrices 2 and 17 at m = 8 (158 and 82 vertices) each fit a
