@@ -23,8 +23,8 @@ from .matrices import (
     parse_int, parse_matrix,
 )
 from .seeds import (
-    CoherenceReport, GreenVerificationError, apply_sequence_framed, brute_force_green_search,
-    check_sign_coherence, extend, source_mgs,
+    GreenVerificationError, apply_sequence_framed, brute_force_green_search, check_sign_coherence,
+    extend, source_mgs,
 )
 from .unfolding import (
     _TRUSTED_STEPS, _summary, _tree_dot, _truncation_counts, _verify_replay, build_truncation,
@@ -136,7 +136,7 @@ def _cmd_mgs(args: argparse.Namespace) -> _Result:
     return code, payload, lines()
 
 
-def _verdict(claim: str, depth: int, report: MutabilityReport | CoherenceReport) -> _Result:
+def _verdict(claim: str, depth: int, report: MutabilityReport) -> _Result:
     def lines() -> Iterator[str]:
         yield f"{claim}: {_bool_str(report.ok)} (depth {depth})"
         if not report.ok:

@@ -274,10 +274,15 @@ def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> Exchang
     return ExchangeMatrix(rows)
 
 
-def _first_violation(
-    start: IntMatrix, n: int, depth: int, bad: Callable[[IntMatrix, Optional[int]], bool]
-) -> tuple[Optional[tuple[int, ...]], bool]:
-    """(witness, complete): a shortest sequence reaching a bad state, or None.
+def _search(b: ExchangeMatrix, start: IntMatrix, depth: int,
+            bad: Callable[[IntMatrix, Optional[int]], bool],
+            report: type[MutabilityReport]) -> MutabilityReport:
+    """The verdict of either exhaustive search, as a report of type report.
+
+    Refuses a depth that is not a positive int, then a B that is not
+    sign-skew-symmetric.  start is the extended matrix whose first b.n
+    rows are B.  The counterexample is the witness below, a shortest
+    sequence reaching a bad state, or None.
 
     Breadth-first over the states reachable in 0..depth steps: the start
     first, then each state's successors with directions ascending and the
@@ -341,8 +346,11 @@ def _first_violation(
     start is finite and each of its states lies fewer than depth steps
     from the start.
     """
+    _require_positive(depth, "search depth")
+    _require_sign_skew(b)
+    n = b.n
     if bad(start, None):
-        return (), False
+        return report(False, ())
     seen = {start}
     size = 1  # len(seen): add, then compare sizes, hashes each successor once
     frontier: deque[tuple[IntMatrix, tuple[int, ...]]] = deque([(start, ())])
@@ -361,18 +369,18 @@ def _first_violation(
             size += 1
             path = seq + (k,)
             if bad(nxt, k - 1):
-                return path, False
+                return report(False, path)
             if len(path) < depth:
                 frontier.append((nxt, path))
             else:
                 complete = False
-    return None, complete
+    return report(True, None, complete)
 
 
 def _sign_skew_violation(rows: IntMatrix, kk: Optional[int]) -> bool:
     """not _sign_skew_rows(rows), tested only where the step kk can break it.
 
-    Step-local test for _first_violation: rows is μ_kk of a
+    Step-local test for _search: rows is μ_kk of a
     sign-skew-symmetric P, or the start when kk is None, which gets the
     full test.  Off row and column kk, μ_kk adds
     sgn(p_ik)*max(p_ik*p_kj, 0) to p_ij, which is nonzero only when
@@ -400,16 +408,13 @@ def _sign_skew_violation(rows: IntMatrix, kk: Optional[int]) -> bool:
 def check_total_mutability(matrix: ExchangeMatrix, depth: int) -> MutabilityReport:
     """Exhaustively mutate to the given depth, checking sign-skew-symmetry.
 
-    Each reachable matrix is checked once (see _first_violation), after
-    a step only at the pairs that step can change (_sign_skew_violation).
-    On failure the witness is a shortest violating sequence
-    (breadth-first, smallest directions first).  complete means every
-    matrix reachable by any sequence was checked.
+    Each reachable matrix is checked once (see _search), after a step
+    only at the pairs that step can change (_sign_skew_violation).  On
+    failure the witness is a shortest violating sequence (breadth-first,
+    smallest directions first).  complete means every matrix reachable by
+    any sequence was checked.
     """
-    _require_positive(depth, "search depth")
-    _require_sign_skew(matrix)
-    witness, complete = _first_violation(matrix.entries, matrix.n, depth, _sign_skew_violation)
-    return MutabilityReport(ok=witness is None, counterexample=witness, complete=complete)
+    return _search(matrix, matrix.entries, depth, _sign_skew_violation, MutabilityReport)
 
 
 # CPython refuses int <-> decimal str conversions past 4,300 digits by

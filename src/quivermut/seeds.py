@@ -19,12 +19,13 @@ from typing import Optional, Sequence
 from .matrices import (  # noqa: F401  seeds.mutate and seeds.format_int are read from outside
     ExchangeMatrix,
     IntMatrix,
+    MutabilityReport,
     _check_index,
-    _first_violation,
     _freeze_rows,
     _mutate_rows,
     _require_positive,
     _require_sign_skew,
+    _search,
     _source_order,
     format_int,
     format_json,
@@ -120,17 +121,15 @@ def green_directions(seed: FramedSeed) -> list[int]:
     return [jj + 1 for jj in _green_columns(seed.c)]
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
-    ok: bool
-    counterexample: Optional[tuple[int, ...]]
-    complete: bool = False
+class CoherenceReport(MutabilityReport):
+    """check_sign_coherence's verdict: MutabilityReport's fields under its
+    own name, repr and class-based equality."""
 
 
 def _mixed_column(rows: IntMatrix, kk: Optional[int]) -> bool:
     """Whether C of rows = [B; C] has a column with entries of both signs.
 
-    Step-local test for _first_violation: rows is μ_kk of a state whose C
+    Step-local test for _search: rows is μ_kk of a state whose C
     has no mixed column, or the start when kk is None, which gets the
     full test.  μ_kk negates column kk of C, which keeps it unmixed, and
     adds sgn(c_ik)*max(c_ik*b_kj, 0) to c_ij at j != kk, which is zero in
@@ -150,17 +149,14 @@ def _mixed_column(rows: IntMatrix, kk: Optional[int]) -> bool:
 def check_sign_coherence(seed: FramedSeed, depth: int) -> CoherenceReport:
     """Exhaustively mutate to the given depth, watching for mixed c-vectors.
 
-    Each reachable seed (B, C) is checked once (see _first_violation),
-    after a step only at the columns that step can change (_mixed_column);
-    a counterexample is a shortest sequence producing a column with
-    entries of both signs.  complete means every seed reachable by any
-    sequence was checked.  B must be sign-skew-symmetric, as in
+    Each reachable seed (B, C) is checked once (see _search), after a
+    step only at the columns that step can change (_mixed_column); a
+    counterexample is a shortest sequence producing a column with entries
+    of both signs.  complete means every seed reachable by any sequence
+    was checked.  B must be sign-skew-symmetric, as in
     check_total_mutability.
     """
-    _require_positive(depth, "search depth")
-    _require_sign_skew(seed.b)
-    witness, complete = _first_violation(seed.b.entries + seed.c, seed.n, depth, _mixed_column)
-    return CoherenceReport(ok=witness is None, counterexample=witness, complete=complete)
+    return _search(seed.b, seed.b.entries + seed.c, depth, _mixed_column, CoherenceReport)
 
 
 def admissible_source_numbering(matrix: ExchangeMatrix) -> tuple[int, ...]:
@@ -189,6 +185,12 @@ class GreenSequenceReport:
     is_maximal: bool
 
 
+def _green_report(sequence: Sequence[int], steps: Sequence[IntMatrix]) -> GreenSequenceReport:
+    """Every GreenSequenceReport: the source replay and the brute-force walk
+    each verify the sequence green and maximal before they call this."""
+    return GreenSequenceReport(tuple(sequence), tuple(steps), True, True)
+
+
 def _replay_and_verify(seed: FramedSeed, directions: Sequence[int]) -> GreenSequenceReport:
     """Replay directions on the rows of [B; C], re-verifying every step's greenness."""
     n = seed.n
@@ -205,12 +207,7 @@ def _replay_and_verify(seed: FramedSeed, directions: Sequence[int]) -> GreenSequ
     greens = [jj + 1 for jj in _green_columns(rows[n:])]
     if greens:
         raise GreenVerificationError(f"final seed still has green directions {greens}")
-    return GreenSequenceReport(
-        sequence=tuple(directions),
-        step_c_matrices=tuple(steps),
-        is_green_sequence=True,
-        is_maximal=True,
-    )
+    return _green_report(directions, steps)
 
 
 def source_mgs(matrix: ExchangeMatrix) -> GreenSequenceReport:
@@ -227,9 +224,15 @@ def source_mgs(matrix: ExchangeMatrix) -> GreenSequenceReport:
 def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequenceReport]:
     """All maximal green sequences of length <= max_len, lexicographic.
 
-    Depth-first over green directions only, ascending, so the result order
-    is deterministic; the walk steps the rows of [B; C].  B must be
-    sign-skew-symmetric, as in check_sign_coherence.
+    Depth-first over green directions only, ascending; the walk steps the
+    rows of [B; C].  B must be sign-skew-symmetric, as in
+    check_sign_coherence.
+
+    Order.  The results come out lexicographic with no sort.  The walk
+    records a sequence only where it stops, at a state with no green
+    direction, so no result is a prefix of another.  Two results thus
+    first differ at some step, and there the walk took the smaller
+    direction first and finished its subtree before the larger.
 
     Green-count bound.  A state with g green columns is not extended
     unless its sequence has at most max_len - g steps.  Mutation at a
@@ -250,14 +253,7 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
     def walk(rows: IntMatrix, seq: tuple[int, ...], cs: tuple[IntMatrix, ...]) -> None:
         greens = _green_columns(rows[n:])
         if not greens:
-            results.append(
-                GreenSequenceReport(
-                    sequence=seq,
-                    step_c_matrices=cs,
-                    is_green_sequence=True,
-                    is_maximal=True,
-                )
-            )
+            results.append(_green_report(seq, cs))
             return
         if len(seq) + len(greens) > max_len:
             return
@@ -266,7 +262,6 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
             walk(nxt, seq + (kk + 1,), cs + (nxt[n:],))
 
     walk(seed.b.entries + seed.c, (), (seed.c,))
-    results.sort(key=lambda r: r.sequence)
     return results
 
 

@@ -112,9 +112,9 @@ class LabeledQuiver:
     """Labeled quiver with mutable/frozen vertices and net integer arrows.
 
     Vertices are dense integer ids, labels lie in 1..n_labels, and
-    `labels`, `frozen` and `depths` have one entry per vertex.  Each
-    label's `mutable_ids` come in (depth, id) order, whatever the
-    numbering, so the first is the label's shallowest vertex:
+    `labels`, `frozen` (bools) and `depths` (ints) have one entry per
+    vertex.  Each label's `mutable_ids` come in (depth, id) order,
+    whatever the numbering, so the first is the label's shallowest vertex:
     `core_depth`, the default fold representative and `can_fold` read it.
     `adj` is a list with one dict per vertex id: `adj[u][v]` is the net
     number of arrows u -> v, negative when they run v -> u; only nonzero
@@ -166,6 +166,16 @@ class LabeledQuiver:
         for label in (min(labels, default=1), max(labels, default=1)):
             if not _is_int(label) or not 1 <= label <= self.n_labels:
                 raise ValueError(f"label {label!r} is not in 1..{self.n_labels}")
+        # the same for frozen, which takes bools only, and depths, which take
+        # ints but not bools: the first entry of the wrong type is refused
+        if set(map(type, self.frozen)) - {bool}:
+            for f in self.frozen:
+                if not isinstance(f, bool):
+                    raise ValueError(f"frozen entry {f!r} is not a bool")
+        if set(map(type, self.depths)) - {int}:
+            for d in self.depths:
+                if not _is_int(d):
+                    raise ValueError(f"depth {d!r} is not an int")
         if self.interior_radius is not None and not _is_int(self.interior_radius):
             raise ValueError(f"interior_radius must be an int or None, "
                              f"got {self.interior_radius!r}")

@@ -6,13 +6,15 @@ end state, must give the same witness; completeness is checked against the
 finite-type classification in rank 2 (Fomin-Zelevinsky, "Cluster algebras
 II", 2003).  The step-local tests they apply after a step must answer as
 the full tests do, and brute_force_green_search, pruned by its green-count
-bound, must list what the unpruned walk lists.
+bound, must list what the unpruned walk lists, already sorted.  Both checks
+share one front end, matrices._search, which must give the verdicts of the
+two wrappers around the search loop that it replaced.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -288,3 +290,94 @@ def test_green_bound_prunes_the_running_example(monkeypatch):
     got = [(r.sequence, r.step_c_matrices) for r in brute_force_green_search(seed, 4)]
     assert got == expected
     assert calls["pruned"] < calls["reference"], calls
+
+
+def first_violation(start, n, depth, bad):
+    """(witness, complete): the search loop before the two checks shared a front end.
+
+    A copy kept as the oracle of _search: the same breadth-first order,
+    the same pruned back-mutation and commuting successors, and the same
+    step-local bad test.
+    """
+    if bad(start, None):
+        return (), False
+    seen = {start}
+    size = 1
+    frontier = deque([(start, ())])
+    complete = True
+    while frontier:
+        current, seq = frontier.popleft()
+        last = seq[-1] if seq else 0
+        row_last = current[last - 1]
+        for k in range(1, n + 1):
+            if k == last or (k < last and not row_last[k - 1] and not current[k - 1][last - 1]):
+                continue
+            nxt = _mutate_rows(current, k - 1)
+            seen.add(nxt)
+            if len(seen) == size:
+                continue
+            size += 1
+            path = seq + (k,)
+            if bad(nxt, k - 1):
+                return path, False
+            if len(path) < depth:
+                frontier.append((nxt, path))
+            else:
+                complete = False
+    return None, complete
+
+
+def old_total_mutability(matrix: ExchangeMatrix, depth: int) -> MutabilityReport:
+    witness, complete = first_violation(matrix.entries, matrix.n, depth, _sign_skew_violation)
+    return MutabilityReport(ok=witness is None, counterexample=witness, complete=complete)
+
+
+def old_sign_coherence(seed: FramedSeed, depth: int) -> CoherenceReport:
+    witness, complete = first_violation(seed.b.entries + seed.c, seed.n, depth, _mixed_column)
+    return CoherenceReport(ok=witness is None, counterexample=witness, complete=complete)
+
+
+MIXED = ExchangeMatrix([[0, -3, 1], [1, 0, -3], [-3, 1, 0]])  # cyclic, sign-skew-symmetric
+
+
+def test_one_front_end_gives_the_verdicts_of_the_two_wrappers():
+    rng = random.Random(DIFFERENTIAL_SEED + 5)
+    matrices = corpus_matrices() + [MIXED]
+    matrices += [random_sign_skew(rng, n) for n in (3, 4) for _ in range(60)]
+    witnesses: Counter = Counter()
+    for matrix in matrices:
+        seed = extend(matrix)
+        for depth in range(1, 5):
+            for check, old, arg in ((check_total_mutability, old_total_mutability, matrix),
+                                    (check_sign_coherence, old_sign_coherence, seed)):
+                report, expected = check(arg, depth), old(arg, depth)
+                # class-based equality: the same type, witness and complete
+                assert report == expected, (matrix, depth)
+                witnesses[check.__name__] += not report.ok
+    assert min(witnesses.values()) >= 10, witnesses
+
+
+def test_both_searches_refuse_the_depth_before_the_matrix():
+    nss = ExchangeMatrix([[0, 1], [1, 0]])
+    depth_message = r"^search depth must be a positive integer, got 0$"
+    with pytest.raises(ValueError, match=depth_message):
+        check_total_mutability(nss, 0)
+    with pytest.raises(ValueError, match=depth_message):
+        check_sign_coherence(FramedSeed(nss, ((1, 0), (0, 1))), 0)
+    with pytest.raises(ValueError, match=r"^input matrix is not sign-skew-symmetric$"):
+        check_sign_coherence(FramedSeed(nss, ((1, 0), (0, 1))), 1)
+
+
+def test_coherence_verdict_keeps_its_own_name():
+    report = check_sign_coherence(extend(MIXED), 3)
+    assert repr(report).startswith("CoherenceReport(")
+    assert report == CoherenceReport(False, (1, 2, 3))
+    assert isinstance(report, MutabilityReport)
+    assert CoherenceReport(True, None) != MutabilityReport(True, None)
+    assert MutabilityReport(True, None) != CoherenceReport(True, None)
+
+
+def test_green_search_results_come_out_sorted():
+    for matrix in corpus_matrices():
+        sequences = [r.sequence for r in brute_force_green_search(extend(matrix), matrix.n + 2)]
+        assert sequences == sorted(sequences) and len(set(sequences)) == len(sequences), matrix

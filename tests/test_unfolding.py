@@ -1104,6 +1104,23 @@ class TestQuiverFields:
         with pytest.raises(ValueError, match=rf"^label {wrong!r} is not in 1\.\.2$"):
             tiny_quiver(2, labels, [False, False], [(0, 1)])
 
+    @pytest.mark.parametrize("frozen, depths, message", [
+        ((0, 2), (0, 1), "frozen entry 0 is not a bool"),
+        ((0, 1), (0, 1), "frozen entry 0 is not a bool"),
+        ((False, 2), (0, 1), "frozen entry 2 is not a bool"),
+        ((False, False), (0, "x"), "depth 'x' is not an int"),
+        ((False, False), (0.5, "x"), "depth 0.5 is not an int"),
+        ((False, False), (0, True), "depth True is not an int"),
+    ], ids=["frozen-int-index", "frozen-int-bools", "frozen-second", "depth-str",
+            "depth-first", "depth-bool"])
+    def test_frozen_or_depth_entry_of_the_wrong_type_is_rejected(self, frozen, depths, message):
+        # frozen (0, 2) raised a bare IndexError from the class index, frozen
+        # (0, 1) was folded as if its entries were bools, and depths (0, 'x')
+        # constructed
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            LabeledQuiver(n_labels=2, framed=False, labels=(1, 2), frozen=frozen,
+                          depths=depths, adj=[{1: 1}, {0: -1}], interior_radius=None)
+
     @pytest.mark.parametrize("radius", [1.5, True])
     def test_interior_radius_must_be_an_int_or_none(self, radius):
         # both were once taken as a radius
