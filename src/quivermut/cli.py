@@ -23,8 +23,8 @@ from .matrices import (
     parse_int, parse_matrix,
 )
 from .seeds import (
-    GreenVerificationError, apply_sequence_framed, brute_force_green_search, check_sign_coherence,
-    extend, source_mgs,
+    FramedSeed, GreenVerificationError, apply_sequence_framed, brute_force_green_search,
+    check_sign_coherence, extend, identity_rows, source_mgs,
 )
 from .unfolding import (
     _TRUSTED_STEPS, _summary, _tree_dot, _truncation_counts, _verify_replay, build_truncation,
@@ -148,7 +148,10 @@ def _verdict(claim: str, depth: int, report: MutabilityReport) -> _Result:
 
 
 def _cmd_coherence(args: argparse.Namespace) -> _Result:
-    seed = extend(_load_matrix(args.matrix))
+    matrix = _load_matrix(args.matrix)
+    # extend's seed without its sign-skew refusal: the search refuses the
+    # depth first, then the matrix, as total-mutability does
+    seed = FramedSeed(matrix, identity_rows(matrix.n))
     return _verdict("sign-coherent", args.depth, check_sign_coherence(seed, args.depth))
 
 

@@ -12,10 +12,13 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
+# A matrix as one row-major tuple, its row length held apart (_flat, _rows).
+FlatMatrix = tuple[int, ...]
 
 
 class MatrixFormatError(ValueError):
@@ -217,86 +220,115 @@ def _check_index(k: object, n: int, noun: str = "mutation direction") -> int:
     return k - 1
 
 
-def _mutate_rows(rows: IntMatrix, kk: int) -> IntMatrix:
+def _flat(rows: Iterable[Sequence[int]]) -> FlatMatrix:
+    """The rows of a matrix as one flat row-major tuple, the state _mutate_flat steps."""
+    return tuple(chain.from_iterable(rows))
+
+
+def _rows(state: FlatMatrix, n: int) -> IntMatrix:
+    """The rows of length n of a flat row-major state: the inverse of _flat."""
+    return tuple(zip(*[iter(state)] * n))
+
+
+def _mutate_flat(state: FlatMatrix, n: int, kk: int) -> FlatMatrix:
     """Mutation in direction kk (0-based) of an extended matrix [B; C].
 
-    The first n rows, n being the row length, are the square principal
-    part B; rows below it follow the same rule against B's row kk.  Row kk
-    is negated.  Every other row i gets -x_ik at j = kk and the max-form
+    state is the matrix flat and row-major (_flat): entry (i, j) sits at
+    i*n + j, n being the row length, and column j is state[j::n].  The
+    first n rows are the square principal part B; rows below it follow
+    the same rule against B's row kk.  Row kk is negated.  Every other
+    row i gets -x_ik at j = kk and the max-form
     x_ij + sgn(x_ik)*max(x_ik*b_kj, 0) at j != kk, which has four sign
     cases:
 
     - x_ik > 0 and b_kj > 0: x_ij + x_ik*b_kj;
     - x_ik < 0 and b_kj < 0: x_ij + |x_ik|*b_kj;
     - x_ik and b_kj of opposite signs: x_ij;
-    - x_ik = 0 or b_kj = 0: x_ij, and a row with x_ik = 0 is returned as
-      it is.
+    - x_ik = 0 or b_kj = 0: x_ij, and a row with x_ik = 0 is left as it
+      is.
 
     Row kk of B is split once into its positive and its negative entries,
-    so a row adds only at the j of the first or second case: no abs, no
-    halving, no multiplication by zero.  A nonzero b_kk lands in one of the
-    two lists, and entry kk is overwritten afterwards.
+    each kept with its offset j - kk, so a row adds only at the j of the
+    first or second case: no abs, no halving, no multiplication by zero.
+    The state is copied into one list, and only the rows whose column-kk
+    entry is nonzero are updated in it: compress finds them in column kk,
+    as the positions p = i*n + kk, and entry j of row i sits at p + j - kk.
+    A nonzero b_kk lands in one of the two lists, and entry kk is
+    overwritten afterwards; row kk, which the loop may have updated too,
+    is written last, from the state.
     """
-    row_k = rows[kk]
-    positive = [(j, b) for j, b in enumerate(row_k) if b > 0]
-    negative = [(j, b) for j, b in enumerate(row_k) if b < 0]
-    out = []
-    for i, row in enumerate(rows):
-        x_ik = row[kk]
-        if i == kk:
-            out.append(tuple([-x for x in row]))
-        elif x_ik == 0:
-            out.append(row)
+    start = kk * n
+    positive = []
+    negative = []
+    for d, b in enumerate(state[start:start + n], -kk):
+        if b > 0:
+            positive.append((d, b))
+        elif b < 0:
+            negative.append((d, b))
+    out = list(state)
+    for p in compress(range(kk, len(state), n), state[kk::n]):
+        x_ik = state[p]
+        if x_ik > 0:
+            for d, b in positive:
+                out[p + d] += x_ik * b
         else:
-            new = list(row)
-            if x_ik > 0:
-                for j, b in positive:
-                    new[j] += x_ik * b
-            else:
-                for j, b in negative:
-                    new[j] -= x_ik * b
-            new[kk] = -x_ik
-            out.append(tuple(new))
+            for d, b in negative:
+                out[p + d] -= x_ik * b
+        out[p] = -x_ik
+    for j in range(start, start + n):
+        out[j] = -state[j]
     return tuple(out)
 
 
 def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Mutation of the matrix in direction k (1-based), see _mutate_rows."""
+    """Mutation of the matrix in direction k (1-based), see _mutate_flat."""
     return apply_sequence(matrix, (k,))
+
+
+def _step_all(state: FlatMatrix, n: int, directions: Iterable[int]) -> FlatMatrix:
+    """state stepped by _mutate_flat along the 1-based directions.
+
+    Every direction is checked once, in order, before the first step, so
+    a one-shot iterator is read once and the first bad direction is
+    refused with the IndexError of _check_index.
+    """
+    for kk in [_check_index(k, n) for k in directions]:
+        state = _mutate_flat(state, n, kk)
+    return state
 
 
 def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> ExchangeMatrix:
     """Left fold of mutate over the directions; the empty sequence is identity."""
     n = matrix.n
-    rows = matrix.entries
-    for k in directions:
-        rows = _mutate_rows(rows, _check_index(k, n))
-    return ExchangeMatrix(rows)
+    return ExchangeMatrix(_rows(_step_all(_flat(matrix.entries), n, directions), n))
 
 
-def _search(b: ExchangeMatrix, start: IntMatrix, depth: int,
-            bad: Callable[[IntMatrix, Optional[int]], bool],
+def _search(b: ExchangeMatrix, start: FlatMatrix, depth: int,
+            bad: Callable[[FlatMatrix, int, Optional[int]], bool],
             report: type[MutabilityReport]) -> MutabilityReport:
     """The verdict of either exhaustive search, as a report of type report.
 
     Refuses a depth that is not a positive int, then a B that is not
-    sign-skew-symmetric.  start is the extended matrix whose first b.n
-    rows are B.  The counterexample is the witness below, a shortest
-    sequence reaching a bad state, or None.
+    sign-skew-symmetric.  start is the flat extended matrix (_flat) whose
+    first b.n rows are B.  The counterexample is the witness below, a
+    shortest sequence reaching a bad state, or None.
 
     Breadth-first over the states reachable in 0..depth steps: the start
     first, then each state's successors with directions ascending and the
-    immediate back-mutation (k, k) pruned.  A state is the row tuple of an
-    extended matrix whose first n rows are the square part B, so [B; C]
-    for a framed seed and B alone for a matrix; a step is _mutate_rows.
-    States are hashed and compared as plain tuples, which are equal
-    exactly when their seeds are.  bad tests each state once, when it is
-    first reached; a successor already seen was tested then and is skipped.
-    bad gets the state and the 0-based direction of the step that reached
-    it, or None for the start.  Only a state that passed is expanded, so a
-    successor's parent always passed: bad may test only what that step
-    can change, as long as it answers as the full test would on such a
-    state.  The start gets the full test.
+    immediate back-mutation (k, k) pruned.  A state is one flat row-major
+    tuple of an extended matrix with rows of length n whose first n rows
+    are the square part B, so [B; C] for a framed seed and B alone for a
+    matrix; entry (i, j) sits at i*n + j, and a step is _mutate_flat.
+    States are hashed and compared as plain tuples.  Every state of one
+    search has the same n and the same length, so two states are equal
+    exactly when their matrices are, and so when their seeds are.  bad
+    tests each state once, when it is first reached; a successor already
+    seen was tested then and is skipped.  bad gets the state, n and the
+    0-based direction of the step that reached it, or None for the
+    start.  Only a state that passed is expanded, so a successor's parent
+    always passed: bad may test only what that step can change, as long
+    as it answers as the full test would on such a state.  The start gets
+    the full test.
 
     Witness.  The witness is the one a search over every sequence, in
     the same order and without the seen set, returns: the least bad
@@ -349,26 +381,26 @@ def _search(b: ExchangeMatrix, start: IntMatrix, depth: int,
     _require_positive(depth, "search depth")
     _require_sign_skew(b)
     n = b.n
-    if bad(start, None):
+    if bad(start, n, None):
         return report(False, ())
     seen = {start}
     size = 1  # len(seen): add, then compare sizes, hashes each successor once
-    frontier: deque[tuple[IntMatrix, tuple[int, ...]]] = deque([(start, ())])
+    frontier: deque[tuple[FlatMatrix, tuple[int, ...]]] = deque([(start, ())])
     complete = True
     while frontier:
         current, seq = frontier.popleft()
-        last = seq[-1] if seq else 0
-        row_last = current[last - 1]  # read only when k < last, so never at the start
-        for k in range(1, n + 1):
-            if k == last or (k < last and not row_last[k - 1] and not current[k - 1][last - 1]):
+        ll = seq[-1] - 1 if seq else -1
+        row_last = ll * n  # read only when kk < ll, so never at the start
+        for kk in range(n):
+            if kk == ll or (kk < ll and not current[row_last + kk] and not current[kk * n + ll]):
                 continue
-            nxt = _mutate_rows(current, k - 1)
+            nxt = _mutate_flat(current, n, kk)
             seen.add(nxt)
             if len(seen) == size:
                 continue
             size += 1
-            path = seq + (k,)
-            if bad(nxt, k - 1):
+            path = seq + (kk + 1,)
+            if bad(nxt, n, kk):
                 return report(False, path)
             if len(path) < depth:
                 frontier.append((nxt, path))
@@ -377,16 +409,17 @@ def _search(b: ExchangeMatrix, start: IntMatrix, depth: int,
     return report(True, None, complete)
 
 
-def _sign_skew_violation(rows: IntMatrix, kk: Optional[int]) -> bool:
-    """not _sign_skew_rows(rows), tested only where the step kk can break it.
+def _sign_skew_violation(state: FlatMatrix, n: int, kk: Optional[int]) -> bool:
+    """Whether the flat n-by-n state is not sign-skew-symmetric, tested only
+    where the step kk can break it.
 
-    Step-local test for _search: rows is μ_kk of a
+    Step-local test for _search: state is μ_kk of a
     sign-skew-symmetric P, or the start when kk is None, which gets the
     full test.  Off row and column kk, μ_kk adds
     sgn(p_ik)*max(p_ik*p_kj, 0) to p_ij, which is nonzero only when
     p_ik != 0 and p_kj != 0.  P is sign-skew-symmetric, so p_ik != 0 iff
     p_ki != 0, and an entry off row and column kk changes only when both
-    its indices lie in the support of row kk, the same in P and in rows
+    its indices lie in the support of row kk, the same in P and in state
     since row kk is only negated.  On the diagonal the addend is zero, as
     p_ik*p_ki <= 0.  The pairs (i, kk) and (kk, i) are negated together,
     which keeps them zero or of opposite signs, and p_kk = 0 keeps kk out
@@ -394,12 +427,12 @@ def _sign_skew_violation(rows: IntMatrix, kk: Optional[int]) -> bool:
     that can fail, and each is given the full pair test.
     """
     if kk is None:
-        return not _sign_skew_rows(rows)
-    support = [j for j, b in enumerate(rows[kk]) if b]
+        return not _sign_skew_rows(_rows(state, n))
+    support = list(compress(range(n), state[kk * n:kk * n + n]))
     for a, i in enumerate(support, 1):
-        row_i = rows[i]
+        row_i = i * n
         for j in support[a:]:
-            x, y = row_i[j], rows[j][i]
+            x, y = state[row_i + j], state[j * n + i]
             if x * y >= 0 and (x or y):
                 return True
     return False
@@ -414,7 +447,7 @@ def check_total_mutability(matrix: ExchangeMatrix, depth: int) -> MutabilityRepo
     smallest directions first).  complete means every matrix reachable by
     any sequence was checked.
     """
-    return _search(matrix, matrix.entries, depth, _sign_skew_violation, MutabilityReport)
+    return _search(matrix, _flat(matrix.entries), depth, _sign_skew_violation, MutabilityReport)
 
 
 # CPython refuses int <-> decimal str conversions past 4,300 digits by

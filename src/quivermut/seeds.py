@@ -18,15 +18,19 @@ from typing import Optional, Sequence
 
 from .matrices import (  # noqa: F401  seeds.mutate and seeds.format_int are read from outside
     ExchangeMatrix,
+    FlatMatrix,
     IntMatrix,
     MutabilityReport,
     _check_index,
+    _flat,
     _freeze_rows,
-    _mutate_rows,
+    _mutate_flat,
     _require_positive,
     _require_sign_skew,
+    _rows,
     _search,
     _source_order,
+    _step_all,
     format_int,
     format_json,
     mutate,
@@ -90,11 +94,9 @@ def mutate_framed(seed: FramedSeed, k: int) -> FramedSeed:
 
 
 def apply_sequence_framed(seed: FramedSeed, directions: Sequence[int]) -> FramedSeed:
-    """Left fold of mutate_framed over the directions, stepping [B; C] as rows."""
+    """Left fold of mutate_framed over the directions, stepping [B; C] flat (_step_all)."""
     n = seed.n
-    rows = seed.b.entries + seed.c
-    for k in directions:
-        rows = _mutate_rows(rows, _check_index(k, n))
+    rows = _rows(_step_all(_flat(seed.b.entries + seed.c), n, directions), n)
     return FramedSeed(ExchangeMatrix(rows[:n]), rows[n:])
 
 
@@ -111,14 +113,20 @@ def column_sign(seed: FramedSeed, j: int) -> ColumnSign:
     return ColumnSign.ZERO
 
 
-def _green_columns(c: IntMatrix) -> list[int]:
-    """0-based indices of the columns of C with a positive entry and no negative one."""
-    return [jj for jj, column in enumerate(zip(*c)) if min(column) >= 0 and max(column) > 0]
+def _green_columns(state: FlatMatrix, n: int) -> list[int]:
+    """0-based indices of the columns of C with a positive entry and no negative one.
+
+    C is the last n*n entries of the flat state, so state may be [B; C] or
+    C alone, and C's column j is a slice.
+    """
+    c0 = len(state) - n * n
+    return [jj for jj in range(n)
+            if min(column := state[c0 + jj::n]) >= 0 and max(column) > 0]
 
 
 def green_directions(seed: FramedSeed) -> list[int]:
     """Directions (1-based, ascending) whose c-vector is green."""
-    return [jj + 1 for jj in _green_columns(seed.c)]
+    return [jj + 1 for jj in _green_columns(_flat(seed.c), seed.n)]
 
 
 class CoherenceReport(MutabilityReport):
@@ -126,21 +134,24 @@ class CoherenceReport(MutabilityReport):
     own name, repr and class-based equality."""
 
 
-def _mixed_column(rows: IntMatrix, kk: Optional[int]) -> bool:
-    """Whether C of rows = [B; C] has a column with entries of both signs.
+def _mixed_column(state: FlatMatrix, n: int, kk: Optional[int]) -> bool:
+    """Whether C of the flat state [B; C] has a column with entries of both signs.
 
-    Step-local test for _search: rows is μ_kk of a state whose C
+    Step-local test for _search: state is μ_kk of a state whose C
     has no mixed column, or the start when kk is None, which gets the
     full test.  μ_kk negates column kk of C, which keeps it unmixed, and
     adds sgn(c_ik)*max(c_ik*b_kj, 0) to c_ij at j != kk, which is zero in
     every row when b_kj = 0.  So only the columns j with b_kj != 0 can
     turn mixed; row kk of B is only negated, so its support is read from
-    rows.  This uses no property of B.
+    state.  This uses no property of B.  C's column j is the slice
+    state[n*n + j::n].
     """
-    columns = zip(*rows[len(rows[0]):])
+    nn = n * n
+    columns = range(n)
     if kk is not None:
-        columns = compress(columns, rows[kk])
-    for column in columns:
+        columns = compress(columns, state[kk * n:kk * n + n])
+    for j in columns:
+        column = state[nn + j::n]
         if min(column) < 0 < max(column):
             return True
     return False
@@ -156,7 +167,7 @@ def check_sign_coherence(seed: FramedSeed, depth: int) -> CoherenceReport:
     was checked.  B must be sign-skew-symmetric, as in
     check_total_mutability.
     """
-    return _search(seed.b, seed.b.entries + seed.c, depth, _mixed_column, CoherenceReport)
+    return _search(seed.b, _flat(seed.b.entries + seed.c), depth, _mixed_column, CoherenceReport)
 
 
 def admissible_source_numbering(matrix: ExchangeMatrix) -> tuple[int, ...]:
@@ -192,19 +203,19 @@ def _green_report(sequence: Sequence[int], steps: Sequence[IntMatrix]) -> GreenS
 
 
 def _replay_and_verify(seed: FramedSeed, directions: Sequence[int]) -> GreenSequenceReport:
-    """Replay directions on the rows of [B; C], re-verifying every step's greenness."""
+    """Replay directions on the flat [B; C], re-verifying every step's greenness."""
     n = seed.n
-    rows = seed.b.entries + seed.c
+    state = _flat(seed.b.entries + seed.c)
     steps = [seed.c]
     for position, k in enumerate(directions, start=1):
         kk = _check_index(k, n)
-        if kk not in _green_columns(rows[n:]):
+        if kk not in _green_columns(state, n):
             raise GreenVerificationError(
                 f"step {position}: direction {k} is not green before mutation"
             )
-        rows = _mutate_rows(rows, kk)
-        steps.append(rows[n:])
-    greens = [jj + 1 for jj in _green_columns(rows[n:])]
+        state = _mutate_flat(state, n, kk)
+        steps.append(_rows(state[n * n:], n))
+    greens = [jj + 1 for jj in _green_columns(state, n)]
     if greens:
         raise GreenVerificationError(f"final seed still has green directions {greens}")
     return _green_report(directions, steps)
@@ -225,7 +236,8 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
     """All maximal green sequences of length <= max_len, lexicographic.
 
     Depth-first over green directions only, ascending; the walk steps the
-    rows of [B; C].  B must be sign-skew-symmetric, as in
+    flat [B; C] (_mutate_flat) and reads each step's C as rows only for
+    a sequence it records.  B must be sign-skew-symmetric, as in
     check_sign_coherence.
 
     Order.  The results come out lexicographic with no sort.  The walk
@@ -248,20 +260,22 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
     _require_positive(max_len, "max_len")
     _require_sign_skew(seed.b)
     n = seed.n
+    nn = n * n
     results: list[GreenSequenceReport] = []
 
-    def walk(rows: IntMatrix, seq: tuple[int, ...], cs: tuple[IntMatrix, ...]) -> None:
-        greens = _green_columns(rows[n:])
+    def walk(state: FlatMatrix, seq: tuple[int, ...], path: tuple[FlatMatrix, ...]) -> None:
+        greens = _green_columns(state, n)
         if not greens:
-            results.append(_green_report(seq, cs))
+            results.append(_green_report(seq, [_rows(s[nn:], n) for s in path]))
             return
         if len(seq) + len(greens) > max_len:
             return
         for kk in greens:
-            nxt = _mutate_rows(rows, kk)
-            walk(nxt, seq + (kk + 1,), cs + (nxt[n:],))
+            nxt = _mutate_flat(state, n, kk)
+            walk(nxt, seq + (kk + 1,), path + (nxt,))
 
-    walk(seed.b.entries + seed.c, (), (seed.c,))
+    start = _flat(seed.b.entries + seed.c)
+    walk(start, (), (start,))
     return results
 
 

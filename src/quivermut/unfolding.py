@@ -52,7 +52,7 @@ from threading import Lock
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .matrices import (
-    ExchangeMatrix, IntMatrix, _check_index, _is_int, _mutate_rows, _pattern_walk,
+    ExchangeMatrix, IntMatrix, _check_index, _flat, _is_int, _mutate_flat, _pattern_walk,
     _require_positive,
 )
 from .seeds import FramedSeed, admissible_source_numbering, identity_rows
@@ -1036,13 +1036,14 @@ def _verify_replay(
         raise InteriorExhaustedError(
             f"interior budget violated: m={m} but {steps} steps need m >= {2 * steps + 2}"
         )
-    rows = matrix.entries + identity_rows(matrix.n)
+    n = matrix.n
+    state = _flat(matrix.entries + identity_rows(n))
     reps = _resolve_representatives(quiver, None).values()
     for step, work in _replay(quiver, directions, reps):
         if step:
             # _replay has checked the label with _orbit_targets
-            rows = _mutate_rows(rows, directions[step - 1] - 1)
-        if _fold_rows(work, reps) != rows:
+            state = _mutate_flat(state, n, directions[step - 1] - 1)
+        if _flat(_fold_rows(work, reps)) != state:
             return CommutationReport(ok=False, first_divergence=step)
     return CommutationReport(ok=True, first_divergence=None)
 

@@ -507,6 +507,16 @@ class TestPreconditionRefusals:
         code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
         assert (code, out, err) == (2, "", "error: input matrix is not sign-skew-symmetric\n")
 
+    @pytest.mark.parametrize("subcommand", ["coherence", "total-mutability"])
+    def test_depth_refused_before_the_matrix(self, capsys, tmp_path, subcommand):
+        # both searches refuse a bad depth first, as the library calls do
+        path = tmp_path / "nss.mat"
+        path.write_text(NOT_SIGN_SKEW_TEXT, encoding="utf-8")
+        code, out, err = run(capsys, [subcommand, str(path), "--depth", "0"])
+        assert (code, out, err) == (
+            2, "", "error: search depth must be a positive integer, got 0\n"
+        )
+
     @pytest.mark.parametrize("argv", [
         ["mgs"],
         ["unfold", "--m", "2"],

@@ -31,7 +31,7 @@ from quivermut import (
     mutate,
     mutate_framed,
 )
-from quivermut.matrices import _mutate_rows, _sign_skew_violation
+from quivermut.matrices import _flat, _mutate_flat, _rows, _sign_skew_violation
 from quivermut.seeds import _mixed_column
 
 from corpus import corpus_matrices, example_matrix, random_acyclic_connected, random_sign_skew
@@ -205,18 +205,23 @@ def not_sign_skew_rows(rows) -> bool:
 def test_step_local_tests_match_full_tests():
     # Every state within depth 3 whose parent passes the full test, in
     # every direction: the step-local test sees only what the step changed,
-    # and must still give the full test's verdict.
+    # and must still give the full test's verdict.  The states are flat
+    # (_flat); the full tests read them back as rows.
     rng = random.Random(DIFFERENTIAL_SEED + 3)
     verdicts: Counter = Counter()
     for _ in range(CASES):
         matrix = random_sign_skew(rng, rng.randint(2, 5))  # cyclic ones included
         n = matrix.n
         c = random_c(rng, n)
-        for start, local, full in (
+        for start, local, full_rows in (
             (matrix.entries, _sign_skew_violation, not_sign_skew_rows),
             (matrix.entries + c, _mixed_column, mixed_rows),
         ):
-            assert local(start, None) == full(start)
+            def full(state):
+                return full_rows(_rows(state, n))
+
+            start = _flat(start)
+            assert local(start, n, None) == full(start)
             level = [start]
             for _ in range(3):
                 parents, level = level, []
@@ -224,35 +229,36 @@ def test_step_local_tests_match_full_tests():
                     if full(parent):
                         continue
                     for kk in range(n):
-                        child = _mutate_rows(parent, kk)
+                        child = _mutate_flat(parent, n, kk)
                         verdict = full(child)
-                        assert local(child, kk) == verdict, (parent, kk)
+                        assert local(child, n, kk) == verdict, (parent, kk)
                         verdicts[local.__name__, verdict] += 1
                         level.append(child)
     assert min(verdicts.values()) >= 500, verdicts
 
 
-def reference_green_search(seed: FramedSeed, max_len: int, step=_mutate_rows):
+def reference_green_search(seed: FramedSeed, max_len: int, step=_mutate_flat):
     """(sequence, C-matrices) of each maximal green sequence of length <= max_len, sorted.
 
     The walk without the green-count bound: every green direction is
-    followed until max_len steps.
+    followed until max_len steps.  It steps the flat [B; C] and reads
+    greens off the rows.
     """
     n = seed.n
     found = []
 
-    def walk(rows, seq, cs):
-        greens = [jj for jj, col in enumerate(zip(*rows[n:])) if min(col) >= 0 and max(col) > 0]
+    def walk(state, seq, cs):
+        c = _rows(state, n)[n:]
+        greens = [jj for jj, col in enumerate(zip(*c)) if min(col) >= 0 and max(col) > 0]
         if not greens:
-            found.append((seq, cs))
+            found.append((seq, cs + (c,)))
             return
         if len(seq) == max_len:
             return
         for kk in greens:
-            nxt = step(rows, kk)
-            walk(nxt, seq + (kk + 1,), cs + (nxt[n:],))
+            walk(step(state, n, kk), seq + (kk + 1,), cs + (c,))
 
-    walk(seed.b.entries + seed.c, (), (seed.c,))
+    walk(_flat(seed.b.entries + seed.c), (), ())
     return sorted(found)
 
 
@@ -280,13 +286,13 @@ def test_green_bound_prunes_the_running_example(monkeypatch):
     calls = Counter()
 
     def counted(name):
-        def step(rows, kk):
+        def step(state, n, kk):
             calls[name] += 1
-            return _mutate_rows(rows, kk)
+            return _mutate_flat(state, n, kk)
         return step
 
     expected = reference_green_search(seed, 4, counted("reference"))
-    monkeypatch.setattr("quivermut.seeds._mutate_rows", counted("pruned"))
+    monkeypatch.setattr("quivermut.seeds._mutate_flat", counted("pruned"))
     got = [(r.sequence, r.step_c_matrices) for r in brute_force_green_search(seed, 4)]
     assert got == expected
     assert calls["pruned"] < calls["reference"], calls
@@ -297,9 +303,10 @@ def first_violation(start, n, depth, bad):
 
     A copy kept as the oracle of _search: the same breadth-first order,
     the same pruned back-mutation and commuting successors, and the same
-    step-local bad test.
+    step-local bad test, on flat states read back as rows for the
+    commuting-successor test.
     """
-    if bad(start, None):
+    if bad(start, n, None):
         return (), False
     seen = {start}
     size = 1
@@ -307,18 +314,19 @@ def first_violation(start, n, depth, bad):
     complete = True
     while frontier:
         current, seq = frontier.popleft()
+        rows = _rows(current, n)
         last = seq[-1] if seq else 0
-        row_last = current[last - 1]
+        row_last = rows[last - 1]
         for k in range(1, n + 1):
-            if k == last or (k < last and not row_last[k - 1] and not current[k - 1][last - 1]):
+            if k == last or (k < last and not row_last[k - 1] and not rows[k - 1][last - 1]):
                 continue
-            nxt = _mutate_rows(current, k - 1)
+            nxt = _mutate_flat(current, n, k - 1)
             seen.add(nxt)
             if len(seen) == size:
                 continue
             size += 1
             path = seq + (k,)
-            if bad(nxt, k - 1):
+            if bad(nxt, n, k - 1):
                 return path, False
             if len(path) < depth:
                 frontier.append((nxt, path))
@@ -328,12 +336,14 @@ def first_violation(start, n, depth, bad):
 
 
 def old_total_mutability(matrix: ExchangeMatrix, depth: int) -> MutabilityReport:
-    witness, complete = first_violation(matrix.entries, matrix.n, depth, _sign_skew_violation)
+    witness, complete = first_violation(_flat(matrix.entries), matrix.n, depth,
+                                        _sign_skew_violation)
     return MutabilityReport(ok=witness is None, counterexample=witness, complete=complete)
 
 
 def old_sign_coherence(seed: FramedSeed, depth: int) -> CoherenceReport:
-    witness, complete = first_violation(seed.b.entries + seed.c, seed.n, depth, _mixed_column)
+    witness, complete = first_violation(_flat(seed.b.entries + seed.c), seed.n, depth,
+                                        _mixed_column)
     return CoherenceReport(ok=witness is None, counterexample=witness, complete=complete)
 
 
