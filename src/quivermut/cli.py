@@ -27,7 +27,7 @@ from .seeds import (
     check_sign_coherence, extend, identity_rows, source_mgs,
 )
 from .unfolding import (
-    _TRUSTED_STEPS, _summary, _tree_dot, _truncation_counts, _verify_replay, build_truncation,
+    _TRUSTED_STEPS, _replay_truncation, _summary, _tree_dot, _truncation_counts, _verify_replay,
 )
 
 EXIT_OK = 0
@@ -188,8 +188,9 @@ def _cmd_verify_unfolding(args: argparse.Namespace) -> _Result:
     matrix = _load_matrix(args.matrix)
     # verify_unfolding_commutation's replay on the request's own build, freed
     # when the handler returns: its cache serves repeated library calls, and a
-    # request makes one
-    report = _verify_replay(build_truncation(matrix, args.m), matrix, directions)
+    # request makes one; an over-budget request is refused before the build
+    report = _verify_replay(_replay_truncation(matrix, args.m, len(directions)), matrix,
+                            directions)
 
     def lines() -> Iterator[str]:
         yield f"commutes: {_bool_str(report.ok)} (steps {len(directions)}, m {args.m})"

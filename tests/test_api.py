@@ -110,6 +110,15 @@ class TestLabeledQuiver:
         assert twin.core_depth == quiver.core_depth
         stepped = orbit_mutate(quiver, 1)
         assert copy.copy(stepped)._steps == stepped._steps == 1
+        # every slot is the original's object, and rebinding one on the copy
+        # leaves the original as it was
+        twin = copy.copy(stepped)
+        assert all(getattr(twin, name) is getattr(stepped, name)
+                   for name in LabeledQuiver.__slots__)
+        adj, radius = stepped.adj, stepped.interior_radius
+        twin.adj, twin.interior_radius, twin._steps = [], radius - 2, 2
+        assert stepped.adj is adj and stepped.interior_radius == radius
+        assert stepped._steps == 1
 
     def test_equality_compares_the_constructor_fields(self):
         quiver = build_truncation(example_matrix(), 2)

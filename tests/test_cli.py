@@ -463,7 +463,7 @@ class TestVerifyUnfolding:
         assert err.startswith("error: interior budget")
 
     def test_under_budget_stderr_bytes(self, capsys, tmp_path):
-        # m in the message is read back from the build's radius and core depth
+        # m in the message is the requested budget
         path = tmp_path / "kron.mat"
         path.write_text("2\n0 2\n-2 0\n", encoding="utf-8")
         argv = ["verify-unfolding", str(path), "-s", "1,2,1,2", "--m", "9"]
@@ -471,6 +471,20 @@ class TestVerifyUnfolding:
             assert run(capsys, argv + extra) == (
                 2, "", "error: interior budget violated: m=9 but 4 steps need m >= 10\n"
             )
+
+    @pytest.mark.parametrize("seq, m, message", [
+        ("1,2,3,4,1", "10", "error: interior budget exceeded: 5 steps, but an infinite "
+                            "unfolding's interior is trusted for 4 steps at most\n"),
+        ("1,2,3", "7", "error: interior budget violated: m=7 but 3 steps need m >= 8\n"),
+    ], ids=["steps", "budget"])
+    def test_over_budget_request_builds_nothing(self, capsys, example_file, monkeypatch, seq,
+                                                m, message):
+        # refused on the counts, before the build: the example's truncation
+        # has 554,348 vertices at m = 10
+        monkeypatch.setattr(unfolding, "_grow", TestUnfold.no_build)
+        argv = ["verify-unfolding", example_file, "-s", seq, "--m", m]
+        for extra in ([], ["--json-out"]):
+            assert run(capsys, argv + extra) == (2, "", message)
 
     @pytest.mark.parametrize(
         "seq, m, code", [("1,2", "6", 0), ("1,2,3", "4", 2), ("5", "4", 2)],

@@ -860,6 +860,55 @@ class TestCommutations:
         with pytest.raises(InteriorExhaustedError, match=r"m=2 but 1 steps need m >= 4$"):
             verify_unfolding_commutation(corpus[1], (1,), 2)
 
+    def test_over_budget_replay_builds_and_caches_nothing(self, monkeypatch):
+        # a miss checks the budget on the counts, before the build (the
+        # example's truncation has 554,348 vertices at m = 10); a hit checks
+        # it on the cached build, with the same rule and messages
+        five = (r"^interior budget exceeded: 5 steps, but an infinite unfolding's "
+                r"interior is trusted for 4 steps at most$")
+        kronecker = ExchangeMatrix([[0, 2], [-2, 0]])
+        cases = [
+            (example_matrix(), (1, 2, 3, 4, 1), 10, five),
+            (example_matrix(), (1, 2, 3), 7, r"^interior budget violated: m=7 but 3 steps "
+                                             r"need m >= 8$"),
+            (kronecker, (1, 2, 1, 2, 1), 12, five),
+            (kronecker, (1, 2, 1, 2), 9, r"^interior budget violated: m=9 but 4 steps "
+                                         r"need m >= 10$"),
+        ]
+        cached = {(kronecker, m): build_truncation(kronecker, m) for m in (9, 12)}
+        monkeypatch.setattr(unfolding, "_truncations", dict(cached))
+
+        def no_build(*args):
+            raise AssertionError("built a truncation")
+
+        monkeypatch.setattr(unfolding, "_grow", no_build)
+        for matrix, seq, m, message in cases:
+            with pytest.raises(InteriorExhaustedError, match=message):
+                verify_unfolding_commutation(matrix, seq, m)
+            assert list(unfolding._truncations) == list(cached)
+            assert all(unfolding._truncations[key] is kept for key, kept in cached.items())
+
+    def test_column_check_catches_a_divergence_in_either_half(self):
+        # one mirrored arrow at a representative made one stronger, toward a
+        # mutable neighbour (a B row of the fold) or toward the
+        # representative's frozen copy (a C row): the fold differs before
+        # the first step
+        matrix = example_matrix()
+        fresh = build_truncation(matrix, 6, framed=True)
+        assert unfolding._verify_replay(fresh, matrix, (1, 2)).ok
+        for label in range(1, matrix.n + 1):
+            rep = _default_representative(fresh, label)
+            for frozen in (False, True):
+                u = next(u for u in fresh.adj[rep] if fresh.frozen[u] == frozen)
+                broken = copy.copy(fresh)
+                broken.adj = fresh.adj.copy()
+                broken.adj[rep], broken.adj[u] = fresh.adj[rep].copy(), fresh.adj[u].copy()
+                mult = broken.adj[rep][u] + (1 if broken.adj[rep][u] > 0 else -1)
+                broken.adj[rep][u], broken.adj[u][rep] = mult, -mult
+                report = unfolding._verify_replay(broken, matrix, (1, 2))
+                assert report.first_divergence == 0, (label, frozen)
+        assert fresh == build_truncation(matrix, 6, framed=True)
+
     @pytest.mark.parametrize("m", [True, "8", 4.0])
     def test_budget_must_be_a_positive_int(self, m):
         # checked before the budget comparison, where True would count as 1
@@ -1014,7 +1063,7 @@ def check_replay_against_orbit_mutate(matrix, m, lengths, monkeypatch, spans) ->
     monkeypatch.setattr(unfolding, "_gamma_witnesses", recording_gamma_witnesses)
     base = build_truncation(matrix, m, framed=True)
     reps = [_default_representative(base, label) for label in range(1, matrix.n + 1)]
-    # _verify_replay's budget argument: d* is the deepest default representative
+    # _require_budget's argument: d* is the deepest default representative
     assert base.core_depth == max(base.depths[rep] for rep in reps)
     reference = {(): base}
     compared = 0
@@ -1596,8 +1645,10 @@ class TestFiveStepRefusal:
         assert folding(quiver) == apply_sequence_framed(extend(TWO_LEAF), seq)
 
     def test_incomplete_build_gives_back_its_m(self):
-        # _verify_replay reads m from a fresh truncation as radius - core_depth + 2;
-        # frozen copies add no ring, so unframed builds have the same radius
+        # _require_budget's argument: an incomplete fresh truncation has m =
+        # radius - core_depth + 2, so m >= 2L + 2 keeps the last fold's
+        # representatives interior; frozen copies add no ring, so unframed
+        # builds have the same radius
         incomplete = 0
         for m in range(1, 11):
             for matrix in corpus_matrices():
