@@ -36,9 +36,23 @@ def _check_int(value: object) -> int:
     return value
 
 
+def _show(value: object) -> str:
+    """repr(value) for an error message, or, for an int past the int/str
+    digit limit, whose repr raises, its sign and first 20 digits, then its
+    digit count (format_int), so the message is the one meant."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        text = format_int(value)
+        digits = len(text.lstrip("-"))
+        return f"{text[:len(text) - digits + 20]}... ({digits} digits)"
+
+
 def _require_positive(value: object, name: str) -> None:
     if not _is_int(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        raise ValueError(f"{name} must be a positive integer, got {_show(value)}")
 
 
 def _freeze_rows(rows: Iterable[Iterable[object]]) -> IntMatrix:
@@ -216,7 +230,7 @@ def classify(matrix: ExchangeMatrix) -> ClassificationReport:
 def _check_index(k: object, n: int, noun: str = "mutation direction") -> int:
     """The 0-based index of k, an int in 1..n; IndexError naming the noun otherwise."""
     if not _is_int(k) or not 1 <= k <= n:
-        raise IndexError(f"{noun} {k!r} out of range 1..{n}")
+        raise IndexError(f"{noun} {_show(k)} out of range 1..{n}")
     return k - 1
 
 
@@ -225,59 +239,62 @@ def _flat(rows: Iterable[Sequence[int]]) -> FlatMatrix:
     return tuple(chain.from_iterable(rows))
 
 
-def _rows(state: FlatMatrix, n: int) -> IntMatrix:
+def _rows(state: Sequence[int], n: int) -> IntMatrix:
     """The rows of length n of a flat row-major state: the inverse of _flat."""
     return tuple(zip(*[iter(state)] * n))
 
 
-def _mutate_flat(state: FlatMatrix, n: int, kk: int) -> FlatMatrix:
-    """Mutation in direction kk (0-based) of an extended matrix [B; C].
+def _mutate_flat(state: list[int], n: int, kk: int) -> None:
+    """Mutate state, an extended matrix [B; C], in place in direction kk (0-based).
 
-    state is the matrix flat and row-major (_flat): entry (i, j) sits at
-    i*n + j, n being the row length, and column j is state[j::n].  The
-    first n rows are the square principal part B; rows below it follow
-    the same rule against B's row kk.  Row kk is negated.  Every other
-    row i gets -x_ik at j = kk and the max-form
+    state is the matrix flat and row-major (_flat), as a list: entry
+    (i, j) sits at i*n + j, n being the row length, and column j is
+    state[j::n].  The first n rows are the square principal part B; rows
+    below it follow the same rule against B's row kk.  Row kk is negated.
+    Every other row i gets -x_ik at j = kk and the max-form
     x_ij + sgn(x_ik)*max(x_ik*b_kj, 0) at j != kk, which has four sign
     cases:
 
     - x_ik > 0 and b_kj > 0: x_ij + x_ik*b_kj;
-    - x_ik < 0 and b_kj < 0: x_ij + |x_ik|*b_kj;
+    - x_ik < 0 and b_kj < 0: x_ij + x_ik*|b_kj|;
     - x_ik and b_kj of opposite signs: x_ij;
     - x_ik = 0 or b_kj = 0: x_ij, and a row with x_ik = 0 is left as it
       is.
 
-    Row kk of B is split once into its positive and its negative entries,
-    each kept with its offset j - kk, so a row adds only at the j of the
-    first or second case: no abs, no halving, no multiplication by zero.
-    The state is copied into one list, and only the rows whose column-kk
-    entry is nonzero are updated in it: compress finds them in column kk,
-    as the positions p = i*n + kk, and entry j of row i sits at p + j - kk.
-    A nonzero b_kk lands in one of the two lists, and entry kk is
-    overwritten afterwards; row kk, which the loop may have updated too,
-    is written last, from the state.
+    One pass over a copy of row kk negates the row in place and splits
+    it into its positive entries and the magnitudes of its negative
+    ones, each kept with its offset j - kk; a row with x_ik > 0 reads the
+    first list and one with x_ik < 0 the second, so it adds x_ik times a
+    positive factor, and only at the j of the first or second case: no
+    abs, no halving, no multiplication by zero.  A unit factor adds x_ik
+    itself: along a long sequence x_ik has thousands of digits, and
+    multiplying it by 1 costs as much as the addition.  Then only the
+    other rows whose column-kk entry is nonzero are updated: compress
+    finds them in a copy of column kk, as the positions p = i*n + kk, with
+    row kk's entry zeroed, since that row is already done even when b_kk
+    is nonzero (an ExchangeMatrix admits a nonzero diagonal).  Entry j of
+    row i sits at p + j - kk, and a row's writes stay in that row, so its
+    x_ik is read before they start.  A nonzero b_kk lands in one of the
+    two lists, and entry kk is overwritten afterwards.  A caller that
+    keeps the state it had passes a copy.
     """
     start = kk * n
+    diagonal = start + kk
     positive = []
     negative = []
-    for d, b in enumerate(state[start:start + n], -kk):
+    for j, b in enumerate(state[start:start + n], start):
+        state[j] = -b
         if b > 0:
-            positive.append((d, b))
+            positive.append((j - diagonal, b))
         elif b < 0:
-            negative.append((d, b))
-    out = list(state)
-    for p in compress(range(kk, len(state), n), state[kk::n]):
+            negative.append((j - diagonal, -b))
+    column = state[kk::n]
+    column[kk] = 0
+    for p in compress(range(kk, len(state), n), column):
         x_ik = state[p]
-        if x_ik > 0:
-            for d, b in positive:
-                out[p + d] += x_ik * b
-        else:
-            for d, b in negative:
-                out[p + d] -= x_ik * b
-        out[p] = -x_ik
-    for j in range(start, start + n):
-        out[j] = -state[j]
-    return tuple(out)
+        for d, b in positive if x_ik > 0 else negative:
+            state[p + d] += x_ik if b == 1 else x_ik * b
+        state[p] = -x_ik
 
 
 def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -285,16 +302,19 @@ def mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return apply_sequence(matrix, (k,))
 
 
-def _step_all(state: FlatMatrix, n: int, directions: Iterable[int]) -> FlatMatrix:
-    """state stepped by _mutate_flat along the 1-based directions.
+def _step_all(state: FlatMatrix, n: int, directions: Iterable[int]) -> list[int]:
+    """A list of the flat state, stepped in place by _mutate_flat along the
+    1-based directions.
 
     Every direction is checked once, in order, before the first step, so
     a one-shot iterator is read once and the first bad direction is
     refused with the IndexError of _check_index.
     """
-    for kk in [_check_index(k, n) for k in directions]:
-        state = _mutate_flat(state, n, kk)
-    return state
+    kks = [_check_index(k, n) for k in directions]
+    out = list(state)
+    for kk in kks:
+        _mutate_flat(out, n, kk)
+    return out
 
 
 def apply_sequence(matrix: ExchangeMatrix, directions: Sequence[int]) -> ExchangeMatrix:
@@ -318,8 +338,9 @@ def _search(b: ExchangeMatrix, start: FlatMatrix, depth: int,
     immediate back-mutation (k, k) pruned.  A state is one flat row-major
     tuple of an extended matrix with rows of length n whose first n rows
     are the square part B, so [B; C] for a framed seed and B alone for a
-    matrix; entry (i, j) sits at i*n + j, and a step is _mutate_flat.
-    States are hashed and compared as plain tuples.  Every state of one
+    matrix; entry (i, j) sits at i*n + j.  A step copies the state to a
+    list, mutates it there (_mutate_flat) and freezes it back, so states
+    are hashed and compared as plain tuples.  Every state of one
     search has the same n and the same length, so two states are equal
     exactly when their matrices are, and so when their seeds are.  bad
     tests each state once, when it is first reached; a successor already
@@ -394,7 +415,9 @@ def _search(b: ExchangeMatrix, start: FlatMatrix, depth: int,
         for kk in range(n):
             if kk == ll or (kk < ll and not current[row_last + kk] and not current[kk * n + ll]):
                 continue
-            nxt = _mutate_flat(current, n, kk)
+            nxt = list(current)
+            _mutate_flat(nxt, n, kk)
+            nxt = tuple(nxt)
             seen.add(nxt)
             if len(seen) == size:
                 continue

@@ -113,7 +113,7 @@ def column_sign(seed: FramedSeed, j: int) -> ColumnSign:
     return ColumnSign.ZERO
 
 
-def _green_columns(state: FlatMatrix, n: int) -> list[int]:
+def _green_columns(state: Sequence[int], n: int) -> list[int]:
     """0-based indices of the columns of C with a positive entry and no negative one.
 
     C is the last n*n entries of the flat state, so state may be [B; C] or
@@ -205,7 +205,7 @@ def _green_report(sequence: Sequence[int], steps: Sequence[IntMatrix]) -> GreenS
 def _replay_and_verify(seed: FramedSeed, directions: Sequence[int]) -> GreenSequenceReport:
     """Replay directions on the flat [B; C], re-verifying every step's greenness."""
     n = seed.n
-    state = _flat(seed.b.entries + seed.c)
+    state = list(_flat(seed.b.entries + seed.c))
     steps = [seed.c]
     for position, k in enumerate(directions, start=1):
         kk = _check_index(k, n)
@@ -213,7 +213,7 @@ def _replay_and_verify(seed: FramedSeed, directions: Sequence[int]) -> GreenSequ
             raise GreenVerificationError(
                 f"step {position}: direction {k} is not green before mutation"
             )
-        state = _mutate_flat(state, n, kk)
+        _mutate_flat(state, n, kk)
         steps.append(_rows(state[n * n:], n))
     greens = [jj + 1 for jj in _green_columns(state, n)]
     if greens:
@@ -271,7 +271,9 @@ def brute_force_green_search(seed: FramedSeed, max_len: int) -> list[GreenSequen
         if len(seq) + len(greens) > max_len:
             return
         for kk in greens:
-            nxt = _mutate_flat(state, n, kk)
+            nxt = list(state)
+            _mutate_flat(nxt, n, kk)
+            nxt = tuple(nxt)
             walk(nxt, seq + (kk + 1,), path + (nxt,))
 
     start = _flat(seed.b.entries + seed.c)

@@ -1090,16 +1090,16 @@ def _verify_replay(
     lives only as long as the request.
     """
     n = matrix.n
-    state = _flat(matrix.entries + identity_rows(n))
+    state = list(_flat(matrix.entries + identity_rows(n)))
     reps = _resolve_representatives(quiver, None).values()
     for step, work in _replay(quiver, directions, reps):
         if step:
             # _replay has checked the label with _orbit_targets
-            state = _mutate_flat(state, n, directions[step - 1] - 1)
+            _mutate_flat(state, n, directions[step - 1] - 1)
         # column j of the fold, summed at label j + 1's representative, is
         # column j of the flat [B; C] state
         for j, rep in enumerate(reps):
-            if tuple(_column_sums(work, rep)) != state[j::n]:
+            if _column_sums(work, rep) != state[j::n]:
                 return CommutationReport(ok=False, first_divergence=step)
     return CommutationReport(ok=True, first_divergence=None)
 

@@ -22,6 +22,7 @@ from quivermut.cli import build_parser, main
 from quivermut.matrices import parse_int
 
 from corpus import corpus_matrices, example_matrix
+from test_matrices import needs_the_default_digit_limit
 from test_unfolding import one_ring_less_at_step_2
 
 RANK2_TEXT = "2\n0 1\n-1 0\n"
@@ -189,6 +190,50 @@ class TestMutate:
         code, out, err = run(capsys, subcommand + [example_file, "-s", token])
         assert (code, out) == (2, "")
         assert f"invalid mutation sequence entry {token!r}: expected an integer" in err
+
+    @pytest.mark.parametrize("subcommand", ["mutate", "verify-unfolding"])
+    @pytest.mark.parametrize("token, code, errors", [
+        (" 1", 0, ("", "")),
+        ("1,,2", 2, ("error: invalid mutation sequence entry '': expected an integer\n",) * 2),
+        ("+1", 2, ("error: invalid mutation sequence entry '+1': expected an integer\n",) * 2),
+        ("-1", 2, ("error: mutation direction -1 out of range 1..4\n",
+                   "error: orbit label -1 out of range 1..4\n")),
+        ("1_0", 2, ("error: invalid mutation sequence entry '1_0': expected an integer\n",) * 2),
+        ("\u0663", 2, ("error: invalid mutation sequence entry '\u0663': expected an integer\n",) * 2),
+        ("\uff11", 2, ("error: invalid mutation sequence entry '\uff11': expected an integer\n",) * 2),
+        ("1" * 1001, 2, ("error: mutation direction " + "1" * 1001 + " out of range 1..4\n",
+                         "error: orbit label " + "1" * 1001 + " out of range 1..4\n")),
+    ], ids=["space", "empty", "plus", "minus", "underscore", "arabic-indic", "fullwidth",
+            "1001-digits"])
+    def test_sequence_tokens_refused_byte_for_byte(self, capsys, example_file, subcommand,
+                                                   token, code, errors):
+        # exit codes and stderr bytes pinned as literals: int() takes "1_0"
+        # and "\uff11", and the command must not
+        argv = [subcommand, example_file, "-s", token]
+        if subcommand == "verify-unfolding":
+            argv += ["--m", "4"]
+        got_code, out, err = run(capsys, argv)
+        assert (got_code, err) == (code, errors[subcommand == "verify-unfolding"])
+        if code:
+            assert out == ""
+        elif subcommand == "mutate":
+            assert out == ("b:\n0 1 0 1\n-3 0 -1 0\n0 5 0 -2\n-1 0 3 0\n"
+                           "c:\n-1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+        else:
+            assert out == "commutes: true (steps 1, m 4)\n"
+
+    @needs_the_default_digit_limit
+    @pytest.mark.parametrize("subcommand, noun", [
+        (["mutate"], "mutation direction"),
+        (["verify-unfolding", "--m", "4"], "orbit label"),
+    ], ids=["mutate", "verify-unfolding"])
+    def test_direction_past_the_int_str_digit_limit_exit_2(self, capsys, example_file,
+                                                           subcommand, noun):
+        # 5,000 ones: the refusal names the token by its first 20 digits, as
+        # repr of a 5,000-digit int raises under the 4,300-digit limit
+        code, out, err = run(capsys, subcommand + [example_file, "-s", "1" * 5000])
+        assert (code, out) == (2, "")
+        assert err == f"error: {noun} {'1' * 20}... (5000 digits) out of range 1..4\n"
 
     def test_sequence_tokens_are_stripped(self, capsys, rank2_file):
         code, out, _ = run(capsys, ["mutate", rank2_file, "-s", " 1, 2 "])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -15,6 +17,10 @@ from quivermut import (
     MatrixFormatError,
     admissible_source_numbering,
     apply_sequence,
+    apply_sequence_framed,
+    brute_force_green_search,
+    build_piece,
+    build_truncation,
     check_total_mutability,
     classify,
     find_symmetrizer,
@@ -22,7 +28,9 @@ from quivermut import (
     is_acyclic,
     is_sign_skew_symmetric,
     is_skew_symmetric,
+    extend,
     mutate,
+    orbit_mutate,
     parse_matrix,
 )
 from quivermut.matrices import format_json, parse_int
@@ -347,6 +355,97 @@ class TestApplySequence:
     def test_composition(self):
         composed = mutate(mutate(example_matrix(), 1), 2)
         assert apply_sequence(example_matrix(), [1, 2]) == composed
+
+
+# 10**5000 has 5,001 digits, past CPython's default int/str limit of 4,300,
+# so repr(BIG) raises; a refusal names it by its first 20 digits instead.
+BIG = 10**5000
+BIG_TEXT = "10000000000000000000... (5001 digits)"
+needs_the_default_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="CPython's default int/str digit limit of 4,300 is not in force",
+)
+
+
+class Direction(enum.IntEnum):
+    ONE = 1
+    THREE = 3
+
+
+@needs_the_default_digit_limit
+class TestRefusalsPastTheDigitLimit:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: mutate(example_matrix(), BIG), IndexError,
+         f"mutation direction {BIG_TEXT} out of range 1..4"),
+        (lambda: mutate(example_matrix(), -BIG), IndexError,
+         f"mutation direction -{BIG_TEXT} out of range 1..4"),
+        (lambda: apply_sequence_framed(extend(example_matrix()), [1, BIG]), IndexError,
+         f"mutation direction {BIG_TEXT} out of range 1..4"),
+        (lambda: orbit_mutate(build_truncation(example_matrix(), 4), BIG), IndexError,
+         f"orbit label {BIG_TEXT} out of range 1..4"),
+        (lambda: build_piece(example_matrix(), BIG), IndexError,
+         f"piece center {BIG_TEXT} out of range 1..4"),
+        (lambda: extend(example_matrix()).c_column(BIG), IndexError,
+         f"c-vector column {BIG_TEXT} out of range 1..4"),
+        (lambda: check_total_mutability(example_matrix(), -BIG), ValueError,
+         f"search depth must be a positive integer, got -{BIG_TEXT}"),
+        (lambda: brute_force_green_search(extend(example_matrix()), -BIG), ValueError,
+         f"max_len must be a positive integer, got -{BIG_TEXT}"),
+        (lambda: build_truncation(example_matrix(), -BIG), ValueError,
+         f"truncation budget m must be a positive integer, got -{BIG_TEXT}"),
+    ], ids=["mutate", "mutate-negative", "apply_sequence_framed", "orbit_mutate",
+            "build_piece", "c_column", "check_total_mutability", "brute_force_green_search",
+            "build_truncation"])
+    def test_names_the_value_in_short(self, call, error, message):
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message
+
+    def test_values_within_the_limit_keep_their_repr(self):
+        most = 10**4300 - 1  # 4,300 nines: the longest int repr still gives
+        with pytest.raises(IndexError) as raised:
+            mutate(RANK2, -most)
+        assert str(raised.value) == f"mutation direction -{'9' * 4300} out of range 1..2"
+        with pytest.raises(IndexError) as raised:
+            mutate(RANK2, most + 1)
+        assert str(raised.value) == (
+            f"mutation direction 1{'0' * 19}... (4301 digits) out of range 1..2")
+
+
+class TestDirectionChecks:
+    """Refusals of bad directions, pinned as literals: the first bad one is
+    named, wherever it stands."""
+
+    @pytest.mark.parametrize("bad, message", [
+        (True, "mutation direction True out of range 1..4"),
+        (0, "mutation direction 0 out of range 1..4"),
+        (5, "mutation direction 5 out of range 1..4"),
+        (2.0, "mutation direction 2.0 out of range 1..4"),
+        ("1", "mutation direction '1' out of range 1..4"),
+        (None, "mutation direction None out of range 1..4"),
+        pytest.param(BIG, f"mutation direction {BIG_TEXT} out of range 1..4",
+                     marks=needs_the_default_digit_limit, id="5001-digits"),
+    ])
+    @pytest.mark.parametrize("placed", [
+        lambda bad: [bad, 1, 2],
+        lambda bad: [1, bad, 2, 0],
+        lambda bad: [1, 2, bad],
+    ], ids=["first", "middle", "last"])
+    def test_first_bad_direction_is_named(self, bad, message, placed):
+        seed = extend(example_matrix())
+        for apply, start in ((apply_sequence, seed.b), (apply_sequence_framed, seed)):
+            with pytest.raises(IndexError) as raised:
+                apply(start, placed(bad))
+            assert str(raised.value) == message
+            with pytest.raises(IndexError) as raised:
+                apply(start, iter(placed(bad)))
+            assert str(raised.value) == message
+
+    def test_int_subclasses_other_than_bool_pass(self):
+        seed = extend(example_matrix())
+        directions = [Direction.THREE, 2, Direction.ONE]
+        assert apply_sequence_framed(seed, directions) == apply_sequence_framed(seed, [3, 2, 1])
+        assert mutate(seed.b, Direction.THREE) == mutate(seed.b, 3)
 
 
 class TestTotalMutability:

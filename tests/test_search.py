@@ -202,6 +202,14 @@ def not_sign_skew_rows(rows) -> bool:
     return not is_sign_skew_symmetric(ExchangeMatrix(rows))
 
 
+def stepped(state, n, kk):
+    """The flat state mutated in direction kk, as a new tuple: _mutate_flat
+    steps a list in place."""
+    out = list(state)
+    _mutate_flat(out, n, kk)
+    return tuple(out)
+
+
 def test_step_local_tests_match_full_tests():
     # Every state within depth 3 whose parent passes the full test, in
     # every direction: the step-local test sees only what the step changed,
@@ -229,7 +237,7 @@ def test_step_local_tests_match_full_tests():
                     if full(parent):
                         continue
                     for kk in range(n):
-                        child = _mutate_flat(parent, n, kk)
+                        child = stepped(parent, n, kk)
                         verdict = full(child)
                         assert local(child, n, kk) == verdict, (parent, kk)
                         verdicts[local.__name__, verdict] += 1
@@ -256,7 +264,9 @@ def reference_green_search(seed: FramedSeed, max_len: int, step=_mutate_flat):
         if len(seq) == max_len:
             return
         for kk in greens:
-            walk(step(state, n, kk), seq + (kk + 1,), cs + (c,))
+            nxt = list(state)
+            step(nxt, n, kk)
+            walk(nxt, seq + (kk + 1,), cs + (c,))
 
     walk(_flat(seed.b.entries + seed.c), (), ())
     return sorted(found)
@@ -320,7 +330,7 @@ def first_violation(start, n, depth, bad):
         for k in range(1, n + 1):
             if k == last or (k < last and not row_last[k - 1] and not rows[k - 1][last - 1]):
                 continue
-            nxt = _mutate_flat(current, n, k - 1)
+            nxt = stepped(current, n, k - 1)
             seen.add(nxt)
             if len(seen) == size:
                 continue

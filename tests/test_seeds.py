@@ -43,6 +43,22 @@ NOT_SIGN_SKEW = ExchangeMatrix([[0, 1], [0, 0]])
 ANY_ENTRY = st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40))
 
 
+def textbook_mutate(rows, k):
+    """The extended matrix [B; C], as nested rows of length n, mutated in
+    direction k (1-based) entry by entry: row k and column k negate, and
+    every other x_ij gains sgn(x_ik)*max(x_ik*b_kj, 0), b_kj read in row k
+    before the step.  The oracle of the flat kernel, which it shares no
+    code with."""
+    kk = k - 1
+    b_k = rows[kk]
+
+    def sgn(x):
+        return (x > 0) - (x < 0)
+
+    return [[-x if i == kk or j == kk else x + sgn(row[kk]) * max(row[kk] * b_k[j], 0)
+             for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -224,6 +240,38 @@ class TestMutateFramed:
                     expected = x + sgn(row[kk]) * max(row[kk] * b[kk][j], 0)
                 got = mutated.b.entries[i][j] if i < n else mutated.c[i - n][j]
                 assert got == expected
+
+    def test_long_sink_sequence_matches_the_textbook_rule(self):
+        # 10,000 steps of the example's sink numbering 4,3,2,1: B comes back
+        # every 4 steps, with unit entries of both signs, and C's entries
+        # pass 4,300 digits near step 9,840
+        seq = [(4, 3, 2, 1)[i % 4] for i in range(10_000)]
+        seed = extend(example_matrix())
+        rows = [list(row) for row in seed.b.entries + seed.c]
+        for k in seq:
+            rows = textbook_mutate(rows, k)
+        assert max(abs(x) for row in rows for x in row) >= 10**4300
+        got = apply_sequence_framed(seed, seq)
+        assert [list(row) for row in got.b.entries + got.c] == rows
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_twenty_steps_match_the_textbook_rule(self, data):
+        # unit entries of both signs in B, wide ones, and a nonzero diagonal,
+        # whose row the kernel negates from the row it saved
+        n = data.draw(st.integers(1, 5))
+        b_entry = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-10**40, 10**40))
+        b = data.draw(st.lists(st.lists(b_entry, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        c = data.draw(st.lists(st.lists(st.integers(-10**40, 10**40), min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        seq = data.draw(st.lists(st.integers(1, n), min_size=20, max_size=20))
+        rows = b + c
+        for k in seq:
+            rows = textbook_mutate(rows, k)
+        got = apply_sequence_framed(FramedSeed(ExchangeMatrix(b), c), seq)
+        assert [list(row) for row in got.b.entries + got.c] == rows
+        assert [list(row) for row in apply_sequence(ExchangeMatrix(b), seq).entries] == rows[:n]
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
