@@ -30,9 +30,15 @@ Orbit-mutation has two paths, which share the gate `_orbit_targets`
 (mutations, radius drop, count).  The public `orbit_mutate` copies and
 mutates the whole truncation.
 `verify_unfolding_commutation` replays on one private working quiver
-through `_replay`, mutating fewer vertices with the same fold; the
-docstrings of `_replay` and `verify_unfolding_commutation` argue which
-vertices, and why.
+through `_replay`, mutating fewer vertices with the same fold: its final
+step mutates the fold cone, and each earlier step the label-k vertices in
+a depth band around the root and in a ball, by distance in the gluing
+tree, around the fold representatives (_ball_schedule).  A fresh
+truncation keeps its gluing tree (`_parents`), whose numbering puts each
+vertex's descendants at one depth in one id range, so the balls are cut
+by bisection (_ball_cuts) without walking them.  The docstrings of
+`_replay` and `verify_unfolding_commutation` argue which vertices, and
+why.
 
 A quiver stores its arrows in `adj`, a list with one dict per vertex id:
 ids are dense, 0..V-1, so a vertex's id is its position in the list.
@@ -46,21 +52,26 @@ frozen one.
 from __future__ import annotations
 
 import copy
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from threading import Lock
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .matrices import (
     ExchangeMatrix, IntMatrix, _check_index, _flat, _is_int, _mutate_flat, _pattern_walk,
-    _require_positive,
+    _require_positive, _show,
 )
 from .seeds import FramedSeed, admissible_source_numbering, identity_rows
 
-# σ_s, the largest depth difference along an arrow after s orbit-mutations
-# of a fresh truncation: the replay in verify_unfolding_commutation cuts its
-# steps at depths derived from them (_ball_limits); its docstring proves all
-# three bounds.
+# δ_s, the largest distance in the gluing tree (_glue's parents) between
+# the ends of an arrow after s orbit-mutations of a fresh truncation: the
+# replay in verify_unfolding_commutation cuts each step to a ball around
+# the fold representatives whose radius sums them (_ball_schedule).
+# δ_0 = 1: the fresh arrows are the tree's edges.  δ_1 = 2: step 1 joins
+# two tree neighbors of one target.  δ_2 = 3: at a step-2 target the
+# arrows step 1 made all point one way, so a new arrow joins an end of
+# one of them, at distance 2, to a tree neighbor, at distance 1, and the
+# triangle inequality gives 3.  That docstring proves all three.
 _SPANS = (1, 2, 3)
 
 # The most orbit-mutations of an incomplete quiver after which its
@@ -71,11 +82,12 @@ _SPANS = (1, 2, 3)
 _TRUSTED_STEPS = 4
 
 # The most vertices one truncation or piece may have, checked before it is
-# built (_count_rings).  A built truncation takes ≈313 bytes a vertex, so
-# about 0.63 GB at the cap (tracemalloc on the framed running example at
-# m = 8, CPython 3.11.7).  The running example at m = 10 has 554,348
-# vertices framed and 417,961 unframed, the largest truncation the tests
-# build.
+# built (_count_rings).  A built truncation takes ≈341 bytes a vertex, so
+# about 0.68 GB at the cap (tracemalloc on the framed running example at
+# m = 8 and 10, CPython 3.11.7), 8 of them for the gluing tree it keeps
+# (`_parents`), whose ids the arrows already hold.  The running example at
+# m = 10 has 554,348 vertices framed and 417,961 unframed, the largest
+# truncation the tests build.
 _MAX_VERTICES = 2_000_000
 
 Adjacency = list[dict[int, int]]
@@ -131,9 +143,13 @@ class LabeledQuiver:
     complete and entries are trusted; None means the quiver is the whole
     (finite) unfolding and never loses interior.  `_steps` counts the
     orbit-mutations taken: 0 when constructed, carried over by
-    `copy.copy`, and 1 more after each step (`_orbit_step`).  Equality
-    ignores the derived `core_depth`, class index and label index and the
-    step count; a mutable quiver has no hash.
+    `copy.copy`, and 1 more after each step (`_orbit_step`).  `_parents`
+    is the gluing tree of a fresh truncation, each vertex's parent id and
+    -1 at the root (_glue), set by _grow and shared by copies; it
+    describes the arrows of the build, not those of later mutations, and
+    is None on a quiver made otherwise.  Equality ignores the derived
+    `core_depth`, class index and label index, the step count and the
+    gluing tree; a mutable quiver has no hash.
     """
 
     n_labels: int
@@ -147,6 +163,7 @@ class LabeledQuiver:
     _classes: tuple[int, ...] = field(init=False, compare=False)
     _label_ids: dict[int, tuple[int, ...]] = field(init=False, compare=False)
     _steps: int = field(default=0, init=False, compare=False)
+    _parents: Optional[list[int]] = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_positive(self.n_labels, "n_labels")
@@ -165,13 +182,13 @@ class LabeledQuiver:
             labels = [label for label in labels if not _is_int(label)][:1] or labels
         for label in (min(labels, default=1), max(labels, default=1)):
             if not _is_int(label) or not 1 <= label <= self.n_labels:
-                raise ValueError(f"label {label!r} is not in 1..{self.n_labels}")
+                raise ValueError(f"label {_show(label)} is not in 1..{self.n_labels}")
         # the same for frozen, which takes bools only, and depths, which take
         # ints but not bools: the first entry of the wrong type is refused
         if set(map(type, self.frozen)) - {bool}:
             for f in self.frozen:
                 if not isinstance(f, bool):
-                    raise ValueError(f"frozen entry {f!r} is not a bool")
+                    raise ValueError(f"frozen entry {_show(f)} is not a bool")
         if set(map(type, self.depths)) - {int}:
             for d in self.depths:
                 if not _is_int(d):
@@ -227,7 +244,7 @@ class LabeledQuiver:
     def _vertex(self, v: object) -> int:
         """v, when it is a vertex id in 0..V-1; IndexError naming it otherwise."""
         if not _is_int(v) or not 0 <= v < len(self.labels):
-            raise IndexError(f"vertex {v!r} out of range 0..{len(self.labels) - 1}")
+            raise IndexError(f"vertex {_show(v)} out of range 0..{len(self.labels) - 1}")
         return v
 
     def is_interior(self, v: int) -> bool:
@@ -259,7 +276,8 @@ class LabeledQuiver:
 
     def __copy__(self) -> LabeledQuiver:
         """A new quiver whose every slot is this one's object: the same `adj`
-        list, vertex arrays and derived fields, and the same step count.
+        list, vertex arrays, derived fields and gluing tree, and the same
+        step count.
         Rebinding a slot of the copy leaves this quiver as it is.  The slots
         are assigned one by one, skipping `copy.copy`'s reduce protocol,
         which took about 3 µs a copy against 0.4 µs (CPython 3.11.7); the
@@ -276,6 +294,7 @@ class LabeledQuiver:
         twin._classes = self._classes
         twin._label_ids = self._label_ids
         twin._steps = self._steps
+        twin._parents = self._parents
         return twin
 
     def __repr__(self) -> str:
@@ -422,13 +441,16 @@ def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQ
     """Build the fresh truncation that _glue numbers, with the counted radius.
 
     Each vertex's dict holds its parent first, then its children by id.
+    The quiver keeps the walk's parents as its gluing tree (`_parents`).
     """
     labels, frozen, depths, parents, signs = _glue(matrix, framed, counts)
     adj: Adjacency = [{}] + [{parent: -sign} for parent, sign in zip(parents[1:], signs[1:])]
     for v, parent, sign in zip(range(1, len(labels)), parents[1:], signs[1:]):
         adj[parent][v] = sign
-    return LabeledQuiver(n_labels=matrix.n, framed=framed, labels=labels, frozen=frozen,
-                         depths=depths, adj=adj, interior_radius=counts[2])
+    quiver = LabeledQuiver(n_labels=matrix.n, framed=framed, labels=labels, frozen=frozen,
+                           depths=depths, adj=adj, interior_radius=counts[2])
+    quiver._parents = parents
+    return quiver
 
 
 def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQuiver:
@@ -554,7 +576,7 @@ def _require_label(quiver: LabeledQuiver, label: object) -> tuple[int, ...]:
     as for a label that is absent, out of range or no int."""
     ids = quiver.mutable_ids(label)
     if not ids:
-        raise ValueError(f"label {label!r} missing from quiver")
+        raise ValueError(f"label {_show(label)} missing from quiver")
     return ids
 
 
@@ -722,7 +744,7 @@ def _representative(quiver: LabeledQuiver, label: int, rep: object = _SHALLOWEST
     if rep is _SHALLOWEST:
         rep = quiver.mutable_ids(label)[0]
     elif not _is_int(rep) or not 0 <= rep < quiver.vertex_count or quiver.frozen[rep]:
-        raise ValueError(f"representative {rep!r} is not a mutable vertex")
+        raise ValueError(f"representative {_show(rep)} is not a mutable vertex")
     elif quiver.labels[rep] != label:
         raise ValueError(
             f"representative {rep} has label {quiver.labels[rep]}, expected {label}"
@@ -736,7 +758,7 @@ def _representative(quiver: LabeledQuiver, label: int, rep: object = _SHALLOWEST
     n = len(adj)
     for u, mult in adj[rep].items():
         if type(u) is not int or not 0 <= u < n or adj[u].get(rep) != -mult:
-            raise ValueError(f"representative {rep} has a malformed arrow to {u!r}")
+            raise ValueError(f"representative {rep} has a malformed arrow to {_show(u)}")
     return rep
 
 
@@ -746,7 +768,7 @@ def _resolve_representatives(
     for key in representatives or ():
         if not _is_int(key) or not 1 <= key <= quiver.n_labels:
             raise ValueError(
-                f"representative key {key!r} is not a label in 1..{quiver.n_labels}"
+                f"representative key {_show(key)} is not a label in 1..{quiver.n_labels}"
             )
     chosen: dict[int, int] = {}
     for label in range(1, quiver.n_labels + 1):
@@ -827,20 +849,80 @@ def _fold_cone(quiver: LabeledQuiver, k: int, reps: Iterable[int]) -> list[int]:
     return sorted(cone, key=lambda v: (depths[v], v))
 
 
-def _ball_limits(
+def _ball_schedule(
     quiver: LabeledQuiver, steps: int, reps: Collection[int]
-) -> Optional[list[int]]:
-    """The depth down to which each of steps 1..steps-1 mutates its label, or
-    None for every label-k vertex; verify_unfolding_commutation derives it."""
+) -> Optional[list[tuple[int, int]]]:
+    """(a_s, b_s) for each of steps 1..steps-1: step s + 1 mutates the label-k
+    vertices at depth <= a_s and those within tree distance b_s of a
+    representative.  None, for every label-k vertex, when there is no such
+    step, on a quiver _grow did not build, on a complete one, for more
+    steps than _SPANS has spans, and when the balls would reach past the
+    interior or more than one ring past a band.
+    verify_unfolding_commutation derives it."""
     radius = quiver.interior_radius
-    if radius is None or steps > len(_SPANS):
+    if not 1 < steps <= len(_SPANS) or radius is None or quiver._parents is None:
         return None
-    fold = 1 + max(quiver.depths[rep] for rep in reps)
-    need, limits = fold, []
-    for s in reversed(range(steps)):
-        limits.insert(0, need + _SPANS[s] - 1)
-        need = max(need + _SPANS[s], fold, radius - 2 * s + 1 if s else 0)
-    return limits[:-1] if need <= radius + 1 else None
+    reach = max(map(quiver.depths.__getitem__, reps))
+    # Need_{L-1}: the band r_{L-1} and the ball of radius δ_{L-1} around the
+    # representatives, which are Need_L
+    band, ball = radius - 2 * (steps - 1), _SPANS[steps - 1]
+    schedule = []
+    for s in range(steps - 2, -1, -1):
+        band = max(band + _SPANS[s], radius - 2 * s) if s else band + _SPANS[s]
+        ball += _SPANS[s]
+        if reach + ball > band + 1:
+            return None
+        schedule.append((band, ball))
+    if band > radius or reach + ball > radius:
+        return None
+    schedule.reverse()
+    return schedule
+
+
+def _ball_cuts(
+    quiver: LabeledQuiver, schedule: Iterable[tuple[int, int]], reps: Iterable[int]
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """For each (band, ball) of a schedule of _ball_schedule, band and the id
+    ranges, disjoint and in order, whose mutable vertices are exactly those
+    deeper than band within tree distance ball of a representative.
+
+    The schedule keeps every representative's depth e within
+    e + ball <= band + 1.  A vertex within distance ball of a
+    representative lies at most ball deeper, so the vertices sought lie at
+    depth band + 1, and only below representatives at depth
+    band + 1 - ball, each of which they descend from: a path that climbed
+    from the representative first would end shallower.  They are its
+    descendants `ball` arrows below it.  The quiver is one _grow built, so
+    `_parents` is its gluing tree.  _glue expands vertices in id order, so
+    the parents are nondecreasing, and the children of an id range
+    [lo, hi) are the ids from the first whose parent is lo to the first
+    whose parent is hi: two bisections, past hi, as children come after
+    their ring.  By induction a vertex's descendants g arrows below it are
+    one range: its mutable descendants at its depth + g, and the frozen
+    copies of those at its depth + g - 1, which have no children.
+    Representatives at one depth have disjoint descendants, so the ranges
+    are disjoint.  Each representative's ranges are bisected once a call,
+    for all steps.
+    """
+    parents = quiver._parents
+    depths = quiver.depths
+    below: dict[int, list[tuple[int, int]]] = {}
+    cuts = []
+    for band, ball in schedule:
+        ranges = []
+        for rep in reps:
+            if depths[rep] + ball > band:
+                generations = below.get(rep)
+                if generations is None:
+                    generations = below[rep] = [(rep, rep + 1)]
+                lo, hi = generations[-1]
+                for _ in range(len(generations), ball + 1):
+                    lo, hi = bisect_left(parents, lo, hi), bisect_left(parents, hi, hi)
+                    generations.append((lo, hi))
+                ranges.append(generations[ball])
+        ranges.sort()
+        cuts.append((band, ranges))
+    return cuts
 
 
 def _replay(
@@ -864,10 +946,17 @@ def _replay(
     among them.  After that step the representatives' arrows, and so the
     fold, which sums nothing else, are those of the step orbit_mutate
     takes, which mutates every label-k vertex.  An earlier step s + 1
-    mutates the label-k vertices down to the depth that _ball_limits gives
-    it, which verify_unfolding_commutation derives backward from the
-    depths that later Γ scans and folds read, through the spans _SPANS;
-    without a schedule it mutates every label-k vertex.
+    mutates the label-k vertices at depth <= a_s, a prefix of the label's
+    (depth, id) order cut by one bisection, and those within distance b_s
+    of a representative in the gluing tree, read off the id ranges of
+    _ball_cuts by two bisections each.  _ball_schedule gives (a_s, b_s);
+    verify_unfolding_commutation derives them backward from what later Γ
+    scans and folds read, through the spans _SPANS, and shows that these
+    vertices hold every one the step must mutate.  The ranges are found
+    once a call, for all steps.  On a grown quiver the
+    label's ids are in depth order already, so the prefix and the ranges
+    join in (depth, id) order.  Without a schedule, as on a quiver _grow
+    did not build, every step but the last mutates every label-k vertex.
 
     Why the cone is exact.  A vertex mutation at t writes only arrows
     between vertices of t's closed neighborhood, and reads only the
@@ -917,16 +1006,21 @@ def _replay(
     work = copy.copy(quiver)
     adj = work.adj = quiver.adj.copy()
     last = len(directions)
-    limits = _ball_limits(quiver, last, reps)
+    schedule = _ball_schedule(quiver, last, reps)
+    cuts = None if schedule is None else _ball_cuts(quiver, schedule, reps)
     scan: Iterable[int] = ()
     yield 0, work
     for step, k in enumerate(directions, start=1):
         targets = _orbit_targets(work, k, scan)
         if step == last:
             targets = _fold_cone(work, k, reps)
-        elif limits is not None:
-            limit = limits[step - 1]
-            targets = targets[:bisect_right(targets, limit, key=work.depths.__getitem__)]
+        elif cuts is not None:
+            band, ranges = cuts[step - 1]
+            cut = targets[:bisect_right(targets, band, key=work.depths.__getitem__)]
+            for lo, hi in ranges:
+                lo = bisect_left(targets, lo)
+                cut += targets[lo:bisect_left(targets, hi, lo)]
+            targets = cut
         around = set(targets).union(*map(adj.__getitem__, targets))
         for v in around:
             if adj[v] is quiver.adj[v]:
@@ -955,10 +1049,12 @@ def verify_unfolding_commutation(
     It writes to one working quiver instead of copying the truncation per
     step.  The final step mutates only its fold cone, the label-k vertices
     that can reach a representative's arrows; each earlier step, only the
-    label-k vertices down to its depth in the ball schedule below.  The Γ check scans only
-    the vertices the previous step touched.  _replay argues the cone and
-    the scan.  Representatives are chosen once, since mutation moves no
-    label or depth, and folding sums only their neighborhoods.
+    label-k vertices in a depth band around the root and in a ball around
+    the representatives, by distance in the gluing tree (the ball schedule
+    below).  The Γ check scans only the vertices the previous step
+    touched.  _replay argues the cone and the scan.  Representatives are
+    chosen once, since mutation moves no label or depth, and folding sums
+    only their neighborhoods.
 
     The truncation.  Repeated calls on one (matrix, m) replay one framed
     build, kept in _truncations and only read.  m is checked here, before
@@ -970,62 +1066,80 @@ def verify_unfolding_commutation(
     build would take it past 64 builds or past _MAX_VERTICES vertices;
     _count_rings refuses any build above _MAX_VERTICES, so every build
     fits alone, and the cache never holds more than one build at the cap
-    could take (≈0.63 GB), where 64 builds alone could take 64 times that.
+    could take (≈0.68 GB), where 64 builds alone could take 64 times that.
 
     The ball schedule.  Take two replays that apply the same vertex
     mutations in the same order, except that one skips some.  Mutating at
     t changes only arrows inside t's closed neighborhood, and changes them
     alike in both replays when t's arrows agree.  So the replays come to
     disagree at a vertex only next to a skipped vertex, or next to a
-    vertex mutated while they already disagree at it.  Let f_s be the
-    least depth at which the replay may disagree with the infinite
-    unfolding after s steps, g_s the least depth of a target it skips at
-    step s + 1, and σ_s a bound on the depth difference along an arrow of
-    either after s steps.  Then f_{s+1} >= min(f_s, g_s) - σ_s, and
-    f_0 = r_0 + 1, as the truncation lacks the neighbors of its outer
-    ring.  Work backward from what later checks read.  Every prefix is
-    folded at representatives down to depth d, and the Γ scan before step
-    s + 1 reads arrows down to r_s = r_0 - 2s, so after s steps we need
-    f_s >= need_s, where need_L = d + 1 and, for s < L,
-    need_s = max(need_{s+1} + σ_s, r_s + 1 if s >= 1, d + 1).  Step s + 1
-    keeps f_{s+1} >= need_{s+1} when it mutates down to depth
-    need_{s+1} + σ_s - 1, given f_s >= need_s; by induction all of it
-    holds when need_0 <= r_0 + 1 (_ball_limits).  The final step takes its
-    cone, which has the fold of the whole step.  When need_0 > r_0 + 1, on
-    a complete quiver, and for more steps than _SPANS has spans, each step
-    but the last mutates every label-k vertex.
+    vertex mutated while they already disagree at it.  Distances are
+    those of the gluing tree (_glue's parents; the truncation's tree is
+    the ball of the unfolding's around the root), N_b(X) is the set of
+    vertices within distance b of X, and the span of an arrow is the
+    distance between its ends.  Let D_s be the vertices at which the
+    replay may disagree with the infinite unfolding after s steps, S_s the
+    label-k targets that step s skips, and δ_s a bound on the span of an
+    arrow of either after s steps.  Then D_{s+1} lies in
+    N_{δ_s}(D_s ∪ S_{s+1}), and D_0 is the vertices deeper than r_0, as the
+    truncation lacks the neighbors of its outer ring.  Work backward from
+    what later checks read.  Every prefix is folded at the representatives,
+    and the Γ scan before step s + 1 reads arrows down to depth
+    r_s = r_0 - 2s, so after s steps D_s must miss Need_s, where Need_L is
+    the representatives and, for s < L,
+    Need_s = N_{δ_s}(Need_{s+1}) ∪ {depth <= r_s if s >= 1} ∪ reps.  Step
+    s + 1 mutates every label-k vertex of Need_s; so when D_s misses
+    Need_s, which holds N_{δ_s}(Need_{s+1}), D_{s+1} misses Need_{s+1}.
+    Need_s grows as s falls, so by induction all of it holds when
+    Need_0 ⊆ {depth <= r_0}: D_0 then misses it, and every vertex a step
+    must mutate is in the truncation.  The final step takes its cone,
+    which has the fold of the whole step.
 
-    The spans (_SPANS) are σ_0 = 1: a fresh truncation is a tree whose
-    arrows join a vertex to its child or its frozen copy at its own depth.
-    σ_1 = 2: same-label vertices of the tree are never adjacent, so each
-    step-1 target is mutated with its tree neighbors, and each arrow it
-    adds joins two of them.  σ_2 = 3.  The general bound 2σ_1 = 4 (a new
-    arrow joins two neighbors of one target) leaves no schedule for three
-    steps at m = 8, so this one uses the orientations of the tree.  Let
-    step 1 be at label k.  It never joins two vertices of one label: two
-    same-label neighbors of a target s point the same way at s (the Γ
-    argument in _replay's docstring), while a mutation at s joins an
-    in-neighbor to an out-neighbor.  So the step-2 targets, like the
-    step-1 ones, are pairwise non-adjacent, and each is mutated with its
-    arrows after step 1.  A step-2 target t labeled k is adjacent to no
-    step-1 target, so it has its tree arrows alone, reversed if step 1
-    mutated it, and its mutation adds spans of at most 2.  For t of
+    In a tree N_b(N_c(X)) = N_{b+c}(X), and N_b of the vertices at depth
+    <= a lies at depth <= a + b, so Need_s lies in
+    {depth <= a_s} ∪ N_{b_s}(reps), where a_s = max(a_{s+1} + δ_s, r_s if
+    s >= 1) and b_s = b_{s+1} + δ_s, from no band and b_L = 0
+    (_ball_schedule); mutating the label-k vertices of that larger set is
+    as exact.  With representatives down to depth d the test reads
+    a_0 <= r_0 and d + b_0 <= r_0.  Through three steps it also gives
+    d + b_s <= a_s + 1 at every step, so each ball passes its band by one
+    ring at most, which _ball_cuts reads off the tree by bisection.  When
+    the test fails, on a complete quiver, on one _grow did not build, and
+    for more steps than _SPANS has spans, each step but the last mutates
+    every label-k vertex.
+
+    The spans (_SPANS) are δ_0 = 1: a fresh truncation's arrows are the
+    edges of its tree.  δ_1 = 2: same-label vertices of the tree are never
+    adjacent, so each step-1 target is mutated with its tree neighbors,
+    and each arrow it adds joins two of them.  δ_2 = 3.  The general bound
+    2δ_1 = 4 (a new arrow joins two neighbors of one target) leaves no
+    schedule for three steps at m = 8, so this one uses the orientations
+    of the tree.  Let step 1 be at label k.  It never joins two vertices
+    of one label: two same-label neighbors of a target s point the same
+    way at s (the Γ argument in _replay's docstring), while a mutation at
+    s joins an in-neighbor to an out-neighbor.  So the step-2 targets,
+    like the step-1 ones, are pairwise non-adjacent, and each is mutated
+    with its arrows after step 1.  A step-2 target t labeled k is adjacent
+    to no step-1 target, so it has its tree arrows alone, reversed if
+    step 1 mutated it, and its mutation adds spans of at most 2.  For t of
     another label, each arrow that step 1 creates at t comes from a
     label-k neighbor s of t: it points out of t when t -> s, into t when
     s -> t.  All of t's label-k neighbors point the same way, so all these
-    arrows do; each spans at most 2 (σ_1), and every other arrow at t at
+    arrows do; each spans at most 2 (δ_1), and every other arrow at t at
     most 1.  Mutating t joins an in-neighbor to an out-neighbor, at most
-    one of which lies across a span-2 arrow, so the new arrow spans at
-    most 2 + 1 = 3.  The argument holds for the replay and the infinite
-    unfolding alike: a skipped target (the ball cut) or a missing outer
-    neighbor only takes arrows away.  Two steps of the orbit_mutate chain
-    over the test corpus reach a span of 3 (TestTrustedBallReplay), so
-    the bound is tight.  No σ_3 is known, and the old radius + 1 cut
-    through four steps diverged at step 4 (corpus matrix
-    3 / 0 -1 0 / 2 0 -3 / 0 1 0 along 2,3,1,2 at m = 10).  At m = 2L + 2
-    the schedule skips the two outer rings at step 1 of two steps and the
-    outer one at step 1 of three; one ring less at step 2 of three
-    diverges (the example along 3,4,2 at m = 8).
+    one of which lies across a span-2 arrow, so by the triangle inequality
+    through t the new arrow spans at most 2 + 1 = 3.  The argument holds
+    for the replay and the infinite unfolding alike: a skipped target
+    (the ball cut) or a missing outer neighbor only takes arrows away.
+    Two steps of the orbit_mutate chain over the test corpus reach a span
+    of 3, in tree distance and in depth (TestTrustedBallReplay), so the
+    bound is tight.  No δ_3 is known, and the old radius + 1 cut through
+    four steps diverged at step 4 (corpus matrix 3 / 0 -1 0 / 2 0 -3 /
+    0 1 0 along 2,3,1,2 at m = 10).  At m = 2L + 2 the band skips the two
+    outer rings at step 1 of two steps, where the ball stays inside it,
+    and the outer one at step 1 of three, where the ball adds the ring
+    below the deepest representatives; a ball one less in radius at step
+    2 of three diverges (the example along 3,4,2 at m = 8).
     """
     directions = tuple(directions)
     _require_positive(m, "truncation budget m")

@@ -467,9 +467,9 @@ class TestVerifyUnfolding:
         assert (code, out) == (0, "commutes: true (steps 4, m 10)\n")
 
     def test_divergence_exit_1(self, capsys, example_file, monkeypatch):
-        # step 2 of three cut one ring shallower than the ball schedule
-        # (_ball_limits) gives a fold that differs after step 3
-        monkeypatch.setattr(unfolding, "_ball_limits", one_ring_less_at_step_2)
+        # step 2 of three cut to a ball one less in radius than the
+        # schedule's (_ball_schedule) gives a fold that differs after step 3
+        monkeypatch.setattr(unfolding, "_ball_schedule", one_ring_less_at_step_2)
         argv = ["verify-unfolding", example_file, "-s", "3,4,2", "--m", "8"]
         code, out, err = run(capsys, argv)
         assert (code, err) == (1, "")

@@ -36,12 +36,13 @@ from quivermut import (
 from quivermut import unfolding
 from quivermut.unfolding import (
     _representative as _default_representative,
-    _ball_limits,
+    _ball_schedule,
     _count_rings,
     _fold_rows,
     _gamma_witnesses,
     _glue,
     _mutate_vertex,
+    _orbit_step,
     _replay,
     _tree_dot,
     _truncation_counts,
@@ -1039,7 +1040,31 @@ def full_length_sequences(n: int, length: int) -> list[tuple[int, ...]]:
     ]
 
 
-def check_replay_against_orbit_mutate(matrix, m, lengths, monkeypatch, spans) -> int:
+def tree_distances(parents):
+    """The distance between two vertices in the gluing tree given by
+    parents (_glue's), through their lowest common ancestor, memoised."""
+    levels = [0] * len(parents)  # arrows up to the root
+    for v in range(1, len(parents)):
+        levels[v] = levels[parents[v]] + 1
+    memo = {}
+
+    def distance(u, w):
+        key = (u, w) if u < w else (w, u)
+        if key not in memo:
+            a, b, steps = u, w, 0
+            while a != b:
+                if levels[a] < levels[b]:
+                    a, b = b, a
+                a, steps = parents[a], steps + 1
+            memo[key] = steps
+        return memo[key]
+
+    return distance
+
+
+def check_replay_against_orbit_mutate(
+    matrix, m, lengths, monkeypatch, spans, tree_spans
+) -> int:
     """Drive the replay along every pruned sequence of each length in
     lengths, each as a sequence of its own, and compare each state with the
     whole-truncation orbit_mutate chain.
@@ -1049,9 +1074,10 @@ def check_replay_against_orbit_mutate(matrix, m, lengths, monkeypatch, spans) ->
     the last, every interior vertex must have exactly the reference's
     arrows; after every step, the fold-cone last step included, the fold
     must agree; and each Γ verdict the replay takes must equal the full
-    interior scan of the reference.  spans[s] is raised to the largest
-    depth difference along an arrow of a reference state after s steps.
-    Returns the number of states compared.
+    interior scan of the reference.  spans[s] and tree_spans[s] are raised
+    to the largest depth difference and the largest distance in the
+    gluing tree (the fresh truncation's `_parents`) along an arrow of a
+    reference state after s steps.  Returns the number of states compared.
     """
     verdicts = []
 
@@ -1093,10 +1119,13 @@ def check_replay_against_orbit_mutate(matrix, m, lengths, monkeypatch, spans) ->
             folded = folding(ref)
             assert _fold_rows(work, reps) == folded.b.entries + folded.c, (seq, step)
             compared += 1
+    distance = tree_distances(base._parents)
     for prefix, ref in reference.items():
         depths = ref.depths
         span = max(abs(depths[u] - depths[w]) for u, d in enumerate(ref.adj) for w in d)
         spans[len(prefix)] = max(spans.get(len(prefix), 0), span)
+        span = max(distance(u, w) for u, d in enumerate(ref.adj) for w in d if u < w)
+        tree_spans[len(prefix)] = max(tree_spans.get(len(prefix), 0), span)
     return compared
 
 
@@ -1240,6 +1269,35 @@ class TestVertexArguments:
                     states += 1
         assert states == 2 * sum(1 + matrix.n for matrix in corpus_matrices()[:20])
 
+    # an int past the int/str digit limit, whose repr raises ValueError, and
+    # how a refusal names it: sign, first 20 digits and digit count
+    BIG = 10**5000
+    SHOWN = "10000000000000000000... (5001 digits)"
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda q, big: LabeledQuiver(n_labels=1, framed=False, labels=(big,), frozen=(False,),
+                                      depths=(0,), adj=[{}], interior_radius=None),
+         ValueError, "label {} is not in 1..1"),
+        (lambda q, big: LabeledQuiver(n_labels=1, framed=False, labels=(1,), frozen=(big,),
+                                      depths=(0,), adj=[{}], interior_radius=None),
+         ValueError, "frozen entry {} is not a bool"),
+        (lambda q, big: q.entry(big, 0), IndexError, "vertex {} out of range 0..3"),
+        (lambda q, big: folding_column(q, big), ValueError, "label {} missing from quiver"),
+        (lambda q, big: folding(q, {1: big, 2: 2}), ValueError,
+         "representative {} is not a mutable vertex"),
+        (lambda q, big: folding(q, {big: 0}), ValueError,
+         "representative key {} is not a label in 1..2"),
+        (lambda q, big: folding(LabeledQuiver(n_labels=1, framed=False, labels=(1, 1),
+                                              frozen=(False, False), depths=(0, 1),
+                                              adj=[{big: 1}, {}], interior_radius=None)),
+         ValueError, "representative 0 has a malformed arrow to {}"),
+    ], ids=["label", "frozen-entry", "vertex", "missing-label", "representative",
+            "representative-key", "malformed-arrow"])
+    def test_int_past_the_digit_limit_is_named_in_the_refusal(self, call, error, message):
+        # each once raised the int/str-limit ValueError from its own {!r}
+        with pytest.raises(error, match=rf"^{re.escape(message.format(self.SHOWN))}$"):
+            call(self.QUIVER, self.BIG)
+
     def test_vertices_in_range_are_read(self):
         assert all(self.QUIVER.is_interior(v) for v in range(4))
         # the arrow 0 -> 1 into label 1's frozen copy
@@ -1295,53 +1353,56 @@ class TestMutationKernel:
 
 
 def one_ring_less_at_step_2(quiver, steps, reps):
-    """_ball_limits with step 2 of three cut one ring shallower than its schedule."""
-    limits = _ball_limits(quiver, steps, reps)
-    assert steps == 3 and limits is not None
-    return [limits[0], limits[1] - 1]
+    """_ball_schedule with step 2 of three cut to a ball around the
+    representatives one less in radius than its schedule's."""
+    schedule = _ball_schedule(quiver, steps, reps)
+    assert steps == 3 and schedule is not None
+    (band_1, ball_1), (band_2, ball_2) = schedule
+    return [(band_1, ball_1), (band_2, ball_2 - 1)]
 
 
 class TestTrustedBallReplay:
     """The replay inside verify_unfolding_commutation against orbit_mutate.
 
-    Before its final step the replay mutates only the label-k vertices down
-    to the depth its ball schedule (_ball_limits) gives that step; these
-    tests hold it to the whole-truncation reference on every interior
-    vertex, which is what the derivation in verify_unfolding_commutation's
-    docstring claims, pin the schedule, and measure the spans σ_0, σ_1 and
-    σ_2 that it rests on.  The final step mutates only the fold cone, so
-    there they compare the fold.
+    Before its final step the replay mutates only the label-k vertices in
+    the depth band and the tree-distance ball around the representatives
+    that its schedule (_ball_schedule) gives that step; these tests hold
+    it to the whole-truncation reference on every interior vertex, which
+    is what the derivation in verify_unfolding_commutation's docstring
+    claims, pin the schedule, and measure the spans δ_0, δ_1 and δ_2 that
+    it rests on, as tree distances and as depth differences.  The final
+    step mutates only the fold cone, so there they compare the fold.
     """
 
     def test_interior_matches_orbit_mutate_on_corpus(self, monkeypatch):
         compared = 0
-        spans = {}
+        spans, tree_spans = {}, {}
         for matrix in corpus_matrices()[1:]:
             compared += check_replay_against_orbit_mutate(
-                matrix, 8, (1, 2, 3), monkeypatch, spans
+                matrix, 8, (1, 2, 3), monkeypatch, spans, tree_spans
             )
         # 15 n=2, 15 n=3 and 20 n=4 matrices with n, n(n-1) and n(n-1)^2
         # sequences of lengths 1, 2 and 3, passing through 2, 3 and 4 states
         assert compared == 15 * (2 * 2 + 2 * 3 + 2 * 4) + 15 * (3 * 2 + 6 * 3 + 12 * 4) + 20 * (
             4 * 2 + 12 * 3 + 36 * 4
         )
-        assert [spans[s] for s in range(3)] == [1, 2, 3]
+        assert [spans[s] for s in range(3)] == [tree_spans[s] for s in range(3)] == [1, 2, 3]
 
     def test_interior_matches_orbit_mutate_at_m_2l_plus_3(self, monkeypatch):
         # one ring more budget than the least: the schedule cuts deeper
         # below the outer ring, r - 1 at step 1 of two and of three steps
         compared = 0
-        spans = {}
+        spans, tree_spans = {}, {}
         for matrix in corpus_matrices()[1::5]:
             for length in (1, 2, 3):
                 compared += check_replay_against_orbit_mutate(
-                    matrix, 2 * length + 3, (length,), monkeypatch, spans
+                    matrix, 2 * length + 3, (length,), monkeypatch, spans, tree_spans
                 )
         # corpus 1, 6, 11 (n=2), 16, 21, 26 (n=3), 31, 36, 41, 46 (n=4)
         assert compared == 3 * (2 * 2 + 2 * 3 + 2 * 4) + 3 * (3 * 2 + 6 * 3 + 12 * 4) + 4 * (
             4 * 2 + 12 * 3 + 36 * 4
         )
-        assert [spans[s] for s in range(3)] == [1, 2, 3]
+        assert [spans[s] for s in range(3)] == [tree_spans[s] for s in range(3)] == [1, 2, 3]
 
     def test_interior_matches_orbit_mutate_on_random_n5(self, monkeypatch):
         # beyond the corpus (n <= 4): of the first 40 seeded n = 5 draws, those
@@ -1352,60 +1413,65 @@ class TestTrustedBallReplay:
                   if 100 <= build_truncation(matrix, 8, framed=True).vertex_count <= 500]
         assert len(chosen) == 9
         compared = 0
-        spans = {}
+        spans, tree_spans = {}, {}
         for matrix in chosen:
             compared += check_replay_against_orbit_mutate(
-                matrix, 8, (1, 2, 3), monkeypatch, spans
+                matrix, 8, (1, 2, 3), monkeypatch, spans, tree_spans
             )
         # 5 + 20 + 80 sequences of lengths 1, 2 and 3 through 2, 3 and 4 states
         assert compared == 9 * (5 * 2 + 20 * 3 + 80 * 4) == 3510
-        assert [spans[s] for s in range(3)] == [1, 2, 3]
+        assert [spans[s] for s in range(3)] == [tree_spans[s] for s in range(3)] == [1, 2, 3]
 
     def test_interior_matches_orbit_mutate_on_example(self, monkeypatch):
-        spans = {}
+        spans, tree_spans = {}, {}
         compared = check_replay_against_orbit_mutate(
-            example_matrix(), 6, (1, 2), monkeypatch, spans
+            example_matrix(), 6, (1, 2), monkeypatch, spans, tree_spans
         )
         assert compared == 4 * 2 + 12 * 3
-        assert [spans[s] for s in range(3)] == [1, 2, 3]
+        assert [spans[s] for s in range(3)] == [tree_spans[s] for s in range(3)] == [1, 2, 3]
 
-    # need_L = d + 1 for representatives down to depth d; going back,
-    # need_s = max(need_{s+1} + σ_s, r_s + 1 for s >= 1, d + 1) with
-    # r_s = r - 2s, and step s + 1 < L mutates down to need_{s+1} + σ_s - 1.
-    # L = 2: [max(d + 3, r - 1)], need_0 = max(d + 4, r).
-    # L = 3: [max(d + 6, r - 1), max(d + 5, r - 2)], need_0 = max(d + 7, r).
-    # None when need_0 > r + 1, when L > 3 and on a complete quiver.
+    # Need_L is the representatives, down to depth d: no band and a ball of
+    # radius b_L = 0; going back, a_s = max(a_{s+1} + δ_s, r_s for s >= 1)
+    # and b_s = b_{s+1} + δ_s with r_s = r - 2s, and step s + 1 < L takes
+    # (a_s, b_s).  L = 2: [(r - 1, 3)], as a_1 = r - 2 and b_1 = 2.
+    # L = 3: [(r - 1, 6), (r - 2, 5)], as a_2 = r - 4 and b_2 = 3.  None
+    # when a_0 > r or d + b_0 > r (d + b_s > a_s + 1 only where d + b_0 > r),
+    # when L < 2 (no step but the last), when L > 3 and on a complete quiver.
     @pytest.mark.parametrize("rows, d, expected", [
         # d* = d = 1, r = m - 1
         ([[0, 2], [-2, 0]], 1, {
-            (1, 4): [], (1, 5): [], (1, 6): [],
-            (2, 6): [4], (2, 7): [5], (2, 8): [6],
-            (3, 7): None, (3, 8): [7, 6], (3, 9): [7, 6], (3, 10): [8, 7],
+            (1, 4): None, (1, 5): None, (1, 6): None,
+            (2, 6): [(4, 3)], (2, 7): [(5, 3)], (2, 8): [(6, 3)],
+            (3, 7): None, (3, 8): [(6, 6), (5, 5)], (3, 9): [(7, 6), (6, 5)],
+            (3, 10): [(8, 6), (7, 5)],
             (4, 10): None, (4, 11): None, (4, 12): None,
         }),
         # d* = d = 2, r = m
         ([[0, 2, 0], [-2, 0, 1], [0, -1, 0]], 2, {
-            (1, 4): [], (1, 5): [], (1, 6): [],
-            (2, 6): [5], (2, 7): [6], (2, 8): [7],
-            (3, 7): None, (3, 8): [8, 7], (3, 9): [8, 7], (3, 10): [9, 8],
+            (1, 4): None, (1, 5): None, (1, 6): None,
+            (2, 6): [(5, 3)], (2, 7): [(6, 3)], (2, 8): [(7, 3)],
+            (3, 7): None, (3, 8): [(7, 6), (6, 5)], (3, 9): [(8, 6), (7, 5)],
+            (3, 10): [(9, 6), (8, 5)],
             (4, 10): None, (4, 11): None, (4, 12): None,
         }),
     ])
-    def test_ball_limits_by_hand(self, rows, d, expected):
+    def test_ball_schedule_by_hand(self, rows, d, expected):
         matrix = ExchangeMatrix(rows)
-        for (length, m), limits in expected.items():
+        for (length, m), schedule in expected.items():
             quiver = build_truncation(matrix, m, framed=True)
             reps = [_default_representative(quiver, label) for label in range(1, matrix.n + 1)]
             assert max(quiver.depths[rep] for rep in reps) == d
-            assert _ball_limits(quiver, length, reps) == limits, (length, m)
-        assert _ball_limits(build_truncation(TWO_LEAF, 8), 2, [0, 1]) is None
+            assert _ball_schedule(quiver, length, reps) == schedule, (length, m)
+        assert _ball_schedule(build_truncation(TWO_LEAF, 8), 2, [0, 1]) is None
 
     @pytest.mark.parametrize("seq, mutations", [
-        ((1, 2), 226), ((2, 1), 796), ((2, 1, 2), 1021), ((1, 2, 3), 4256),
+        ((1, 2), 226), ((2, 1), 796), ((2, 1, 2), 1021), ((1, 2, 3), 654),
     ])
     def test_vertex_mutations_on_example(self, monkeypatch, seq, mutations):
         # a count, not a time: with r + 1 at every step but the last these
-        # were 3,457, 13,566, 13,791 and 4,256
+        # were 3,457, 13,566, 13,791 and 4,256, and with a depth cut alone,
+        # which mutated (1, 2, 3)'s label 1 down to depth 8 on every branch,
+        # 226, 796, 1,021 and 4,256
         calls = []
 
         def counting_mutate_vertex(adj, frozen, t):
@@ -1422,7 +1488,7 @@ class TestTrustedBallReplay:
     ])
     def test_one_ring_less_at_three_steps_would_diverge_here(self, monkeypatch, rows, seq):
         assert verify_unfolding_commutation(ExchangeMatrix(rows), seq, 8).ok
-        monkeypatch.setattr(unfolding, "_ball_limits", one_ring_less_at_step_2)
+        monkeypatch.setattr(unfolding, "_ball_schedule", one_ring_less_at_step_2)
         assert verify_unfolding_commutation(ExchangeMatrix(rows), seq, 8) == CommutationReport(
             ok=False, first_divergence=3
         )
@@ -1458,6 +1524,40 @@ class TestTrustedBallReplay:
             cold = build_truncation(matrix, 8, framed=True)
             assert cached == cold
             assert cached.adj == cold.adj
+            # the gluing tree the ball cut bisects, compared by value, as
+            # equality skips it
+            assert cached._parents == cold._parents
+            assert cached._parents == _glue(matrix, True, _truncation_counts(matrix, 8, True))[3]
+
+    def test_hand_built_quiver_replays_every_label_k_vertex(self, monkeypatch):
+        # the vertices and arrows of a fresh truncation, made by hand, so with
+        # no gluing tree: each step but the last mutates every label-k
+        # vertex, as orbit_mutate's does, where the grown twin takes a cut,
+        # and every fold agrees
+        taken = []
+
+        def recording_orbit_step(work, targets):
+            taken.append(list(targets))
+            _orbit_step(work, targets)
+
+        monkeypatch.setattr(unfolding, "_orbit_step", recording_orbit_step)
+        matrix, seq = example_matrix(), (1, 2, 3)
+        grown = build_truncation(matrix, 8, framed=True)
+        made = LabeledQuiver(n_labels=4, framed=True, labels=grown.labels, frozen=grown.frozen,
+                             depths=grown.depths, adj=grown.adj, interior_radius=8)
+        assert made == grown and made._parents is None and grown._parents is not None
+        reps = [_default_representative(grown, label) for label in range(1, 5)]
+        folds = {}
+        for quiver in (grown, made):
+            taken.clear()
+            folds[quiver is made] = [_fold_rows(work, reps) for _, work in
+                                     _replay(quiver, seq, reps)]
+            cut = [len(targets) for targets in taken[:-1]]
+            if quiver is made:
+                assert cut == [len(made.mutable_ids(k)) for k in seq[:-1]] == [3454, 13565]
+            else:
+                assert cut == [412, 235]
+        assert folds[True] == folds[False]
 
     def test_65th_key_empties_the_cache_and_a_hit_changes_nothing(self, monkeypatch):
         # ONE's unfolding is one vertex and its frozen copy, so 65 builds are cheap
