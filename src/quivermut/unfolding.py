@@ -6,39 +6,70 @@ adjacency entries over a label class (with a fixed column representative)
 folds the quiver back onto the matrix: one column of the extended matrix
 [B; C] per representative, the frozen copies giving C.  Truly infinite
 quivers are represented by finite truncations carrying an interior
-radius: the depth up to which every vertex still has its complete,
-faithful neighborhood.  Orbit-mutation (simultaneous mutation at all
-vertices of one label) consumes two units of that radius per step.  That
-rule is argued through three steps and checked against deeper truncations
-through four; at five it claims vertices whose arrows are already wrong.
-So each quiver counts the orbit-mutations it has taken, and one rule
-(`_require_trusted`, `_TRUSTED_STEPS`) refuses a fifth on an infinite
-unfolding: `orbit_mutate` at the fifth call of a chain, and
-`verify_unfolding_commutation` before it replays five or more steps.
-Each vertex's class, its label and kind, is indexed once per quiver
-(`LabeledQuiver._classes`).  A fresh truncation is fixed by its counts
-per ring (_count_rings), and one walk over them (_glue) numbers its
-vertices and the arrow that glues each one in.  Building (_grow) and
-`quivermut unfold --dot` (_tree_dot) both read that walk; the walk gives
-each vertex's children consecutive ids, so _tree_dot reads the arrows in
-sorted order off it with no sort.  `unfold` reports from the counts
-alone (_summary) and builds no quiver.  One formatter (_dot_text) lays
-out every DOT text, as UTF-8 bytes.
+radius: the depth up to which every vertex's arrows are certified to be
+the infinite quiver's.  Each vertex's class, its label and kind, is
+indexed once per quiver (`LabeledQuiver._classes`).  A fresh truncation
+is fixed by its counts per ring (_count_rings), and one walk over them
+(_glue) numbers its vertices and the arrow that glues each one in.
+Building (_grow) and `quivermut unfold --dot` (_tree_dot) both read that
+walk; the walk gives each vertex's children consecutive ids, so
+_tree_dot reads the arrows in sorted order off it with no sort.
+`unfold` reports from the counts alone (_summary) and builds no quiver.
+One formatter (_dot_text) lays out every DOT text, as UTF-8 bytes.
 
-Orbit-mutation has two paths, which share the gate `_orbit_targets`
-(label, step count, interior and Γ checks) and the step `_orbit_step`
-(mutations, radius drop, count).  The public `orbit_mutate` copies and
-mutates the whole truncation.
-`verify_unfolding_commutation` replays on one private working quiver
-through `_replay`, mutating fewer vertices with the same fold: its final
-step mutates the fold cone, and each earlier step the label-k vertices in
-a depth band around the root and in a ball, by distance in the gluing
-tree, around the fold representatives (_ball_schedule).  A fresh
-truncation keeps its gluing tree (`_parents`), whose numbering puts each
-vertex's descendants at one depth in one id range, so the balls are cut
-by bisection (_ball_cuts) without walking them.  The docstrings of
-`_replay` and `verify_unfolding_commutation` argue which vertices, and
-why.
+The clean set.  One rule certifies orbit-mutation (mutation at every
+vertex of one label k), for `orbit_mutate` and for the replay of
+`verify_unfolding_commutation` alike (_orbit_step).  A vertex is clean
+when its arrows are certified, dirty otherwise.  On a fresh truncation
+any set of vertices down to the interior radius may start clean.  A step
+at label k mutates every clean label-k vertex, mutates or skips each
+dirty one, and then every dirty label-k vertex makes itself and its
+current neighbours dirty.  Why it is sound: call a vertex right when its
+arrows, neighbours included, are those of the infinite unfolding after
+the same steps; clean vertices stay right.  Then a wrong arrow has two
+dirty ends, and a vertex lacking an unfolding neighbour is dirty.
+Same-label vertices of the unfolding are pairwise non-adjacent (the Γ
+check), so its step mutates every label-k vertex in any order: the clean
+ones first, as here.  Mutation at t changes only arrows at t and between
+two of t's neighbours u and w, the new u–w being the old one plus a term
+read off t–u and t–w.  At a clean t those are right, and the old u–w is
+right when u or w is right, so every right vertex stays right.  A clean
+label-k vertex has no label-k neighbour, so the rest of the step, in the
+truncation and in the unfolding, changes arrows only at the other
+label-k vertices and their neighbours: current ones in the truncation,
+which include every right unfolding neighbour, and in the unfolding also
+the neighbours of label-k vertices the truncation lacks, which are dirty
+already.  Those turn dirty, so every clean vertex is right after the
+step.  The rule reads no depth and no step count, so it needs no budget:
+a fold is certified while its representatives are clean.  The clean set
+at every step can only grow when the start grows: a vertex clean in two
+runs is right in both, so it has the same neighbours in both, and the
+larger run's dirty label-k vertices are among the smaller run's.
+
+Transitivity.  Each label-i vertex of the unfolding has exactly |b_ji|
+neighbours of label j, all oriented by the sign of b_ji, and one frozen
+copy (_glue).  A tree fixed by such local counts has label-preserving
+automorphisms carrying any label-i vertex to any other (extend a
+bijection of neighbours ring by ring), and they carry frozen copies
+along with their vertices.  Orbit-mutation commutes with every such
+automorphism, so after any sequence two vertices of one class have
+arrows that are images of each other: a fold gives one column per
+label at every right vertex, and a Γ witness at one vertex of a class
+means one at every vertex of it.  A witness u -> f -> w centred at a
+frozen f has u and w mutable, as no arrow joins two frozen vertices; an
+automorphism carrying u to w carries f to a frozen f' with w -> f', and
+f' != f as f -> w, so f -> w -> f' is a witness centred at w.  So a
+violation of the unfolding shows at every right vertex of some label,
+and while every representative is clean, scanning the representatives
+decides Γ: that is the replay's scan before each step.
+
+The replay.  `verify_unfolding_commutation` replays on one private
+working quiver (_replay) from a first clean set, the vertices within
+distance L + 1 of the representatives in the gluing tree, L the number
+of steps.  Only the clean label-k vertices are mutated.  When a
+representative turns dirty it replays once more from the whole
+interior, whose verdict is final; by the growth above it is the verdict
+of that run alone, and the first ball only saves work.
 
 A quiver stores its arrows in `adj`, a list with one dict per vertex id:
 ids are dense, 0..V-1, so a vertex's id is its position in the list.
@@ -52,8 +83,9 @@ frozen one.
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import inf
 from threading import Lock
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -63,31 +95,12 @@ from .matrices import (
 )
 from .seeds import FramedSeed, admissible_source_numbering, identity_rows
 
-# δ_s, the largest distance in the gluing tree (_glue's parents) between
-# the ends of an arrow after s orbit-mutations of a fresh truncation: the
-# replay in verify_unfolding_commutation cuts each step to a ball around
-# the fold representatives whose radius sums them (_ball_schedule).
-# δ_0 = 1: the fresh arrows are the tree's edges.  δ_1 = 2: step 1 joins
-# two tree neighbors of one target.  δ_2 = 3: at a step-2 target the
-# arrows step 1 made all point one way, so a new arrow joins an end of
-# one of them, at distance 2, to a tree neighbor, at distance 1, and the
-# triangle inequality gives 3.  That docstring proves all three.
-_SPANS = (1, 2, 3)
-
-# The most orbit-mutations of an incomplete quiver after which its
-# interior radius is trusted (_require_trusted): the rule of two units a
-# step is argued through three (_SPANS) and checked against deeper
-# truncations at four; at five, m = 2L + 2 gave false divergences at step 5
-# (TestFiveStepRefusal).
-_TRUSTED_STEPS = 4
-
 # The most vertices one truncation or piece may have, checked before it is
-# built (_count_rings).  A built truncation takes ≈341 bytes a vertex, so
-# about 0.68 GB at the cap (tracemalloc on the framed running example at
-# m = 8 and 10, CPython 3.11.7), 8 of them for the gluing tree it keeps
-# (`_parents`), whose ids the arrows already hold.  The running example at
-# m = 10 has 554,348 vertices framed and 417,961 unframed, the largest
-# truncation the tests build.
+# built (_count_rings).  A built truncation takes ≈333 bytes a vertex, so
+# about 0.67 GB at the cap (tracemalloc on the framed running example at
+# m = 8 and 10, CPython 3.11.7).  The running example at m = 10 has
+# 554,348 vertices framed and 417,961 unframed, the largest truncation the
+# tests build.
 _MAX_VERTICES = 2_000_000
 
 Adjacency = list[dict[int, int]]
@@ -133,23 +146,20 @@ class LabeledQuiver:
     entries are stored, and adj[v][u] == -adj[u][v].
     A vertex's class is its label and kind, indexed once in `_classes`:
     label - 1 for a mutable vertex and n_labels + label - 1 for a frozen
-    one, which is also its row in the folded [B; C].  The Γ scan, the fold,
-    the fold cone and the label index read it.
+    one, which is also its row in the folded [B; C].  The Γ scan, the fold
+    and the label index read it.
     `orbit_mutate` leaves its input as it is and returns a copy
     (`copy.copy`) with its own `adj`, sharing the vertex arrays and the
     derived fields.
 
-    `interior_radius` is the depth up to which vertex neighborhoods are
-    complete and entries are trusted; None means the quiver is the whole
-    (finite) unfolding and never loses interior.  `_steps` counts the
-    orbit-mutations taken: 0 when constructed, carried over by
-    `copy.copy`, and 1 more after each step (`_orbit_step`).  `_parents`
-    is the gluing tree of a fresh truncation, each vertex's parent id and
-    -1 at the root (_glue), set by _grow and shared by copies; it
-    describes the arrows of the build, not those of later mutations, and
-    is None on a quiver made otherwise.  Equality ignores the derived
-    `core_depth`, class index and label index, the step count and the
-    gluing tree; a mutable quiver has no hash.
+    `interior_radius` is the depth up to which every vertex is clean, so
+    its arrows are trusted (the module docstring); None means the quiver
+    is the whole (finite) unfolding, whose every vertex stays clean.
+    `_dirty` is the dirty set of the clean-set rule as orbit_mutate left
+    it, shared by copies; None on a quiver made otherwise, whose dirty set
+    is every vertex deeper than the radius.  Equality ignores the derived
+    `core_depth`, class index and label index and the dirty set; a
+    mutable quiver has no hash.
     """
 
     n_labels: int
@@ -162,8 +172,7 @@ class LabeledQuiver:
     core_depth: int = field(init=False, compare=False)
     _classes: tuple[int, ...] = field(init=False, compare=False)
     _label_ids: dict[int, tuple[int, ...]] = field(init=False, compare=False)
-    _steps: int = field(default=0, init=False, compare=False)
-    _parents: Optional[list[int]] = field(default=None, init=False, compare=False)
+    _dirty: Optional[frozenset[int]] = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_positive(self.n_labels, "n_labels")
@@ -276,8 +285,7 @@ class LabeledQuiver:
 
     def __copy__(self) -> LabeledQuiver:
         """A new quiver whose every slot is this one's object: the same `adj`
-        list, vertex arrays, derived fields and gluing tree, and the same
-        step count.
+        list, vertex arrays, derived fields and dirty set.
         Rebinding a slot of the copy leaves this quiver as it is.  The slots
         are assigned one by one, skipping `copy.copy`'s reduce protocol,
         which took about 3 µs a copy against 0.4 µs (CPython 3.11.7); the
@@ -293,8 +301,7 @@ class LabeledQuiver:
         twin.core_depth = self.core_depth
         twin._classes = self._classes
         twin._label_ids = self._label_ids
-        twin._steps = self._steps
-        twin._parents = self._parents
+        twin._dirty = self._dirty
         return twin
 
     def __repr__(self) -> str:
@@ -364,8 +371,9 @@ def _summary(counts: _RingCounts, framed: bool) -> dict:
     """What `quivermut unfold` reports of _grow(matrix, framed, counts), read
     off the counts without building: vertices, mutable, frozen, arrows,
     complete, interior_radius and labels, the mutable vertices per present
-    label in label order.  A fresh truncation is a tree (_replay's
-    docstring argues it), so it has one arrow fewer than vertices.
+    label in label order.  A fresh truncation is a tree (_glue glues each
+    vertex but the root by one arrow), so it has one arrow fewer than
+    vertices.
     """
     ring_counts, rings, radius = counts
     labels: dict[int, int] = {}
@@ -440,17 +448,15 @@ def _glue(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> tuple[
 def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQuiver:
     """Build the fresh truncation that _glue numbers, with the counted radius.
 
-    Each vertex's dict holds its parent first, then its children by id.
-    The quiver keeps the walk's parents as its gluing tree (`_parents`).
+    Each vertex's dict holds its parent first, then its children by id,
+    so `adj` is the gluing tree.
     """
     labels, frozen, depths, parents, signs = _glue(matrix, framed, counts)
     adj: Adjacency = [{}] + [{parent: -sign} for parent, sign in zip(parents[1:], signs[1:])]
     for v, parent, sign in zip(range(1, len(labels)), parents[1:], signs[1:]):
         adj[parent][v] = sign
-    quiver = LabeledQuiver(n_labels=matrix.n, framed=framed, labels=labels, frozen=frozen,
-                           depths=depths, adj=adj, interior_radius=counts[2])
-    quiver._parents = parents
-    return quiver
+    return LabeledQuiver(n_labels=matrix.n, framed=framed, labels=labels, frozen=frozen,
+                         depths=depths, adj=adj, interior_radius=counts[2])
 
 
 def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQuiver:
@@ -473,9 +479,8 @@ def build_truncation(matrix: ExchangeMatrix, m: int, framed: bool = True) -> Lab
     Construction starts at label 1 and glues ring by ring out to depth
     d* + m - 1, interior radius d* + m - 2, where d* is the depth at which
     the deepest label first appears; every label then has an interior
-    representative as long as the budget permits (folding needs m >= 2 on
-    a fresh truncation, and each orbit-mutation costs 2).  If a gluing round adds nothing the
-    quiver is the whole finite unfolding and the interior never shrinks.
+    representative (folding needs m >= 2).  If a gluing round adds nothing
+    the quiver is the whole finite unfolding and every vertex stays clean.
     Every call builds a new quiver, which the caller owns.  The matrix must
     be acyclic and sign-skew-symmetric; admissible_source_numbering refuses
     any other, with its messages.  The arguments are checked and the
@@ -551,16 +556,6 @@ def _mutate_vertex(adj: Adjacency, frozen: tuple[bool, ...], t: int) -> None:
         adj[u][t] = a
 
 
-def _require_trusted(complete: bool, taken: int) -> None:
-    """Refuse to take an incomplete quiver to `taken` orbit-mutations since
-    its build when that is past _TRUSTED_STEPS."""
-    if not complete and taken > _TRUSTED_STEPS:
-        raise InteriorExhaustedError(
-            f"interior budget exceeded: {taken} steps, but an infinite unfolding's "
-            f"interior is trusted for {_TRUSTED_STEPS} steps at most"
-        )
-
-
 def _require_can_fold(quiver: LabeledQuiver) -> None:
     """Refuse a quiver some label of which has no interior default
     representative (LabeledQuiver.can_fold)."""
@@ -580,39 +575,37 @@ def _require_label(quiver: LabeledQuiver, label: object) -> tuple[int, ...]:
     return ids
 
 
-def _orbit_step(work: LabeledQuiver, targets: Iterable[int]) -> None:
-    """Take one orbit-mutation on work in place: mutate the targets in
-    order, lower the radius by 2 (a complete quiver keeps None) and count
-    the step.  work.adj must hold only dicts the caller may write."""
-    for t in targets:
-        _mutate_vertex(work.adj, work.frozen, t)
-    if work.interior_radius is not None:
-        work.interior_radius -= 2
-    work._steps += 1
-
-
-def _orbit_targets(quiver: LabeledQuiver, k: int, scan: Iterable[int]) -> tuple[int, ...]:
-    """Check that label k can be orbit-mutated; return its vertices, in (depth, id) order.
-
-    The checks, in order: k is a label, it occurs, one more step stays
-    within the trusted steps (_require_trusted), every label still has an
-    interior representative (_require_can_fold), and no vertex of scan
-    within the interior has a label-class loop or 2-cycle
-    (_gamma_witnesses).  A Γ violation reports the whole interior's
-    witnesses.
-    """
+def _orbit_targets(quiver: LabeledQuiver, k: int) -> tuple[int, ...]:
+    """Label k's mutable vertices, in (depth, id) order, after checking that
+    k is a label in 1..n_labels and that it occurs."""
     _check_index(k, quiver.n_labels, "orbit label")
-    targets = _require_label(quiver, k)
-    _require_trusted(quiver.is_complete, quiver._steps + 1)
-    _require_can_fold(quiver)
-    if next(_gamma_witnesses(quiver, scan, quiver.interior_radius), None) is not None:
-        report = check_gamma_conditions(quiver, interior_only=True)
+    return _require_label(quiver, k)
+
+
+def _require_gamma(quiver: LabeledQuiver, scan: Iterable[int], clean: Iterable[int]) -> None:
+    """Refuse an orbit-mutation when a vertex of scan, all of them clean, has
+    a label-class loop or 2-cycle; the error names the witnesses at the
+    vertices of clean.  A clean vertex's arrows are right, so its
+    neighbours count whatever their depth."""
+    if next(_gamma_witnesses(quiver, scan, None), None) is not None:
+        report = _gamma_report(_gamma_witnesses(quiver, clean, None))
         raise GammaViolationError(
             "orbit-mutation undefined: "
             f"label-class loops {list(report.loop_witnesses[:3])}, "
             f"label-class 2-cycles {list(report.two_cycle_witnesses[:3])}"
         )
-    return targets
+
+
+def _orbit_step(work: LabeledQuiver, targets: Iterable[int], dirty: Collection[int]) -> set[int]:
+    """One orbit-mutation under the clean-set rule (the module docstring), on
+    work in place: mutate the targets in order, which hold every clean
+    vertex of the label, and return the label's dirty vertices `dirty`
+    together with their current neighbours, the vertices the step makes
+    dirty.  work.adj must hold only dicts the caller may write."""
+    adj = work.adj
+    for t in targets:
+        _mutate_vertex(adj, work.frozen, t)
+    return set(dirty).union(*map(adj.__getitem__, dirty))
 
 
 def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
@@ -620,21 +613,29 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
 
     Vertices of one label are pairwise non-adjacent (no label-class loop),
     so the simultaneous update equals the composition of ordinary vertex
-    mutations in any order; we apply them in (depth, id) order.  All
-    same-label vertices present are mutated, boundary included: through
-    the first step this keeps the whole truncation exactly equal to the
-    induced subquiver of the mutated infinite quiver, and later boundary
-    error stays outside the interior accounted by the radius, which drops
-    by 2.  That accounting is trusted only through _TRUSTED_STEPS = 4
-    orbit-mutations: after five, vertices the radius calls interior can
-    have wrong arrows.  The result counts one step more than its input, so
-    the fifth call of a chain on an incomplete quiver raises
-    InteriorExhaustedError (_require_trusted).
+    mutations in any order; we apply them in (depth, id) order, boundary
+    included.  The clean-set rule (the module docstring) certifies the
+    result: the dirty label-k vertices make their neighbours dirty, and
+    the result's radius is the least of its input's and one less than the
+    least depth of a dirty vertex.  Checks, in order: k is a label that
+    occurs, every label still has an interior representative
+    (_require_can_fold), and no interior vertex has a Γ witness.
     """
-    targets = _orbit_targets(quiver, k, range(quiver.vertex_count))
+    targets = _orbit_targets(quiver, k)
+    _require_can_fold(quiver)
+    radius, depths = quiver.interior_radius, quiver.depths
+    everything = range(quiver.vertex_count)
+    interior = everything if radius is None else [v for v in everything if depths[v] <= radius]
+    _require_gamma(quiver, interior, interior)
+    dirty = quiver._dirty
+    if dirty is None:
+        dirty = frozenset(everything).difference(interior)
     result = copy.copy(quiver)
     result.adj = [d.copy() for d in quiver.adj]
-    _orbit_step(result, targets)
+    soiled = _orbit_step(result, targets, [t for t in targets if t in dirty]) - dirty
+    result._dirty = dirty | soiled
+    if soiled:
+        result.interior_radius = min(radius, min(map(depths.__getitem__, soiled)) - 1)
     return result
 
 
@@ -660,7 +661,7 @@ def _gamma_witnesses(
     classes = quiver._classes
     depths = quiver.depths
     adj = quiver.adj
-    limit = max(depths, default=0) if radius is None else radius
+    limit = inf if radius is None else radius
     for x in scan:
         if depths[x] > limit:
             continue
@@ -696,8 +697,12 @@ def check_gamma_conditions(
     Loops are listed by (source, target), 2-cycles u -> x -> w by (x, u, w).
     """
     radius = quiver.interior_radius if interior_only else None
-    scan = range(quiver.vertex_count)
-    witnesses = list(_gamma_witnesses(quiver, scan, radius))
+    return _gamma_report(_gamma_witnesses(quiver, range(quiver.vertex_count), radius))
+
+
+def _gamma_report(found: Iterable[tuple[int, ...]]) -> GammaReport:
+    """The witnesses found, sorted as check_gamma_conditions lists them."""
+    witnesses = list(found)
     loops = sorted(w for w in witnesses if len(w) == 2)
     twos = sorted((w for w in witnesses if len(w) == 3), key=lambda t: (t[1], t[0], t[2]))
     return GammaReport(
@@ -831,203 +836,87 @@ def folding_column(
     return tuple(column[:n]), tuple(column[n:]) if quiver.framed else None
 
 
-def _fold_cone(quiver: LabeledQuiver, k: int, reps: Iterable[int]) -> list[int]:
-    """The mutable label-k vertices that are a representative or adjacent to
-    one, closed under adjacency among them, in (depth, id) order; _replay
-    says why mutating them gives the fold of the whole step at k.
-    """
-    depths = quiver.depths
-    classes = quiver._classes
-    adj = quiver.adj
-    cone: set[int] = set()
-    stack = [v for rep in reps for v in (rep, *adj[rep])]
-    while stack:
-        v = stack.pop()
-        if classes[v] == k - 1 and v not in cone:
-            cone.add(v)
-            stack += adj[v]
-    return sorted(cone, key=lambda v: (depths[v], v))
-
-
-def _ball_schedule(
-    quiver: LabeledQuiver, steps: int, reps: Collection[int]
-) -> Optional[list[tuple[int, int]]]:
-    """(a_s, b_s) for each of steps 1..steps-1: step s + 1 mutates the label-k
-    vertices at depth <= a_s and those within tree distance b_s of a
-    representative.  None, for every label-k vertex, when there is no such
-    step, on a quiver _grow did not build, on a complete one, for more
-    steps than _SPANS has spans, and when the balls would reach past the
-    interior or more than one ring past a band.
-    verify_unfolding_commutation derives it."""
-    radius = quiver.interior_radius
-    if not 1 < steps <= len(_SPANS) or radius is None or quiver._parents is None:
-        return None
-    reach = max(map(quiver.depths.__getitem__, reps))
-    # Need_{L-1}: the band r_{L-1} and the ball of radius δ_{L-1} around the
-    # representatives, which are Need_L
-    band, ball = radius - 2 * (steps - 1), _SPANS[steps - 1]
-    schedule = []
-    for s in range(steps - 2, -1, -1):
-        band = max(band + _SPANS[s], radius - 2 * s) if s else band + _SPANS[s]
-        ball += _SPANS[s]
-        if reach + ball > band + 1:
-            return None
-        schedule.append((band, ball))
-    if band > radius or reach + ball > radius:
-        return None
-    schedule.reverse()
-    return schedule
-
-
-def _ball_cuts(
-    quiver: LabeledQuiver, schedule: Iterable[tuple[int, int]], reps: Iterable[int]
-) -> list[tuple[int, list[tuple[int, int]]]]:
-    """For each (band, ball) of a schedule of _ball_schedule, band and the id
-    ranges, disjoint and in order, whose mutable vertices are exactly those
-    deeper than band within tree distance ball of a representative.
-
-    The schedule keeps every representative's depth e within
-    e + ball <= band + 1.  A vertex within distance ball of a
-    representative lies at most ball deeper, so the vertices sought lie at
-    depth band + 1, and only below representatives at depth
-    band + 1 - ball, each of which they descend from: a path that climbed
-    from the representative first would end shallower.  They are its
-    descendants `ball` arrows below it.  The quiver is one _grow built, so
-    `_parents` is its gluing tree.  _glue expands vertices in id order, so
-    the parents are nondecreasing, and the children of an id range
-    [lo, hi) are the ids from the first whose parent is lo to the first
-    whose parent is hi: two bisections, past hi, as children come after
-    their ring.  By induction a vertex's descendants g arrows below it are
-    one range: its mutable descendants at its depth + g, and the frozen
-    copies of those at its depth + g - 1, which have no children.
-    Representatives at one depth have disjoint descendants, so the ranges
-    are disjoint.  Each representative's ranges are bisected once a call,
-    for all steps.
-    """
-    parents = quiver._parents
-    depths = quiver.depths
-    below: dict[int, list[tuple[int, int]]] = {}
-    cuts = []
-    for band, ball in schedule:
-        ranges = []
-        for rep in reps:
-            if depths[rep] + ball > band:
-                generations = below.get(rep)
-                if generations is None:
-                    generations = below[rep] = [(rep, rep + 1)]
-                lo, hi = generations[-1]
-                for _ in range(len(generations), ball + 1):
-                    lo, hi = bisect_left(parents, lo, hi), bisect_left(parents, hi, hi)
-                    generations.append((lo, hi))
-                ranges.append(generations[ball])
-        ranges.sort()
-        cuts.append((band, ranges))
-    return cuts
+def _first_ball(quiver: LabeledQuiver, reps: Iterable[int], radius: int) -> set[int]:
+    """The replay's first clean set on a fresh truncation: the vertices
+    within distance radius of reps in the gluing tree, which is the build's
+    `adj` (_grow), cut to the interior; every vertex of a complete quiver."""
+    limit = quiver.interior_radius
+    if limit is None:
+        return set(range(quiver.vertex_count))
+    adj, depths = quiver.adj, quiver.depths
+    ball = set(reps)
+    ring = ball
+    for _ in range(radius):
+        ring = {u for v in ring for u in adj[v] if depths[u] <= limit} - ball
+        ball |= ring
+    return ball
 
 
 def _replay(
-    quiver: LabeledQuiver, directions: Sequence[int], reps: Collection[int]
-) -> Iterator[tuple[int, LabeledQuiver]]:
-    """Orbit-mutate a working copy of a fresh truncation, step by step.
+    quiver: LabeledQuiver, directions: Sequence[int], start: Collection[int],
+    reps: Collection[int],
+) -> Iterator[tuple[int, LabeledQuiver, set[int]]]:
+    """Orbit-mutate a working copy of a fresh truncation, step by step, under
+    the clean-set rule (the module docstring), from the clean set start.
 
-    Yields (step, work) before the first step and after each one.  `work`
-    is one private LabeledQuiver, made here with the vertices of `quiver`;
-    each step updates its `adj`, `interior_radius` and step count in place
-    (_orbit_step), as orbit_mutate's step does to its copy.
-    Checks and errors are those of orbit_mutate (_orbit_targets), made on
-    the state about to be mutated.  `work` shares inner dicts with `quiver`
-    until it owns them, so it must never leave _verify_replay: a caller
-    that wrote to it would write to the truncation it was given, which
-    may be the cached one.
+    Yields (step, work, clean) before the first step and after each one.
+    `work` is one private LabeledQuiver, made here with the vertices of
+    `quiver`, whose `adj` each step updates in place; its radius is the
+    build's, as the clean set, updated in place too, is the certificate.
+    A step at label k checks k as orbit_mutate does (_orbit_targets),
+    scans the clean representatives of reps for a Γ witness
+    (_require_gamma; by transitivity that decides Γ while all are clean,
+    which _verify_replay requires of every fold), mutates the clean
+    label-k vertices in id order, which on a build is (depth, id) order,
+    and makes dirty the dirty label-k vertices' neighbours (_orbit_step).  `work` shares inner dicts with
+    `quiver` until it owns them, so it must never leave _verify_replay: a
+    caller that wrote to it would write to the truncation it was given,
+    which may be the cached one.
 
-    Targets.  The final step at label k mutates its fold cone
-    (_fold_cone): out of every label-k vertex, those that are one of the
-    fold representatives `reps` or adjacent to one, closed under adjacency
-    among them.  After that step the representatives' arrows, and so the
-    fold, which sums nothing else, are those of the step orbit_mutate
-    takes, which mutates every label-k vertex.  An earlier step s + 1
-    mutates the label-k vertices at depth <= a_s, a prefix of the label's
-    (depth, id) order cut by one bisection, and those within distance b_s
-    of a representative in the gluing tree, read off the id ranges of
-    _ball_cuts by two bisections each.  _ball_schedule gives (a_s, b_s);
-    verify_unfolding_commutation derives them backward from what later Γ
-    scans and folds read, through the spans _SPANS, and shows that these
-    vertices hold every one the step must mutate.  The ranges are found
-    once a call, for all steps.  On a grown quiver the
-    label's ids are in depth order already, so the prefix and the ranges
-    join in (depth, id) order.  Without a schedule, as on a quiver _grow
-    did not build, every step but the last mutates every label-k vertex.
-
-    Why the cone is exact.  A vertex mutation at t writes only arrows
-    between vertices of t's closed neighborhood, and reads only the
-    arrows at t and the arrows it writes.  So two targets that are never
-    adjacent commute.  A new arrow between two targets can only come from
-    a third target adjacent to both, so the components of the graph on
-    the whole step's targets, every label-k vertex, with an edge where
-    two targets are adjacent, never merge during the step.  Likewise a
-    target joins a representative's closed neighborhood only through a
-    target adjacent to both.  A component with no member in a
-    representative's closed neighborhood therefore never gains one and
-    never writes an arrow at a representative.  Its mutations can be
-    moved after the cone's, and then change nothing the fold reads.  The
-    cone is mutated in (depth, id) order, as orbit_mutate's step is.
+    The step needs only the dirty label-k vertices next to a clean one,
+    kept per label in `edges`: at the start, those next to start; then
+    each vertex the rule makes dirty.  A dirty vertex gains a clean
+    neighbour only from a mutation at a clean target already adjacent to
+    it, and after a step at its label it has none left, so the step at k
+    empties edges[k].
 
     Ownership.  The outer list is copied here, and each vertex has one
     inner dict.  Before a step's first mutation, let A be its targets
-    together with their current neighbors; each vertex of A whose inner
+    together with their current neighbours; each vertex of A whose inner
     dict is still the truncation's own (`is quiver.adj[v]`) gets a copy,
-    so each dict is copied at most once.  Every arrow the step changes
-    has both endpoints in A, so `quiver` is never written.  By induction
-    over the targets in order: mutation at t writes only the dicts of t
-    and of its neighbors at that moment, and each such neighbor either
-    was one before the step, so lies in A, or was joined to t by an
-    arrow that an earlier target changed, whose endpoints lie in A.
-    This holds even when two targets are adjacent, as same-label
-    vertices at depth r + 1, outside the interior the Γ check covers, can
-    be.  Conversely every vertex of A is written by the step, either at a
-    target that still has it as a neighbor or at the earlier target that
-    took that arrow away; so A is exactly the set of vertices whose arrows
-    the step touched, and it is the next Γ scan set.
-
-    The Γ check before a step scans only the vertices whose arrows the
-    previous step changed: any other loop or 2-cycle already existed,
-    inside the larger interior that the previous check covered.  Before
-    step 1 nothing is scanned, because a fresh truncation has neither.
-    It is a tree, plus one frozen copy hanging off each expanded vertex.
-    No arrow joins two vertices of one label, since a piece has no
-    satellite of its center's label (the diagonal is zero), and a frozen
-    copy is in a class of its own.  At each vertex all mutable neighbors
-    of one label point the same way: the piece orients them by the sign
-    of one entry, and the arrow to the parent, glued to the piece's arrow
-    of the parent's label, has that orientation by sign-skew-symmetry.
-    The frozen copy is the only frozen neighbor of its vertex and has no
-    other neighbor.  So no path u -> x -> w has u and w in one class.
+    so each dict is copied at most once.  Every arrow the step changes has
+    both endpoints in A, so `quiver` is never written: mutation at t writes
+    only the dicts of t and of its neighbours at that moment, and each
+    such neighbour either was one before the step, so lies in A, or was
+    joined to t by an arrow that an earlier target changed, whose endpoints
+    lie in A.  The dirty label-k vertices are only read.
     """
     work = copy.copy(quiver)
     adj = work.adj = quiver.adj.copy()
-    last = len(directions)
-    schedule = _ball_schedule(quiver, last, reps)
-    cuts = None if schedule is None else _ball_cuts(quiver, schedule, reps)
-    scan: Iterable[int] = ()
-    yield 0, work
+    labels, frozen = quiver.labels, quiver.frozen
+    clean = set(start)
+    candidates: dict[int, list[int]] = {}
+    for v in sorted(clean):
+        if not frozen[v]:
+            candidates.setdefault(labels[v], []).append(v)
+    edges: dict[int, list[int]] = {}
+    for v in set().union(*map(adj.__getitem__, clean)) - clean:
+        if not frozen[v]:
+            edges.setdefault(labels[v], []).append(v)
+    yield 0, work, clean
     for step, k in enumerate(directions, start=1):
-        targets = _orbit_targets(work, k, scan)
-        if step == last:
-            targets = _fold_cone(work, k, reps)
-        elif cuts is not None:
-            band, ranges = cuts[step - 1]
-            cut = targets[:bisect_right(targets, band, key=work.depths.__getitem__)]
-            for lo, hi in ranges:
-                lo = bisect_left(targets, lo)
-                cut += targets[lo:bisect_left(targets, hi, lo)]
-            targets = cut
-        around = set(targets).union(*map(adj.__getitem__, targets))
-        for v in around:
+        _orbit_targets(work, k)
+        _require_gamma(work, [rep for rep in reps if rep in clean], clean)
+        targets = [t for t in candidates.get(k, ()) if t in clean]
+        for v in set(targets).union(*map(adj.__getitem__, targets)):
             if adj[v] is quiver.adj[v]:
                 adj[v] = adj[v].copy()
-        _orbit_step(work, targets)
-        scan = around
-        yield step, work
+        soiled = _orbit_step(work, targets, edges.pop(k, ())) & clean
+        clean -= soiled
+        for v in soiled:
+            if not frozen[v]:
+                edges.setdefault(labels[v], []).append(v)
+        yield step, work, clean
 
 
 def verify_unfolding_commutation(
@@ -1035,187 +924,79 @@ def verify_unfolding_commutation(
 ) -> CommutationReport:
     """Check that orbit-mutating the truncation tracks the framed seed.
 
-    Replays the directions as orbit-mutations on the framed truncation and
-    as ordinary mutations of the rows of the extended matrix [B; I]; after
-    every prefix the 2n folded rows must equal those rows exactly.
-    On an infinite unfolding, L = len(directions) orbit-mutations need
-    interior budget m >= 2L + 2, and at most _TRUSTED_STEPS = 4 are
-    taken: a longer sequence raises InteriorExhaustedError at any m.  The
-    whole (finite) unfolding loses no interior and takes any length at any
-    m.  _require_budget argues the budget.
-
-    Within the budget, reports and errors are those of chaining
-    orbit_mutate and folding, but the replay (_replay) does far less work.
-    It writes to one working quiver instead of copying the truncation per
-    step.  The final step mutates only its fold cone, the label-k vertices
-    that can reach a representative's arrows; each earlier step, only the
-    label-k vertices in a depth band around the root and in a ball around
-    the representatives, by distance in the gluing tree (the ball schedule
-    below).  The Γ check scans only the vertices the previous step
-    touched.  _replay argues the cone and the scan.  Representatives are
-    chosen once, since mutation moves no label or depth, and folding sums
-    only their neighborhoods.
+    Replays the directions as orbit-mutations on the framed truncation
+    built with m (build_truncation) and as ordinary mutations of the rows
+    of the extended matrix [B; I]; after every prefix the 2n folded rows
+    must equal those rows exactly.  Each fold is certified by the
+    clean-set rule (the module docstring): while every representative is
+    clean its arrows are the infinite unfolding's.  When one turns dirty
+    the request is refused with InteriorExhaustedError naming the step
+    (_verify_replay); a larger m certifies more.  No length or m is refused
+    up front.  Representatives are chosen once, since mutation moves no
+    label or depth, and folding sums only their neighbourhoods.
 
     The truncation.  Repeated calls on one (matrix, m) replay one framed
     build, kept in _truncations and only read.  m is checked here, before
     the lookup, because a hit skips build_truncation's checks.  A hit
-    changes nothing.  The budget is checked before any step: on a hit
-    against the cached build, on a miss against the counts, before
-    anything is built (_replay_truncation), so a refused call builds and
-    caches nothing.  A miss builds, and empties the cache first when its
+    changes nothing.  A miss builds, and empties the cache first when its
     build would take it past 64 builds or past _MAX_VERTICES vertices;
     _count_rings refuses any build above _MAX_VERTICES, so every build
     fits alone, and the cache never holds more than one build at the cap
-    could take (≈0.68 GB), where 64 builds alone could take 64 times that.
-
-    The ball schedule.  Take two replays that apply the same vertex
-    mutations in the same order, except that one skips some.  Mutating at
-    t changes only arrows inside t's closed neighborhood, and changes them
-    alike in both replays when t's arrows agree.  So the replays come to
-    disagree at a vertex only next to a skipped vertex, or next to a
-    vertex mutated while they already disagree at it.  Distances are
-    those of the gluing tree (_glue's parents; the truncation's tree is
-    the ball of the unfolding's around the root), N_b(X) is the set of
-    vertices within distance b of X, and the span of an arrow is the
-    distance between its ends.  Let D_s be the vertices at which the
-    replay may disagree with the infinite unfolding after s steps, S_s the
-    label-k targets that step s skips, and δ_s a bound on the span of an
-    arrow of either after s steps.  Then D_{s+1} lies in
-    N_{δ_s}(D_s ∪ S_{s+1}), and D_0 is the vertices deeper than r_0, as the
-    truncation lacks the neighbors of its outer ring.  Work backward from
-    what later checks read.  Every prefix is folded at the representatives,
-    and the Γ scan before step s + 1 reads arrows down to depth
-    r_s = r_0 - 2s, so after s steps D_s must miss Need_s, where Need_L is
-    the representatives and, for s < L,
-    Need_s = N_{δ_s}(Need_{s+1}) ∪ {depth <= r_s if s >= 1} ∪ reps.  Step
-    s + 1 mutates every label-k vertex of Need_s; so when D_s misses
-    Need_s, which holds N_{δ_s}(Need_{s+1}), D_{s+1} misses Need_{s+1}.
-    Need_s grows as s falls, so by induction all of it holds when
-    Need_0 ⊆ {depth <= r_0}: D_0 then misses it, and every vertex a step
-    must mutate is in the truncation.  The final step takes its cone,
-    which has the fold of the whole step.
-
-    In a tree N_b(N_c(X)) = N_{b+c}(X), and N_b of the vertices at depth
-    <= a lies at depth <= a + b, so Need_s lies in
-    {depth <= a_s} ∪ N_{b_s}(reps), where a_s = max(a_{s+1} + δ_s, r_s if
-    s >= 1) and b_s = b_{s+1} + δ_s, from no band and b_L = 0
-    (_ball_schedule); mutating the label-k vertices of that larger set is
-    as exact.  With representatives down to depth d the test reads
-    a_0 <= r_0 and d + b_0 <= r_0.  Through three steps it also gives
-    d + b_s <= a_s + 1 at every step, so each ball passes its band by one
-    ring at most, which _ball_cuts reads off the tree by bisection.  When
-    the test fails, on a complete quiver, on one _grow did not build, and
-    for more steps than _SPANS has spans, each step but the last mutates
-    every label-k vertex.
-
-    The spans (_SPANS) are δ_0 = 1: a fresh truncation's arrows are the
-    edges of its tree.  δ_1 = 2: same-label vertices of the tree are never
-    adjacent, so each step-1 target is mutated with its tree neighbors,
-    and each arrow it adds joins two of them.  δ_2 = 3.  The general bound
-    2δ_1 = 4 (a new arrow joins two neighbors of one target) leaves no
-    schedule for three steps at m = 8, so this one uses the orientations
-    of the tree.  Let step 1 be at label k.  It never joins two vertices
-    of one label: two same-label neighbors of a target s point the same
-    way at s (the Γ argument in _replay's docstring), while a mutation at
-    s joins an in-neighbor to an out-neighbor.  So the step-2 targets,
-    like the step-1 ones, are pairwise non-adjacent, and each is mutated
-    with its arrows after step 1.  A step-2 target t labeled k is adjacent
-    to no step-1 target, so it has its tree arrows alone, reversed if
-    step 1 mutated it, and its mutation adds spans of at most 2.  For t of
-    another label, each arrow that step 1 creates at t comes from a
-    label-k neighbor s of t: it points out of t when t -> s, into t when
-    s -> t.  All of t's label-k neighbors point the same way, so all these
-    arrows do; each spans at most 2 (δ_1), and every other arrow at t at
-    most 1.  Mutating t joins an in-neighbor to an out-neighbor, at most
-    one of which lies across a span-2 arrow, so by the triangle inequality
-    through t the new arrow spans at most 2 + 1 = 3.  The argument holds
-    for the replay and the infinite unfolding alike: a skipped target
-    (the ball cut) or a missing outer neighbor only takes arrows away.
-    Two steps of the orbit_mutate chain over the test corpus reach a span
-    of 3, in tree distance and in depth (TestTrustedBallReplay), so the
-    bound is tight.  No δ_3 is known, and the old radius + 1 cut through
-    four steps diverged at step 4 (corpus matrix 3 / 0 -1 0 / 2 0 -3 /
-    0 1 0 along 2,3,1,2 at m = 10).  At m = 2L + 2 the band skips the two
-    outer rings at step 1 of two steps, where the ball stays inside it,
-    and the outer one at step 1 of three, where the ball adds the ring
-    below the deepest representatives; a ball one less in radius at step
-    2 of three diverges (the example along 3,4,2 at m = 8).
+    could take (≈0.67 GB), where 64 builds alone could take 64 times that.
     """
     directions = tuple(directions)
     _require_positive(m, "truncation budget m")
     key = (matrix, m)
     quiver = _truncations.get(key)
     if quiver is None:
-        quiver = _replay_truncation(matrix, m, len(directions))
+        quiver = build_truncation(matrix, m, framed=True)
         with _truncations_lock:
             kept = sum(cached.vertex_count for cached in _truncations.values())
             if len(_truncations) >= 64 or kept + quiver.vertex_count > _MAX_VERTICES:
                 _truncations.clear()
             _truncations[key] = quiver
-    else:
-        _require_budget(None if quiver.is_complete else m, len(directions))
     return _verify_replay(quiver, matrix, directions)
-
-
-def _require_budget(m: Optional[int], steps: int) -> None:
-    """Refuse a replay of `steps` orbit-mutations on a fresh framed
-    truncation built with budget m, None when the truncation is the whole
-    (finite) unfolding; every replay is checked here, once, before any
-    step, and a new truncation before it is built (_replay_truncation).
-
-    First the step count must stay within _TRUSTED_STEPS
-    (_require_trusted), so longer sequences are refused whatever m is.
-    Then the budget: d* = core_depth is the depth of the deepest default
-    representative, as each label's shallowest vertex lies at its label's
-    first-occurrence depth.  Each step costs 2, so the last fold's
-    representatives stay interior exactly when r_0 - 2L >= d*, and then
-    the interior gate of _orbit_targets never trips before it.  An
-    incomplete fresh truncation has radius r_0 = d* + m - 2
-    (build_truncation), so the rule reads m >= 2L + 2.
-    """
-    _require_trusted(m is None, steps)
-    if m is not None and m < 2 * steps + 2:
-        raise InteriorExhaustedError(
-            f"interior budget violated: m={m} but {steps} steps need m >= {2 * steps + 2}"
-        )
-
-
-def _replay_truncation(matrix: ExchangeMatrix, m: int, steps: int) -> LabeledQuiver:
-    """build_truncation(matrix, m, framed=True) for a replay of `steps`
-    steps, refused before anything is built when the budget does not
-    allow them (_require_budget).  The budget reads the counts
-    (_truncation_counts), whose radius is None exactly when the unfolding
-    is complete; their errors, then the budget's, come in build_truncation's
-    order.  build_truncation counts again and stays the one call that
-    builds a truncation; the count is small next to the build (about 33 µs
-    against 50 ms for the running example at m = 8, CPython 3.11.7).
-    """
-    _require_budget(None if _truncation_counts(matrix, m, True)[2] is None else m, steps)
-    return build_truncation(matrix, m, framed=True)
 
 
 def _verify_replay(
     quiver: LabeledQuiver, matrix: ExchangeMatrix, directions: tuple[int, ...]
 ) -> CommutationReport:
     """verify_unfolding_commutation on `quiver`, a fresh framed truncation
-    of `matrix` (build_truncation), which is only read, and whose budget
-    for the directions the caller has checked (_require_budget).  The
-    command line passes its own build (_replay_truncation), so the quiver
-    lives only as long as the request.
+    of `matrix` (build_truncation), which is only read.  The command line
+    passes its own build, so the quiver lives only as long as the request.
+
+    The first run starts clean on the vertices within distance L + 1 of the
+    representatives (_first_ball).  When a representative turns dirty, the
+    whole interior replays once more; when one turns dirty there too,
+    InteriorExhaustedError names that step and its label.
     """
     n = matrix.n
-    state = list(_flat(matrix.entries + identity_rows(n)))
-    reps = _resolve_representatives(quiver, None).values()
-    for step, work in _replay(quiver, directions, reps):
-        if step:
-            # _replay has checked the label with _orbit_targets
-            _mutate_flat(state, n, directions[step - 1] - 1)
-        # column j of the fold, summed at label j + 1's representative, is
-        # column j of the flat [B; C] state
-        for j, rep in enumerate(reps):
-            if _column_sums(work, rep) != state[j::n]:
-                return CommutationReport(ok=False, first_divergence=step)
-    return CommutationReport(ok=True, first_divergence=None)
+    reps = list(_resolve_representatives(quiver, None).values())
+    start = _first_ball(quiver, reps, len(directions) + 1)
+    while True:
+        state = list(_flat(matrix.entries + identity_rows(n)))
+        for step, work, clean in _replay(quiver, directions, start, reps):
+            if step:
+                # _replay has checked the label with _orbit_targets
+                _mutate_flat(state, n, directions[step - 1] - 1)
+            if not clean.issuperset(reps):
+                break
+            # column j of the fold, summed at label j + 1's representative, is
+            # column j of the flat [B; C] state
+            for j, rep in enumerate(reps):
+                if _column_sums(work, rep) != state[j::n]:
+                    return CommutationReport(ok=False, first_divergence=step)
+        else:
+            return CommutationReport(ok=True, first_divergence=None)
+        # nothing turns dirty on a complete quiver, so this one has a radius
+        radius = quiver.interior_radius
+        whole = {v for v, depth in enumerate(quiver.depths) if depth <= radius}
+        if len(whole) == len(start):
+            raise InteriorExhaustedError(
+                f"interior exhausted at step {step} (label {directions[step - 1]}): "
+                f"the truncation no longer certifies a fold representative's arrows"
+            )
+        start = whole
 
 
 # ----------------------------------------------------------------------- DOT

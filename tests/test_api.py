@@ -109,16 +109,17 @@ class TestLabeledQuiver:
         assert twin._classes is quiver._classes
         assert twin.core_depth == quiver.core_depth
         stepped = orbit_mutate(quiver, 1)
-        assert copy.copy(stepped)._steps == stepped._steps == 1
+        dirty = stepped._dirty
+        assert dirty and copy.copy(stepped)._dirty is dirty
         # every slot is the original's object, and rebinding one on the copy
         # leaves the original as it was
         twin = copy.copy(stepped)
         assert all(getattr(twin, name) is getattr(stepped, name)
                    for name in LabeledQuiver.__slots__)
         adj, radius = stepped.adj, stepped.interior_radius
-        twin.adj, twin.interior_radius, twin._steps = [], radius - 2, 2
+        twin.adj, twin.interior_radius, twin._dirty = [], radius - 2, frozenset()
         assert stepped.adj is adj and stepped.interior_radius == radius
-        assert stepped._steps == 1
+        assert stepped._dirty is dirty
 
     def test_equality_compares_the_constructor_fields(self):
         quiver = build_truncation(example_matrix(), 2)

@@ -23,7 +23,7 @@ from quivermut.matrices import parse_int
 
 from corpus import corpus_matrices, example_matrix
 from test_matrices import needs_the_default_digit_limit
-from test_unfolding import one_ring_less_at_step_2
+from test_unfolding import skip_soiling_neighbours
 
 RANK2_TEXT = "2\n0 1\n-1 0\n"
 
@@ -458,32 +458,34 @@ class TestVerifyUnfolding:
 
     def test_four_steps_commute(self, capsys, tmp_path):
         # corpus matrix 17: a trusted ball cut through four steps reported a
-        # false divergence at step 4 here
+        # false divergence at step 4 at m = 10, where a representative now
+        # turns dirty at step 4; m = 14 certifies it
         path = tmp_path / "corpus17.mat"
         path.write_text("3\n0 -1 0\n2 0 -3\n0 1 0\n", encoding="utf-8")
         code, out, _ = run(
-            capsys, ["verify-unfolding", str(path), "-s", "2,3,1,2", "--m", "10"]
+            capsys, ["verify-unfolding", str(path), "-s", "2,3,1,2", "--m", "14"]
         )
-        assert (code, out) == (0, "commutes: true (steps 4, m 10)\n")
+        assert (code, out) == (0, "commutes: true (steps 4, m 14)\n")
 
     def test_divergence_exit_1(self, capsys, example_file, monkeypatch):
-        # step 2 of three cut to a ball one less in radius than the
-        # schedule's (_ball_schedule) gives a fold that differs after step 3
-        monkeypatch.setattr(unfolding, "_ball_schedule", one_ring_less_at_step_2)
-        argv = ["verify-unfolding", example_file, "-s", "3,4,2", "--m", "8"]
+        # without soiling the neighbours of dirty label-k vertices, the rule
+        # certifies a representative whose arrows are wrong: the fold
+        # differs after step 3, where the whole rule refuses the request
+        monkeypatch.setattr(unfolding, "_orbit_step", skip_soiling_neighbours)
+        argv = ["verify-unfolding", example_file, "-s", "1,2,3", "--m", "3"]
         code, out, err = run(capsys, argv)
         assert (code, err) == (1, "")
-        assert out == "commutes: false (steps 3, m 8)\nfirst divergence at step 3\n"
+        assert out == "commutes: false (steps 3, m 3)\nfirst divergence at step 3\n"
         code, out, err = run(capsys, argv + ["--json-out"])
         assert (code, err) == (1, "")
-        assert json.loads(out) == {"ok": False, "steps": 3, "m": 8, "first_divergence": 3}
+        assert json.loads(out) == {"ok": False, "steps": 3, "m": 3, "first_divergence": 3}
 
     def test_budget_exit_2(self, capsys, example_file):
-        code, _, err = run(
-            capsys, ["verify-unfolding", example_file, "-s", "1,2,3", "--m", "4"]
-        )
+        argv = ["verify-unfolding", example_file, "-s", "1,2,3"]
+        code, _, err = run(capsys, argv + ["--m", "3"])
         assert code == 2
-        assert "interior budget" in err
+        assert err.startswith("error: interior exhausted at step 3 ")
+        assert run(capsys, argv + ["--m", "4"]) == (0, "commutes: true (steps 3, m 4)\n", "")
 
     @pytest.mark.parametrize("index, seq", [(36, "2,3,1,2,1"), (48, "2,4,1,3,4")])
     @pytest.mark.parametrize("m", ["12", "14"])
@@ -495,44 +497,62 @@ class TestVerifyUnfolding:
             code, out, err = run(capsys, ["verify-unfolding", str(path), "-s", seq, "--m", m]
                                  + extra)
             assert (code, out) == (2, "")
-            assert err.startswith("error: interior budget exceeded: 5 steps")
+            assert err.startswith("error: interior exhausted at step 5 ")
 
     def test_kronecker_four_steps_commute_five_exit_2(self, capsys, tmp_path):
+        # at m = 6; at m = 12, past the old cap of four steps, five commute
         path = tmp_path / "kron.mat"
         path.write_text("2\n0 2\n-2 0\n", encoding="utf-8")
         argv = ["verify-unfolding", str(path), "--json-out"]
-        code, out, _ = run(capsys, argv + ["-s", "1,2,1,2", "--m", "10"])
+        code, out, _ = run(capsys, argv + ["-s", "1,2,1,2", "--m", "6"])
         assert code == 0 and json.loads(out)["ok"] is True
-        code, out, err = run(capsys, argv + ["-s", "1,2,1,2,1", "--m", "12"])
+        code, out, err = run(capsys, argv + ["-s", "1,2,1,2,1", "--m", "6"])
         assert (code, out) == (2, "")
-        assert err.startswith("error: interior budget")
+        assert err.startswith("error: interior exhausted at step 5 ")
+        code, out, _ = run(capsys, argv + ["-s", "1,2,1,2,1", "--m", "12"])
+        assert code == 0 and json.loads(out)["ok"] is True
 
-    def test_under_budget_stderr_bytes(self, capsys, tmp_path):
-        # m in the message is the requested budget
-        path = tmp_path / "kron.mat"
-        path.write_text("2\n0 2\n-2 0\n", encoding="utf-8")
-        argv = ["verify-unfolding", str(path), "-s", "1,2,1,2", "--m", "9"]
+    def test_under_budget_stderr_bytes(self, capsys, example_file):
+        # the refusal names the step and its label
+        argv = ["verify-unfolding", example_file, "-s", "1,2,3", "--m", "3"]
         for extra in ([], ["--json-out"]):
             assert run(capsys, argv + extra) == (
-                2, "", "error: interior budget violated: m=9 but 4 steps need m >= 10\n"
+                2, "", "error: interior exhausted at step 3 (label 3): the truncation no "
+                       "longer certifies a fold representative's arrows\n"
             )
 
-    @pytest.mark.parametrize("seq, m, message", [
-        ("1,2,3,4,1", "10", "error: interior budget exceeded: 5 steps, but an infinite "
-                            "unfolding's interior is trusted for 4 steps at most\n"),
-        ("1,2,3", "7", "error: interior budget violated: m=7 but 3 steps need m >= 8\n"),
+    @pytest.mark.parametrize("matrix, seq, m", [
+        ("2\n0 2\n-2 0\n", "1,2,1,2,1", "12"),
+        (None, "1,2,3", "7"),
     ], ids=["steps", "budget"])
-    def test_over_budget_request_builds_nothing(self, capsys, example_file, monkeypatch, seq,
-                                                m, message):
+    def test_requests_past_the_old_budget_are_certified(self, capsys, example_file, tmp_path,
+                                                        matrix, seq, m):
+        # once refused before the build, for five steps or for m < 2L + 2
+        path = example_file
+        if matrix is not None:
+            kron = tmp_path / "kron.mat"
+            kron.write_text(matrix, encoding="utf-8")
+            path = str(kron)
+        argv = ["verify-unfolding", path, "-s", seq, "--m", m, "--json-out"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"ok": True, "steps": len(seq.split(",")), "m": int(m),
+                                   "first_divergence": None}
+
+    @pytest.mark.parametrize("seq", ["1,2,3,4,1", "1,2,3"], ids=["steps", "budget"])
+    def test_over_budget_request_builds_nothing(self, capsys, example_file, monkeypatch, seq):
         # refused on the counts, before the build: the example's truncation
-        # has 554,348 vertices at m = 10
+        # at m = 12 would pass the vertex cap (_MAX_VERTICES)
         monkeypatch.setattr(unfolding, "_grow", TestUnfold.no_build)
-        argv = ["verify-unfolding", example_file, "-s", seq, "--m", m]
+        argv = ["verify-unfolding", example_file, "-s", seq, "--m", "12"]
         for extra in ([], ["--json-out"]):
-            assert run(capsys, argv + extra) == (2, "", message)
+            assert run(capsys, argv + extra) == (
+                2, "", "error: the truncation would have at least 4644212 vertices, more "
+                       "than the 2000000 one build allows\n"
+            )
 
     @pytest.mark.parametrize(
-        "seq, m, code", [("1,2", "6", 0), ("1,2,3", "4", 2), ("5", "4", 2)],
+        "seq, m, code", [("1,2", "6", 0), ("1,2,3", "3", 2), ("5", "4", 2)],
         ids=["ok", "budget", "label-range"],
     )
     def test_request_keeps_no_truncation(self, capsys, example_file, monkeypatch, seq, m, code):

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -36,14 +37,16 @@ from quivermut import (
 from quivermut import unfolding
 from quivermut.unfolding import (
     _representative as _default_representative,
-    _ball_schedule,
+    _column_sums,
     _count_rings,
+    _first_ball,
     _fold_rows,
     _gamma_witnesses,
     _glue,
     _mutate_vertex,
     _orbit_step,
     _replay,
+    _summary,
     _tree_dot,
     _truncation_counts,
 )
@@ -514,17 +517,28 @@ class TestOrbitMutate:
             mutated = orbit_mutate(quiver, 1)
             assert folding(mutated) == mutate_framed(extend(example_matrix()), 1)
 
-    def test_budget_m3_cannot_fold_after_one_step(self):
+    def test_budget_m3_folds_after_one_step_not_after_two(self):
+        # radius 3 and d* = 2: a step soils the parents, at depth 3, of the
+        # outer ring's label-k vertices, so the radius drops to 2 and the fold
+        # holds; step 2 at label 2 soils depth 2 and the radius drops below d*
         quiver = orbit_mutate(build_truncation(example_matrix(), 3, framed=True), 1)
+        assert quiver.interior_radius == 2
+        assert folding(quiver) == mutate_framed(extend(example_matrix()), 1)
+        quiver = orbit_mutate(quiver, 2)
+        assert quiver.interior_radius == 1
         with pytest.raises(InteriorExhaustedError):
             folding(quiver)
 
     def test_budget_exhaustion_blocks_mutation(self):
         quiver = build_truncation(example_matrix(), 2, framed=True)
         once = orbit_mutate(quiver, 1)
-        assert once.interior_radius == 0
+        # the outer ring (depth 3) has no label-1 vertex, so nothing turns
+        # dirty and the radius stays 2; step 2 at label 2 soils depth 2
+        assert once.interior_radius == 2
+        twice = orbit_mutate(once, 2)
+        assert twice.interior_radius == 1
         with pytest.raises(InteriorExhaustedError):
-            orbit_mutate(once, 2)
+            orbit_mutate(twice, 3)
 
     def test_never_aliases_its_input(self):
         quiver = build_truncation(example_matrix(), 4, framed=True)
@@ -541,7 +555,9 @@ class TestOrbitMutate:
         quiver = build_truncation(example_matrix(), 4, framed=True)
         twice = orbit_mutate(orbit_mutate(quiver, 2), 2)
         assert twice.adj == quiver.adj
-        assert twice.interior_radius == quiver.interior_radius - 4
+        # step 1 soils the parents of the outer ring's label-2 vertices, at
+        # depth 4; step 2 soils them again and nothing more
+        assert twice.interior_radius == quiver.interior_radius - 1
 
     @pytest.mark.parametrize("label", [1, 2, 3, 4])
     def test_matrix_level_oracle_on_truncation(self, label):
@@ -833,13 +849,15 @@ class TestCommutations:
         assert verify_unfolding_commutation(example_matrix(), (1, 2, 3), 8).ok
 
     def test_budget_precondition(self):
-        with pytest.raises(InteriorExhaustedError, match="interior budget"):
-            verify_unfolding_commutation(example_matrix(), (1, 2, 3), 7)
+        # refused at the step where a representative turns dirty
+        with pytest.raises(InteriorExhaustedError, match=r"^interior exhausted at step 3 "
+                                                         r"\(label 3\): "):
+            verify_unfolding_commutation(example_matrix(), (1, 2, 3), 3)
 
     def test_finite_unfolding_needs_no_budget(self):
         # these corpus unfoldings are finite, so their truncation at m = 2 is
-        # complete and never loses interior: sequences of length 8, far past
-        # m >= 2L + 2, fold exactly, step by step
+        # complete and every vertex stays clean: sequences of length 8 fold
+        # exactly, step by step
         rng = random.Random(0xF1417E)
         corpus = corpus_matrices()
         complete = [i for i, matrix in enumerate(corpus) if build_truncation(matrix, 2).is_complete]
@@ -852,42 +870,49 @@ class TestCommutations:
             for _ in range(40):
                 seq = tuple(rng.randint(1, matrix.n) for _ in range(8))
                 assert verify_unfolding_commutation(matrix, seq, 2).ok, (i, seq)
-                for step, work in _replay(quiver, seq, reps):
+                whole = range(quiver.vertex_count)
+                for step, work, clean in _replay(quiver, seq, whole, reps):
+                    assert len(clean) == quiver.vertex_count
                     seed = apply_sequence_framed(extend(matrix), seq[:step])
                     assert _fold_rows(work, reps) == seed.b.entries + seed.c, (i, seq, step)
                     states += step > 0
         assert states == 7 * 40 * 8
-        # an infinite unfolding keeps the budget
-        with pytest.raises(InteriorExhaustedError, match=r"m=2 but 1 steps need m >= 4$"):
+        # on an infinite unfolding the outer ring is dirty
+        with pytest.raises(InteriorExhaustedError, match=r"^interior exhausted at step 1 "):
             verify_unfolding_commutation(corpus[1], (1,), 2)
 
     def test_over_budget_replay_builds_and_caches_nothing(self, monkeypatch):
-        # a miss checks the budget on the counts, before the build (the
-        # example's truncation has 554,348 vertices at m = 10); a hit checks
-        # it on the cached build, with the same rule and messages
-        five = (r"^interior budget exceeded: 5 steps, but an infinite unfolding's "
-                r"interior is trusted for 4 steps at most$")
-        kronecker = ExchangeMatrix([[0, 2], [-2, 0]])
-        cases = [
-            (example_matrix(), (1, 2, 3, 4, 1), 10, five),
-            (example_matrix(), (1, 2, 3), 7, r"^interior budget violated: m=7 but 3 steps "
-                                             r"need m >= 8$"),
-            (kronecker, (1, 2, 1, 2, 1), 12, five),
-            (kronecker, (1, 2, 1, 2), 9, r"^interior budget violated: m=9 but 4 steps "
-                                         r"need m >= 10$"),
-        ]
-        cached = {(kronecker, m): build_truncation(kronecker, m) for m in (9, 12)}
-        monkeypatch.setattr(unfolding, "_truncations", dict(cached))
+        # a truncation past the vertex cap (_MAX_VERTICES) is refused on the
+        # counts, before the build: the example has over 2,000,000 vertices
+        # at m = 12
+        monkeypatch.setattr(unfolding, "_truncations", {})
 
         def no_build(*args):
             raise AssertionError("built a truncation")
 
         monkeypatch.setattr(unfolding, "_grow", no_build)
-        for matrix, seq, m, message in cases:
-            with pytest.raises(InteriorExhaustedError, match=message):
-                verify_unfolding_commutation(matrix, seq, m)
-            assert list(unfolding._truncations) == list(cached)
-            assert all(unfolding._truncations[key] is kept for key, kept in cached.items())
+        for seq in ((1, 2, 3, 4, 1), (1, 2, 3)):
+            with pytest.raises(ValueError, match=r"^the truncation would have at least "
+                                                 r"4644212 vertices, more than the 2000000 "):
+                verify_unfolding_commutation(example_matrix(), seq, 12)
+            assert unfolding._truncations == {}
+
+    def test_requests_past_the_old_budget_are_certified(self, monkeypatch):
+        # once refused by the step cap of 4 or by m >= 2L + 2, these fold
+        # exactly with every representative clean (TestCleanArrows backs the
+        # certificate); the cached build still equals a cold one.  The
+        # example along 1,2,3,4,1 at m = 10 is pinned through the command line
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        kronecker = ExchangeMatrix([[0, 2], [-2, 0]])
+        for matrix, seq, m in [
+            (example_matrix(), (1, 2, 3), 7),
+            (kronecker, (1, 2, 1, 2, 1), 12),
+            (kronecker, (1, 2, 1, 2), 9),
+            (kronecker, (1, 2) * 5, 12),
+        ]:
+            assert verify_unfolding_commutation(matrix, seq, m) == CommutationReport(
+                ok=True, first_divergence=None), (seq, m)
+            assert unfolding._truncations[matrix, m].adj == build_truncation(matrix, m).adj
 
     def test_column_check_catches_a_divergence_in_either_half(self):
         # one mirrored arrow at a representative made one stronger, toward a
@@ -920,12 +945,11 @@ class TestCommutations:
 
     def test_truncation_consistency_depth_zero_after_two_steps(self):
         # after every step, every interior vertex has its full arrows of a
-        # deeper truncation: the example at m = 4 against m = 6, down to radius
-        # 0, every pruned length-3 sequence of the n <= 3 corpus matrices at
-        # m = 8 against m = 10, and, out to the longest sequence the budget
-        # admits on an infinite unfolding, every pruned length-4 sequence at
-        # m = 10 against m = 12 of the n = 3 corpus matrices whose m = 12
-        # truncation has at most 1,000 vertices
+        # deeper truncation: the example at m = 4 against m = 6, every pruned
+        # length-3 sequence of the n <= 3 corpus matrices at m = 8 against
+        # m = 10, and every pruned length-4 sequence at m = 10 against m = 12
+        # of the n = 3 corpus matrices whose m = 12 truncation has at most
+        # 1,000 vertices
         corpus = corpus_matrices()
         four_step = [i for i, matrix in enumerate(corpus)
                      if matrix.n == 3 and build_truncation(matrix, 12).vertex_count <= 1000]
@@ -1040,93 +1064,65 @@ def full_length_sequences(n: int, length: int) -> list[tuple[int, ...]]:
     ]
 
 
-def tree_distances(parents):
-    """The distance between two vertices in the gluing tree given by
-    parents (_glue's), through their lowest common ancestor, memoised."""
-    levels = [0] * len(parents)  # arrows up to the root
-    for v in range(1, len(parents)):
-        levels[v] = levels[parents[v]] + 1
-    memo = {}
-
-    def distance(u, w):
-        key = (u, w) if u < w else (w, u)
-        if key not in memo:
-            a, b, steps = u, w, 0
-            while a != b:
-                if levels[a] < levels[b]:
-                    a, b = b, a
-                a, steps = parents[a], steps + 1
-            memo[key] = steps
-        return memo[key]
-
-    return distance
+def interior_set(quiver: LabeledQuiver) -> set[int]:
+    """The vertices down to the interior radius: _verify_replay's second start."""
+    radius = quiver.interior_radius
+    return {v for v, depth in enumerate(quiver.depths) if radius is None or depth <= radius}
 
 
-def check_replay_against_orbit_mutate(
-    matrix, m, lengths, monkeypatch, spans, tree_spans
-) -> int:
-    """Drive the replay along every pruned sequence of each length in
-    lengths, each as a sequence of its own, and compare each state with the
-    whole-truncation orbit_mutate chain.
-
-    Each length has its own ball schedule, so a short sequence is replayed
-    for itself, not read off a longer one's prefix.  After every step but
-    the last, every interior vertex must have exactly the reference's
-    arrows; after every step, the fold-cone last step included, the fold
-    must agree; and each Γ verdict the replay takes must equal the full
-    interior scan of the reference.  spans[s] and tree_spans[s] are raised
-    to the largest depth difference and the largest distance in the
-    gluing tree (the fresh truncation's `_parents`) along an arrow of a
-    reference state after s steps.  Returns the number of states compared.
+def check_replay_against_orbit_mutate(matrix, m, sequences, deeper=6) -> Counter:
+    """Replay each sequence from both of _verify_replay's starts, the first
+    ball and the whole interior, and after every step compare the arrows at
+    every clean vertex with those of the build at m + deeper, whose ids
+    extend this build's, after the same steps taken with no certificate:
+    each mutates every label-k vertex of that build's interior
+    (_mutate_vertex), as orbit_mutate does but for the outer ring, which is
+    dirty either way.  The reference walks the prefixes depth first on that
+    one build and undoes each step by mutating its targets again in reverse
+    order, which is exact, so it must end equal to a cold build.  The
+    comparison runs through every step, refused or not.  A clean set can
+    only grow with its start, and the deeper build's interior holds this
+    one's, so a wrong clean arrow on either side fails it.  Returns the
+    verdicts of verify_unfolding_commutation, by kind.
     """
-    verdicts = []
+    small = build_truncation(matrix, m, framed=True)
+    big = build_truncation(matrix, m + deeper, framed=True)
+    count = small.vertex_count
+    assert big.labels[:count] == small.labels and big.depths[:count] == small.depths
+    reps = [_default_representative(small, label) for label in range(1, matrix.n + 1)]
+    children: dict[tuple[int, ...], list[int]] = {}
+    for seq in sequences:
+        for step in range(len(seq)):
+            kids = children.setdefault(seq[:step], [])
+            if seq[step] not in kids:
+                kids.append(seq[step])
+    reference = {}
 
-    def recording_gamma_witnesses(*args):
-        witnesses = list(_gamma_witnesses(*args))
-        verdicts.append(not witnesses)
-        return iter(witnesses)
+    def walk(prefix):
+        reference[prefix] = [d.copy() for d in big.adj[:count]]
+        for k in children.get(prefix, ()):
+            targets = big._interior_ids(k)
+            for t in targets:
+                _mutate_vertex(big.adj, big.frozen, t)
+            walk(prefix + (k,))
+            for t in reversed(targets):
+                _mutate_vertex(big.adj, big.frozen, t)
 
-    monkeypatch.setattr(unfolding, "_gamma_witnesses", recording_gamma_witnesses)
-    base = build_truncation(matrix, m, framed=True)
-    reps = [_default_representative(base, label) for label in range(1, matrix.n + 1)]
-    # _require_budget's argument: d* is the deepest default representative
-    assert base.core_depth == max(base.depths[rep] for rep in reps)
-    reference = {(): base}
-    compared = 0
-    for seq in (seq for length in lengths for seq in full_length_sequences(matrix.n, length)):
-        # the references first, so that only the replay's verdicts are recorded
-        for step in range(1, len(seq) + 1):
-            prefix = seq[:step]
-            if prefix not in reference:
-                reference[prefix] = orbit_mutate(reference[prefix[:-1]], prefix[-1])
-        expected = [
-            check_gamma_conditions(reference[seq[:step]], interior_only=True).ok
-            for step in range(len(seq))
-        ]
-        verdicts.clear()
-        for step, work in _replay(base, seq, reps):
-            ref = reference[seq[:step]]
-            assert work.interior_radius == ref.interior_radius
-            assert work._steps == ref._steps == step
-            # every representative is interior, as m >= 2L + 2 makes it
-            assert work.is_complete or work.interior_radius >= base.core_depth, (seq, step)
-            if step:
-                # the verdict taken on the previous state, before this step
-                assert verdicts[step - 1] == expected[step - 1]
-            if step < len(seq):
-                for v in interior_vertices(ref):
-                    assert work.adj[v] == ref.adj[v], (seq, step, v)
-            folded = folding(ref)
-            assert _fold_rows(work, reps) == folded.b.entries + folded.c, (seq, step)
-            compared += 1
-    distance = tree_distances(base._parents)
-    for prefix, ref in reference.items():
-        depths = ref.depths
-        span = max(abs(depths[u] - depths[w]) for u, d in enumerate(ref.adj) for w in d)
-        spans[len(prefix)] = max(spans.get(len(prefix), 0), span)
-        span = max(distance(u, w) for u, d in enumerate(ref.adj) for w in d if u < w)
-        tree_spans[len(prefix)] = max(tree_spans.get(len(prefix), 0), span)
-    return compared
+    walk(())
+    assert big.adj == build_truncation(matrix, m + deeper, framed=True).adj
+    verdicts = Counter()
+    for seq in sequences:
+        for start in (_first_ball(small, reps, len(seq) + 1), interior_set(small)):
+            for step, work, clean in _replay(small, seq, start, reps):
+                ref = reference[seq[:step]]
+                for v in clean:
+                    assert work.adj[v] == ref[v], (matrix, m, seq, step, v)
+        try:
+            report = verify_unfolding_commutation(matrix, seq, m)
+            verdicts["ok" if report.ok else f"diverged at {report.first_divergence}"] += 1
+        except InteriorExhaustedError as refused:
+            verdicts[str(refused).split(":")[0]] += 1
+    return verdicts
 
 
 def random_net_quiver(rng: random.Random) -> LabeledQuiver:
@@ -1160,12 +1156,15 @@ class TestQuiverFields:
                                              rf"got {re.escape(repr(n_labels))}$"):
             tiny_quiver(n_labels, labels, [False] * len(labels), [])
 
-    def test_step_count_starts_at_zero_and_is_not_compared(self):
+    def test_dirty_set_starts_unset_and_is_not_compared(self):
         quiver = tiny_quiver(2, [1, 2], [False, False], [(0, 1)])
-        assert quiver._steps == 0
+        assert quiver._dirty is None
         stepped = orbit_mutate(quiver, 1)
-        assert stepped._steps == 1 and quiver._steps == 0
+        assert stepped._dirty == frozenset() and quiver._dirty is None
         assert orbit_mutate(stepped, 1) == quiver  # mutation at 1 twice is the identity
+        twin = copy.copy(stepped)
+        twin._dirty = frozenset({0})
+        assert twin == stepped
 
     def test_label_outside_1_to_n_labels_is_rejected(self):
         # label 0 once folded into the frozen row, giving c = ((2,),), and
@@ -1352,59 +1351,49 @@ class TestMutationKernel:
             assert adj == quiver.adj
 
 
-def one_ring_less_at_step_2(quiver, steps, reps):
-    """_ball_schedule with step 2 of three cut to a ball around the
-    representatives one less in radius than its schedule's."""
-    schedule = _ball_schedule(quiver, steps, reps)
-    assert steps == 3 and schedule is not None
-    (band_1, ball_1), (band_2, ball_2) = schedule
-    return [(band_1, ball_1), (band_2, ball_2 - 1)]
+def skip_soiling_neighbours(work, targets, dirty):
+    """_orbit_step with the rule cut short: the dirty label-k vertices make
+    only themselves dirty, not their neighbours."""
+    for t in targets:
+        _mutate_vertex(work.adj, work.frozen, t)
+    return set(dirty)
 
 
 class TestTrustedBallReplay:
     """The replay inside verify_unfolding_commutation against orbit_mutate.
 
-    Before its final step the replay mutates only the label-k vertices in
-    the depth band and the tree-distance ball around the representatives
-    that its schedule (_ball_schedule) gives that step; these tests hold
-    it to the whole-truncation reference on every interior vertex, which
-    is what the derivation in verify_unfolding_commutation's docstring
-    claims, pin the schedule, and measure the spans δ_0, δ_1 and δ_2 that
-    it rests on, as tree distances and as depth differences.  The final
-    step mutates only the fold cone, so there they compare the fold.
+    The replay mutates only the clean label-k vertices, first of the ball
+    of radius L + 1 around the representatives and, when a representative
+    turns dirty, of the whole interior.  These tests hold every clean
+    vertex to the whole-truncation orbit_mutate rule on a deeper build
+    (check_replay_against_orbit_mutate), pin the replay's work, and show
+    the rule is tight: without its soiling of neighbours a named request
+    diverges.
     """
 
-    def test_interior_matches_orbit_mutate_on_corpus(self, monkeypatch):
-        compared = 0
-        spans, tree_spans = {}, {}
+    def test_interior_matches_orbit_mutate_on_corpus(self):
+        verdicts = Counter()
         for matrix in corpus_matrices()[1:]:
-            compared += check_replay_against_orbit_mutate(
-                matrix, 8, (1, 2, 3), monkeypatch, spans, tree_spans
-            )
+            sequences = [seq for length in (1, 2, 3)
+                         for seq in full_length_sequences(matrix.n, length)]
+            verdicts += check_replay_against_orbit_mutate(matrix, 8, sequences, deeper=2)
+            # the old rule's least budget, m = 2L + 2, certifies them all too
+            for seq in sequences:
+                assert verify_unfolding_commutation(matrix, seq, 2 * len(seq) + 2).ok, seq
         # 15 n=2, 15 n=3 and 20 n=4 matrices with n, n(n-1) and n(n-1)^2
-        # sequences of lengths 1, 2 and 3, passing through 2, 3 and 4 states
-        assert compared == 15 * (2 * 2 + 2 * 3 + 2 * 4) + 15 * (3 * 2 + 6 * 3 + 12 * 4) + 20 * (
-            4 * 2 + 12 * 3 + 36 * 4
-        )
-        assert [spans[s] for s in range(3)] == [tree_spans[s] for s in range(3)] == [1, 2, 3]
+        # sequences of lengths 1, 2 and 3
+        assert verdicts == {"ok": 15 * 6 + 15 * 21 + 20 * 52}
 
-    def test_interior_matches_orbit_mutate_at_m_2l_plus_3(self, monkeypatch):
-        # one ring more budget than the least: the schedule cuts deeper
-        # below the outer ring, r - 1 at step 1 of two and of three steps
-        compared = 0
-        spans, tree_spans = {}, {}
+    def test_interior_matches_orbit_mutate_at_m_2l_plus_3(self):
+        verdicts = Counter()
         for matrix in corpus_matrices()[1::5]:
             for length in (1, 2, 3):
-                compared += check_replay_against_orbit_mutate(
-                    matrix, 2 * length + 3, (length,), monkeypatch, spans, tree_spans
-                )
+                verdicts += check_replay_against_orbit_mutate(
+                    matrix, 2 * length + 3, full_length_sequences(matrix.n, length), deeper=2)
         # corpus 1, 6, 11 (n=2), 16, 21, 26 (n=3), 31, 36, 41, 46 (n=4)
-        assert compared == 3 * (2 * 2 + 2 * 3 + 2 * 4) + 3 * (3 * 2 + 6 * 3 + 12 * 4) + 4 * (
-            4 * 2 + 12 * 3 + 36 * 4
-        )
-        assert [spans[s] for s in range(3)] == [tree_spans[s] for s in range(3)] == [1, 2, 3]
+        assert verdicts == {"ok": 3 * 6 + 3 * 21 + 4 * 52}
 
-    def test_interior_matches_orbit_mutate_on_random_n5(self, monkeypatch):
+    def test_interior_matches_orbit_mutate_on_random_n5(self):
         # beyond the corpus (n <= 4): of the first 40 seeded n = 5 draws, those
         # whose m = 8 truncation has 100 to 500 vertices
         rng = random.Random(0x5EED05)
@@ -1412,66 +1401,29 @@ class TestTrustedBallReplay:
         chosen = [matrix for matrix in draws
                   if 100 <= build_truncation(matrix, 8, framed=True).vertex_count <= 500]
         assert len(chosen) == 9
-        compared = 0
-        spans, tree_spans = {}, {}
+        verdicts = Counter()
         for matrix in chosen:
-            compared += check_replay_against_orbit_mutate(
-                matrix, 8, (1, 2, 3), monkeypatch, spans, tree_spans
-            )
-        # 5 + 20 + 80 sequences of lengths 1, 2 and 3 through 2, 3 and 4 states
-        assert compared == 9 * (5 * 2 + 20 * 3 + 80 * 4) == 3510
-        assert [spans[s] for s in range(3)] == [tree_spans[s] for s in range(3)] == [1, 2, 3]
+            sequences = [seq for length in (1, 2, 3) for seq in full_length_sequences(5, length)]
+            verdicts += check_replay_against_orbit_mutate(matrix, 8, sequences, deeper=2)
+        # 5 + 20 + 80 sequences of lengths 1, 2 and 3
+        assert verdicts == {"ok": 9 * 105}
 
-    def test_interior_matches_orbit_mutate_on_example(self, monkeypatch):
-        spans, tree_spans = {}, {}
-        compared = check_replay_against_orbit_mutate(
-            example_matrix(), 6, (1, 2), monkeypatch, spans, tree_spans
-        )
-        assert compared == 4 * 2 + 12 * 3
-        assert [spans[s] for s in range(3)] == [tree_spans[s] for s in range(3)] == [1, 2, 3]
-
-    # Need_L is the representatives, down to depth d: no band and a ball of
-    # radius b_L = 0; going back, a_s = max(a_{s+1} + δ_s, r_s for s >= 1)
-    # and b_s = b_{s+1} + δ_s with r_s = r - 2s, and step s + 1 < L takes
-    # (a_s, b_s).  L = 2: [(r - 1, 3)], as a_1 = r - 2 and b_1 = 2.
-    # L = 3: [(r - 1, 6), (r - 2, 5)], as a_2 = r - 4 and b_2 = 3.  None
-    # when a_0 > r or d + b_0 > r (d + b_s > a_s + 1 only where d + b_0 > r),
-    # when L < 2 (no step but the last), when L > 3 and on a complete quiver.
-    @pytest.mark.parametrize("rows, d, expected", [
-        # d* = d = 1, r = m - 1
-        ([[0, 2], [-2, 0]], 1, {
-            (1, 4): None, (1, 5): None, (1, 6): None,
-            (2, 6): [(4, 3)], (2, 7): [(5, 3)], (2, 8): [(6, 3)],
-            (3, 7): None, (3, 8): [(6, 6), (5, 5)], (3, 9): [(7, 6), (6, 5)],
-            (3, 10): [(8, 6), (7, 5)],
-            (4, 10): None, (4, 11): None, (4, 12): None,
-        }),
-        # d* = d = 2, r = m
-        ([[0, 2, 0], [-2, 0, 1], [0, -1, 0]], 2, {
-            (1, 4): None, (1, 5): None, (1, 6): None,
-            (2, 6): [(5, 3)], (2, 7): [(6, 3)], (2, 8): [(7, 3)],
-            (3, 7): None, (3, 8): [(7, 6), (6, 5)], (3, 9): [(8, 6), (7, 5)],
-            (3, 10): [(9, 6), (8, 5)],
-            (4, 10): None, (4, 11): None, (4, 12): None,
-        }),
-    ])
-    def test_ball_schedule_by_hand(self, rows, d, expected):
-        matrix = ExchangeMatrix(rows)
-        for (length, m), schedule in expected.items():
-            quiver = build_truncation(matrix, m, framed=True)
-            reps = [_default_representative(quiver, label) for label in range(1, matrix.n + 1)]
-            assert max(quiver.depths[rep] for rep in reps) == d
-            assert _ball_schedule(quiver, length, reps) == schedule, (length, m)
-        assert _ball_schedule(build_truncation(TWO_LEAF, 8), 2, [0, 1]) is None
+    def test_interior_matches_orbit_mutate_on_example(self):
+        sequences = full_length_sequences(4, 1) + full_length_sequences(4, 2)
+        verdicts = check_replay_against_orbit_mutate(example_matrix(), 6, sequences, deeper=2)
+        assert verdicts == {"ok": 4 + 12}
 
     @pytest.mark.parametrize("seq, mutations", [
-        ((1, 2), 226), ((2, 1), 796), ((2, 1, 2), 1021), ((1, 2, 3), 654),
+        ((1,), 4), ((2,), 5), ((3,), 20), ((4,), 20),
+        ((1, 2), 36), ((2, 1), 21), ((2, 1, 2), 173), ((1, 2, 3), 215), ((3, 4, 2), 10907),
     ])
     def test_vertex_mutations_on_example(self, monkeypatch, seq, mutations):
-        # a count, not a time: with r + 1 at every step but the last these
-        # were 3,457, 13,566, 13,791 and 4,256, and with a depth cut alone,
-        # which mutated (1, 2, 3)'s label 1 down to depth 8 on every branch,
-        # 226, 796, 1,021 and 4,256
+        # a count, not a time: orbit_mutate's whole step mutates 3,454,
+        # 13,565, 7,178 and 18,332 vertices at labels 1..4 here; the last
+        # fold's cone alone was 1, 3, 7 and 4; with a depth band and balls
+        # cut by distance, (1, 2), (2, 1), (2, 1, 2) and (1, 2, 3) took 226,
+        # 796, 1,021 and 654.  (3, 4, 2) turns a representative dirty in the
+        # first ball and replays the whole interior, 29,510 vertices
         calls = []
 
         def counting_mutate_vertex(adj, frozen, t):
@@ -1482,16 +1434,21 @@ class TestTrustedBallReplay:
         assert verify_unfolding_commutation(example_matrix(), seq, 8).ok
         assert len(calls) == mutations
 
-    @pytest.mark.parametrize("rows, seq", [
-        (EXAMPLE_ROWS, (3, 4, 2)),
-        (((0, -1, -1), (2, 0, -2), (1, 2, 0)), (2, 3, 1)),
+    @pytest.mark.parametrize("rows, seq, m, step", [
+        (EXAMPLE_ROWS, (1, 2, 3), 3, 3),
+        (EXAMPLE_ROWS, (1, 4), 3, 2),
     ])
-    def test_one_ring_less_at_three_steps_would_diverge_here(self, monkeypatch, rows, seq):
-        assert verify_unfolding_commutation(ExchangeMatrix(rows), seq, 8).ok
-        monkeypatch.setattr(unfolding, "_ball_schedule", one_ring_less_at_step_2)
-        assert verify_unfolding_commutation(ExchangeMatrix(rows), seq, 8) == CommutationReport(
-            ok=False, first_divergence=3
+    def test_soiling_no_neighbours_would_diverge_here(self, monkeypatch, rows, seq, m, step):
+        matrix = ExchangeMatrix(rows)
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        with pytest.raises(InteriorExhaustedError, match=rf"^interior exhausted at step {step} "):
+            verify_unfolding_commutation(matrix, seq, m)
+        monkeypatch.setattr(unfolding, "_orbit_step", skip_soiling_neighbours)
+        assert verify_unfolding_commutation(matrix, seq, m) == CommutationReport(
+            ok=False, first_divergence=step
         )
+        with pytest.raises(AssertionError):
+            check_replay_against_orbit_mutate(matrix, m, [seq])
 
     def test_gamma_verdict_on_hand_built_violations(self):
         loop = tiny_quiver(1, [1, 1], [False, False], [(0, 1)])
@@ -1506,17 +1463,25 @@ class TestTrustedBallReplay:
 
     def test_gamma_violation_created_by_a_step(self):
         # mutating label 2 at vertex 1 adds 0 -> 2, closing 0 -> 2 -> 3 on label 1;
-        # only the vertices the step touched are rescanned, and that must catch it
+        # only the representatives are scanned, and that must catch it
         quiver = tiny_quiver(3, [1, 2, 3, 1], [False] * 4, [(0, 1), (1, 2), (2, 3)])
         assert check_gamma_conditions(quiver).ok
         with pytest.raises(GammaViolationError) as expected:
             orbit_mutate(orbit_mutate(quiver, 2), 3)
         with pytest.raises(GammaViolationError) as replayed:
-            list(_replay(quiver, (2, 3), [0, 1, 2]))
+            list(_replay(quiver, (2, 3), range(4), [0, 1, 2]))
         assert str(replayed.value) == str(expected.value)
 
-    def test_replay_never_writes_the_cached_truncation(self):
-        matrices = [example_matrix()] + corpus_matrices()[1:51:10]
+    def test_replay_never_writes_the_cached_truncation(self, monkeypatch):
+        # certified, refused, and certified by the whole interior after the
+        # first ball lost a representative
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        example = example_matrix()
+        with pytest.raises(InteriorExhaustedError):
+            verify_unfolding_commutation(example, (1, 2, 3), 3)
+        assert verify_unfolding_commutation(example, (3, 4, 2), 8).ok
+        assert unfolding._truncations[example, 3] == build_truncation(example, 3)
+        matrices = [example] + corpus_matrices()[1:51:10]
         for matrix in matrices:
             for seq in full_length_sequences(matrix.n, 3)[:6]:
                 assert verify_unfolding_commutation(matrix, seq, 8).ok
@@ -1524,40 +1489,32 @@ class TestTrustedBallReplay:
             cold = build_truncation(matrix, 8, framed=True)
             assert cached == cold
             assert cached.adj == cold.adj
-            # the gluing tree the ball cut bisects, compared by value, as
-            # equality skips it
-            assert cached._parents == cold._parents
-            assert cached._parents == _glue(matrix, True, _truncation_counts(matrix, 8, True))[3]
 
-    def test_hand_built_quiver_replays_every_label_k_vertex(self, monkeypatch):
-        # the vertices and arrows of a fresh truncation, made by hand, so with
-        # no gluing tree: each step but the last mutates every label-k
-        # vertex, as orbit_mutate's does, where the grown twin takes a cut,
-        # and every fold agrees
+    def test_hand_built_quiver_replays_as_the_build(self, monkeypatch):
+        # the vertices and arrows of a fresh truncation, made by hand: the
+        # first ball is read off its arrows, the gluing tree, so each step
+        # mutates the same targets as on the build, and every fold agrees
         taken = []
 
-        def recording_orbit_step(work, targets):
+        def recording_orbit_step(work, targets, dirty):
             taken.append(list(targets))
-            _orbit_step(work, targets)
+            return _orbit_step(work, targets, dirty)
 
         monkeypatch.setattr(unfolding, "_orbit_step", recording_orbit_step)
         matrix, seq = example_matrix(), (1, 2, 3)
         grown = build_truncation(matrix, 8, framed=True)
         made = LabeledQuiver(n_labels=4, framed=True, labels=grown.labels, frozen=grown.frozen,
                              depths=grown.depths, adj=grown.adj, interior_radius=8)
-        assert made == grown and made._parents is None and grown._parents is not None
+        assert made == grown
         reps = [_default_representative(grown, label) for label in range(1, 5)]
-        folds = {}
+        runs = {}
         for quiver in (grown, made):
             taken.clear()
-            folds[quiver is made] = [_fold_rows(work, reps) for _, work in
-                                     _replay(quiver, seq, reps)]
-            cut = [len(targets) for targets in taken[:-1]]
-            if quiver is made:
-                assert cut == [len(made.mutable_ids(k)) for k in seq[:-1]] == [3454, 13565]
-            else:
-                assert cut == [412, 235]
-        assert folds[True] == folds[False]
+            start = _first_ball(quiver, reps, len(seq) + 1)
+            folds = [_fold_rows(work, reps) for _, work, _ in _replay(quiver, seq, start, reps)]
+            runs[quiver is made] = (folds, [targets[:] for targets in taken])
+        assert runs[True] == runs[False]
+        assert [len(targets) for targets in runs[True][1]] == [61, 69, 85]
 
     def test_65th_key_empties_the_cache_and_a_hit_changes_nothing(self, monkeypatch):
         # ONE's unfolding is one vertex and its frozen copy, so 65 builds are cheap
@@ -1590,11 +1547,10 @@ class TestTrustedBallReplay:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_step_owns_every_vertex_it_writes(self, reverse):
-        # label-2 targets 1, 2 and 3 at depths 0, 2, 2 with radius 1, all in
-        # the fold cone of representatives 0 and 1: targets 2 and 3 are
-        # adjacent at depth r + 1, outside the interior the Γ check covers, so
-        # mutating 2 gives 3 a neighbor it did not have; reversing every arrow
-        # swaps the roles of in- and out-neighbors
+        # label-2 targets 1, 2 and 3, all clean: targets 2 and 3 are
+        # adjacent, as no Γ scan runs without representatives, so mutating 2
+        # gives 3 a neighbor it did not have; reversing every arrow swaps the
+        # roles of in- and out-neighbors
         arrows = [(0, 2), (2, 3), (3, 4), (1, 0)]
         if reverse:
             arrows = [(w, u) for u, w in arrows]
@@ -1606,9 +1562,9 @@ class TestTrustedBallReplay:
         adj = copy.deepcopy(before)
         for t in (1, 2, 3):
             _mutate_vertex(adj, quiver.frozen, t)
-        *_, (step, work) = _replay(quiver, (2,), [0, 1])
+        *_, (step, work, clean) = _replay(quiver, (2,), range(5), [])
         assert quiver.adj == before
-        assert (step, work.interior_radius) == (1, -1)
+        assert (step, clean) == (1, set(range(5)))
         assert work.adj == adj
 
     def test_bad_direction_raises_like_orbit_mutate(self):
@@ -1626,114 +1582,197 @@ class TestTrustedBallReplay:
 STEP4_CORPUS = (17, 19, 25, 28, 36, 39, 43, 46, 48)
 
 
-class TestFoldCone:
-    """The final replay step mutates only the targets the fold can see."""
+class TestCleanArrows:
+    """The clean-set certificate against a build at m + 6, whose ids extend
+    the replay's (check_replay_against_orbit_mutate), past where the old
+    rule reached: four and five steps and Kronecker sequences of length 10."""
 
-    @pytest.mark.parametrize(
-        "seq, mutations", [((1,), 1), ((2,), 3), ((3,), 7), ((4,), 4)]
-    )
-    def test_vertex_mutations_on_example(self, monkeypatch, seq, mutations):
-        # a count, not a time: orbit_mutate's whole step mutates 3,454,
-        # 13,565, 7,178 and 18,332 vertices here
-        calls = []
+    @pytest.mark.parametrize("index, m", [
+        (17, 10), (19, 10), (25, 3), (28, 3), (36, 3), (39, 3), (43, 3), (46, 8), (48, 6),
+    ])
+    def test_four_steps_on_the_step4_corpus(self, index, m):
+        # each matrix at the largest m <= 10 whose m + 6 build has at most
+        # 2,500 vertices
+        matrix = corpus_matrices()[index]
+        size = [_summary(_truncation_counts(matrix, m + d, True), True)["vertices"]
+                for d in (6, 7)]
+        assert size[0] <= 2500 and (m == 10 or size[1] > 2500)
+        verdicts = check_replay_against_orbit_mutate(
+            matrix, m, full_length_sequences(matrix.n, 4))
+        assert sum(verdicts.values()) == len(full_length_sequences(matrix.n, 4))
+        assert not [kind for kind in verdicts if kind.startswith("diverged")]
 
-        def counting_mutate_vertex(adj, frozen, t):
-            calls.append(t)
-            _mutate_vertex(adj, frozen, t)
+    def test_five_steps_on_a_sample(self):
+        corpus = corpus_matrices()
+        rng = random.Random(0xF1FE)
+        verdicts = Counter()
+        for i in (17, 19, 46, 48):
+            sequences = rng.sample(full_length_sequences(corpus[i].n, 5), 8)
+            verdicts += check_replay_against_orbit_mutate(corpus[i], 8, sequences)
+        assert sum(verdicts.values()) == 32
+        assert not [kind for kind in verdicts if kind.startswith("diverged")]
 
-        monkeypatch.setattr(unfolding, "_mutate_vertex", counting_mutate_vertex)
-        assert verify_unfolding_commutation(example_matrix(), seq, 8).ok
-        assert len(calls) == mutations
-        assert calls == sorted(calls)
+    def test_kronecker_at_length_10(self):
+        kronecker = ExchangeMatrix([[0, 2], [-2, 0]])
+        verdicts = check_replay_against_orbit_mutate(kronecker, 12, [(1, 2) * 5, (2, 1) * 5])
+        assert verdicts == {"ok": 2}
 
-    def test_cone_closes_under_adjacent_targets(self):
-        # label-2 targets 1 and 2 are adjacent, as same-label vertices outside
-        # the interior can be; only 2 touches the representative 3, but
-        # mutating 1 first gives 2 the arrow from 0 that its mutation carries
-        # on to 3
-        quiver = tiny_quiver(3, [3, 2, 2, 1], [False] * 4, [(0, 1), (1, 2), (2, 3)])
-        assert unfolding._fold_cone(quiver, 2, [3]) == [1, 2]
+    def test_first_ball_gives_the_whole_interiors_verdict(self, monkeypatch):
+        # the first ball only saves work: started from the whole interior,
+        # every request gets the same report or the same refusal
+        corpus = corpus_matrices()
+        requests = [(corpus[i], seq, m) for i in STEP4_CORPUS[::2] for m in (6, 10)
+                    for seq in full_length_sequences(corpus[i].n, 4)[::5]]
+        requests += [(example_matrix(), seq, 5) for seq in full_length_sequences(4, 3)]
 
-        def mutated_at(targets):
-            adj = copy.deepcopy(quiver.adj)
-            for t in targets:
-                _mutate_vertex(adj, quiver.frozen, t)
-            mutated = copy.copy(quiver)
-            mutated.adj = adj
-            return mutated
+        def verdict(matrix, seq, m):
+            try:
+                return verify_unfolding_commutation(matrix, seq, m)
+            except InteriorExhaustedError as refused:
+                return str(refused)
 
-        whole = mutated_at(quiver.mutable_ids(2))
-        *_, (_, cone) = _replay(quiver, (2,), [3])
-        assert _fold_rows(cone, [3]) == _fold_rows(whole, [3])
-        assert {u: mult for u, mult in whole.adj[0].items() if mult > 0} == {3: 1}
-        assert _fold_rows(mutated_at([2]), [3]) != _fold_rows(whole, [3])
+        first = [verdict(*request) for request in requests]
+        monkeypatch.setattr(unfolding, "_first_ball",
+                            lambda quiver, reps, radius: interior_set(quiver))
+        assert [verdict(*request) for request in requests] == first
+        kinds = Counter(isinstance(v, str) for v in first)
+        assert kinds[True] and kinds[False]
+
+
+class TestTransitivity:
+    """Every right vertex of a label folds to the label's column.
+
+    The module docstring's transitivity argument: label-preserving
+    automorphisms carry any vertex of the unfolding to any other of its
+    class, and orbit-mutation commutes with them.  So after every prefix of
+    an orbit_mutate chain, every interior vertex of a label, not only the
+    default representative, must give the same column, apply_sequence_framed's;
+    and every interior frozen copy of a label the same sums.
+    """
+
+    def test_every_interior_vertex_of_a_label_folds_alike(self):
+        corpus = corpus_matrices()
+        chosen = []
+        for i, matrix in enumerate(corpus):
+            quiver = build_truncation(matrix, 10, framed=True)
+            if not quiver.is_complete and quiver.vertex_count <= 6000:
+                chosen.append(i)
+        assert chosen == [2, 7, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 22, 24, 25, 26, 28, 30,
+                          31, 32, 34, 35, 36, 39, 40, 42, 43, 46, 47, 48]
+        sequences = states = 0
+        for i in chosen:
+            matrix = corpus[i]
+            n = matrix.n
+            chains = {(): build_truncation(matrix, 10, framed=True)}
+            frozen = [v for v, is_frozen in enumerate(chains[()].frozen) if is_frozen]
+            for seq in full_length_sequences(n, 3):
+                sequences += 1
+                for step in range(1, 4):
+                    if seq[:step] not in chains:
+                        chains[seq[:step]] = orbit_mutate(chains[seq[:step - 1]], seq[step - 1])
+            for prefix, quiver in chains.items():
+                seed = apply_sequence_framed(extend(matrix), prefix)
+                rows = seed.b.entries + seed.c
+                for label in range(1, n + 1):
+                    columns = {tuple(_column_sums(quiver, v)) for v in quiver._interior_ids(label)}
+                    assert columns == {tuple(row[label - 1] for row in rows)}, (i, prefix, label)
+                frozen_sums = {}
+                for v in frozen:
+                    if quiver.is_interior(v):
+                        frozen_sums.setdefault(quiver.labels[v], set()).add(
+                            tuple(_column_sums(quiver, v)))
+                assert all(len(sums) == 1 for sums in frozen_sums.values()), (i, prefix)
+                states += 1
+        assert sequences == 558
 
 
 class TestFourStepReplay:
     def test_every_length_4_sequence_commutes_at_m_10(self):
-        # cutting the trusted ball through four steps reported 46 of these as
-        # diverging at step 4; the whole truncation is exact on all of them
+        # none diverges: at m = 10, 623 are certified and 13 are refused at
+        # step 4, where a representative turns dirty even from the whole
+        # interior; those 13 are certified at m = 14
         corpus = corpus_matrices()
-        checked = 0
+        refused = []
         for i in STEP4_CORPUS:
             for seq in full_length_sequences(corpus[i].n, 4):
-                assert verify_unfolding_commutation(corpus[i], seq, 10).ok, (i, seq)
-                checked += 1
-        assert checked == 636
+                try:
+                    assert verify_unfolding_commutation(corpus[i], seq, 10).ok, (i, seq)
+                except InteriorExhaustedError as error:
+                    assert str(error).startswith("interior exhausted at step 4 "), (i, seq)
+                    refused.append((i, seq))
+        assert sum(len(full_length_sequences(corpus[i].n, 4)) for i in STEP4_CORPUS) == 636
+        assert len(refused) == 13
+        for i, seq in refused:
+            assert verify_unfolding_commutation(corpus[i], seq, 14).ok, (i, seq)
 
 
 class TestFiveStepRefusal:
-    """Five or more steps on an infinite unfolding are refused, whatever m.
+    """Refusals past four steps come from the clean set, at the step named.
 
-    At m = 2L + 2 = 12 these two corpus sequences once reported a divergence
-    at step 5, and at m = 13 and 14 they reported ok: the radius overclaims
-    after five steps, and the fold read a vertex it wrongly trusted.
+    At m = 12 these two corpus sequences once reported a divergence at step
+    5 under a radius that overclaimed; now a representative turns dirty at
+    step 5, at m = 12 and at 14, and neither ever reports a divergence.
     """
 
     @pytest.mark.parametrize("index, seq", [(36, (2, 3, 1, 2, 1)), (48, (2, 4, 1, 3, 4))])
     @pytest.mark.parametrize("m", [12, 14])
     def test_corpus_sequences_raise(self, index, seq, m):
-        with pytest.raises(InteriorExhaustedError, match=r"^interior budget exceeded: 5 steps"):
+        with pytest.raises(InteriorExhaustedError, match=rf"^interior exhausted at step 5 "
+                                                         rf"\(label {seq[4]}\): "):
             verify_unfolding_commutation(corpus_matrices()[index], seq, m)
 
     def test_kronecker_four_steps_commute_five_raise(self):
+        # at m = 6; at m = 12, past the old cap of four steps, five and ten
+        # steps commute
         kronecker = ExchangeMatrix([[0, 2], [-2, 0]])
-        assert not build_truncation(kronecker, 10).is_complete
-        assert verify_unfolding_commutation(kronecker, (1, 2, 1, 2), 10).ok
-        with pytest.raises(InteriorExhaustedError, match=r"^interior budget"):
-            verify_unfolding_commutation(kronecker, (1, 2, 1, 2, 1), 12)
+        assert not build_truncation(kronecker, 6).is_complete
+        assert verify_unfolding_commutation(kronecker, (1, 2, 1, 2), 6).ok
+        with pytest.raises(InteriorExhaustedError, match=r"^interior exhausted at step 5 "):
+            verify_unfolding_commutation(kronecker, (1, 2, 1, 2, 1), 6)
+        assert verify_unfolding_commutation(kronecker, (1, 2, 1, 2, 1), 12).ok
+        assert verify_unfolding_commutation(kronecker, (1, 2) * 5, 12).ok
+
+    def test_corpus_28_refused_at_step_4(self):
+        with pytest.raises(InteriorExhaustedError, match=r"^interior exhausted at step 4 "
+                                                         r"\(label 2\): "):
+            verify_unfolding_commutation(corpus_matrices()[28], (2, 3, 1, 2), 12)
 
     @pytest.mark.parametrize("index, seq", [(36, (2, 3, 1, 2, 1)), (48, (2, 4, 1, 3, 4))])
     def test_orbit_mutate_chain_refuses_its_fifth_step(self, index, seq):
-        # the fifth call once folded to a seed other than apply_sequence_framed's
+        # the fifth call once folded to a seed other than apply_sequence_framed's;
+        # now its result's radius drops below d* = 2, so the fold is refused
         quiver = build_truncation(corpus_matrices()[index], 12, framed=True)
         for k in seq[:4]:
             quiver = orbit_mutate(quiver, k)
         assert quiver.can_fold
-        with pytest.raises(InteriorExhaustedError, match=r"^interior budget exceeded"):
-            orbit_mutate(quiver, seq[4])
+        fifth = orbit_mutate(quiver, seq[4])
+        assert fifth.interior_radius < fifth.core_depth == 2
+        with pytest.raises(InteriorExhaustedError, match=r"^representative \d+ for label "):
+            folding(fifth)
 
     def test_hand_built_quiver_takes_its_first_orbit_mutation(self):
         # the step count was once guessed from the outer ring's depth less
         # the radius, a gap of 8 here, and this first step was refused "as
-        # after 4 orbit-mutations"
+        # after 4 orbit-mutations"; the dirty label-1 vertex 2, at depth 10,
+        # has no neighbour, so the radius stays 1
         quiver = LabeledQuiver(n_labels=2, framed=False, labels=(1, 2, 1),
                                frozen=(False, False, False), depths=(0, 1, 10),
                                adj=[{1: 1}, {0: -1}, {}], interior_radius=1)
         assert quiver.can_fold and folding(quiver) == ExchangeMatrix([[0, -1], [1, 0]])
         mutated = orbit_mutate(quiver, 1)
-        assert mutated.interior_radius == -1 and mutated._steps == 1
+        assert mutated.interior_radius == 1 and mutated._dirty == {2}
         assert mutated.adj == [{1: -1}, {0: 1}, {}]
 
     def test_fifth_call_checks_its_label_first(self):
-        quiver = build_truncation(ExchangeMatrix([[0, 2], [-2, 0]]), 10, framed=True)
+        # Kronecker at m = 6: four steps leave radius -1 < d* = 1
+        quiver = build_truncation(ExchangeMatrix([[0, 2], [-2, 0]]), 6, framed=True)
         for k in (1, 2, 1, 2):
             quiver = orbit_mutate(quiver, k)
         with pytest.raises(IndexError, match=r"^orbit label 3 out of range 1\.\.2$"):
             orbit_mutate(quiver, 3)
-        with pytest.raises(InteriorExhaustedError, match=r"^interior budget exceeded: 5 steps, "
-                                                         r"but an infinite unfolding's interior "
-                                                         r"is trusted for 4 steps at most$"):
+        with pytest.raises(InteriorExhaustedError, match=r"^interior exhausted: radius -1 has "
+                                                         r"shrunk below the deepest "
+                                                         r"first-occurrence depth 1$"):
             orbit_mutate(quiver, 1)
 
     def test_complete_quiver_takes_any_number_of_orbit_mutations(self):
@@ -1745,9 +1784,8 @@ class TestFiveStepRefusal:
         assert folding(quiver) == apply_sequence_framed(extend(TWO_LEAF), seq)
 
     def test_incomplete_build_gives_back_its_m(self):
-        # _require_budget's argument: an incomplete fresh truncation has m =
-        # radius - core_depth + 2, so m >= 2L + 2 keeps the last fold's
-        # representatives interior; frozen copies add no ring, so unframed
+        # build_truncation's radius: an incomplete fresh truncation has m =
+        # radius - core_depth + 2; frozen copies add no ring, so unframed
         # builds have the same radius
         incomplete = 0
         for m in range(1, 11):
