@@ -61,7 +61,10 @@ automorphism carrying u to w carries f to a frozen f' with w -> f', and
 f' != f as f -> w, so f -> w -> f' is a witness centred at w.  So a
 violation of the unfolding shows at every right vertex of some label,
 and while every representative is clean, scanning the representatives
-decides Γ: that is the replay's scan before each step.
+decides Γ: that is the replay's scan before each step.  On any quiver
+there is one Γ rule: a witness is centred at a trusted vertex (_trusted),
+every arrow at it counting, and `check_gamma_conditions` reports what
+`orbit_mutate` refuses.
 
 The replay.  `verify_unfolding_commutation` replays on one private
 working quiver (_replay) from a first clean set, the vertices within
@@ -85,7 +88,6 @@ from __future__ import annotations
 import copy
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import inf
 from threading import Lock
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -582,13 +584,15 @@ def _orbit_targets(quiver: LabeledQuiver, k: int) -> tuple[int, ...]:
     return _require_label(quiver, k)
 
 
-def _require_gamma(quiver: LabeledQuiver, scan: Iterable[int], clean: Iterable[int]) -> None:
-    """Refuse an orbit-mutation when a vertex of scan, all of them clean, has
-    a label-class loop or 2-cycle; the error names the witnesses at the
-    vertices of clean.  A clean vertex's arrows are right, so its
-    neighbours count whatever their depth."""
-    if next(_gamma_witnesses(quiver, scan, None), None) is not None:
-        report = _gamma_report(_gamma_witnesses(quiver, clean, None))
+def _require_gamma(quiver: LabeledQuiver, scan: Iterable[int]) -> None:
+    """Refuse an orbit-mutation when a vertex of scan, all of them clean,
+    centres a label-class loop or 2-cycle; the error names the first
+    witnesses found in scan, in check_gamma_conditions' order.  The report
+    is built only once a witness turns up."""
+    found = _gamma_witnesses(quiver, scan)
+    first = next(found, None)
+    if first is not None:
+        report = _gamma_report([first, *found])
         raise GammaViolationError(
             "orbit-mutation undefined: "
             f"label-class loops {list(report.loop_witnesses[:3])}, "
@@ -619,17 +623,17 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     the result's radius is the least of its input's and one less than the
     least depth of a dirty vertex.  Checks, in order: k is a label that
     occurs, every label still has an interior representative
-    (_require_can_fold), and no interior vertex has a Γ witness.
+    (_require_can_fold), and no trusted vertex centres a Γ witness: the
+    scan of check_gamma_conditions, whose first witnesses the error names.
     """
     targets = _orbit_targets(quiver, k)
     _require_can_fold(quiver)
+    trusted = _trusted(quiver)
+    _require_gamma(quiver, trusted)
     radius, depths = quiver.interior_radius, quiver.depths
-    everything = range(quiver.vertex_count)
-    interior = everything if radius is None else [v for v in everything if depths[v] <= radius]
-    _require_gamma(quiver, interior, interior)
     dirty = quiver._dirty
     if dirty is None:
-        dirty = frozenset(everything).difference(interior)
+        dirty = frozenset(range(quiver.vertex_count)).difference(trusted)
     result = copy.copy(quiver)
     result.adj = [d.copy() for d in quiver.adj]
     soiled = _orbit_step(result, targets, [t for t in targets if t in dirty]) - dirty
@@ -642,16 +646,24 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
 # -------------------------------------------------------------------- checks
 
 
+def _trusted(quiver: LabeledQuiver) -> Sequence[int]:
+    """The vertices whose arrows are certified, in id order: those down to
+    the interior radius, every one on a complete quiver."""
+    radius = quiver.interior_radius
+    if radius is None:
+        return range(quiver.vertex_count)
+    return [v for v, depth in enumerate(quiver.depths) if depth <= radius]
+
+
 def _gamma_witnesses(
-    quiver: LabeledQuiver, scan: Iterable[int], radius: Optional[int]
+    quiver: LabeledQuiver, scan: Iterable[int]
 ) -> Iterator[tuple[int, int] | tuple[int, int, int]]:
-    """Loops (x, w) and 2-cycles (u, x, w) through the vertices x of scan.
+    """Loops (x, w) and 2-cycles (u, x, w) centred at the vertices x of scan.
 
     A loop is an arrow x -> w inside one class; a 2-cycle is a path
     u -> x -> w with u != w in one class and x in another.  A class is a
     label and a kind (`_classes`), so frozen copies form their own
-    classes.  Only vertices at depth <= radius count (all of them when
-    radius is None).
+    classes.  Every arrow at x counts, whatever its other end.
     A first pass collects the classes of x's in- and out-neighbors; x has
     a witness, and is enumerated, exactly when its class is an out-class
     (a loop) or some class is both (a 2-cycle).  In a 2-cycle u != w
@@ -659,45 +671,40 @@ def _gamma_witnesses(
     keys of adj[x], as the net arrows between two vertices run one way.
     """
     classes = quiver._classes
-    depths = quiver.depths
     adj = quiver.adj
-    limit = inf if radius is None else radius
     for x in scan:
-        if depths[x] > limit:
-            continue
         class_x = classes[x]
         adj_x = adj[x]
         ins, outs = set(), set()
         for u, mult in adj_x.items():
-            if depths[u] <= limit:
-                (outs if mult > 0 else ins).add(classes[u])
+            (outs if mult > 0 else ins).add(classes[u])
         if class_x not in outs and ins.isdisjoint(outs):
             continue
         ins_by_class: dict[int, list[int]] = {}
         for u, mult in adj_x.items():
-            if mult < 0 and depths[u] <= limit and classes[u] != class_x:
+            if mult < 0 and classes[u] != class_x:
                 ins_by_class.setdefault(classes[u], []).append(u)
         for w, mult in adj_x.items():
-            if mult > 0 and depths[w] <= limit:
+            if mult > 0:
                 if classes[w] == class_x:
                     yield x, w
                 for u in ins_by_class.get(classes[w], ()):
                     yield u, x, w
 
 
-def check_gamma_conditions(
-    quiver: LabeledQuiver, interior_only: bool = False
-) -> GammaReport:
+def check_gamma_conditions(quiver: LabeledQuiver) -> GammaReport:
     """Scan for arrows inside one label class and 2-paths returning to one.
 
-    Frozen copies form their own classes (keyed by label and kind), so a
-    path from a mutable vertex through another label to its own frozen
-    class does not count.  With interior_only the scan is restricted to
-    the trusted interior, which is the honest region after mutations.
-    Loops are listed by (source, target), 2-cycles u -> x -> w by (x, u, w).
+    A witness is centred at a trusted vertex (_trusted): one down to the
+    interior radius, any vertex of a complete quiver.  Every arrow at it
+    counts, as its arrows are certified (the module docstring).
+    orbit_mutate runs the same scan and refuses exactly when this reports
+    a witness.  Frozen copies form their own classes (keyed by label and
+    kind), so a path from a mutable vertex through another label to its
+    own frozen class does not count.  Loops are listed by (source,
+    target), 2-cycles u -> x -> w by (x, u, w).
     """
-    radius = quiver.interior_radius if interior_only else None
-    return _gamma_report(_gamma_witnesses(quiver, range(quiver.vertex_count), radius))
+    return _gamma_report(_gamma_witnesses(quiver, _trusted(quiver)))
 
 
 def _gamma_report(found: Iterable[tuple[int, ...]]) -> GammaReport:
@@ -859,19 +866,21 @@ def _replay(
     """Orbit-mutate a working copy of a fresh truncation, step by step, under
     the clean-set rule (the module docstring), from the clean set start.
 
-    Yields (step, work, clean) before the first step and after each one.
-    `work` is one private LabeledQuiver, made here with the vertices of
-    `quiver`, whose `adj` each step updates in place; its radius is the
-    build's, as the clean set, updated in place too, is the certificate.
-    A step at label k checks k as orbit_mutate does (_orbit_targets),
-    scans the clean representatives of reps for a Γ witness
-    (_require_gamma; by transitivity that decides Γ while all are clean,
-    which _verify_replay requires of every fold), mutates the clean
-    label-k vertices in id order, which on a build is (depth, id) order,
-    and makes dirty the dirty label-k vertices' neighbours (_orbit_step).  `work` shares inner dicts with
-    `quiver` until it owns them, so it must never leave _verify_replay: a
-    caller that wrote to it would write to the truncation it was given,
-    which may be the cached one.
+    Yields (step, work, clean) before the first step and after each one;
+    before the first step `work` is `quiver` itself, and with no
+    directions nothing more is made.  Otherwise `work` is one private
+    LabeledQuiver, made here with the vertices of `quiver`, whose `adj`
+    each step updates in place; its radius is the build's, as the clean
+    set, updated in place too, is the certificate.  A step at label k
+    checks k as orbit_mutate does (_orbit_targets), scans the clean
+    representatives of reps for a Γ witness (_require_gamma; by
+    transitivity that decides Γ while all are clean, which _verify_replay
+    requires of every fold), mutates the clean label-k vertices in id
+    order, which on a build is (depth, id) order, and makes dirty the
+    dirty label-k vertices' neighbours (_orbit_step).  `work` shares inner
+    dicts with `quiver` until it owns them, so it must never leave
+    _verify_replay: a caller that wrote to it would write to the
+    truncation it was given, which may be the cached one.
 
     The step needs only the dirty label-k vertices next to a clean one,
     kept per label in `edges`: at the start, those next to start; then
@@ -891,10 +900,13 @@ def _replay(
     joined to t by an arrow that an earlier target changed, whose endpoints
     lie in A.  The dirty label-k vertices are only read.
     """
+    clean = set(start)
+    yield 0, quiver, clean
+    if not directions:
+        return
     work = copy.copy(quiver)
     adj = work.adj = quiver.adj.copy()
     labels, frozen = quiver.labels, quiver.frozen
-    clean = set(start)
     candidates: dict[int, list[int]] = {}
     for v in sorted(clean):
         if not frozen[v]:
@@ -903,10 +915,9 @@ def _replay(
     for v in set().union(*map(adj.__getitem__, clean)) - clean:
         if not frozen[v]:
             edges.setdefault(labels[v], []).append(v)
-    yield 0, work, clean
     for step, k in enumerate(directions, start=1):
         _orbit_targets(work, k)
-        _require_gamma(work, [rep for rep in reps if rep in clean], clean)
+        _require_gamma(work, [rep for rep in reps if rep in clean])
         targets = [t for t in candidates.get(k, ()) if t in clean]
         for v in set(targets).union(*map(adj.__getitem__, targets)):
             if adj[v] is quiver.adj[v]:
@@ -988,9 +999,7 @@ def _verify_replay(
                     return CommutationReport(ok=False, first_divergence=step)
         else:
             return CommutationReport(ok=True, first_divergence=None)
-        # nothing turns dirty on a complete quiver, so this one has a radius
-        radius = quiver.interior_radius
-        whole = {v for v, depth in enumerate(quiver.depths) if depth <= radius}
+        whole = _trusted(quiver)
         if len(whole) == len(start):
             raise InteriorExhaustedError(
                 f"interior exhausted at step {step} (label {directions[step - 1]}): "

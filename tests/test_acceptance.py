@@ -213,7 +213,7 @@ def test_criterion_8_gamma_and_orbit_signs():
                 if k == last:
                     continue
                 mutated = orbit_mutate(quiver, k)
-                if not check_gamma_conditions(mutated, interior_only=True).ok:
+                if not check_gamma_conditions(mutated).ok:
                     ok = False
                 if not orbit_signs_agree(mutated):
                     ok = False

@@ -40,7 +40,7 @@ SURFACE = {
     "brute_force_green_search": "(seed: 'FramedSeed', max_len: 'int') -> 'list[GreenSequenceReport]'",
     "build_piece": "(matrix: 'ExchangeMatrix', i: 'int', framed: 'bool' = True) -> 'LabeledQuiver'",
     "build_truncation": "(matrix: 'ExchangeMatrix', m: 'int', framed: 'bool' = True) -> 'LabeledQuiver'",
-    "check_gamma_conditions": "(quiver: 'LabeledQuiver', interior_only: 'bool' = False) -> 'GammaReport'",
+    "check_gamma_conditions": "(quiver: 'LabeledQuiver') -> 'GammaReport'",
     "check_sign_coherence": "(seed: 'FramedSeed', depth: 'int') -> 'CoherenceReport'",
     "check_total_mutability": "(matrix: 'ExchangeMatrix', depth: 'int') -> 'MutabilityReport'",
     "classify": "(matrix: 'ExchangeMatrix') -> 'ClassificationReport'",

@@ -636,12 +636,12 @@ class TestGammaConditions:
         )):
             orbit_mutate(quiver, 1)
 
-    @pytest.mark.parametrize("interior_only", [False, True])
-    def test_vertexless_quiver_is_clean(self, interior_only):
-        # no vertex, so no depth to take the scan limit from
+    @pytest.mark.parametrize("radius", [None, 0])
+    def test_vertexless_quiver_is_clean(self, radius):
+        # no vertex, so nothing is trusted and nothing is scanned
         empty = LabeledQuiver(n_labels=1, framed=False, labels=(), frozen=(), depths=(),
-                              adj=[], interior_radius=None)
-        assert check_gamma_conditions(empty, interior_only) == GammaReport(True, True, (), ())
+                              adj=[], interior_radius=radius)
+        assert check_gamma_conditions(empty) == GammaReport(True, True, (), ())
 
     def test_witnesses_match_brute_force_in_order(self):
         # the class-set prefilter skips a vertex only when the enumeration
@@ -653,15 +653,11 @@ class TestGammaConditions:
             n = quiver.vertex_count
             for _ in range(3):
                 scan = rng.sample(range(n), rng.randint(0, n))
-                radius = rng.choice([None, 0, 1, 2, 3])
-                expected = brute_force_gamma_witnesses(quiver, scan, radius)
-                assert list(_gamma_witnesses(quiver, scan, radius)) == expected
+                expected = brute_force_gamma_witnesses(quiver, scan)
+                assert list(_gamma_witnesses(quiver, scan)) == expected
                 for x in scan:
-                    if radius is not None and quiver.depths[x] > radius:
-                        continue
                     found = [w for w in expected if w[len(w) - 2] == x]
-                    near = [mult for v, mult in quiver.adj[x].items()
-                            if radius is None or quiver.depths[v] <= radius]
+                    near = quiver.adj[x].values()
                     if not found:
                         # arrows both in and out, and still nothing to yield
                         paths["skipped"] += min(near, default=0) < 0 < max(near, default=0)
@@ -669,6 +665,46 @@ class TestGammaConditions:
                         paths["enumerated"] += 1
                         paths["loops_only"] += all(len(w) == 2 for w in found)
         assert min(paths.values()) >= 500, paths
+
+    def test_orbit_mutate_refuses_exactly_what_the_check_reports(self):
+        # one Γ rule: a witness is centred at a trusted vertex, and every
+        # arrow at it counts.  The loop 0 -> 1 is centred at the trusted 0
+        # and reaches past the radius; its mirror 1 -> 0 is centred at 1,
+        # which is not trusted, so neither call sees it
+        def agree(quiver, k):
+            report = check_gamma_conditions(quiver)
+            try:
+                mutated = orbit_mutate(quiver, k)
+            except GammaViolationError as refused:
+                assert not report.ok
+                assert str(refused) == (
+                    "orbit-mutation undefined: "
+                    f"label-class loops {list(report.loop_witnesses[:3])}, "
+                    f"label-class 2-cycles {list(report.two_cycle_witnesses[:3])}"
+                )
+                return None
+            assert report.ok
+            return mutated
+
+        for arrow in ({1: 1}, {1: -1}):
+            quiver = LabeledQuiver(
+                n_labels=2, framed=False, labels=(1, 1, 2), frozen=(False,) * 3,
+                depths=(0, 1, 0), adj=[arrow, {0: -arrow[1]}, {}], interior_radius=0,
+            )
+            assert (agree(quiver, 2) is None) is (arrow[1] > 0)
+        rng = random.Random(0x6A44A6)
+        verdicts = Counter()
+        for _ in range(1500):
+            quiver = random_class_quiver(rng, rng.choice([None, 0, 1, 2, 3]))
+            # a second step runs the check on a quiver that carries a dirty set
+            for _ in range(2):
+                if not quiver.can_fold or not quiver.present_labels():
+                    break
+                quiver = agree(quiver, rng.choice(quiver.present_labels()))
+                verdicts["ok" if quiver else "refused"] += 1
+                if quiver is None:
+                    break
+        assert min(verdicts.values()) >= 400, verdicts
 
     @pytest.mark.parametrize("framed", [True, False])
     @pytest.mark.parametrize("m", [2, 4])
@@ -681,7 +717,7 @@ class TestGammaConditions:
             assert check_gamma_conditions(quiver).ok, matrix
 
 
-def random_class_quiver(rng: random.Random) -> LabeledQuiver:
+def random_class_quiver(rng: random.Random, interior_radius=None) -> LabeledQuiver:
     """Up to 9 vertices with 2 to 4 labels, mixed kinds and depths 0..3,
     random arrows plus planted label-class loops and 2-cycles."""
     n = rng.randint(1, 9)
@@ -710,18 +746,16 @@ def random_class_quiver(rng: random.Random) -> LabeledQuiver:
         adj[u][w], adj[w][u] = mult, -mult
     return LabeledQuiver(
         n_labels=n_labels, framed=any(frozen), labels=tuple(labels), frozen=tuple(frozen),
-        depths=tuple(rng.randint(0, 3) for _ in range(n)), adj=adj, interior_radius=None,
+        depths=tuple(rng.randint(0, 3) for _ in range(n)), adj=adj,
+        interior_radius=interior_radius,
     )
 
 
-def brute_force_gamma_witnesses(quiver: LabeledQuiver, scan, radius) -> list[tuple[int, ...]]:
+def brute_force_gamma_witnesses(quiver: LabeledQuiver, scan) -> list[tuple[int, ...]]:
     """Every loop (x, w) and 2-cycle (u, x, w) with x in scan, tried over all
     vertex pairs and triples, then put in scan order, w and u in adj[x] order."""
     n = quiver.vertex_count
     adj = quiver.adj
-
-    def counted(v):
-        return radius is None or quiver.depths[v] <= radius
 
     def arrow(a, b):
         return adj[a].get(b, 0) > 0
@@ -733,12 +767,12 @@ def brute_force_gamma_witnesses(quiver: LabeledQuiver, scan, radius) -> list[tup
     for i, x in enumerate(scan):
         place = {v: p for p, v in enumerate(adj[x])}
         for w in range(n):
-            if not (counted(x) and counted(w) and arrow(x, w)):
+            if not arrow(x, w):
                 continue
             if kind(w) == kind(x):
                 found.append(((i, place[w], -1), (x, w)))
             for u in range(n):
-                if u != w and counted(u) and arrow(u, x) and kind(u) == kind(w) != kind(x):
+                if u != w and arrow(u, x) and kind(u) == kind(w) != kind(x):
                     found.append(((i, place[w], place[u]), (u, x, w)))
     return [witness for _, witness in sorted(found)]
 
@@ -1457,7 +1491,7 @@ class TestTrustedBallReplay:
             2, [1, 2, 1], [False, False, True], [(0, 1), (1, 2)], framed=True
         )
         for quiver, ok in ((loop, False), (two_cycle, False), (separate, True)):
-            witnesses = _gamma_witnesses(quiver, range(quiver.vertex_count), None)
+            witnesses = _gamma_witnesses(quiver, range(quiver.vertex_count))
             verdict = next(witnesses, None) is None
             assert verdict is ok is check_gamma_conditions(quiver).ok
 
