@@ -62,17 +62,21 @@ f' != f as f -> w, so f -> w -> f' is a witness centred at w.  So a
 violation of the unfolding shows at every right vertex of some label,
 and while every representative is clean, scanning the representatives
 decides Γ: that is the replay's scan before each step.  On any quiver
-there is one Γ rule: a witness is centred at a trusted vertex (_trusted),
-every arrow at it counting, and `check_gamma_conditions` reports what
-`orbit_mutate` refuses.
+there is one Γ rule: every arrow at a trusted vertex (_trusted) counts, a
+loop is a witness when either end is trusted and a 2-cycle when its
+centre is, and `check_gamma_conditions` reports what `orbit_mutate`
+refuses.
 
-The replay.  `verify_unfolding_commutation` replays on one private
-working quiver (_replay) from a first clean set, the vertices within
-distance L + 1 of the representatives in the gluing tree, L the number
-of steps.  Only the clean label-k vertices are mutated.  When a
-representative turns dirty it replays once more from the whole
-interior, whose verdict is final; by the growth above it is the verdict
-of that run alone, and the first ball only saves work.
+The replay.  `verify_unfolding_commutation` replays (_replay) from a
+first clean set, the vertices within distance L + 1 of the
+representatives in the gluing tree, L the number of steps, on private
+copies of the arrows of that set and its neighbours.  Only the clean
+label-k vertices are mutated, so every arrow a step writes is in those
+copies, and a write past them raises KeyError: the truncation, which may
+be cached, is only read.  When a representative turns dirty it replays
+once more from the whole interior, whose verdict is final; by the growth
+above it is the verdict of that run alone, and the first ball only saves
+work.
 
 A quiver stores its arrows in `adj`, a list with one dict per vertex id:
 ids are dense, 0..V-1, so a vertex's id is its position in the list.
@@ -658,14 +662,16 @@ def _trusted(quiver: LabeledQuiver) -> Sequence[int]:
 def _gamma_witnesses(
     quiver: LabeledQuiver, scan: Iterable[int]
 ) -> Iterator[tuple[int, int] | tuple[int, int, int]]:
-    """Loops (x, w) and 2-cycles (u, x, w) centred at the vertices x of scan.
+    """Loops with an end x in scan and 2-cycles (u, x, w) centred at the
+    vertices x of scan.
 
-    A loop is an arrow x -> w inside one class; a 2-cycle is a path
-    u -> x -> w with u != w in one class and x in another.  A class is a
-    label and a kind (`_classes`), so frozen copies form their own
-    classes.  Every arrow at x counts, whatever its other end.
+    A loop is an arrow inside one class, listed by (source, target); a
+    2-cycle is a path u -> x -> w with u != w in one class and x in
+    another.  A class is a label and a kind (`_classes`), so frozen copies
+    form their own classes.  Every arrow at x counts, whatever its other
+    end; a loop with both ends in scan is yielded twice, once at each.
     A first pass collects the classes of x's in- and out-neighbors; x has
-    a witness, and is enumerated, exactly when its class is an out-class
+    a witness, and is enumerated, exactly when its class is one of them
     (a loop) or some class is both (a 2-cycle).  In a 2-cycle u != w
     always: u is an in-neighbor and w an out-neighbor of x, two distinct
     keys of adj[x], as the net arrows between two vertices run one way.
@@ -678,16 +684,16 @@ def _gamma_witnesses(
         ins, outs = set(), set()
         for u, mult in adj_x.items():
             (outs if mult > 0 else ins).add(classes[u])
-        if class_x not in outs and ins.isdisjoint(outs):
+        if class_x not in ins and class_x not in outs and ins.isdisjoint(outs):
             continue
         ins_by_class: dict[int, list[int]] = {}
         for u, mult in adj_x.items():
             if mult < 0 and classes[u] != class_x:
                 ins_by_class.setdefault(classes[u], []).append(u)
         for w, mult in adj_x.items():
-            if mult > 0:
-                if classes[w] == class_x:
-                    yield x, w
+            if classes[w] == class_x:
+                yield (x, w) if mult > 0 else (w, x)
+            elif mult > 0:
                 for u in ins_by_class.get(classes[w], ()):
                     yield u, x, w
 
@@ -695,9 +701,10 @@ def _gamma_witnesses(
 def check_gamma_conditions(quiver: LabeledQuiver) -> GammaReport:
     """Scan for arrows inside one label class and 2-paths returning to one.
 
-    A witness is centred at a trusted vertex (_trusted): one down to the
-    interior radius, any vertex of a complete quiver.  Every arrow at it
-    counts, as its arrows are certified (the module docstring).
+    A loop counts when either end is trusted (_trusted): down to the
+    interior radius, or any vertex of a complete quiver; a 2-cycle when
+    its centre is.  Every arrow at a trusted vertex counts, as its arrows
+    are certified (the module docstring).
     orbit_mutate runs the same scan and refuses exactly when this reports
     a witness.  Frozen copies form their own classes (keyed by label and
     kind), so a path from a mutable vertex through another label to its
@@ -708,8 +715,9 @@ def check_gamma_conditions(quiver: LabeledQuiver) -> GammaReport:
 
 
 def _gamma_report(found: Iterable[tuple[int, ...]]) -> GammaReport:
-    """The witnesses found, sorted as check_gamma_conditions lists them."""
-    witnesses = list(found)
+    """The witnesses found, without repeats, sorted as check_gamma_conditions
+    lists them."""
+    witnesses = set(found)
     loops = sorted(w for w in witnesses if len(w) == 2)
     twos = sorted((w for w in witnesses if len(w) == 3), key=lambda t: (t[1], t[0], t[2]))
     return GammaReport(
@@ -863,70 +871,50 @@ def _replay(
     quiver: LabeledQuiver, directions: Sequence[int], start: Collection[int],
     reps: Collection[int],
 ) -> Iterator[tuple[int, LabeledQuiver, set[int]]]:
-    """Orbit-mutate a working copy of a fresh truncation, step by step, under
+    """Orbit-mutate a private copy of a fresh truncation, step by step, under
     the clean-set rule (the module docstring), from the clean set start.
 
     Yields (step, work, clean) before the first step and after each one;
     before the first step `work` is `quiver` itself, and with no
-    directions nothing more is made.  Otherwise `work` is one private
-    LabeledQuiver, made here with the vertices of `quiver`, whose `adj`
-    each step updates in place; its radius is the build's, as the clean
-    set, updated in place too, is the certificate.  A step at label k
-    checks k as orbit_mutate does (_orbit_targets), scans the clean
-    representatives of reps for a Γ witness (_require_gamma; by
-    transitivity that decides Γ while all are clean, which _verify_replay
-    requires of every fold), mutates the clean label-k vertices in id
-    order, which on a build is (depth, id) order, and makes dirty the
-    dirty label-k vertices' neighbours (_orbit_step).  `work` shares inner
-    dicts with `quiver` until it owns them, so it must never leave
-    _verify_replay: a caller that wrote to it would write to the
-    truncation it was given, which may be the cached one.
+    directions nothing more is made.  Otherwise `work` is one
+    LabeledQuiver, made here with the vertices of `quiver`, whose `adj` is
+    a dict by vertex id holding copies of the dicts of keep, the vertices
+    of start and their neighbours; each step updates it in place, and its
+    radius is the build's, as the clean set, updated in place too, is the
+    certificate.  A step at label k checks k as orbit_mutate does
+    (_orbit_targets), scans the clean representatives of reps for a Γ
+    witness (_require_gamma; by transitivity that decides Γ while all are
+    clean, which _verify_replay requires of every fold), mutates the
+    clean label-k vertices of keep in id order, which on a build is
+    (depth, id) order, and makes dirty the dirty label-k vertices of keep
+    and their neighbours (_orbit_step).
 
-    The step needs only the dirty label-k vertices next to a clean one,
-    kept per label in `edges`: at the start, those next to start; then
-    each vertex the rule makes dirty.  A dirty vertex gains a clean
-    neighbour only from a mutation at a clean target already adjacent to
-    it, and after a step at its label it has none left, so the step at k
-    empties edges[k].
-
-    Ownership.  The outer list is copied here, and each vertex has one
-    inner dict.  Before a step's first mutation, let A be its targets
-    together with their current neighbours; each vertex of A whose inner
-    dict is still the truncation's own (`is quiver.adj[v]`) gets a copy,
-    so each dict is copied at most once.  Every arrow the step changes has
-    both endpoints in A, so `quiver` is never written: mutation at t writes
-    only the dicts of t and of its neighbours at that moment, and each
-    such neighbour either was one before the step, so lies in A, or was
-    joined to t by an arrow that an earlier target changed, whose endpoints
-    lie in A.  The dirty label-k vertices are only read.
+    Why keep is enough.  Mutation at a clean target t writes only arrows
+    at t and between two of t's neighbours, so a clean vertex's
+    neighbours stay in keep, by induction from those of start.  So every
+    dict a step reads or writes is in `work`, and a dirty label-k vertex
+    outside keep has no clean neighbour to make dirty.  A write outside
+    keep would raise KeyError instead of reaching `quiver`, which may be
+    the cached truncation.
     """
     clean = set(start)
     yield 0, quiver, clean
     if not directions:
         return
+    adj, labels, frozen = quiver.adj, quiver.labels, quiver.frozen
+    keep = clean.union(*map(adj.__getitem__, clean))
     work = copy.copy(quiver)
-    adj = work.adj = quiver.adj.copy()
-    labels, frozen = quiver.labels, quiver.frozen
-    candidates: dict[int, list[int]] = {}
-    for v in sorted(clean):
+    work.adj = {v: adj[v].copy() for v in keep}
+    keep_ids: dict[int, list[int]] = {}  # keep's mutable vertices by label, in id order
+    for v in sorted(keep):
         if not frozen[v]:
-            candidates.setdefault(labels[v], []).append(v)
-    edges: dict[int, list[int]] = {}
-    for v in set().union(*map(adj.__getitem__, clean)) - clean:
-        if not frozen[v]:
-            edges.setdefault(labels[v], []).append(v)
+            keep_ids.setdefault(labels[v], []).append(v)
     for step, k in enumerate(directions, start=1):
         _orbit_targets(work, k)
         _require_gamma(work, [rep for rep in reps if rep in clean])
-        targets = [t for t in candidates.get(k, ()) if t in clean]
-        for v in set(targets).union(*map(adj.__getitem__, targets)):
-            if adj[v] is quiver.adj[v]:
-                adj[v] = adj[v].copy()
-        soiled = _orbit_step(work, targets, edges.pop(k, ())) & clean
-        clean -= soiled
-        for v in soiled:
-            if not frozen[v]:
-                edges.setdefault(labels[v], []).append(v)
+        ids = keep_ids.get(k, ())
+        clean -= _orbit_step(work, [t for t in ids if t in clean],
+                             [v for v in ids if v not in clean])
         yield step, work, clean
 
 

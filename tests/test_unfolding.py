@@ -656,7 +656,7 @@ class TestGammaConditions:
                 expected = brute_force_gamma_witnesses(quiver, scan)
                 assert list(_gamma_witnesses(quiver, scan)) == expected
                 for x in scan:
-                    found = [w for w in expected if w[len(w) - 2] == x]
+                    found = brute_force_gamma_witnesses(quiver, [x])
                     near = quiver.adj[x].values()
                     if not found:
                         # arrows both in and out, and still nothing to yield
@@ -667,10 +667,11 @@ class TestGammaConditions:
         assert min(paths.values()) >= 500, paths
 
     def test_orbit_mutate_refuses_exactly_what_the_check_reports(self):
-        # one Γ rule: a witness is centred at a trusted vertex, and every
-        # arrow at it counts.  The loop 0 -> 1 is centred at the trusted 0
-        # and reaches past the radius; its mirror 1 -> 0 is centred at 1,
-        # which is not trusted, so neither call sees it
+        # one Γ rule: every arrow at a trusted vertex counts, a loop is a
+        # witness when either end is trusted and a 2-cycle when its centre
+        # is.  The loop between the trusted 0 and the untrusted 1 counts
+        # either way round: 1 -> 0 was once missed, and orbit_mutate(q, 1)
+        # then returned radius -1
         def agree(quiver, k):
             report = check_gamma_conditions(quiver)
             try:
@@ -691,7 +692,10 @@ class TestGammaConditions:
                 n_labels=2, framed=False, labels=(1, 1, 2), frozen=(False,) * 3,
                 depths=(0, 1, 0), adj=[arrow, {0: -arrow[1]}, {}], interior_radius=0,
             )
-            assert (agree(quiver, 2) is None) is (arrow[1] > 0)
+            loop = (0, 1) if arrow[1] > 0 else (1, 0)
+            assert check_gamma_conditions(quiver).loop_witnesses == (loop,)
+            for k in (1, 2):
+                assert agree(quiver, k) is None
         rng = random.Random(0x6A44A6)
         verdicts = Counter()
         for _ in range(1500):
@@ -752,8 +756,9 @@ def random_class_quiver(rng: random.Random, interior_radius=None) -> LabeledQuiv
 
 
 def brute_force_gamma_witnesses(quiver: LabeledQuiver, scan) -> list[tuple[int, ...]]:
-    """Every loop (x, w) and 2-cycle (u, x, w) with x in scan, tried over all
-    vertex pairs and triples, then put in scan order, w and u in adj[x] order."""
+    """Every loop (x, w) or (w, x) and 2-cycle (u, x, w) with x in scan, tried
+    over all vertex pairs and triples, then put in scan order, w and u in
+    adj[x] order."""
     n = quiver.vertex_count
     adj = quiver.adj
 
@@ -767,10 +772,10 @@ def brute_force_gamma_witnesses(quiver: LabeledQuiver, scan) -> list[tuple[int, 
     for i, x in enumerate(scan):
         place = {v: p for p, v in enumerate(adj[x])}
         for w in range(n):
+            if kind(w) == kind(x) and (arrow(x, w) or arrow(w, x)):
+                found.append(((i, place[w], -1), (x, w) if arrow(x, w) else (w, x)))
             if not arrow(x, w):
                 continue
-            if kind(w) == kind(x):
-                found.append(((i, place[w], -1), (x, w)))
             for u in range(n):
                 if u != w and arrow(u, x) and kind(u) == kind(w) != kind(x):
                     found.append(((i, place[w], place[u]), (u, x, w)))
@@ -1584,7 +1589,8 @@ class TestTrustedBallReplay:
         # label-2 targets 1, 2 and 3, all clean: targets 2 and 3 are
         # adjacent, as no Γ scan runs without representatives, so mutating 2
         # gives 3 a neighbor it did not have; reversing every arrow swaps the
-        # roles of in- and out-neighbors
+        # roles of in- and out-neighbors.  The step keeps the dicts of the
+        # start and its neighbours, and writes only those
         arrows = [(0, 2), (2, 3), (3, 4), (1, 0)]
         if reverse:
             arrows = [(w, u) for u, w in arrows]
@@ -1596,10 +1602,49 @@ class TestTrustedBallReplay:
         adj = copy.deepcopy(before)
         for t in (1, 2, 3):
             _mutate_vertex(adj, quiver.frozen, t)
-        *_, (step, work, clean) = _replay(quiver, (2,), range(5), [])
+        start = range(5)
+        *_, (step, work, clean) = _replay(quiver, (2,), start, [])
         assert quiver.adj == before
-        assert (step, clean) == (1, set(range(5)))
-        assert work.adj == adj
+        assert (step, clean) == (1, set(start))
+        assert set(work.adj) == set(start).union(*(before[v] for v in start))
+        for v in work.adj:
+            assert work.adj[v] == adj[v], v
+
+    @pytest.mark.parametrize("seq, kept", [
+        ((1,), [188]), ((1, 2, 3), [1646]), ((3, 4, 2), [1646, 57284]),
+    ])
+    def test_kept_dicts_on_example(self, monkeypatch, seq, kept):
+        # a count, not a time: the dicts each run copies, its start and the
+        # start's neighbours.  (3, 4, 2) replays the whole interior after its
+        # first ball, whose neighbours are the whole build of 57,284 vertices
+        replay, sizes = unfolding._replay, []
+
+        def recording_replay(*args):
+            for step, work, clean in replay(*args):
+                if step == 1:
+                    sizes.append(len(work.adj))
+                yield step, work, clean
+
+        monkeypatch.setattr(unfolding, "_replay", recording_replay)
+        assert verify_unfolding_commutation(example_matrix(), seq, 8).ok
+        assert sizes == kept
+
+    def test_a_write_outside_the_kept_dicts_raises(self, monkeypatch):
+        # a mutation rule that also writes the build's last vertex, on the
+        # outer ring and past every kept dict, raises KeyError instead of
+        # writing the cached truncation, which still equals a cold build
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        example = example_matrix()
+        far = build_truncation(example, 8).vertex_count - 1
+
+        def writing_past_the_kept_dicts(adj, frozen, t):
+            _mutate_vertex(adj, frozen, t)
+            adj[far][t] = 1
+
+        monkeypatch.setattr(unfolding, "_mutate_vertex", writing_past_the_kept_dicts)
+        with pytest.raises(KeyError, match=rf"^{far}$"):
+            verify_unfolding_commutation(example, (1,), 8)
+        assert unfolding._truncations[example, 8].adj == build_truncation(example, 8).adj
 
     def test_bad_direction_raises_like_orbit_mutate(self):
         quiver = build_truncation(example_matrix(), 6, framed=True)
