@@ -27,7 +27,7 @@ from .seeds import (
     check_sign_coherence, extend, identity_rows, source_mgs,
 )
 from .unfolding import (
-    _summary, _tree_dot, _truncation_counts, _verify_replay, build_truncation,
+    _replay_walk, _summary, _tree_dot, _truncation_counts, _verify_replay,
 )
 
 EXIT_OK = 0
@@ -186,10 +186,10 @@ def _cmd_unfold(args: argparse.Namespace) -> _Result:
 def _cmd_verify_unfolding(args: argparse.Namespace) -> _Result:
     directions = _parse_directions(args.seq)
     matrix = _load_matrix(args.matrix)
-    # verify_unfolding_commutation's replay on the request's own build, freed
+    # verify_unfolding_commutation's replay on the request's own walk, freed
     # when the handler returns: its cache serves repeated library calls, and a
     # request makes one
-    report = _verify_replay(build_truncation(matrix, args.m, framed=True), matrix, directions)
+    report = _verify_replay(_replay_walk(matrix, args.m), matrix, directions)
 
     def lines() -> Iterator[str]:
         yield f"commutes: {_bool_str(report.ok)} (steps {len(directions)}, m {args.m})"

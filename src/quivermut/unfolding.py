@@ -11,9 +11,11 @@ the infinite quiver's.  Each vertex's class, its label and kind, is
 indexed once per quiver (`LabeledQuiver._classes`).  A fresh truncation
 is fixed by its counts per ring (_count_rings), and one walk over them
 (_glue) numbers its vertices and the arrow that glues each one in.
-Building (_grow) and `quivermut unfold --dot` (_tree_dot) both read that
-walk; the walk gives each vertex's children consecutive ids, so
-_tree_dot reads the arrows in sorted order off it with no sort.
+Building (_grow), the replay (_Walk) and `quivermut unfold --dot`
+(_tree_dot) all read that walk; the walk gives each vertex's children
+consecutive ids, so _tree_dot reads the arrows in sorted order off it
+with no sort, and the replay builds a vertex's arrows from it only when
+it first reads them.
 `unfold` reports from the counts alone (_summary) and builds no quiver.
 One formatter (_dot_text) lays out every DOT text, as UTF-8 bytes.
 
@@ -62,10 +64,10 @@ f' != f as f -> w, so f -> w -> f' is a witness centred at w.  So a
 violation of the unfolding shows at every right vertex of some label,
 and while every representative is clean, scanning the representatives
 decides Γ: that is the replay's scan before each step.  On any quiver
-there is one Γ rule: every arrow at a trusted vertex (_trusted) counts, a
-loop is a witness when either end is trusted and a 2-cycle when its
-centre is, and `check_gamma_conditions` reports what `orbit_mutate`
-refuses.
+there is one Γ rule: a witness counts when each of its arrows has a
+trusted end (_trusted), so a loop counts when either end is trusted and
+a 2-cycle when its centre is or both its ends are, and
+`check_gamma_conditions` reports what `orbit_mutate` refuses.
 
 The replay.  `verify_unfolding_commutation` replays (_replay) from a
 first clean set, the vertices within distance L + 1 of the
@@ -76,7 +78,9 @@ copies, and a write past them raises KeyError: the truncation, which may
 be cached, is only read.  When a representative turns dirty it replays
 once more from the whole interior, whose verdict is final; by the growth
 above it is the verdict of that run alone, and the first ball only saves
-work.
+work.  The truncation it reads is the gluing walk (_Walk), whose arrow
+dicts are built on first read: those of the first ball and its
+neighbours, or every one for the whole interior.
 
 A quiver stores its arrows in `adj`, a list with one dict per vertex id:
 ids are dense, 0..V-1, so a vertex's id is its position in the list.
@@ -90,8 +94,10 @@ frozen one.
 from __future__ import annotations
 
 import copy
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from threading import Lock
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -103,10 +109,12 @@ from .seeds import FramedSeed, admissible_source_numbering, identity_rows
 
 # The most vertices one truncation or piece may have, checked before it is
 # built (_count_rings).  A built truncation takes ≈333 bytes a vertex, so
-# about 0.67 GB at the cap (tracemalloc on the framed running example at
-# m = 8 and 10, CPython 3.11.7).  The running example at m = 10 has
-# 554,348 vertices framed and 417,961 unframed, the largest truncation the
-# tests build.
+# about 0.67 GB at the cap.  The replay's walk (_Walk) takes ≈92 bytes a
+# vertex before any arrow dict is read, and as much as a build once every
+# one is (tracemalloc on the framed running example at m = 8 and 10,
+# CPython 3.11.7).  The running example at m = 10 has 554,348
+# vertices framed and 417,961 unframed, the largest truncation the tests
+# build.
 _MAX_VERTICES = 2_000_000
 
 Adjacency = list[dict[int, int]]
@@ -399,19 +407,56 @@ def _summary(counts: _RingCounts, framed: bool) -> dict:
     }
 
 
+class _Walk:
+    """A fresh truncation as _glue walks it (_walk), for the replay to read.
+
+    `quiver` has every field of the build (_grow) but its arrows: `adj[v]`
+    is None until arrows(v) first reads it, which builds the dict as _grow
+    writes it and keeps it there.  Every vertex v but the root is glued in
+    by one arrow, adj[parents[v]][v] = signs[v]: 1 to a frozen copy, the
+    sign of b_ji to a satellite labeled j; the root has parent -1 and sign
+    0.  Once every dict is built the walk drops `parents` and `signs`
+    (_verify_replay).  `reps` holds the default fold representatives once
+    checked (_replay_walk), one per label in label order.  A plain class with
+    slots: as a dataclass it took ≈0.8 ms of every import of this module
+    (CPython 3.11.7).
+    """
+
+    __slots__ = ("quiver", "parents", "signs", "reps")
+
+    def __init__(self, quiver: LabeledQuiver, parents: list[int], signs: list[int],
+                 reps: Sequence[int] = ()) -> None:
+        self.quiver, self.parents, self.signs, self.reps = quiver, parents, signs, list(reps)
+
+    def arrows(self, v: int) -> dict[int, int]:
+        """adj[v], built first when it is None: the parent first, then the
+        children by id.  parents never decreases (_tree_dot), so v's
+        children are the one run of ids whose parent is v, all above v."""
+        # the tree before the dicts: _verify_replay drops it only after it
+        # has put a list with every dict built in place of adj
+        parents, signs = self.parents, self.signs
+        adj = self.quiver.adj
+        arrows = adj[v]
+        if arrows is None:
+            arrows = {parents[v]: -signs[v]} if v else {}
+            first = bisect_left(parents, v, v + 1)
+            for c in range(first, bisect_right(parents, v, first)):
+                arrows[c] = signs[c]
+            adj[v] = arrows  # whole, so another thread never reads it half built
+        return arrows
+
+
 def _glue(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> tuple[
         tuple[int, ...], tuple[bool, ...], tuple[int, ...], list[int], list[int]]:
     """Number the vertices of the fresh truncation counted by _count_rings.
 
-    The one walk that _grow builds from and _tree_dot writes from.  Rings
-    0..rings-1 are expanded in turn, each in id order: a vertex labeled i,
-    whose parent is labeled p (p = 0 for the root), gets its frozen copy
-    (when framed), then |b_ji| satellites of each label j, in label order,
-    less one when j = p.  Returns labels, frozen, depths, parents and
-    signs, one entry per vertex id.  Every vertex v but the root is glued
-    in by one arrow, the entry adj[parents[v]][v] = signs[v]: 1 to a
-    frozen copy, the sign of b_ji to a satellite labeled j.  The root has
-    parent -1 and sign 0.
+    The one walk that _tree_dot writes from and _walk makes the quiver of,
+    for _grow to build and the replay to read.  Rings 0..rings-1 are
+    expanded in turn, each in id order: a vertex labeled i, whose parent is
+    labeled p (p = 0 for the root), gets its frozen copy (when framed),
+    then |b_ji| satellites of each label j, in label order, less one when
+    j = p.  Returns labels, frozen, depths, parents and signs, one entry
+    per vertex id, as _Walk keeps them.
 
     The root lacks its whole piece.  Any other vertex v, labeled i, has
     one arrow so far, the one to its parent, labeled p: v was glued as a
@@ -451,18 +496,49 @@ def _glue(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> tuple[
     return tuple(labels), tuple(frozen), tuple(depths), parents, signs
 
 
-def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQuiver:
-    """Build the fresh truncation that _glue numbers, with the counted radius.
+def _walk(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> _Walk:
+    """_glue's walk as a quiver with no arrow dict built yet.
 
-    Each vertex's dict holds its parent first, then its children by id,
-    so `adj` is the gluing tree.
+    The walk's vertex arrays are taken as they are, with no check, and the
+    class and label index are set with no sort: every ring's
+    mutable vertices are numbered after the ring before's, so each label's
+    ids come in (depth, id) order, as `LabeledQuiver.__post_init__` would
+    sort them.
     """
+    n = matrix.n
     labels, frozen, depths, parents, signs = _glue(matrix, framed, counts)
+    classes = [label - 1 + n * f for label, f in zip(labels, frozen)]
+    class_ids: list[list[int]] = [[] for _ in range(2 * n)]
+    for v, c in enumerate(classes):
+        class_ids[c].append(v)
+    quiver = object.__new__(LabeledQuiver)
+    quiver.n_labels, quiver.framed, quiver.interior_radius = n, framed, counts[2]
+    quiver.labels, quiver.frozen, quiver.depths = labels, frozen, depths
+    quiver.adj = [None] * len(labels)
+    quiver._classes = tuple(classes)
+    quiver._label_ids = {c + 1: tuple(ids) for c, ids in enumerate(class_ids[:n]) if ids}
+    quiver.core_depth = max(depths[ids[0]] for ids in quiver._label_ids.values())
+    quiver._dirty = None
+    return _Walk(quiver, parents, signs)
+
+
+def _tree_adj(walk: _Walk) -> Adjacency:
+    """Every arrow dict of the walk at once, as _Walk.arrows builds each:
+    the parent first, then the children by id."""
+    parents, signs = walk.parents, walk.signs
     adj: Adjacency = [{}] + [{parent: -sign} for parent, sign in zip(parents[1:], signs[1:])]
-    for v, parent, sign in zip(range(1, len(labels)), parents[1:], signs[1:]):
+    for v, parent, sign in zip(range(1, len(parents)), parents[1:], signs[1:]):
         adj[parent][v] = sign
-    return LabeledQuiver(n_labels=matrix.n, framed=framed, labels=labels, frozen=frozen,
-                         depths=depths, adj=adj, interior_radius=counts[2])
+    return adj
+
+
+def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQuiver:
+    """Build the fresh truncation that _glue numbers, with the counted radius
+    and the walk's index.  Each vertex's dict holds its parent first, then
+    its children by id, so `adj` is the gluing tree."""
+    walk = _walk(matrix, framed, counts)
+    walk.quiver.adj = _tree_adj(walk)
+    return walk.quiver
 
 
 def build_piece(matrix: ExchangeMatrix, i: int, framed: bool = True) -> LabeledQuiver:
@@ -514,9 +590,9 @@ def _truncation_counts(matrix: ExchangeMatrix, m: int, framed: bool) -> _RingCou
     return _count_rings(matrix, 1, max(1, max(depths.values()) + m - 1), framed)
 
 
-# The framed truncations that verify_unfolding_commutation replays, by
-# (matrix, m); read there and never handed out.
-_truncations: dict[tuple[ExchangeMatrix, int], LabeledQuiver] = {}
+# The framed truncations that verify_unfolding_commutation replays, as their
+# walks (_replay_walk), by (matrix, m); read there and never handed out.
+_truncations: dict[tuple[ExchangeMatrix, int], _Walk] = {}
 _truncations_lock = Lock()
 
 
@@ -588,12 +664,11 @@ def _orbit_targets(quiver: LabeledQuiver, k: int) -> tuple[int, ...]:
     return _require_label(quiver, k)
 
 
-def _require_gamma(quiver: LabeledQuiver, scan: Iterable[int]) -> None:
-    """Refuse an orbit-mutation when a vertex of scan, all of them clean,
-    centres a label-class loop or 2-cycle; the error names the first
-    witnesses found in scan, in check_gamma_conditions' order.  The report
-    is built only once a witness turns up."""
-    found = _gamma_witnesses(quiver, scan)
+def _require_gamma(found: Iterator[tuple[int, ...]]) -> None:
+    """Refuse an orbit-mutation when the scan `found` yields a label-class
+    loop or 2-cycle; the error names its first witnesses, in
+    check_gamma_conditions' order.  The report is built only once a
+    witness turns up."""
     first = next(found, None)
     if first is not None:
         report = _gamma_report([first, *found])
@@ -627,13 +702,14 @@ def orbit_mutate(quiver: LabeledQuiver, k: int) -> LabeledQuiver:
     the result's radius is the least of its input's and one less than the
     least depth of a dirty vertex.  Checks, in order: k is a label that
     occurs, every label still has an interior representative
-    (_require_can_fold), and no trusted vertex centres a Γ witness: the
-    scan of check_gamma_conditions, whose first witnesses the error names.
+    (_require_can_fold), and no Γ witness has a trusted end at each of its
+    arrows: the scan of check_gamma_conditions, whose first witnesses the
+    error names.
     """
     targets = _orbit_targets(quiver, k)
     _require_can_fold(quiver)
     trusted = _trusted(quiver)
-    _require_gamma(quiver, trusted)
+    _require_gamma(_trusted_witnesses(quiver, trusted))
     radius, depths = quiver.interior_radius, quiver.depths
     dirty = quiver._dirty
     if dirty is None:
@@ -659,11 +735,30 @@ def _trusted(quiver: LabeledQuiver) -> Sequence[int]:
     return [v for v, depth in enumerate(quiver.depths) if depth <= radius]
 
 
+def _trusted_witnesses(
+    quiver: LabeledQuiver, trusted: Sequence[int]
+) -> Iterator[tuple[int, int] | tuple[int, int, int]]:
+    """The Γ witnesses each of whose arrows has an end in trusted
+    (_trusted): loops with a trusted end and 2-cycles with a trusted
+    centre, then the 2-cycles through an untrusted centre whose two ends
+    are trusted, found at that centre with only its arrows to trusted
+    vertices; only an untrusted vertex with two trusted neighbours can
+    centre one.  A complete quiver trusts every vertex."""
+    yield from _gamma_witnesses(quiver, trusted)
+    if quiver.interior_radius is not None:
+        ends = set(trusted)
+        # how many trusted neighbours each vertex has, counted in C
+        near = Counter(chain.from_iterable(map(quiver.adj.__getitem__, trusted)))
+        centres = [u for u, count in near.items() if count > 1 and u not in ends]
+        yield from _gamma_witnesses(quiver, centres, ends)
+
+
 def _gamma_witnesses(
-    quiver: LabeledQuiver, scan: Iterable[int]
+    quiver: LabeledQuiver, scan: Iterable[int], ends: Optional[Collection[int]] = None
 ) -> Iterator[tuple[int, int] | tuple[int, int, int]]:
     """Loops with an end x in scan and 2-cycles (u, x, w) centred at the
-    vertices x of scan.
+    vertices x of scan; when ends is given, only the arrows at x whose
+    other end is in ends count.
 
     A loop is an arrow inside one class, listed by (source, target); a
     2-cycle is a path u -> x -> w with u != w in one class and x in
@@ -681,6 +776,8 @@ def _gamma_witnesses(
     for x in scan:
         class_x = classes[x]
         adj_x = adj[x]
+        if ends is not None:
+            adj_x = {u: mult for u, mult in adj_x.items() if u in ends}
         ins, outs = set(), set()
         for u, mult in adj_x.items():
             (outs if mult > 0 else ins).add(classes[u])
@@ -701,17 +798,18 @@ def _gamma_witnesses(
 def check_gamma_conditions(quiver: LabeledQuiver) -> GammaReport:
     """Scan for arrows inside one label class and 2-paths returning to one.
 
-    A loop counts when either end is trusted (_trusted): down to the
-    interior radius, or any vertex of a complete quiver; a 2-cycle when
-    its centre is.  Every arrow at a trusted vertex counts, as its arrows
-    are certified (the module docstring).
+    A witness counts when each of its arrows has a trusted end
+    (_trusted): down to the interior radius, or any vertex of a complete
+    quiver.  So a loop counts when either end is trusted, and a 2-cycle
+    when its centre is or both its ends are.  An arrow at a trusted vertex
+    is certified (the module docstring), whatever its other end.
     orbit_mutate runs the same scan and refuses exactly when this reports
     a witness.  Frozen copies form their own classes (keyed by label and
     kind), so a path from a mutable vertex through another label to its
     own frozen class does not count.  Loops are listed by (source,
     target), 2-cycles u -> x -> w by (x, u, w).
     """
-    return _gamma_report(_gamma_witnesses(quiver, _trusted(quiver)))
+    return _gamma_report(_trusted_witnesses(quiver, _trusted(quiver)))
 
 
 def _gamma_report(found: Iterable[tuple[int, ...]]) -> GammaReport:
@@ -851,71 +949,90 @@ def folding_column(
     return tuple(column[:n]), tuple(column[n:]) if quiver.framed else None
 
 
-def _first_ball(quiver: LabeledQuiver, reps: Iterable[int], radius: int) -> set[int]:
+def _first_ball(walk: _Walk, radius: int) -> set[int]:
     """The replay's first clean set on a fresh truncation: the vertices
-    within distance radius of reps in the gluing tree, which is the build's
-    `adj` (_grow), cut to the interior; every vertex of a complete quiver."""
+    within distance radius of the representatives in the gluing tree, which
+    is the walk's `adj`, cut to the interior; every vertex of a complete
+    quiver.  A dict is built when the search first reads it (_Walk.arrows)."""
+    quiver = walk.quiver
     limit = quiver.interior_radius
     if limit is None:
         return set(range(quiver.vertex_count))
-    adj, depths = quiver.adj, quiver.depths
-    ball = set(reps)
+    adj, depths, arrows = quiver.adj, quiver.depths, walk.arrows
+    ball = set(walk.reps)
     ring = ball
     for _ in range(radius):
-        ring = {u for v in ring for u in adj[v] if depths[u] <= limit} - ball
+        ring = {u for v in ring for u in (adj[v] or arrows(v)) if depths[u] <= limit} - ball
         ball |= ring
     return ball
 
 
 def _replay(
-    quiver: LabeledQuiver, directions: Sequence[int], start: Collection[int],
-    reps: Collection[int],
+    walk: _Walk, directions: Sequence[int], start: Collection[int]
 ) -> Iterator[tuple[int, LabeledQuiver, set[int]]]:
-    """Orbit-mutate a private copy of a fresh truncation, step by step, under
-    the clean-set rule (the module docstring), from the clean set start.
+    """Orbit-mutate a private copy of a fresh truncation, the walk's quiver,
+    step by step, under the clean-set rule (the module docstring), from the
+    clean set start.
 
     Yields (step, work, clean) before the first step and after each one;
-    before the first step `work` is `quiver` itself, and with no
+    before the first step `work` is the walk's quiver itself, and with no
     directions nothing more is made.  Otherwise `work` is one
-    LabeledQuiver, made here with the vertices of `quiver`, whose `adj` is
-    a dict by vertex id holding copies of the dicts of keep, the vertices
-    of start and their neighbours; each step updates it in place, and its
-    radius is the build's, as the clean set, updated in place too, is the
-    certificate.  A step at label k checks k as orbit_mutate does
-    (_orbit_targets), scans the clean representatives of reps for a Γ
-    witness (_require_gamma; by transitivity that decides Γ while all are
-    clean, which _verify_replay requires of every fold), mutates the
-    clean label-k vertices of keep in id order, which on a build is
-    (depth, id) order, and makes dirty the dirty label-k vertices of keep
-    and their neighbours (_orbit_step).
+    LabeledQuiver, made here with the walk's vertices, whose `adj` is a
+    dict by vertex id holding copies of the dicts of keep, the vertices of
+    start and their neighbours, each built when first read (_Walk.arrows);
+    each step updates it in place, and its radius is the build's, as the
+    clean set, updated in place too, is the certificate.  A step at label k
+    checks k as orbit_mutate does (_orbit_targets), scans the clean
+    representatives (`walk.reps`) for a Γ witness (_require_gamma; by
+    transitivity that decides Γ while all are clean, which _verify_replay
+    requires of every fold), mutates the clean label-k vertices of keep in
+    id order, which on a build is (depth, id) order, and makes dirty the
+    dirty label-k vertices of keep and their neighbours (_orbit_step).
 
     Why keep is enough.  Mutation at a clean target t writes only arrows
     at t and between two of t's neighbours, so a clean vertex's
     neighbours stay in keep, by induction from those of start.  So every
     dict a step reads or writes is in `work`, and a dirty label-k vertex
     outside keep has no clean neighbour to make dirty.  A write outside
-    keep would raise KeyError instead of reaching `quiver`, which may be
-    the cached truncation.
+    keep would raise KeyError instead of reaching the walk, which may be
+    cached.
     """
+    quiver = walk.quiver
     clean = set(start)
     yield 0, quiver, clean
     if not directions:
         return
-    adj, labels, frozen = quiver.adj, quiver.labels, quiver.frozen
-    keep = clean.union(*map(adj.__getitem__, clean))
+    adj, arrows, labels, frozen = quiver.adj, walk.arrows, quiver.labels, quiver.frozen
+    keep = clean.union(*[adj[v] or arrows(v) for v in clean])
     work = copy.copy(quiver)
-    work.adj = {v: adj[v].copy() for v in keep}
+    work.adj = {v: (adj[v] or arrows(v)).copy() for v in keep}
     keep_ids: dict[int, list[int]] = {}  # keep's mutable vertices by label, in id order
     for v in sorted(keep):
         if not frozen[v]:
             keep_ids.setdefault(labels[v], []).append(v)
+    reps = walk.reps
     for step, k in enumerate(directions, start=1):
         _orbit_targets(work, k)
-        _require_gamma(work, [rep for rep in reps if rep in clean])
+        _require_gamma(_gamma_witnesses(work, [rep for rep in reps if rep in clean]))
         ids = keep_ids.get(k, ())
         clean -= _orbit_step(work, [t for t in ids if t in clean],
                              [v for v in ids if v not in clean])
         yield step, work, clean
+
+
+def _replay_walk(matrix: ExchangeMatrix, m: int) -> _Walk:
+    """The framed truncation build_truncation(matrix, m) builds, as its
+    walk (_walk), after build_truncation's checks; its default
+    representatives are resolved and checked once here
+    (_resolve_representatives), which builds their dicts and their
+    neighbours' and no other."""
+    walk = _walk(matrix, True, _truncation_counts(matrix, m, True))
+    quiver = walk.quiver
+    for ids in quiver._label_ids.values():
+        for u in walk.arrows(ids[0]):
+            walk.arrows(u)
+    walk.reps = list(_resolve_representatives(quiver, None).values())
+    return walk
 
 
 def verify_unfolding_commutation(
@@ -924,7 +1041,7 @@ def verify_unfolding_commutation(
     """Check that orbit-mutating the truncation tracks the framed seed.
 
     Replays the directions as orbit-mutations on the framed truncation
-    built with m (build_truncation) and as ordinary mutations of the rows
+    with budget m (build_truncation's) and as ordinary mutations of the rows
     of the extended matrix [B; I]; after every prefix the 2n folded rows
     must equal those rows exactly.  Each fold is certified by the
     clean-set rule (the module docstring): while every representative is
@@ -935,46 +1052,57 @@ def verify_unfolding_commutation(
     label or depth, and folding sums only their neighbourhoods.
 
     The truncation.  Repeated calls on one (matrix, m) replay one framed
-    build, kept in _truncations and only read.  m is checked here, before
-    the lookup, because a hit skips build_truncation's checks.  A hit
-    changes nothing.  A miss builds, and empties the cache first when its
-    build would take it past 64 builds or past _MAX_VERTICES vertices;
-    _count_rings refuses any build above _MAX_VERTICES, so every build
-    fits alone, and the cache never holds more than one build at the cap
-    could take (≈0.67 GB), where 64 builds alone could take 64 times that.
+    truncation, kept in _truncations as its gluing walk (_replay_walk)
+    with its representatives checked once.  The walk holds the vertex
+    arrays and the class and label index, and an arrow dict only for each
+    vertex some call has read: it is built on first read, kept, and then
+    only read, so a later call copies the same dicts.  On the running
+    example at m = 8 a walk takes ≈92 bytes a vertex before any call,
+    ≈102 after (1, 2, 3), whose kept set is 1,646 of its 57,284 vertices,
+    and ≈333, as a full build, once a whole-interior rerun has read every
+    dict (tracemalloc, CPython 3.11.7).  m is checked here, before the
+    lookup, because a hit skips build_truncation's checks.  A hit makes
+    no walk and builds only dicts no call has read yet.  A miss makes
+    one, and empties the cache first when it would take it past 64 walks
+    or past _MAX_VERTICES vertices; _count_rings refuses any walk above
+    _MAX_VERTICES, so every walk fits alone, and the cache never holds
+    more than one walk at the cap could take (≈0.67 GB with every dict
+    built), where 64 walks could take 64 times that.
     """
     directions = tuple(directions)
     _require_positive(m, "truncation budget m")
     key = (matrix, m)
-    quiver = _truncations.get(key)
-    if quiver is None:
-        quiver = build_truncation(matrix, m, framed=True)
+    walk = _truncations.get(key)
+    if walk is None:
+        walk = _replay_walk(matrix, m)
         with _truncations_lock:
-            kept = sum(cached.vertex_count for cached in _truncations.values())
-            if len(_truncations) >= 64 or kept + quiver.vertex_count > _MAX_VERTICES:
+            kept = sum(cached.quiver.vertex_count for cached in _truncations.values())
+            if len(_truncations) >= 64 or kept + walk.quiver.vertex_count > _MAX_VERTICES:
                 _truncations.clear()
-            _truncations[key] = quiver
-    return _verify_replay(quiver, matrix, directions)
+            _truncations[key] = walk
+    return _verify_replay(walk, matrix, directions)
 
 
 def _verify_replay(
-    quiver: LabeledQuiver, matrix: ExchangeMatrix, directions: tuple[int, ...]
+    walk: _Walk, matrix: ExchangeMatrix, directions: tuple[int, ...]
 ) -> CommutationReport:
-    """verify_unfolding_commutation on `quiver`, a fresh framed truncation
-    of `matrix` (build_truncation), which is only read.  The command line
-    passes its own build, so the quiver lives only as long as the request.
+    """verify_unfolding_commutation on `walk`, a fresh framed truncation of
+    `matrix` (_replay_walk), whose arrows are only read.  The command line
+    passes its own walk, so it lives only as long as the request.
 
     The first run starts clean on the vertices within distance L + 1 of the
     representatives (_first_ball).  When a representative turns dirty, the
-    whole interior replays once more; when one turns dirty there too,
+    whole interior replays once more, reading every dict, which are all
+    built at once first (_tree_adj), and the walk drops the gluing tree
+    they were built from; when one turns dirty there too,
     InteriorExhaustedError names that step and its label.
     """
     n = matrix.n
-    reps = list(_resolve_representatives(quiver, None).values())
-    start = _first_ball(quiver, reps, len(directions) + 1)
+    quiver, reps = walk.quiver, walk.reps
+    start = _first_ball(walk, len(directions) + 1)
     while True:
         state = list(_flat(matrix.entries + identity_rows(n)))
-        for step, work, clean in _replay(quiver, directions, start, reps):
+        for step, work, clean in _replay(walk, directions, start):
             if step:
                 # _replay has checked the label with _orbit_targets
                 _mutate_flat(state, n, directions[step - 1] - 1)
@@ -993,6 +1121,9 @@ def _verify_replay(
                 f"interior exhausted at step {step} (label {directions[step - 1]}): "
                 f"the truncation no longer certifies a fold representative's arrows"
             )
+        if None in quiver.adj:
+            quiver.adj = _tree_adj(walk)
+            walk.parents = walk.signs = []  # no dict is left for arrows() to build
         start = whole
 
 

@@ -411,6 +411,7 @@ class TestUnfold:
         raise AssertionError("built a truncation")
 
     def test_report_without_dot_builds_nothing(self, capsys, example_file, monkeypatch):
+        monkeypatch.setattr(unfolding, "_glue", self.no_build)
         monkeypatch.setattr(unfolding, "_grow", self.no_build)
         argv = ["unfold", example_file, "--m", "10", "--framed"]
         assert run(capsys, argv) == (0, self.EXAMPLE_M10, "")
@@ -427,8 +428,11 @@ class TestUnfold:
                 return _fn(*args)
 
             monkeypatch.setattr(unfolding, name, counted)
-        # the DOT text is written from the counts, so a --dot request builds nothing
+        # the DOT text is written from the walk of the counts, so a --dot
+        # request builds no quiver and no arrow dict
         monkeypatch.setattr(unfolding, "_grow", self.no_build)
+        monkeypatch.setattr(unfolding, "_tree_adj", self.no_build)
+        monkeypatch.setattr(unfolding._Walk, "arrows", self.no_build)
         dot_path = tmp_path / "out.dot"
         argv = ["unfold", example_file, "--m", "4", "--framed", "--json-out"]
         code, with_dot, _ = run(capsys, argv + ["--dot", str(dot_path)])
@@ -542,7 +546,9 @@ class TestVerifyUnfolding:
     @pytest.mark.parametrize("seq", ["1,2,3,4,1", "1,2,3"], ids=["steps", "budget"])
     def test_over_budget_request_builds_nothing(self, capsys, example_file, monkeypatch, seq):
         # refused on the counts, before the build: the example's truncation
-        # at m = 12 would pass the vertex cap (_MAX_VERTICES)
+        # at m = 12 would pass the vertex cap (_MAX_VERTICES); neither the
+        # replay's walk (_glue) nor a full build (_grow) is made
+        monkeypatch.setattr(unfolding, "_glue", TestUnfold.no_build)
         monkeypatch.setattr(unfolding, "_grow", TestUnfold.no_build)
         argv = ["verify-unfolding", example_file, "-s", seq, "--m", "12"]
         for extra in ([], ["--json-out"]):

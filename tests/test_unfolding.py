@@ -7,6 +7,8 @@ import hashlib
 import itertools
 import random
 import re
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -84,6 +86,37 @@ def tiny_quiver(
         adj=adj,
         interior_radius=interior_radius,
     )
+
+
+def walk_of(quiver: LabeledQuiver, reps=None) -> unfolding._Walk:
+    """A quiver whose every dict is built, as a walk the replay reads, with
+    the default representatives unless reps is given; _Walk.arrows then
+    only returns a dict, so the walk needs no gluing tree."""
+    if reps is None:
+        reps = [_default_representative(quiver, label) for label in range(1, quiver.n_labels + 1)]
+    return unfolding._Walk(quiver, [], [], list(reps))
+
+
+def built_dicts(walk: unfolding._Walk) -> int:
+    return sum(arrows is not None for arrows in walk.quiver.adj)
+
+
+def assert_cached_walk_is_read_only(matrix: ExchangeMatrix, m: int) -> None:
+    """The cached walk of (matrix, m) has the vertices, class index and
+    label index of a cold build, and every dict it built equals the cold
+    build's, in the same order: the replays only read it."""
+    walk = unfolding._truncations[matrix, m]
+    cold = build_truncation(matrix, m, framed=True)
+    quiver = walk.quiver
+    assert (quiver.labels, quiver.frozen, quiver.depths) == (cold.labels, cold.frozen, cold.depths)
+    assert (quiver.interior_radius, quiver.core_depth) == (cold.interior_radius, cold.core_depth)
+    assert (quiver._classes, quiver._label_ids) == (cold._classes, cold._label_ids)
+    assert walk.reps == [cold.mutable_ids(label)[0] for label in range(1, matrix.n + 1)]
+    # the replay reads an exact list and exact dicts, never a subclass
+    assert type(quiver.adj) is list and len(quiver.adj) == cold.vertex_count
+    for v, arrows in enumerate(quiver.adj):
+        assert arrows is None or (
+            type(arrows) is dict and list(arrows.items()) == list(cold.adj[v].items())), v
 
 
 def renumbered(quiver: LabeledQuiver, rng: random.Random) -> LabeledQuiver:
@@ -407,6 +440,65 @@ class TestBuildTruncation:
         # both rings expanded, the unfolding complete, vertex 1 childless
         assert count[1:] == (2, None) and _glue(a2, False, count)[3] == [-1, 0]
 
+    @pytest.mark.parametrize("framed", [True, False])
+    def test_walk_sets_the_index_and_rings_of_the_build(self, framed):
+        # _walk sets the class index, the label index and core_depth with no
+        # check or sort: they equal what __post_init__ computes from the same
+        # vertices.  The walk's depth rings equal _count_rings' and a recount
+        # from the columns of B, every corpus matrix at m = 1..8
+        for matrix in corpus_matrices():
+            for m in range(1, 9):
+                counts = _truncation_counts(matrix, m, framed)
+                walk = unfolding._walk(matrix, framed, counts)
+                quiver = walk.quiver
+                made = LabeledQuiver(
+                    n_labels=matrix.n, framed=framed, labels=quiver.labels,
+                    frozen=quiver.frozen, depths=quiver.depths, adj=unfolding._tree_adj(walk),
+                    interior_radius=quiver.interior_radius)
+                assert quiver._classes == made._classes, (matrix, m)
+                assert list(quiver._label_ids.items()) == list(made._label_ids.items())
+                assert quiver.core_depth == made.core_depth, (matrix, m)
+                assert all(arrows is None for arrows in quiver.adj)
+                by_depth = Counter(quiver.depths)
+                rings = [by_depth[d] for d in range(max(by_depth) + 1)]
+                ring_counts, expanded, _radius = counts
+                counted = [sum(ring.values()) * (1 + (framed and d < expanded))
+                           for d, ring in enumerate(ring_counts)]
+                assert rings == counted == recount_rings(matrix, m, framed), (matrix, m)
+
+
+def recount_rings(matrix: ExchangeMatrix, m: int, framed: bool) -> list[int]:
+    """Vertices per depth of the budget-m truncation, counted afresh: out to
+    depth d* + m - 1 (at least 1), d* the largest distance from label 1 in
+    the nonzero pattern, a label-i vertex entered from a label-p parent has
+    |b_ji| children of each label j but one fewer when j = p, and each
+    vertex it expands has a frozen copy at its depth when framed.  A ring
+    with no vertex ends a finite unfolding."""
+    b = matrix.entries
+    n = matrix.n
+    distance = {0: 0}
+    queue = [0]
+    for i in queue:  # breadth first: the loop reads what it appends
+        for j in range(n):
+            if b[i][j] and j not in distance:
+                distance[j] = distance[i] + 1
+                queue.append(j)
+    depth = max(1, max(distance.values()) + m - 1)
+    ring = Counter({(0, None): 1})
+    sizes = []
+    for _ in range(depth):
+        grown = Counter()
+        for (i, p), count in ring.items():
+            for j in range(n):
+                children = abs(b[j][i]) - (j == p)
+                if j != i and children > 0:
+                    grown[j, i] += count * children
+        sizes.append(sum(ring.values()) * (2 if framed else 1))
+        if not grown:
+            return sizes
+        ring = grown
+    return sizes + [sum(ring.values())]
+
 
 class TestFolding:
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -710,6 +802,43 @@ class TestGammaConditions:
                     break
         assert min(verdicts.values()) >= 400, verdicts
 
+    def test_two_cycle_through_an_untrusted_centre(self):
+        # 0 -> 1 -> 2 joins the trusted label-1 vertices 0 and 2 through the
+        # untrusted label-2 vertex 1: each arrow has a trusted end, so it is a
+        # witness, and orbit_mutate(q, 2) is refused; it once mutated 1,
+        # wrote the loop 0 -> 2 and returned radius -1
+        quiver = LabeledQuiver(
+            n_labels=2, framed=False, labels=(1, 2, 1, 2), frozen=(False,) * 4,
+            depths=(0, 1, 0, 0), adj=[{1: 1}, {0: -1, 2: 1}, {1: -1}, {}], interior_radius=0,
+        )
+        assert check_gamma_conditions(quiver) == GammaReport(True, False, (), ((0, 1, 2),))
+        with pytest.raises(GammaViolationError, match=r"2-cycles \[\(0, 1, 2\)\]$"):
+            orbit_mutate(quiver, 2)
+        # with the end 2 past the radius too, the arrow 1 -> 2 has no trusted end
+        deeper = LabeledQuiver(
+            n_labels=2, framed=False, labels=quiver.labels, frozen=quiver.frozen,
+            depths=(0, 1, 1, 0), adj=quiver.adj, interior_radius=0,
+        )
+        assert check_gamma_conditions(deeper).ok
+
+    def test_report_is_every_witness_with_a_trusted_end_at_each_arrow(self):
+        # brute force over every vertex, then the one rule: a loop needs a
+        # trusted end, a 2-cycle u -> x -> w needs one on u-x and one on x-w
+        rng = random.Random(0x6A44A7)
+        through_untrusted = 0
+        for _ in range(1500):
+            quiver = random_class_quiver(rng, rng.choice([None, 0, 1, 2, 3]))
+            trusted = set(unfolding._trusted(quiver))
+            expected = set()
+            for w in brute_force_gamma_witnesses(quiver, range(quiver.vertex_count)):
+                if all(a in trusted or b in trusted for a, b in zip(w, w[1:])):
+                    expected.add(w)
+                    through_untrusted += len(w) == 3 and w[1] not in trusted
+            report = check_gamma_conditions(quiver)
+            assert set(report.loop_witnesses + report.two_cycle_witnesses) == expected
+            assert report.ok == (not expected)
+        assert through_untrusted >= 50, through_untrusted
+
     @pytest.mark.parametrize("framed", [True, False])
     @pytest.mark.parametrize("m", [2, 4])
     def test_fresh_random_truncations_are_clean(self, m, framed):
@@ -910,7 +1039,7 @@ class TestCommutations:
                 seq = tuple(rng.randint(1, matrix.n) for _ in range(8))
                 assert verify_unfolding_commutation(matrix, seq, 2).ok, (i, seq)
                 whole = range(quiver.vertex_count)
-                for step, work, clean in _replay(quiver, seq, whole, reps):
+                for step, work, clean in _replay(walk_of(quiver, reps), seq, whole):
                     assert len(clean) == quiver.vertex_count
                     seed = apply_sequence_framed(extend(matrix), seq[:step])
                     assert _fold_rows(work, reps) == seed.b.entries + seed.c, (i, seq, step)
@@ -929,6 +1058,8 @@ class TestCommutations:
         def no_build(*args):
             raise AssertionError("built a truncation")
 
+        # the replay's walk (_glue) and the full build (_grow)
+        monkeypatch.setattr(unfolding, "_glue", no_build)
         monkeypatch.setattr(unfolding, "_grow", no_build)
         for seq in ((1, 2, 3, 4, 1), (1, 2, 3)):
             with pytest.raises(ValueError, match=r"^the truncation would have at least "
@@ -939,7 +1070,7 @@ class TestCommutations:
     def test_requests_past_the_old_budget_are_certified(self, monkeypatch):
         # once refused by the step cap of 4 or by m >= 2L + 2, these fold
         # exactly with every representative clean (TestCleanArrows backs the
-        # certificate); the cached build still equals a cold one.  The
+        # certificate); the cached walk still agrees with a cold build.  The
         # example along 1,2,3,4,1 at m = 10 is pinned through the command line
         monkeypatch.setattr(unfolding, "_truncations", {})
         kronecker = ExchangeMatrix([[0, 2], [-2, 0]])
@@ -951,7 +1082,7 @@ class TestCommutations:
         ]:
             assert verify_unfolding_commutation(matrix, seq, m) == CommutationReport(
                 ok=True, first_divergence=None), (seq, m)
-            assert unfolding._truncations[matrix, m].adj == build_truncation(matrix, m).adj
+            assert_cached_walk_is_read_only(matrix, m)
 
     def test_column_check_catches_a_divergence_in_either_half(self):
         # one mirrored arrow at a representative made one stronger, toward a
@@ -960,7 +1091,7 @@ class TestCommutations:
         # the first step
         matrix = example_matrix()
         fresh = build_truncation(matrix, 6, framed=True)
-        assert unfolding._verify_replay(fresh, matrix, (1, 2)).ok
+        assert unfolding._verify_replay(walk_of(fresh), matrix, (1, 2)).ok
         for label in range(1, matrix.n + 1):
             rep = _default_representative(fresh, label)
             for frozen in (False, True):
@@ -970,7 +1101,7 @@ class TestCommutations:
                 broken.adj[rep], broken.adj[u] = fresh.adj[rep].copy(), fresh.adj[u].copy()
                 mult = broken.adj[rep][u] + (1 if broken.adj[rep][u] > 0 else -1)
                 broken.adj[rep][u], broken.adj[u][rep] = mult, -mult
-                report = unfolding._verify_replay(broken, matrix, (1, 2))
+                report = unfolding._verify_replay(walk_of(broken), matrix, (1, 2))
                 assert report.first_divergence == 0, (label, frozen)
         assert fresh == build_truncation(matrix, 6, framed=True)
 
@@ -1110,8 +1241,9 @@ def interior_set(quiver: LabeledQuiver) -> set[int]:
 
 
 def check_replay_against_orbit_mutate(matrix, m, sequences, deeper=6) -> Counter:
-    """Replay each sequence from both of _verify_replay's starts, the first
-    ball and the whole interior, and after every step compare the arrows at
+    """Replay each sequence on the replay's own walk (_replay_walk), from
+    both of _verify_replay's starts, the first ball and the whole interior,
+    and after every step compare the arrows at
     every clean vertex with those of the build at m + deeper, whose ids
     extend this build's, after the same steps taken with no certificate:
     each mutates every label-k vertex of that build's interior
@@ -1124,11 +1256,10 @@ def check_replay_against_orbit_mutate(matrix, m, sequences, deeper=6) -> Counter
     one's, so a wrong clean arrow on either side fails it.  Returns the
     verdicts of verify_unfolding_commutation, by kind.
     """
-    small = build_truncation(matrix, m, framed=True)
+    small = unfolding._replay_walk(matrix, m)
     big = build_truncation(matrix, m + deeper, framed=True)
-    count = small.vertex_count
-    assert big.labels[:count] == small.labels and big.depths[:count] == small.depths
-    reps = [_default_representative(small, label) for label in range(1, matrix.n + 1)]
+    count = small.quiver.vertex_count
+    assert big.labels[:count] == small.quiver.labels and big.depths[:count] == small.quiver.depths
     children: dict[tuple[int, ...], list[int]] = {}
     for seq in sequences:
         for step in range(len(seq)):
@@ -1151,11 +1282,14 @@ def check_replay_against_orbit_mutate(matrix, m, sequences, deeper=6) -> Counter
     assert big.adj == build_truncation(matrix, m + deeper, framed=True).adj
     verdicts = Counter()
     for seq in sequences:
-        for start in (_first_ball(small, reps, len(seq) + 1), interior_set(small)):
-            for step, work, clean in _replay(small, seq, start, reps):
+        for start in (_first_ball(small, len(seq) + 1), interior_set(small.quiver)):
+            for step, work, clean in _replay(small, seq, start):
                 ref = reference[seq[:step]]
+                # before the first step work is the walk, whose dicts are
+                # built when read
+                arrows = work.adj.__getitem__ if step else small.arrows
                 for v in clean:
-                    assert work.adj[v] == ref[v], (matrix, m, seq, step, v)
+                    assert arrows(v) == ref[v], (matrix, m, seq, step, v)
         try:
             report = verify_unfolding_commutation(matrix, seq, m)
             verdicts["ok" if report.ok else f"diverged at {report.first_divergence}"] += 1
@@ -1508,31 +1642,35 @@ class TestTrustedBallReplay:
         with pytest.raises(GammaViolationError) as expected:
             orbit_mutate(orbit_mutate(quiver, 2), 3)
         with pytest.raises(GammaViolationError) as replayed:
-            list(_replay(quiver, (2, 3), range(4), [0, 1, 2]))
+            list(_replay(walk_of(quiver, [0, 1, 2]), (2, 3), range(4)))
         assert str(replayed.value) == str(expected.value)
 
     def test_replay_never_writes_the_cached_truncation(self, monkeypatch):
         # certified, refused, and certified by the whole interior after the
-        # first ball lost a representative
+        # first ball lost a representative; each cached walk agrees with a
+        # cold build on every dict it built
         monkeypatch.setattr(unfolding, "_truncations", {})
         example = example_matrix()
         with pytest.raises(InteriorExhaustedError):
             verify_unfolding_commutation(example, (1, 2, 3), 3)
+        assert verify_unfolding_commutation(example, (1, 2, 3), 8).ok
+        assert built_dicts(unfolding._truncations[example, 8]) == 1646
         assert verify_unfolding_commutation(example, (3, 4, 2), 8).ok
-        assert unfolding._truncations[example, 3] == build_truncation(example, 3)
+        walk = unfolding._truncations[example, 8]
+        # every dict is built, so the walk has dropped the tree they came from
+        assert built_dicts(walk) == 57284 and walk.parents == walk.signs == []
+        assert_cached_walk_is_read_only(example, 3)
         matrices = [example] + corpus_matrices()[1:51:10]
         for matrix in matrices:
             for seq in full_length_sequences(matrix.n, 3)[:6]:
                 assert verify_unfolding_commutation(matrix, seq, 8).ok
-            cached = unfolding._truncations[matrix, 8]
-            cold = build_truncation(matrix, 8, framed=True)
-            assert cached == cold
-            assert cached.adj == cold.adj
+            assert_cached_walk_is_read_only(matrix, 8)
 
     def test_hand_built_quiver_replays_as_the_build(self, monkeypatch):
-        # the vertices and arrows of a fresh truncation, made by hand: the
-        # first ball is read off its arrows, the gluing tree, so each step
-        # mutates the same targets as on the build, and every fold agrees
+        # the replay's walk, whose dicts are built as they are read, the full
+        # build, and its vertices and arrows made by hand: the first ball is
+        # read off the arrows, the gluing tree, so each step mutates the
+        # same targets on all three, and every fold agrees
         taken = []
 
         def recording_orbit_step(work, targets, dirty):
@@ -1545,15 +1683,60 @@ class TestTrustedBallReplay:
         made = LabeledQuiver(n_labels=4, framed=True, labels=grown.labels, frozen=grown.frozen,
                              depths=grown.depths, adj=grown.adj, interior_radius=8)
         assert made == grown
-        reps = [_default_representative(grown, label) for label in range(1, 5)]
-        runs = {}
-        for quiver in (grown, made):
+        lazy = unfolding._replay_walk(matrix, 8)
+        runs = []
+        for walk in (lazy, walk_of(grown), walk_of(made)):
             taken.clear()
-            start = _first_ball(quiver, reps, len(seq) + 1)
-            folds = [_fold_rows(work, reps) for _, work, _ in _replay(quiver, seq, start, reps)]
-            runs[quiver is made] = (folds, [targets[:] for targets in taken])
-        assert runs[True] == runs[False]
-        assert [len(targets) for targets in runs[True][1]] == [61, 69, 85]
+            start = _first_ball(walk, len(seq) + 1)
+            folds = [_fold_rows(work, walk.reps) for _, work, _ in _replay(walk, seq, start)]
+            runs.append((walk.reps, folds, [targets[:] for targets in taken]))
+        assert runs[0] == runs[1] == runs[2]
+        assert [len(targets) for targets in runs[0][2]] == [61, 69, 85]
+
+    def test_threads_share_one_cached_walk(self, monkeypatch):
+        # four threads, more than the cores, replay the example's 36 pruned
+        # length-3 sequences at m = 6 on one cached walk at once, with a short
+        # switch interval, while its dicts are built on first read and six
+        # whole-interior reruns build the rest and drop the gluing tree: each
+        # gets the verdict a lone call gives, and the walk still agrees with a
+        # cold build
+        example = example_matrix()
+        sequences = full_length_sequences(4, 3)
+
+        def verdict(seq):
+            try:
+                return verify_unfolding_commutation(example, seq, 6)
+            except InteriorExhaustedError as refused:
+                return str(refused)
+
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        alone = [verdict(seq) for seq in sequences]
+        assert sum(isinstance(v, str) for v in alone) == 1
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        assert verify_unfolding_commutation(example, (), 6).ok  # the walk the threads share
+        results, failures = {}, []
+
+        def run(offset):
+            try:
+                results[offset] = [verdict(seq) for seq in sequences[offset:] + sequences[:offset]]
+            except Exception as error:  # noqa: BLE001 - reported by the assertion below
+                failures.append(repr(error))
+
+        threads = [threading.Thread(target=run, args=(9 * i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == [] and sorted(results) == [0, 9, 18, 27]
+        for offset, got in results.items():
+            assert got == alone[offset:] + alone[:offset], offset
+        assert_cached_walk_is_read_only(example, 6)
 
     def test_65th_key_empties_the_cache_and_a_hit_changes_nothing(self, monkeypatch):
         # ONE's unfolding is one vertex and its frozen copy, so 65 builds are cheap
@@ -1581,8 +1764,7 @@ class TestTrustedBallReplay:
             for seq in full_length_sequences(matrix.n, 3):
                 assert verify_unfolding_commutation(matrix, seq, 8).ok
             assert list(unfolding._truncations) == [(matrix, 8)]
-        kept = unfolding._truncations[(newer, 8)]
-        assert kept == build_truncation(newer, 8, framed=True)
+        assert_cached_walk_is_read_only(newer, 8)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_step_owns_every_vertex_it_writes(self, reverse):
@@ -1603,7 +1785,7 @@ class TestTrustedBallReplay:
         for t in (1, 2, 3):
             _mutate_vertex(adj, quiver.frozen, t)
         start = range(5)
-        *_, (step, work, clean) = _replay(quiver, (2,), start, [])
+        *_, (step, work, clean) = _replay(walk_of(quiver, []), (2,), start)
         assert quiver.adj == before
         assert (step, clean) == (1, set(start))
         assert set(work.adj) == set(start).union(*(before[v] for v in start))
@@ -1616,7 +1798,10 @@ class TestTrustedBallReplay:
     def test_kept_dicts_on_example(self, monkeypatch, seq, kept):
         # a count, not a time: the dicts each run copies, its start and the
         # start's neighbours.  (3, 4, 2) replays the whole interior after its
-        # first ball, whose neighbours are the whole build of 57,284 vertices
+        # first ball, whose neighbours are the whole build of 57,284 vertices.
+        # A fresh walk builds exactly the dicts its runs read: the last
+        # run's kept set
+        monkeypatch.setattr(unfolding, "_truncations", {})
         replay, sizes = unfolding._replay, []
 
         def recording_replay(*args):
@@ -1628,11 +1813,12 @@ class TestTrustedBallReplay:
         monkeypatch.setattr(unfolding, "_replay", recording_replay)
         assert verify_unfolding_commutation(example_matrix(), seq, 8).ok
         assert sizes == kept
+        assert built_dicts(unfolding._truncations[example_matrix(), 8]) == kept[-1]
 
     def test_a_write_outside_the_kept_dicts_raises(self, monkeypatch):
         # a mutation rule that also writes the build's last vertex, on the
         # outer ring and past every kept dict, raises KeyError instead of
-        # writing the cached truncation, which still equals a cold build
+        # writing the cached walk, which still agrees with a cold build
         monkeypatch.setattr(unfolding, "_truncations", {})
         example = example_matrix()
         far = build_truncation(example, 8).vertex_count - 1
@@ -1644,7 +1830,7 @@ class TestTrustedBallReplay:
         monkeypatch.setattr(unfolding, "_mutate_vertex", writing_past_the_kept_dicts)
         with pytest.raises(KeyError, match=rf"^{far}$"):
             verify_unfolding_commutation(example, (1,), 8)
-        assert unfolding._truncations[example, 8].adj == build_truncation(example, 8).adj
+        assert_cached_walk_is_read_only(example, 8)
 
     def test_bad_direction_raises_like_orbit_mutate(self):
         quiver = build_truncation(example_matrix(), 6, framed=True)
@@ -1712,7 +1898,7 @@ class TestCleanArrows:
 
         first = [verdict(*request) for request in requests]
         monkeypatch.setattr(unfolding, "_first_ball",
-                            lambda quiver, reps, radius: interior_set(quiver))
+                            lambda walk, radius: interior_set(walk.quiver))
         assert [verdict(*request) for request in requests] == first
         kinds = Counter(isinstance(v, str) for v in first)
         assert kinds[True] and kinds[False]
