@@ -95,9 +95,7 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from threading import Lock
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -110,11 +108,11 @@ from .seeds import FramedSeed, admissible_source_numbering, identity_rows
 # The most vertices one truncation or piece may have, checked before it is
 # built (_count_rings).  A built truncation takes ≈333 bytes a vertex, so
 # about 0.67 GB at the cap.  The replay's walk (_Walk) takes ≈92 bytes a
-# vertex before any arrow dict is read, and as much as a build once every
-# one is (tracemalloc on the framed running example at m = 8 and 10,
-# CPython 3.11.7).  The running example at m = 10 has 554,348
-# vertices framed and 417,961 unframed, the largest truncation the tests
-# build.
+# vertex before any arrow dict is read, and ≈350, a build's and its gluing
+# tree's, once every one is, so about 0.70 GB at the cap (tracemalloc on
+# the framed running example at m = 8 and 10, CPython 3.11.7).  The
+# running example at m = 10 has 554,348 vertices framed and 417,961
+# unframed, the largest truncation the tests build.
 _MAX_VERTICES = 2_000_000
 
 Adjacency = list[dict[int, int]]
@@ -415,11 +413,12 @@ class _Walk:
     writes it and keeps it there.  Every vertex v but the root is glued in
     by one arrow, adj[parents[v]][v] = signs[v]: 1 to a frozen copy, the
     sign of b_ji to a satellite labeled j; the root has parent -1 and sign
-    0.  Once every dict is built the walk drops `parents` and `signs`
-    (_verify_replay).  `reps` holds the default fold representatives once
-    checked (_replay_walk), one per label in label order.  A plain class with
-    slots: as a dataclass it took ≈0.8 ms of every import of this module
-    (CPython 3.11.7).
+    0.  The walk keeps `parents` and `signs` for its life, so a thread that
+    finds a dict unbuilt can build it even after another thread's
+    whole-interior rerun has put every dict in place.  `reps` holds the
+    default fold representatives once checked (_replay_walk), one per
+    label in label order.  A plain class with slots: as a dataclass it
+    took ≈0.8 ms of every import of this module (CPython 3.11.7).
     """
 
     __slots__ = ("quiver", "parents", "signs", "reps")
@@ -432,12 +431,10 @@ class _Walk:
         """adj[v], built first when it is None: the parent first, then the
         children by id.  parents never decreases (_tree_dot), so v's
         children are the one run of ids whose parent is v, all above v."""
-        # the tree before the dicts: _verify_replay drops it only after it
-        # has put a list with every dict built in place of adj
-        parents, signs = self.parents, self.signs
         adj = self.quiver.adj
         arrows = adj[v]
         if arrows is None:
+            parents, signs = self.parents, self.signs
             arrows = {parents[v]: -signs[v]} if v else {}
             first = bisect_left(parents, v, v + 1)
             for c in range(first, bisect_right(parents, v, first)):
@@ -497,28 +494,10 @@ def _glue(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> tuple[
 
 
 def _walk(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> _Walk:
-    """_glue's walk as a quiver with no arrow dict built yet.
-
-    The walk's vertex arrays are taken as they are, with no check, and the
-    class and label index are set with no sort: every ring's
-    mutable vertices are numbered after the ring before's, so each label's
-    ids come in (depth, id) order, as `LabeledQuiver.__post_init__` would
-    sort them.
-    """
-    n = matrix.n
+    """_glue's walk as a quiver with no arrow dict built yet."""
     labels, frozen, depths, parents, signs = _glue(matrix, framed, counts)
-    classes = [label - 1 + n * f for label, f in zip(labels, frozen)]
-    class_ids: list[list[int]] = [[] for _ in range(2 * n)]
-    for v, c in enumerate(classes):
-        class_ids[c].append(v)
-    quiver = object.__new__(LabeledQuiver)
-    quiver.n_labels, quiver.framed, quiver.interior_radius = n, framed, counts[2]
-    quiver.labels, quiver.frozen, quiver.depths = labels, frozen, depths
-    quiver.adj = [None] * len(labels)
-    quiver._classes = tuple(classes)
-    quiver._label_ids = {c + 1: tuple(ids) for c, ids in enumerate(class_ids[:n]) if ids}
-    quiver.core_depth = max(depths[ids[0]] for ids in quiver._label_ids.values())
-    quiver._dirty = None
+    quiver = LabeledQuiver(n_labels=matrix.n, framed=framed, labels=labels, frozen=frozen,
+                           depths=depths, adj=[None] * len(labels), interior_radius=counts[2])
     return _Walk(quiver, parents, signs)
 
 
@@ -533,9 +512,9 @@ def _tree_adj(walk: _Walk) -> Adjacency:
 
 
 def _grow(matrix: ExchangeMatrix, framed: bool, counts: _RingCounts) -> LabeledQuiver:
-    """Build the fresh truncation that _glue numbers, with the counted radius
-    and the walk's index.  Each vertex's dict holds its parent first, then
-    its children by id, so `adj` is the gluing tree."""
+    """Build the fresh truncation that _glue numbers, with the counted
+    radius.  Each vertex's dict holds its parent first, then its children
+    by id, so `adj` is the gluing tree."""
     walk = _walk(matrix, framed, counts)
     walk.quiver.adj = _tree_adj(walk)
     return walk.quiver
@@ -741,16 +720,46 @@ def _trusted_witnesses(
     """The Γ witnesses each of whose arrows has an end in trusted
     (_trusted): loops with a trusted end and 2-cycles with a trusted
     centre, then the 2-cycles through an untrusted centre whose two ends
-    are trusted, found at that centre with only its arrows to trusted
-    vertices; only an untrusted vertex with two trusted neighbours can
-    centre one.  A complete quiver trusts every vertex."""
-    yield from _gamma_witnesses(quiver, trusted)
+    are trusted.  A complete quiver trusts every vertex.
+
+    One pass first gathers, for each class c, the classes of the in- and
+    of the out-neighbours of its trusted vertices, and flags c when c is
+    among them or one class is among both.  Every witness flags a class:
+    a loop with a trusted class-c end puts c among them; a 2-cycle
+    u -> x -> w centred at a trusted class-c vertex puts u's class among
+    both; and one whose untrusted centre x joins trusted class-c ends u and
+    w puts x's class among both, as an out-neighbour of u and an
+    in-neighbour of w.  So only the trusted vertices of flagged classes are
+    scanned, and the untrusted centres are sought only among their
+    untrusted neighbours: each one with an in-neighbour and an
+    out-neighbour among the trusted vertices of one flagged class, scanned
+    with its arrows to trusted vertices alone.
+    """
+    classes, adj = quiver._classes, quiver.adj
+    ins: list[set[int]] = [set() for _ in range(2 * quiver.n_labels)]
+    outs: list[set[int]] = [set() for _ in range(2 * quiver.n_labels)]
+    for x in trusted:
+        ins_c, outs_c = ins[classes[x]], outs[classes[x]]
+        for u, mult in adj[x].items():
+            (outs_c if mult > 0 else ins_c).add(classes[u])
+    flagged = {c for c, (ins_c, outs_c) in enumerate(zip(ins, outs))
+               if c in ins_c or c in outs_c or not ins_c.isdisjoint(outs_c)}
+    if not flagged:
+        return
+    scan = [x for x in trusted if classes[x] in flagged]
+    yield from _gamma_witnesses(quiver, scan)
     if quiver.interior_radius is not None:
         ends = set(trusted)
-        # how many trusted neighbours each vertex has, counted in C
-        near = Counter(chain.from_iterable(map(quiver.adj.__getitem__, trusted)))
-        centres = [u for u, count in near.items() if count > 1 and u not in ends]
-        yield from _gamma_witnesses(quiver, centres, ends)
+        # the untrusted vertices with a trusted class-c in-neighbour, and with
+        # a trusted class-c out-neighbour
+        heads = {c: set() for c in flagged}
+        tails = {c: set() for c in flagged}
+        for x in scan:
+            for u, mult in adj[x].items():
+                if u not in ends:
+                    (heads if mult > 0 else tails)[classes[x]].add(u)
+        centres = set().union(*[heads[c] & tails[c] for c in flagged])
+        yield from _gamma_witnesses(quiver, sorted(centres), ends)
 
 
 def _gamma_witnesses(
@@ -1059,14 +1068,15 @@ def verify_unfolding_commutation(
     only read, so a later call copies the same dicts.  On the running
     example at m = 8 a walk takes ≈92 bytes a vertex before any call,
     ≈102 after (1, 2, 3), whose kept set is 1,646 of its 57,284 vertices,
-    and ≈333, as a full build, once a whole-interior rerun has read every
-    dict (tracemalloc, CPython 3.11.7).  m is checked here, before the
-    lookup, because a hit skips build_truncation's checks.  A hit makes
+    and ≈350, a full build's ≈333 and the gluing tree, once a
+    whole-interior rerun has read every dict (tracemalloc, CPython
+    3.11.7).  m is checked here, before the lookup, because a hit skips
+    build_truncation's checks.  A hit makes
     no walk and builds only dicts no call has read yet.  A miss makes
     one, and empties the cache first when it would take it past 64 walks
     or past _MAX_VERTICES vertices; _count_rings refuses any walk above
     _MAX_VERTICES, so every walk fits alone, and the cache never holds
-    more than one walk at the cap could take (≈0.67 GB with every dict
+    more than one walk at the cap could take (≈0.70 GB with every dict
     built), where 64 walks could take 64 times that.
     """
     directions = tuple(directions)
@@ -1093,8 +1103,7 @@ def _verify_replay(
     The first run starts clean on the vertices within distance L + 1 of the
     representatives (_first_ball).  When a representative turns dirty, the
     whole interior replays once more, reading every dict, which are all
-    built at once first (_tree_adj), and the walk drops the gluing tree
-    they were built from; when one turns dirty there too,
+    built at once first (_tree_adj); when one turns dirty there too,
     InteriorExhaustedError names that step and its label.
     """
     n = matrix.n
@@ -1123,7 +1132,6 @@ def _verify_replay(
             )
         if None in quiver.adj:
             quiver.adj = _tree_adj(walk)
-            walk.parents = walk.signs = []  # no dict is left for arrows() to build
         start = whole
 
 

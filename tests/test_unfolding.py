@@ -441,23 +441,14 @@ class TestBuildTruncation:
         assert count[1:] == (2, None) and _glue(a2, False, count)[3] == [-1, 0]
 
     @pytest.mark.parametrize("framed", [True, False])
-    def test_walk_sets_the_index_and_rings_of_the_build(self, framed):
-        # _walk sets the class index, the label index and core_depth with no
-        # check or sort: they equal what __post_init__ computes from the same
-        # vertices.  The walk's depth rings equal _count_rings' and a recount
-        # from the columns of B, every corpus matrix at m = 1..8
+    def test_walk_rings_equal_the_counted_rings(self, framed):
+        # the walk's quiver has no dict built yet, and its depth rings equal
+        # _count_rings' and a recount from the columns of B, every corpus
+        # matrix at m = 1..8
         for matrix in corpus_matrices():
             for m in range(1, 9):
                 counts = _truncation_counts(matrix, m, framed)
-                walk = unfolding._walk(matrix, framed, counts)
-                quiver = walk.quiver
-                made = LabeledQuiver(
-                    n_labels=matrix.n, framed=framed, labels=quiver.labels,
-                    frozen=quiver.frozen, depths=quiver.depths, adj=unfolding._tree_adj(walk),
-                    interior_radius=quiver.interior_radius)
-                assert quiver._classes == made._classes, (matrix, m)
-                assert list(quiver._label_ids.items()) == list(made._label_ids.items())
-                assert quiver.core_depth == made.core_depth, (matrix, m)
+                quiver = unfolding._walk(matrix, framed, counts).quiver
                 assert all(arrows is None for arrows in quiver.adj)
                 by_depth = Counter(quiver.depths)
                 rings = [by_depth[d] for d in range(max(by_depth) + 1)]
@@ -1656,9 +1647,7 @@ class TestTrustedBallReplay:
         assert verify_unfolding_commutation(example, (1, 2, 3), 8).ok
         assert built_dicts(unfolding._truncations[example, 8]) == 1646
         assert verify_unfolding_commutation(example, (3, 4, 2), 8).ok
-        walk = unfolding._truncations[example, 8]
-        # every dict is built, so the walk has dropped the tree they came from
-        assert built_dicts(walk) == 57284 and walk.parents == walk.signs == []
+        assert built_dicts(unfolding._truncations[example, 8]) == 57284
         assert_cached_walk_is_read_only(example, 3)
         matrices = [example] + corpus_matrices()[1:51:10]
         for matrix in matrices:
@@ -1697,9 +1686,8 @@ class TestTrustedBallReplay:
         # four threads, more than the cores, replay the example's 36 pruned
         # length-3 sequences at m = 6 on one cached walk at once, with a short
         # switch interval, while its dicts are built on first read and six
-        # whole-interior reruns build the rest and drop the gluing tree: each
-        # gets the verdict a lone call gives, and the walk still agrees with a
-        # cold build
+        # whole-interior reruns build the rest: each gets the verdict a lone
+        # call gives, and the walk still agrees with a cold build
         example = example_matrix()
         sequences = full_length_sequences(4, 3)
 
@@ -1737,6 +1725,29 @@ class TestTrustedBallReplay:
         for offset, got in results.items():
             assert got == alone[offset:] + alone[:offset], offset
         assert_cached_walk_is_read_only(example, 6)
+
+    def test_a_rerun_between_another_reruns_check_and_build(self, monkeypatch):
+        # a whole-interior rerun on the cached walk runs between another
+        # one's check for unbuilt dicts and its build of them, as a thread
+        # switch there may: both certify, the first builds from the same
+        # gluing tree, and the walk still agrees with a cold build
+        example = example_matrix()
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        assert verify_unfolding_commutation(example, (), 8).ok
+        tree_adj, nested = unfolding._tree_adj, []
+
+        def interleaved_tree_adj(walk):
+            if not nested:  # the first call only; the nested rerun builds at once
+                nested.append(None)
+                nested.append(verify_unfolding_commutation(example, (3, 4, 2), 8))
+            return tree_adj(walk)
+
+        monkeypatch.setattr(unfolding, "_tree_adj", interleaved_tree_adj)
+        assert verify_unfolding_commutation(example, (3, 4, 2), 8).ok
+        assert nested == [None, CommutationReport(ok=True, first_divergence=None)]
+        assert built_dicts(unfolding._truncations[example, 8]) == 57284
+        assert_cached_walk_is_read_only(example, 8)
+        assert verify_unfolding_commutation(example, (1, 2, 3), 8).ok
 
     def test_65th_key_empties_the_cache_and_a_hit_changes_nothing(self, monkeypatch):
         # ONE's unfolding is one vertex and its frozen copy, so 65 builds are cheap
