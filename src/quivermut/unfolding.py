@@ -80,7 +80,13 @@ once more from the whole interior, whose verdict is final; by the growth
 above it is the verdict of that run alone, and the first ball only saves
 work.  The truncation it reads is the gluing walk (_Walk), whose arrow
 dicts are built on first read: those of the first ball and its
-neighbours, or every one for the whole interior.
+neighbours, or every one for the whole interior.  What a start needs
+before the first step, its clean set, its kept dicts and their mutable
+vertices by label, depends only on the walk and the ball's radius, so
+the walk keeps it as a template (_template), built once and then only
+read; the whole interior is the ball at the radius where it stops
+growing.  A call on a walk that has served its length before copies the
+kept dicts, steps, scans and folds, and searches no ball.
 
 A quiver stores its arrows in `adj`, a list with one dict per vertex id:
 ids are dense, 0..V-1, so a vertex's id is its position in the list.
@@ -110,9 +116,14 @@ from .seeds import FramedSeed, admissible_source_numbering, identity_rows
 # about 0.67 GB at the cap.  The replay's walk (_Walk) takes ≈92 bytes a
 # vertex before any arrow dict is read, and ≈350, a build's and its gluing
 # tree's, once every one is, so about 0.70 GB at the cap (tracemalloc on
-# the framed running example at m = 8 and 10, CPython 3.11.7).  The
-# running example at m = 10 has 554,348 vertices framed and 417,961
-# unframed, the largest truncation the tests build.
+# the framed running example at m = 8 and 10, CPython 3.11.7).  Its replay
+# templates (_template) keep at most five times its vertices in all, at
+# ≈70 bytes a kept vertex (the example at m = 8: 117 kB for the first ball
+# of (1, 2, 3), 4.0 MB for the whole interior after (3, 4, 2)), so a walk
+# with every dict and template built takes at most ≈700 bytes a vertex,
+# about 1.4 GB at the cap.  The running example at m = 10 has 554,348
+# vertices framed and 417,961 unframed, the largest truncation the tests
+# build.
 _MAX_VERTICES = 2_000_000
 
 Adjacency = list[dict[int, int]]
@@ -334,6 +345,12 @@ class LabeledQuiver:
 # whole (finite) unfolding.
 _RingCounts = tuple[list[dict[tuple[int, int], int]], int, Optional[int]]
 
+# What a replay reads of its walk before its first step (_keep), only read
+# once made: the clean start; the kept set, the start and its neighbours,
+# each with the walk's arrow dict; keep's mutable vertices by label, in id
+# order.
+_Template = tuple[frozenset[int], dict[int, dict[int, int]], dict[int, tuple[int, ...]]]
+
 
 def _columns(matrix: ExchangeMatrix) -> list[list[tuple[int, int, int]]]:
     """columns[i]: (satellite label j, sign of b_ji, |b_ji|) for each nonzero
@@ -413,19 +430,26 @@ class _Walk:
     writes it and keeps it there.  Every vertex v but the root is glued in
     by one arrow, adj[parents[v]][v] = signs[v]: 1 to a frozen copy, the
     sign of b_ji to a satellite labeled j; the root has parent -1 and sign
-    0.  The walk keeps `parents` and `signs` for its life, so a thread that
-    finds a dict unbuilt can build it even after another thread's
-    whole-interior rerun has put every dict in place.  `reps` holds the
-    default fold representatives once checked (_replay_walk), one per
-    label in label order.  A plain class with slots: as a dataclass it
-    took ≈0.8 ms of every import of this module (CPython 3.11.7).
+    0.  The walk keeps `parents` and `signs` for its life.  `reps` holds
+    the default fold representatives once checked (_replay_walk), one per
+    label in label order.  `templates` holds the replay templates by
+    first-ball radius (_template), `saturation` the radius from which the
+    first ball is the whole interior once a search has found it (the
+    vertex count until then, above any tree distance), and `lock`
+    serialises the template builds: once the walk is shared, they are
+    the only place a dict is built, so two threads never build one dict
+    twice.  A plain class with slots: as a dataclass it took ≈0.8 ms of
+    every import of this module (CPython 3.11.7).
     """
 
-    __slots__ = ("quiver", "parents", "signs", "reps")
+    __slots__ = ("quiver", "parents", "signs", "reps", "templates", "saturation", "lock")
 
     def __init__(self, quiver: LabeledQuiver, parents: list[int], signs: list[int],
                  reps: Sequence[int] = ()) -> None:
         self.quiver, self.parents, self.signs, self.reps = quiver, parents, signs, list(reps)
+        self.templates: dict[int, _Template] = {}
+        self.saturation = quiver.vertex_count
+        self.lock = Lock()
 
     def arrows(self, v: int) -> dict[int, int]:
         """adj[v], built first when it is None: the parent first, then the
@@ -958,45 +982,115 @@ def folding_column(
     return tuple(column[:n]), tuple(column[n:]) if quiver.framed else None
 
 
-def _first_ball(walk: _Walk, radius: int) -> set[int]:
+def _first_ball(walk: _Walk, radius: int) -> tuple[set[int], int]:
     """The replay's first clean set on a fresh truncation: the vertices
     within distance radius of the representatives in the gluing tree, which
     is the walk's `adj`, cut to the interior; every vertex of a complete
-    quiver.  A dict is built when the search first reads it (_Walk.arrows)."""
+    quiver.  A dict is built when the search first reads it (_Walk.arrows).
+
+    Returns the ball and the number of rings the search added: radius, or
+    fewer when a ring adds no vertex, where the search stops.  The ball is
+    then the whole interior, and so at every larger radius: the tree cut
+    to the interior is connected, since a vertex's path to the root only
+    gets shallower, and it holds the representatives.  On a complete
+    quiver the number is 0."""
     quiver = walk.quiver
     limit = quiver.interior_radius
     if limit is None:
-        return set(range(quiver.vertex_count))
+        return set(range(quiver.vertex_count)), 0
     adj, depths, arrows = quiver.adj, quiver.depths, walk.arrows
     ball = set(walk.reps)
-    ring = ball
-    for _ in range(radius):
+    ring, rings = ball, 0
+    while rings < radius:
         ring = {u for v in ring for u in (adj[v] or arrows(v)) if depths[u] <= limit} - ball
+        if not ring:
+            break
         ball |= ring
-    return ball
+        rings += 1
+    return ball, rings
+
+
+def _keep(walk: _Walk, start: Collection[int]) -> _Template:
+    """The template of a replay from the clean set start: start, the kept
+    set with each vertex's dict, built when first read (_Walk.arrows), and
+    keep's mutable vertices by label in id order, which on a build is
+    (depth, id) order."""
+    quiver = walk.quiver
+    adj, arrows, labels, frozen = quiver.adj, walk.arrows, quiver.labels, quiver.frozen
+    start = frozenset(start)
+    keep = sorted(start.union(*[adj[v] or arrows(v) for v in start]))
+    keep_ids: dict[int, list[int]] = {}
+    for v in keep:
+        if not frozen[v]:
+            keep_ids.setdefault(labels[v], []).append(v)
+    return (start, {v: adj[v] or arrows(v) for v in keep},
+            {label: tuple(ids) for label, ids in keep_ids.items()})
+
+
+def _template(walk: _Walk, radius: int) -> _Template:
+    """The template (_keep) of the first ball of this radius (_first_ball),
+    built whole the first time a call asks for it, under the walk's lock,
+    published with one store and then only read.
+
+    It is kept under the radius the ball reached, so every radius from the
+    saturation radius on, where the ball stops growing, shares the whole
+    interior's template, and a walk holds at most saturation radius + 1
+    templates.  A radius of at least the vertex count asks for the whole
+    interior, whose kept set is every vertex: their dicts are built at once
+    first (_tree_adj), filling in only those not built yet, so no template
+    keeps a dict that `adj` no longer holds.  The whole interior's template
+    is always kept, and a smaller ball's only while the smaller balls'
+    templates keep at most four times the walk's vertices in all, so a
+    walk's templates keep at most five times its vertices, however many
+    lengths it serves.  Only a walk whose ball grows slowly and that serves
+    many lengths reaches that bound; past it a template serves its call
+    alone and is built again by the next call that asks for it.
+    """
+    template = walk.templates.get(min(radius, walk.saturation))
+    if template is not None:
+        return template
+    with walk.lock:
+        templates, adj = walk.templates, walk.quiver.adj
+        template = templates.get(min(radius, walk.saturation))  # built while this call waited
+        if template is None:
+            if radius >= len(adj):
+                for v, arrows in enumerate(_tree_adj(walk)):
+                    if adj[v] is None:
+                        adj[v] = arrows
+            ball, rings = _first_ball(walk, radius)
+            if rings < radius:
+                walk.saturation = rings
+            template = templates.get(rings)
+            if template is None:
+                template = _keep(walk, ball)
+                balls = sum(len(kept) for key, (_start, kept, _ids) in templates.items()
+                            if key < walk.saturation)
+                if rings == walk.saturation or balls + len(template[1]) <= 4 * len(adj):
+                    templates[rings] = template
+    return template
 
 
 def _replay(
-    walk: _Walk, directions: Sequence[int], start: Collection[int]
+    walk: _Walk, directions: Sequence[int], template: _Template
 ) -> Iterator[tuple[int, LabeledQuiver, set[int]]]:
     """Orbit-mutate a private copy of a fresh truncation, the walk's quiver,
     step by step, under the clean-set rule (the module docstring), from the
-    clean set start.
+    template's clean start (_keep, _template).
 
     Yields (step, work, clean) before the first step and after each one;
     before the first step `work` is the walk's quiver itself, and with no
     directions nothing more is made.  Otherwise `work` is one
     LabeledQuiver, made here with the walk's vertices, whose `adj` is a
-    dict by vertex id holding copies of the dicts of keep, the vertices of
-    start and their neighbours, each built when first read (_Walk.arrows);
-    each step updates it in place, and its radius is the build's, as the
-    clean set, updated in place too, is the certificate.  A step at label k
-    checks k as orbit_mutate does (_orbit_targets), scans the clean
-    representatives (`walk.reps`) for a Γ witness (_require_gamma; by
-    transitivity that decides Γ while all are clean, which _verify_replay
-    requires of every fold), mutates the clean label-k vertices of keep in
-    id order, which on a build is (depth, id) order, and makes dirty the
-    dirty label-k vertices of keep and their neighbours (_orbit_step).
+    dict by vertex id holding copies of the template's dicts of keep, the
+    vertices of start and their neighbours; each step updates it in place,
+    and its radius is the build's, as the clean set, a copy of start
+    updated in place, is the certificate.  A step at label k checks k as
+    orbit_mutate does (_orbit_targets), scans the clean representatives
+    (`walk.reps`) for a Γ witness (_require_gamma; by transitivity that
+    decides Γ while all are clean, which _verify_replay requires of every
+    fold), mutates the clean label-k vertices of keep in id order, and
+    makes dirty the dirty label-k vertices of keep and their neighbours
+    (_orbit_step).  The template is only read.
 
     Why keep is enough.  Mutation at a clean target t writes only arrows
     at t and between two of t's neighbours, so a clean vertex's
@@ -1006,19 +1100,14 @@ def _replay(
     keep would raise KeyError instead of reaching the walk, which may be
     cached.
     """
+    start, kept, keep_ids = template
     quiver = walk.quiver
     clean = set(start)
     yield 0, quiver, clean
     if not directions:
         return
-    adj, arrows, labels, frozen = quiver.adj, walk.arrows, quiver.labels, quiver.frozen
-    keep = clean.union(*[adj[v] or arrows(v) for v in clean])
     work = copy.copy(quiver)
-    work.adj = {v: (adj[v] or arrows(v)).copy() for v in keep}
-    keep_ids: dict[int, list[int]] = {}  # keep's mutable vertices by label, in id order
-    for v in sorted(keep):
-        if not frozen[v]:
-            keep_ids.setdefault(labels[v], []).append(v)
+    work.adj = {v: arrows.copy() for v, arrows in kept.items()}
     reps = walk.reps
     for step, k in enumerate(directions, start=1):
         _orbit_targets(work, k)
@@ -1065,19 +1154,27 @@ def verify_unfolding_commutation(
     with its representatives checked once.  The walk holds the vertex
     arrays and the class and label index, and an arrow dict only for each
     vertex some call has read: it is built on first read, kept, and then
-    only read, so a later call copies the same dicts.  On the running
-    example at m = 8 a walk takes ≈92 bytes a vertex before any call,
-    ≈102 after (1, 2, 3), whose kept set is 1,646 of its 57,284 vertices,
-    and ≈350, a full build's ≈333 and the gluing tree, once a
-    whole-interior rerun has read every dict (tracemalloc, CPython
-    3.11.7).  m is checked here, before the lookup, because a hit skips
-    build_truncation's checks.  A hit makes
-    no walk and builds only dicts no call has read yet.  A miss makes
-    one, and empties the cache first when it would take it past 64 walks
-    or past _MAX_VERTICES vertices; _count_rings refuses any walk above
-    _MAX_VERTICES, so every walk fits alone, and the cache never holds
-    more than one walk at the cap could take (≈0.70 GB with every dict
-    built), where 64 walks could take 64 times that.
+    only read, so a later call copies the same dicts.  It also keeps one
+    replay template per first-ball radius a call has used (_template):
+    the start, its kept dicts and their mutable vertices by label.  So a
+    call with a length the walk has served before searches no ball, takes
+    no union and sorts nothing; the whole interior's template serves every
+    rerun, and every radius from the one where the ball stops growing.
+    The templates keep at most five times the walk's vertices in all.  On the
+    running example at m = 8 a walk takes ≈92 bytes a vertex before any
+    call; ≈102 after (1, 2, 3), whose kept set is 1,646 of its 57,284
+    vertices, and its template 2 more (117 kB); ≈350, a full build's ≈333
+    and the gluing tree, once a whole-interior rerun such as (3, 4, 2) has
+    read every dict, and the interior's template 70 more (4.0 MB)
+    (tracemalloc, CPython 3.11.7).  m is checked here, before the lookup,
+    because a hit skips build_truncation's checks.  A hit makes no walk
+    and builds only dicts and templates no call has needed yet.  A miss
+    makes one, and empties the cache first when it would take it past 64
+    walks or past _MAX_VERTICES vertices; _count_rings refuses any walk
+    above _MAX_VERTICES, so every walk fits alone, and the cache never
+    holds more than one walk at the cap could take (≈1.4 GB with every
+    dict and template built, _MAX_VERTICES' comment), where 64 walks could
+    take 64 times that.
     """
     directions = tuple(directions)
     _require_positive(m, "truncation budget m")
@@ -1102,16 +1199,23 @@ def _verify_replay(
 
     The first run starts clean on the vertices within distance L + 1 of the
     representatives (_first_ball).  When a representative turns dirty, the
-    whole interior replays once more, reading every dict, which are all
-    built at once first (_tree_adj); when one turns dirty there too,
-    InteriorExhaustedError names that step and its label.
+    whole interior replays once more, unless the first ball was already
+    all of it; when one turns dirty there too, InteriorExhaustedError
+    names that step and its label.  Both starts are templates of the walk
+    (_template), so a call on a walk that has served its length before
+    computes no ball, no kept set and no sort.
     """
     n = matrix.n
-    quiver, reps = walk.quiver, walk.reps
-    start = _first_ball(walk, len(directions) + 1)
-    while True:
+    reps = walk.reps
+    tried = None
+    # the first ball, then the whole interior: no tree distance reaches the vertex count
+    for radius in (len(directions) + 1, walk.quiver.vertex_count):
+        template = _template(walk, radius)
+        if len(template[0]) == tried:  # the first ball was the whole interior
+            break
+        tried = len(template[0])
         state = list(_flat(matrix.entries + identity_rows(n)))
-        for step, work, clean in _replay(walk, directions, start):
+        for step, work, clean in _replay(walk, directions, template):
             if step:
                 # _replay has checked the label with _orbit_targets
                 _mutate_flat(state, n, directions[step - 1] - 1)
@@ -1124,15 +1228,10 @@ def _verify_replay(
                     return CommutationReport(ok=False, first_divergence=step)
         else:
             return CommutationReport(ok=True, first_divergence=None)
-        whole = _trusted(quiver)
-        if len(whole) == len(start):
-            raise InteriorExhaustedError(
-                f"interior exhausted at step {step} (label {directions[step - 1]}): "
-                f"the truncation no longer certifies a fold representative's arrows"
-            )
-        if None in quiver.adj:
-            quiver.adj = _tree_adj(walk)
-        start = whole
+    raise InteriorExhaustedError(
+        f"interior exhausted at step {step} (label {directions[step - 1]}): "
+        f"the truncation no longer certifies a fold representative's arrows"
+    )
 
 
 # ----------------------------------------------------------------------- DOT

@@ -45,10 +45,12 @@ from quivermut.unfolding import (
     _fold_rows,
     _gamma_witnesses,
     _glue,
+    _keep,
     _mutate_vertex,
     _orbit_step,
     _replay,
     _summary,
+    _template,
     _tree_dot,
     _truncation_counts,
 )
@@ -117,6 +119,11 @@ def assert_cached_walk_is_read_only(matrix: ExchangeMatrix, m: int) -> None:
     for v, arrows in enumerate(quiver.adj):
         assert arrows is None or (
             type(arrows) is dict and list(arrows.items()) == list(cold.adj[v].items())), v
+    # at most one template a radius up to the saturation radius, each keeping
+    # the very dicts the walk holds, so none keeps one the walk replaced
+    assert all(radius <= walk.saturation for radius in walk.templates)
+    for start, kept, _ids in walk.templates.values():
+        assert start <= kept.keys() and all(arrows is quiver.adj[v] for v, arrows in kept.items())
 
 
 def renumbered(quiver: LabeledQuiver, rng: random.Random) -> LabeledQuiver:
@@ -1029,8 +1036,9 @@ class TestCommutations:
             for _ in range(40):
                 seq = tuple(rng.randint(1, matrix.n) for _ in range(8))
                 assert verify_unfolding_commutation(matrix, seq, 2).ok, (i, seq)
+                walk = walk_of(quiver, reps)
                 whole = range(quiver.vertex_count)
-                for step, work, clean in _replay(walk_of(quiver, reps), seq, whole):
+                for step, work, clean in _replay(walk, seq, _keep(walk, whole)):
                     assert len(clean) == quiver.vertex_count
                     seed = apply_sequence_framed(extend(matrix), seq[:step])
                     assert _fold_rows(work, reps) == seed.b.entries + seed.c, (i, seq, step)
@@ -1216,6 +1224,14 @@ class TestStructuralInvariants:
             assert_structurally_valid(quiver, fresh=False)
 
 
+def commutation_verdict(matrix: ExchangeMatrix, seq, m: int):
+    """verify_unfolding_commutation's report, or its refusal's message."""
+    try:
+        return verify_unfolding_commutation(matrix, seq, m)
+    except InteriorExhaustedError as refused:
+        return str(refused)
+
+
 def full_length_sequences(n: int, length: int) -> list[tuple[int, ...]]:
     """Direction sequences of exactly this length without immediate repeats."""
     return [
@@ -1273,8 +1289,8 @@ def check_replay_against_orbit_mutate(matrix, m, sequences, deeper=6) -> Counter
     assert big.adj == build_truncation(matrix, m + deeper, framed=True).adj
     verdicts = Counter()
     for seq in sequences:
-        for start in (_first_ball(small, len(seq) + 1), interior_set(small.quiver)):
-            for step, work, clean in _replay(small, seq, start):
+        for radius in (len(seq) + 1, count):
+            for step, work, clean in _replay(small, seq, _template(small, radius)):
                 ref = reference[seq[:step]]
                 # before the first step work is the walk, whose dicts are
                 # built when read
@@ -1532,7 +1548,8 @@ class TestTrustedBallReplay:
     vertex to the whole-truncation orbit_mutate rule on a deeper build
     (check_replay_against_orbit_mutate), pin the replay's work, and show
     the rule is tight: without its soiling of neighbours a named request
-    diverges.
+    diverges.  Both starts are templates the walk builds once and then
+    only reads; a warm walk must give a cold walk's reports.
     """
 
     def test_interior_matches_orbit_mutate_on_corpus(self):
@@ -1632,8 +1649,9 @@ class TestTrustedBallReplay:
         assert check_gamma_conditions(quiver).ok
         with pytest.raises(GammaViolationError) as expected:
             orbit_mutate(orbit_mutate(quiver, 2), 3)
+        walk = walk_of(quiver, [0, 1, 2])
         with pytest.raises(GammaViolationError) as replayed:
-            list(_replay(walk_of(quiver, [0, 1, 2]), (2, 3), range(4)))
+            list(_replay(walk, (2, 3), _keep(walk, range(4))))
         assert str(replayed.value) == str(expected.value)
 
     def test_replay_never_writes_the_cached_truncation(self, monkeypatch):
@@ -1645,10 +1663,16 @@ class TestTrustedBallReplay:
         with pytest.raises(InteriorExhaustedError):
             verify_unfolding_commutation(example, (1, 2, 3), 3)
         assert verify_unfolding_commutation(example, (1, 2, 3), 8).ok
-        assert built_dicts(unfolding._truncations[example, 8]) == 1646
+        walk = unfolding._truncations[example, 8]
+        assert built_dicts(walk) == 1646 and list(walk.templates) == [4]
+        ball = walk.templates[4]
         assert verify_unfolding_commutation(example, (3, 4, 2), 8).ok
-        assert built_dicts(unfolding._truncations[example, 8]) == 57284
+        # the rerun built the dicts the ball's template lacked and kept the rest
+        assert built_dicts(walk) == 57284 and walk.templates == {4: ball, 9: walk.templates[9]}
+        assert all(arrows is walk.quiver.adj[v] for template in walk.templates.values()
+                   for v, arrows in template[1].items())
         assert_cached_walk_is_read_only(example, 3)
+        assert_cached_walk_is_read_only(example, 8)
         matrices = [example] + corpus_matrices()[1:51:10]
         for matrix in matrices:
             for seq in full_length_sequences(matrix.n, 3)[:6]:
@@ -1676,8 +1700,8 @@ class TestTrustedBallReplay:
         runs = []
         for walk in (lazy, walk_of(grown), walk_of(made)):
             taken.clear()
-            start = _first_ball(walk, len(seq) + 1)
-            folds = [_fold_rows(work, walk.reps) for _, work, _ in _replay(walk, seq, start)]
+            template = _template(walk, len(seq) + 1)
+            folds = [_fold_rows(work, walk.reps) for _, work, _ in _replay(walk, seq, template)]
             runs.append((walk.reps, folds, [targets[:] for targets in taken]))
         assert runs[0] == runs[1] == runs[2]
         assert [len(targets) for targets in runs[0][2]] == [61, 69, 85]
@@ -1685,28 +1709,35 @@ class TestTrustedBallReplay:
     def test_threads_share_one_cached_walk(self, monkeypatch):
         # four threads, more than the cores, replay the example's 36 pruned
         # length-3 sequences at m = 6 on one cached walk at once, with a short
-        # switch interval, while its dicts are built on first read and six
-        # whole-interior reruns build the rest: each gets the verdict a lone
-        # call gives, and the walk still agrees with a cold build
+        # switch interval.  The walk has served only the empty sequence, so
+        # the threads race to build the length-3 template, and six
+        # whole-interior reruns race to build the interior's: each thread
+        # gets the reports and refusals a lone call gives, each template is
+        # built once, and the walk still agrees with a cold build
         example = example_matrix()
         sequences = full_length_sequences(4, 3)
-
-        def verdict(seq):
-            try:
-                return verify_unfolding_commutation(example, seq, 6)
-            except InteriorExhaustedError as refused:
-                return str(refused)
-
         monkeypatch.setattr(unfolding, "_truncations", {})
-        alone = [verdict(seq) for seq in sequences]
+        alone = [commutation_verdict(example, seq, 6) for seq in sequences]
         assert sum(isinstance(v, str) for v in alone) == 1
         monkeypatch.setattr(unfolding, "_truncations", {})
         assert verify_unfolding_commutation(example, (), 6).ok  # the walk the threads share
+        walk = unfolding._truncations[example, 6]
+        assert list(walk.templates) == [1]
+        keep, built = unfolding._keep, []
+
+        def counted_keep(replayed, start):
+            built.append(len(start))
+            return keep(replayed, start)
+
+        monkeypatch.setattr(unfolding, "_keep", counted_keep)
         results, failures = {}, []
+        barrier = threading.Barrier(4, timeout=60)
 
         def run(offset):
             try:
-                results[offset] = [verdict(seq) for seq in sequences[offset:] + sequences[:offset]]
+                barrier.wait()
+                results[offset] = [commutation_verdict(example, seq, 6)
+                                   for seq in sequences[offset:] + sequences[:offset]]
             except Exception as error:  # noqa: BLE001 - reported by the assertion below
                 failures.append(repr(error))
 
@@ -1724,30 +1755,50 @@ class TestTrustedBallReplay:
         assert failures == [] and sorted(results) == [0, 9, 18, 27]
         for offset, got in results.items():
             assert got == alone[offset:] + alone[:offset], offset
+        # the ball of radius 4 and the whole interior, once each
+        assert built == [536, 3506] and sorted(walk.templates) == [1, 4, 7]
         assert_cached_walk_is_read_only(example, 6)
 
-    def test_a_rerun_between_another_reruns_check_and_build(self, monkeypatch):
-        # a whole-interior rerun on the cached walk runs between another
-        # one's check for unbuilt dicts and its build of them, as a thread
-        # switch there may: both certify, the first builds from the same
-        # gluing tree, and the walk still agrees with a cold build
+    def test_a_call_waits_for_the_template_another_thread_builds(self, monkeypatch):
+        # one thread builds the example's whole-interior template at m = 8
+        # and is held inside the bulk build of its dicts (_tree_adj) while a
+        # second thread asks for the same template: the second waits on the
+        # walk's lock and then reads the first one's template, so the dicts
+        # are built once; both certify, and the walk agrees with a cold build
         example = example_matrix()
         monkeypatch.setattr(unfolding, "_truncations", {})
-        assert verify_unfolding_commutation(example, (), 8).ok
-        tree_adj, nested = unfolding._tree_adj, []
+        assert verify_unfolding_commutation(example, (1, 2, 3), 8).ok  # no rerun
+        tree_adj, calls = unfolding._tree_adj, []
+        entered, release = threading.Event(), threading.Event()
 
-        def interleaved_tree_adj(walk):
-            if not nested:  # the first call only; the nested rerun builds at once
-                nested.append(None)
-                nested.append(verify_unfolding_commutation(example, (3, 4, 2), 8))
+        def held_tree_adj(walk):
+            calls.append(None)
+            entered.set()
+            assert release.wait(timeout=60)
             return tree_adj(walk)
 
-        monkeypatch.setattr(unfolding, "_tree_adj", interleaved_tree_adj)
-        assert verify_unfolding_commutation(example, (3, 4, 2), 8).ok
-        assert nested == [None, CommutationReport(ok=True, first_divergence=None)]
+        monkeypatch.setattr(unfolding, "_tree_adj", held_tree_adj)
+        results = {}
+
+        def run(name):
+            results[name] = commutation_verdict(example, (3, 4, 2), 8)
+
+        first = threading.Thread(target=run, args=("first",))
+        second = threading.Thread(target=run, args=("second",))
+        first.start()
+        assert entered.wait(timeout=60)
+        second.start()
+        second.join(timeout=0.5)
+        waited = second.is_alive()
+        release.set()
+        for thread in (first, second):
+            thread.join(timeout=60)
+        assert not first.is_alive() and not second.is_alive()
+        assert waited and len(calls) == 1
+        ok = CommutationReport(ok=True, first_divergence=None)
+        assert results == {"first": ok, "second": ok}
         assert built_dicts(unfolding._truncations[example, 8]) == 57284
         assert_cached_walk_is_read_only(example, 8)
-        assert verify_unfolding_commutation(example, (1, 2, 3), 8).ok
 
     def test_65th_key_empties_the_cache_and_a_hit_changes_nothing(self, monkeypatch):
         # ONE's unfolding is one vertex and its frozen copy, so 65 builds are cheap
@@ -1777,6 +1828,126 @@ class TestTrustedBallReplay:
             assert list(unfolding._truncations) == [(matrix, 8)]
         assert_cached_walk_is_read_only(newer, 8)
 
+    def test_each_template_is_built_once_per_walk_and_radius(self, monkeypatch):
+        # a count: the example's 36 pruned length-3 sequences at m = 8 build
+        # one first-ball template, of radius 4, and for the six that lose a
+        # representative in it one whole-interior template, kept under the
+        # saturation radius 9, where the ball stops growing
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        keep, template, built, asked = unfolding._keep, unfolding._template, [], Counter()
+
+        def counted_keep(replayed, start):
+            built.append(len(start))
+            return keep(replayed, start)
+
+        def counted_template(replayed, radius):
+            asked[radius] += 1
+            return template(replayed, radius)
+
+        monkeypatch.setattr(unfolding, "_keep", counted_keep)
+        monkeypatch.setattr(unfolding, "_template", counted_template)
+        example = example_matrix()
+        for _ in range(2):
+            for seq in full_length_sequences(4, 3):
+                assert verify_unfolding_commutation(example, seq, 8).ok
+        walk = unfolding._truncations[example, 8]
+        assert asked == {4: 72, walk.quiver.vertex_count: 12}
+        assert built == [536, 29510]
+        assert sorted(walk.templates) == [4, 9] and walk.saturation == 9
+        assert_cached_walk_is_read_only(example, 8)
+
+    def test_first_ball_stops_where_a_ring_adds_no_vertex(self):
+        # a count of rings, not a time: corpus matrix 17 at m = 6 has 50
+        # vertices, and its ball holds all 42 interior ones from radius 7 on,
+        # so a search for radius 100,001 adds 7 rings and stops.  Every
+        # radius from 7 on shares one template, the whole interior's
+        walk = unfolding._replay_walk(corpus_matrices()[17], 6)
+        balls = {radius: _first_ball(walk, radius) for radius in (6, 7, 8, 100_001)}
+        assert {radius: (len(ball), rings) for radius, (ball, rings) in balls.items()} == {
+            6: (40, 6), 7: (42, 7), 8: (42, 7), 100_001: (42, 7)}
+        assert balls[100_001][0] == interior_set(walk.quiver)
+        assert walk.saturation == 50 and walk.templates == {}
+        whole = _template(walk, 100_001)
+        assert walk.saturation == 7 and walk.templates == {7: whole}
+        for radius in (7, 8, 50):
+            assert _template(walk, radius) is whole
+        assert _template(walk, 6) is not whole and sorted(walk.templates) == [6, 7]
+        # a complete quiver has one template, every vertex
+        complete = unfolding._replay_walk(corpus_matrices()[3], 2)
+        assert _first_ball(complete, 3) == (set(range(4)), 0)
+        assert _template(complete, 3) is _template(complete, 1)
+        assert complete.saturation == 0 and list(complete.templates) == [0]
+
+    def test_templates_keep_at_most_five_times_the_walks_vertices(self, monkeypatch):
+        # a ball that grows by four vertices a ring: the Kronecker matrix at
+        # m = 16 (64 vertices) along the prefixes of (1, 2) * 8.  The first
+        # balls of radius 1 to 9 keep 10, 14, ..., 42 vertices, 234 in all,
+        # so the next (46) would pass four times the vertex count: the balls
+        # of radius 10 to 15 serve their calls alone, built for each, while
+        # the whole interior's template (radius 16 and up) is kept.  Every
+        # report and refusal is a cold walk's
+        kronecker = ExchangeMatrix([[0, 2], [-2, 0]])
+        sequences = [((1, 2) * 8)[:length] for length in range(17)]
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        cold = []
+        for seq in sequences:
+            unfolding._truncations.clear()
+            cold.append(commutation_verdict(kronecker, seq, 16))
+        assert [isinstance(verdict, str) for verdict in cold] == [False] * 15 + [True] * 2
+        keep, built = unfolding._keep, []
+
+        def counted_keep(replayed, start):
+            built.append(len(start))
+            return keep(replayed, start)
+
+        monkeypatch.setattr(unfolding, "_keep", counted_keep)
+        unfolding._truncations.clear()
+        for _ in range(2):
+            built.clear()
+            assert [commutation_verdict(kronecker, seq, 16) for seq in sequences] == cold
+        walk = unfolding._truncations[kronecker, 16]
+        kept = {key: len(kept) for key, (_start, kept, _ids) in walk.templates.items()}
+        assert kept == {radius: 6 + 4 * radius for radius in range(1, 10)} | {16: 64}
+        assert sum(kept.values()) - kept[16] <= 4 * walk.quiver.vertex_count
+        # the second pass builds the balls of radius 10 to 15 again, once a call
+        assert built == [42, 46, 50, 54, 58, 61]
+        assert_cached_walk_is_read_only(kronecker, 16)
+
+    @pytest.mark.parametrize("m, lengths, refused", [
+        (2, range(4), 843), (3, range(4), 472), (5, range(4), 47), (8, range(4), 0),
+        (6, (4,), 116), (10, (4,), 13),
+    ])
+    def test_a_warm_walk_gives_a_cold_walks_reports(self, monkeypatch, m, lengths, refused):
+        # each request runs on a cold walk, the cache emptied before it, and
+        # then on a warm one, with every template it could read built: the
+        # reports and refusal messages are the same bytes, and the warm pass
+        # builds no template.  The example and the 50 corpus matrices (46
+        # distinct) with every pruned sequence of length 0 to 3, and the
+        # STEP4_CORPUS matrices with every one of length 4
+        corpus = corpus_matrices()
+        matrices = corpus if 0 in lengths else [corpus[i] for i in STEP4_CORPUS]
+        requests = [(matrix, seq) for matrix in matrices
+                    for length in lengths for seq in full_length_sequences(matrix.n, length)]
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        cold = []
+        for matrix, seq in requests:
+            unfolding._truncations.clear()
+            cold.append(repr(commutation_verdict(matrix, seq, m)))
+        for matrix in matrices:
+            assert verify_unfolding_commutation(matrix, (), m).ok
+            walk = unfolding._truncations[matrix, m]
+            for radius in [length + 1 for length in lengths] + [walk.quiver.vertex_count]:
+                _template(walk, radius)
+        assert len(unfolding._truncations) == len(set(matrices))
+
+        def no_keep(walk, start):
+            raise AssertionError("a warm call built a template")
+
+        monkeypatch.setattr(unfolding, "_keep", no_keep)
+        warm = [repr(commutation_verdict(matrix, seq, m)) for matrix, seq in requests]
+        assert warm == cold
+        assert sum("interior exhausted at step " in verdict for verdict in cold) == refused
+
     @pytest.mark.parametrize("reverse", [False, True])
     def test_step_owns_every_vertex_it_writes(self, reverse):
         # label-2 targets 1, 2 and 3, all clean: targets 2 and 3 are
@@ -1795,8 +1966,8 @@ class TestTrustedBallReplay:
         adj = copy.deepcopy(before)
         for t in (1, 2, 3):
             _mutate_vertex(adj, quiver.frozen, t)
-        start = range(5)
-        *_, (step, work, clean) = _replay(walk_of(quiver, []), (2,), start)
+        start, walk = range(5), walk_of(quiver, [])
+        *_, (step, work, clean) = _replay(walk, (2,), _keep(walk, start))
         assert quiver.adj == before
         assert (step, clean) == (1, set(start))
         assert set(work.adj) == set(start).union(*(before[v] for v in start))
@@ -1895,22 +2066,28 @@ class TestCleanArrows:
 
     def test_first_ball_gives_the_whole_interiors_verdict(self, monkeypatch):
         # the first ball only saves work: started from the whole interior,
-        # every request gets the same report or the same refusal
+        # every request gets the same report or the same refusal.  A walk
+        # keeps the templates its first pass built, so the second pass runs
+        # each request on a cold walk, and the patched search must run for
+        # every one of them
         corpus = corpus_matrices()
         requests = [(corpus[i], seq, m) for i in STEP4_CORPUS[::2] for m in (6, 10)
                     for seq in full_length_sequences(corpus[i].n, 4)[::5]]
         requests += [(example_matrix(), seq, 5) for seq in full_length_sequences(4, 3)]
+        monkeypatch.setattr(unfolding, "_truncations", {})
+        first = [commutation_verdict(*request) for request in requests]
+        searches = []
 
-        def verdict(matrix, seq, m):
-            try:
-                return verify_unfolding_commutation(matrix, seq, m)
-            except InteriorExhaustedError as refused:
-                return str(refused)
+        def whole_interior(walk, radius):
+            searches.append(radius)
+            return interior_set(walk.quiver), radius
 
-        first = [verdict(*request) for request in requests]
-        monkeypatch.setattr(unfolding, "_first_ball",
-                            lambda walk, radius: interior_set(walk.quiver))
-        assert [verdict(*request) for request in requests] == first
+        monkeypatch.setattr(unfolding, "_first_ball", whole_interior)
+        for request, verdict in zip(requests, first):
+            unfolding._truncations.clear()
+            searched = len(searches)
+            assert commutation_verdict(*request) == verdict, request
+            assert len(searches) > searched, request
         kinds = Counter(isinstance(v, str) for v in first)
         assert kinds[True] and kinds[False]
 
